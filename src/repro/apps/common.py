@@ -155,19 +155,14 @@ class FrontierGraphKernel(Kernel):
             return
         ctx.write(self.frontier_array, vertex, 1)
         if not ctx.barrier:
-            # The bucket list lives in the machine's columnar CoreState
-            # (state.frontier[tile]); the context publishes it under
-            # tile_state["frontier"] on first use so inspection keeps working.
             ctx.frontier_bucket().append(int(vertex))
 
     def refill_tile(self, machine, tile_id: int, budget: int) -> List[Seed]:
-        queue = machine.tile_state[tile_id].get("frontier")
+        queue = machine.state.frontier[tile_id]
         if not queue:
             return []
-        take = min(budget, len(queue))
-        vertices = queue[:take]
-        # Drain in place: the list is aliased by the columnar frontier state.
-        del queue[:take]
+        vertices = queue[:budget]
+        del queue[:budget]
         return [(self.refrontier_task, (vertex,)) for vertex in vertices]
 
     def next_epoch(self, machine, epoch_index: int) -> Optional[List[Seed]]:
@@ -255,17 +250,9 @@ class FrontierGraphKernel(Kernel):
             if marks.any():
                 flags[verts[marks]] = 1
                 if not machine.barrier_effective:
-                    tiles = segment.tiles
                     frontier = machine.state.frontier
-                    tile_state = machine.tile_state
                     for item in np.flatnonzero(marks).tolist():
-                        tile = int(tiles[item])
-                        per_tile = tile_state[tile]
-                        bucket = per_tile.get("frontier")
-                        if bucket is None:
-                            bucket = frontier[tile]
-                            per_tile["frontier"] = bucket
-                        bucket.append(int(verts[item]))
+                        frontier[int(segment.tiles[item])].append(int(verts[item]))
             return BatchResult(reads, writes, extra)
 
         def run_t4(segment) -> BatchResult:

@@ -115,29 +115,9 @@ class TaskContext:
         """True when the machine runs with per-epoch global barriers."""
         return self._machine.barrier_effective
 
-    @property
-    def globals(self) -> dict:
-        """Machine-wide mutable state shared by all tasks (e.g. iteration count)."""
-        return self._machine.globals
-
-    @property
-    def tile_state(self) -> dict:
-        """Mutable state private to the executing tile (e.g. its frontier queue)."""
-        return self._machine.tile_state[self.tile_id]
-
     def frontier_bucket(self) -> list:
-        """The executing tile's local frontier bucket (columnar state).
-
-        The bucket list lives in :class:`~repro.core.state.CoreState` and is
-        published under ``tile_state["frontier"]`` on first use, so kernels
-        and tests that inspect ``tile_state`` keep seeing the same object.
-        """
-        tile_state = self._machine.tile_state[self.tile_id]
-        bucket = tile_state.get("frontier")
-        if bucket is None:
-            bucket = self._machine.state.frontier[self.tile_id]
-            tile_state["frontier"] = bucket
-        return bucket
+        """The executing tile's local frontier bucket (``state.frontier[tile]``)."""
+        return self._machine.state.frontier[self.tile_id]
 
     @property
     def num_tiles(self) -> int:

@@ -142,11 +142,9 @@ class AnalyticalEngine(BaseEngine):
         while worklist or self._refill_all_tiles(worklist):
             tile_id, task, params, generation, remote = worklist.popleft()
             ctx, cost = self.execute_invocation(tile_id, task, params, remote)
-            self.account_context(tile_id, ctx)
-            # ProcessingUnit.account_busy over the columnar arrays.
+            self.account_context(ctx)
             state.pu_busy_cycles[tile_id] += cost
             state.pu_instructions[tile_id] += ctx.instructions
-            state.pu_tasks_executed[tile_id] += 1
             epoch_busy[tile_id] += cost
             tasks_this_epoch += 1
             for out_task, out_params, destination in ctx.outgoing:
@@ -161,9 +159,6 @@ class AnalyticalEngine(BaseEngine):
                     )
                     counters.flit_hops += flits * hops
                     counters.router_traversals += flits * (hops + 1)
-                    state.messages_sent[tile_id] += 1
-                    state.flits_sent[tile_id] += flits
-                    state.flits_received[destination] += flits
                 next_generation = generation + 1
                 if next_generation > max_generation:
                     max_generation = next_generation
@@ -192,19 +187,8 @@ class AnalyticalEngine(BaseEngine):
     #: CoreState per-tile counter lists rebound to numpy arrays in batch mode
     #: (integer counters scatter through np.add.at; floats stay order-exact
     #: because np.add.at applies duplicate indices in element order).
-    _BATCH_INT_FIELDS = (
-        "pu_instructions",
-        "pu_tasks_executed",
-        "messages_sent",
-        "flits_sent",
-        "flits_received",
-        "edges_processed",
-        "sram_reads",
-        "sram_writes",
-        "sram_bytes_read",
-        "sram_bytes_written",
-    )
-    _BATCH_FLOAT_FIELDS = ("pu_busy_cycles", "dram_accesses", "interrupt_cycles")
+    _BATCH_INT_FIELDS = ("pu_instructions",)
+    _BATCH_FLOAT_FIELDS = ("pu_busy_cycles",)
 
     def _prepare_batch(self) -> Optional[dict]:
         """Batch handler table when every gate passes, else None (scalar mode).
@@ -330,30 +314,22 @@ class AnalyticalEngine(BaseEngine):
             penalty = config.interrupt_penalty_cycles
             cost = np.where(remote, cost + penalty, cost)
             counters.remote_interrupts += int(remote.sum())
-            np.add.at(state.interrupt_cycles, tiles[remote], float(penalty))
 
         # account_context over the whole segment.
         counters.instructions += int(instructions.sum())
         counters.tasks_executed += n
         counters.sram_reads += int(reads.sum())
         counters.sram_writes += int(writes.sum())
-        np.add.at(state.sram_reads, tiles, reads)
-        np.add.at(state.sram_bytes_read, tiles, reads * 4)
-        np.add.at(state.sram_writes, tiles, writes)
-        np.add.at(state.sram_bytes_written, tiles, writes * 4)
         dram = tables.dram(accesses)
         if dram is not None:
             counters.dram_accesses = sequential_sum(counters.dram_accesses, dram)
-            np.add.at(state.dram_accesses, tiles, dram)
         hits = tables.hits(accesses)
         if hits is not None:
             counters.cache_hits = sequential_sum(counters.cache_hits, hits)
         if result.edges is not None:
             counters.edges_processed += int(result.edges.sum())
-            np.add.at(state.edges_processed, tiles, result.edges)
         np.add.at(state.pu_busy_cycles, tiles, cost)
         np.add.at(state.pu_instructions, tiles, instructions)
-        np.add.at(state.pu_tasks_executed, tiles, 1)
         np.add.at(epoch_busy, tiles, cost)
 
         children: List[Segment] = []
@@ -380,9 +356,6 @@ class AnalyticalEngine(BaseEngine):
                 )
                 counters.flit_hops += int(flits * hops.sum())
                 counters.router_traversals += int(flits * (hops + 1).sum())
-                np.add.at(state.messages_sent, nl_src, 1)
-                np.add.at(state.flits_sent, nl_src, flits)
-                np.add.at(state.flits_received, nl_dst, flits)
             child_gens = np.repeat(segment.gens + 1, counts_per_item)
             max_child_gen = int(child_gens.max())
             children.append(Segment(out_task, dests, out_params, child_gens, remote_out))
@@ -401,10 +374,9 @@ class AnalyticalEngine(BaseEngine):
             generation = int(segment.gens[index])
             remote = bool(segment.remote[index])
             ctx, cost = self.execute_invocation(tile_id, segment.task, params, remote)
-            self.account_context(tile_id, ctx)
+            self.account_context(ctx)
             state.pu_busy_cycles[tile_id] += cost
             state.pu_instructions[tile_id] += ctx.instructions
-            state.pu_tasks_executed[tile_id] += 1
             epoch_busy[tile_id] += cost
             emit_counts[index] = len(ctx.outgoing)
             for out_task, out_params, destination in ctx.outgoing:
@@ -419,9 +391,6 @@ class AnalyticalEngine(BaseEngine):
                     )
                     counters.flit_hops += flits * hops
                     counters.router_traversals += flits * (hops + 1)
-                    state.messages_sent[tile_id] += 1
-                    state.flits_sent[tile_id] += flits
-                    state.flits_received[destination] += flits
                 next_generation = generation + 1
                 if next_generation > max_child_gen:
                     max_child_gen = next_generation

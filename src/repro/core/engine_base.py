@@ -42,7 +42,6 @@ class BaseEngine:
         self.program = machine.program
         self.placement = machine.placement
         self.topology = machine.topology
-        self.tiles = machine.tiles
         self.state = machine.state
         self.kernel = machine.kernel
         self.counters = AggregateCounters()
@@ -87,16 +86,14 @@ class BaseEngine:
         if remote and self.config.remote_invocation == "interrupting":
             cost += self.config.interrupt_penalty_cycles
             self.counters.remote_interrupts += 1
-            self.state.interrupt_cycles[tile_id] += self.config.interrupt_penalty_cycles
         return ctx, cost
 
     def release_context(self, ctx: TaskContext) -> None:
         """Return a context to the pool for reuse by the next execution."""
         self._context_pool.append(ctx)
 
-    def account_context(self, tile_id: int, ctx: TaskContext) -> None:
+    def account_context(self, ctx: TaskContext) -> None:
         """Fold one task execution's counters into the machine-wide totals."""
-        state = self.state
         counters = self.counters
         counters.instructions += ctx.instructions
         counters.tasks_executed += 1
@@ -105,14 +102,6 @@ class BaseEngine:
         counters.dram_accesses += ctx.dram_accesses
         counters.cache_hits += ctx.cache_hits
         counters.edges_processed += ctx.edges
-        state.edges_processed[tile_id] += ctx.edges
-        # Scratchpad access accounting (Scratchpad.record_read/record_write
-        # over the columnar arrays: 4 bytes per entry).
-        state.sram_reads[tile_id] += ctx.sram_reads
-        state.sram_bytes_read[tile_id] += ctx.sram_reads * 4
-        state.sram_writes[tile_id] += ctx.sram_writes
-        state.sram_bytes_written[tile_id] += ctx.sram_writes * 4
-        state.dram_accesses[tile_id] += ctx.dram_accesses
 
     def record_message_traffic(self, src: int, dst: int, task: Task) -> int:
         """Account one task-invocation message; returns its hop count."""
@@ -126,10 +115,6 @@ class BaseEngine:
         hops = self.link_model.record_message(src, dst, flits, self.tile_pitch_mm)
         counters.flit_hops += flits * hops
         counters.router_traversals += flits * (hops + 1)
-        state = self.state
-        state.messages_sent[src] += 1
-        state.flits_sent[src] += flits
-        state.flits_received[dst] += flits
         return hops
 
     # ------------------------------------------------------------------ seeds
@@ -190,8 +175,8 @@ class BaseEngine:
     # ----------------------------------------------------------------- result
     def build_result(self, cycles: float, epochs: int) -> SimulationResult:
         state = self.state
-        self.tracer.record_queue_stats(self.tiles, state=state)
-        self.tracer.verify(self.counters, self.tiles, state=state)
+        self.tracer.record_queue_stats(state)
+        self.tracer.verify(self.counters, state)
         per_tile_busy = np.array(state.pu_busy_cycles, dtype=np.float64)
         per_tile_instructions = np.array(state.pu_instructions)
         per_router_flits = self.link_model.router_traffic().astype(np.float64)

@@ -113,17 +113,10 @@ class CycleEngine(BaseEngine):
             self._push(time_base, _DELIVER, handle)
 
     # ----------------------------------------------------------------- events
-    def _enqueue_record(self, tile_id: int, task_id: int, handle: int) -> None:
-        """Push a pooled record handle into the tile's task input queue,
-        bumping the messages_received counter ``Tile.enqueue_task``
-        historically maintained."""
-        state = self.state
-        state.push_invocation(tile_id, task_id, handle)
-        state.messages_received[tile_id] += 1
-
     def _drain_events(self) -> None:
         heap = self._heap
         state = self.state
+        push_invocation = state.push_invocation
         records = state.records
         busy = state.busy
         last = self._last_event_time
@@ -142,7 +135,7 @@ class CycleEngine(BaseEngine):
                 if telemetry_on:
                     deliver_count += 1
                 tile_id = records.tile[payload]
-                self._enqueue_record(tile_id, records.task[payload], payload)
+                push_invocation(tile_id, records.task[payload], payload)
                 if not busy[tile_id]:
                     self._try_dispatch(tile_id, time)
             elif kind == _COMPLETE:
@@ -186,10 +179,10 @@ class CycleEngine(BaseEngine):
         resolved = self.resolve_refill(tile_id)
         if not resolved:
             return False
-        records = self.state.records
+        state = self.state
         for task, params in resolved:
-            handle = records.alloc(tile_id, task.task_id, params, False)
-            self._enqueue_record(tile_id, task.task_id, handle)
+            handle = state.records.alloc(tile_id, task.task_id, params, False)
+            state.push_invocation(tile_id, task.task_id, handle)
         return True
 
     def _try_dispatch(self, tile_id: int, now: float) -> None:
@@ -217,27 +210,25 @@ class CycleEngine(BaseEngine):
         records.release(handle)
         task = self.task_table[task_id]
         ctx, cost = self.execute_invocation(tile_id, task, params, remote)
-        self.account_context(tile_id, ctx)
-        # ProcessingUnit.start_task over the columnar arrays.
+        self.account_context(ctx)
         busy_until = state.pu_busy_until[tile_id]
         start = busy_until if busy_until > now else now
-        state.pu_stall_cycles[tile_id] += max(0.0, start - now)
         completion = start + cost
         state.pu_busy_until[tile_id] = completion
         state.pu_busy_cycles[tile_id] += cost
         state.pu_instructions[tile_id] += ctx.instructions
-        state.pu_tasks_executed[tile_id] += 1
         state.busy[tile_id] = True
         self._push(completion, _COMPLETE, (tile_id, ctx))
 
     def _emit_outputs(self, tile_id: int, ctx, now: float) -> None:
-        records = self.state.records
+        state = self.state
+        records = state.records
         network_send = self.network.send
         for task, params, destination in ctx.outgoing:
             self.record_message_traffic(tile_id, destination, task)
             if destination == tile_id:
                 handle = records.alloc(tile_id, task.task_id, params, False)
-                self._enqueue_record(tile_id, task.task_id, handle)
+                state.push_invocation(tile_id, task.task_id, handle)
             else:
                 # Delivery time of one message, per the configured network model.
                 arrival = network_send(

@@ -29,7 +29,6 @@ from repro.energy.technology import DEFAULT_TECHNOLOGY, TechnologyParameters
 from repro.errors import ConfigurationError, ProgramError
 from repro.graph.csr import CSRGraph
 from repro.noc.topology import cached_topology
-from repro.tile.tile import Tile
 
 
 class DalorexMachine:
@@ -48,10 +47,6 @@ class DalorexMachine:
         self.graph = kernel.prepare_graph(graph)
         self.dataset_name = dataset_name or graph.name
         self.technology = technology
-        self.globals: Dict[str, object] = {}
-        # Per-tile mutable state outside the distributed arrays (models the
-        # tile-local frontier queue fed by T3 and drained by T4).
-        self.tile_state = [dict() for _ in range(config.num_tiles)]
         # Invariant tracing: set detailed_trace=True before run() for the
         # opt-in per-epoch trace; the engine publishes its tracer here so
         # callers can inspect the traced task flow after the run.  The cycle
@@ -78,9 +73,12 @@ class DalorexMachine:
         self.placement = self._build_placement()
         self.program.validate(known_spaces=list(self.placement.spaces))
         self.arrays = self._build_arrays()
-
-        self.tiles = self._build_tiles()
-        self._register_scratchpad_regions()
+        # All mutable per-tile state (queues, PU/TSU state, frontier buckets,
+        # NoC port times) lives in flat columns; see repro.core.state.
+        self.state = CoreState(
+            config.num_tiles, self.program.iq_capacities(), config.scheduling
+        )
+        self.scratchpad_bytes = self._scratchpad_bytes()
 
         self.area_model = AreaModel(technology)
         self.energy_model = EnergyModel(technology)
@@ -140,55 +138,26 @@ class DalorexMachine:
                 )
         return arrays
 
-    def _build_tiles(self) -> list:
-        """Build the columnar core state plus one thin Tile view per tile.
-
-        All mutable per-tile state (queues, PU/TSU state, counters, frontier
-        buckets, NoC port times) lives in ``self.state``; the Tile objects
-        are views over its rows (see :mod:`repro.core.state`).
-        """
-        iq_capacities = self.program.iq_capacities()
-        task_ids = [task.task_id for task in self.program.tasks]
-        self.state = CoreState(
-            self.config.num_tiles, task_ids, iq_capacities, self.config.scheduling
-        )
-        return [
-            Tile(
-                tile_id,
-                self.topology.coords(tile_id),
-                task_ids,
-                iq_capacities,
-                self.config.scheduling,
-                self.config.scratchpad_bytes_per_tile,
-                state=self.state,
-                slot=tile_id,
-            )
-            for tile_id in range(self.config.num_tiles)
-        ]
-
-    def _register_scratchpad_regions(self) -> None:
-        """Account the per-tile storage: array chunks, program code and queues."""
-        per_tile_array_bytes = np.zeros(self.config.num_tiles, dtype=np.int64)
-        for name, spec in self.program.arrays.items():
+    def _scratchpad_bytes(self) -> np.ndarray:
+        """Bytes each tile's scratchpad holds: its chunk of every array, the
+        task code and the queue storage."""
+        per_tile = np.zeros(self.config.num_tiles, dtype=np.int64)
+        for spec in self.program.arrays.values():
             counts = self.placement.space(spec.space).per_tile_counts()
-            per_tile_array_bytes += counts * spec.entry_bytes
-        queue_bytes = self.config.queue_region_bytes
-        code_bytes = self.config.code_region_bytes
-        for tile in self.tiles:
-            tile.scratchpad.register_region("data_arrays", int(per_tile_array_bytes[tile.tile_id]))
-            tile.scratchpad.register_region("task_code", code_bytes)
-            tile.scratchpad.register_region("queues", queue_bytes)
+            per_tile += counts * spec.entry_bytes
+        return per_tile + (self.config.code_region_bytes + self.config.queue_region_bytes)
 
     # ----------------------------------------------------------------- sizing
     def sram_bytes_per_tile(self) -> int:
         """Provisioned (or required) scratchpad bytes per tile."""
         if self.config.scratchpad_bytes_per_tile is not None:
             return self.config.scratchpad_bytes_per_tile
-        return int(max(tile.scratchpad.used_bytes for tile in self.tiles))
+        return int(self.scratchpad_bytes.max())
 
     def dataset_fits(self) -> bool:
         """True when every tile's chunk fits its provisioned scratchpad."""
-        return all(tile.scratchpad.fits() for tile in self.tiles)
+        capacity = self.config.scratchpad_bytes_per_tile
+        return capacity is None or int(self.scratchpad_bytes.max()) <= capacity
 
     def chip_area_mm2(self) -> float:
         return self.area_model.chip_area_mm2(

@@ -108,16 +108,6 @@ class ShardWorker:
     link model are exactly the deltas the hub later merges.
     """
 
-    _FLOAT_FIELDS = AnalyticalEngine._BATCH_FLOAT_FIELDS
-    #: Integer state written only at item-owner tiles (safe to ship as the
-    #: owned slice).  ``flits_received`` is cross-written at message
-    #: destinations and ships as a full array summed at the hub.
-    _OWNED_INT_FIELDS = tuple(
-        name
-        for name in AnalyticalEngine._BATCH_INT_FIELDS
-        if name != "flits_received"
-    )
-
     def __init__(self, machine, plan: ShardPlan, shard_index: int) -> None:
         reason = shard_fallback_reason(machine)
         if reason is not None:
@@ -259,17 +249,18 @@ class ShardWorker:
         return None
 
     def finalize(self, msg: Dict[str, Any]) -> Dict[str, Any]:
+        # Per-tile state is written only at item-owner tiles, so the owned
+        # slice carries everything this shard accounted.
         state = self.engine.state
         reply: Dict[str, Any] = {
             "float_state": {
                 name: getattr(state, name)[self.lo : self.hi].copy()
-                for name in self._FLOAT_FIELDS
+                for name in AnalyticalEngine._BATCH_FLOAT_FIELDS
             },
             "int_state": {
                 name: getattr(state, name)[self.lo : self.hi].copy()
-                for name in self._OWNED_INT_FIELDS
+                for name in AnalyticalEngine._BATCH_INT_FIELDS
             },
-            "flits_received": np.asarray(state.flits_received, dtype=np.int64),
         }
         if msg.get("gather_arrays", True):
             reply.update(self.gather())
@@ -709,9 +700,6 @@ class ShardCoordinator:
                 getattr(state, name)[lo:hi] = values
             for name, values in reply["int_state"].items():
                 getattr(state, name)[lo:hi] = values
-            state.flits_received += np.asarray(
-                reply["flits_received"], dtype=np.int64
-            )
             if gather_arrays:
                 self._apply_gathered(shard, reply["arrays"])
         self._arrays_current = True

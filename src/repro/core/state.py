@@ -1,42 +1,36 @@
 """Columnar (structure-of-arrays) per-tile state of one simulated machine.
 
-The engines' hot loops used to walk a forest of per-tile objects: every tile
-owned a ``Tile`` with a ``ProcessingUnit``, a ``TaskSchedulingUnit``, a
-``Scratchpad`` and one ``CircularQueue`` per task, and every pending task
-invocation was a frozen ``TaskInvocation`` dataclass travelling through
-tuple-payload heap events.  :class:`CoreState` replaces all of that mutable
-state with flat parallel arrays indexed by tile id (and, for queues, by
+The paper's tile is a processing unit, a task scheduling unit, a scratchpad
+and one input queue per task.  :class:`CoreState` is the simulator's only
+per-tile state: flat parallel arrays indexed by tile id (and, for queues, by
 ``tile * num_tasks + task``):
 
-* PU occupancy and accounting (``pu_busy_until``, ``pu_busy_cycles``, ...);
+* PU occupancy and accounting (``pu_busy_until``, ``pu_busy_cycles``,
+  ``pu_instructions``), which the result's utilization and heatmaps read;
 * task input queues (one deque of pooled record indices per tile x task) with
-  their push/pop/high-water/overflow statistics;
-* TSU scheduling state (round-robin cursors, decision counts, clock gating);
-* per-tile traffic, memory and frontier-bucket state;
+  the push/pop/high-water statistics the invariant tracer checks;
+* the TSU's round-robin cursors;
+* per-tile local frontier buckets (the paper's T3 -> T4 hand-off);
 * the NoC interface port state shared with the flit-level simulator
   (``noc_inject_free`` / ``noc_eject_free``).
 
 Pending invocations are held in a :class:`RecordPool`: parallel arrays of
 (tile, task, params, remote) slots recycled through a free list, so steady
-state simulation allocates no per-event objects.  The public classes under
-:mod:`repro.tile` remain available as thin views over these arrays (see
-``tile/tile.py``), which keeps the energy accounting, the invariant tracer
-and the existing unit tests working unchanged.
+state simulation allocates no per-event objects.
 
-Scheduling semantics are bit-compatible with
-:class:`repro.tile.tsu.TaskSchedulingUnit`; ``tests/core/test_state.py`` pins
-the two implementations against each other.
+Task ids are dense (``0..K-1``, assigned by the program), so a task id is its
+queue column.  ``tests/core/test_state.py`` pins :meth:`CoreState.select_task`
+against an object-shaped task scheduling unit kept in the tests as an oracle.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError
 
-#: Scheduling policies understood by :meth:`CoreState.select_task` (mirrors
-#: :data:`repro.tile.tsu.SCHEDULING_POLICIES`).
+#: Scheduling policies understood by :meth:`CoreState.select_task`.
 ROUND_ROBIN = "round_robin"
 OCCUPANCY = "occupancy"
 
@@ -97,81 +91,57 @@ class CoreState:
 
     Args:
         num_tiles: number of tiles (rows of every per-tile array).
-        task_ids: the program's task ids.  Machine-built programs use dense
-            ids ``0..K-1``; the queue-column mapping also accepts sparse ids
-            for standalone :class:`~repro.tile.tile.Tile` views.
-        iq_capacities: input-queue capacity per task id.
-        scheduling_policy: ``"occupancy"`` or ``"round_robin"`` (the same
-            semantics as :class:`~repro.tile.tsu.TaskSchedulingUnit`).
+        iq_capacities: input-queue capacity per task id; the ids must be the
+            dense ``0..K-1`` a :class:`~repro.core.program.DalorexProgram`
+            assigns.
+        scheduling_policy: ``"occupancy"`` or ``"round_robin"``.
+        high_threshold: input-queue fill fraction at which the occupancy
+            policy gives a task high priority.
     """
 
     def __init__(
         self,
         num_tiles: int,
-        task_ids: Sequence[int],
         iq_capacities: Dict[int, int],
         scheduling_policy: str = OCCUPANCY,
         high_threshold: float = 0.75,
-        low_threshold: float = 0.25,
     ) -> None:
         if scheduling_policy not in (ROUND_ROBIN, OCCUPANCY):
             raise ConfigurationError(
                 f"unknown scheduling policy {scheduling_policy!r}; "
                 f"expected one of ({ROUND_ROBIN!r}, {OCCUPANCY!r})"
             )
+        if sorted(iq_capacities) != list(range(len(iq_capacities))):
+            raise ConfigurationError(
+                f"task ids must be dense 0..K-1, got {sorted(iq_capacities)}"
+            )
         self.num_tiles = num_tiles
-        self.task_ids = list(task_ids)
-        self.num_tasks = len(self.task_ids)
+        self.num_tasks = len(iq_capacities)
         self.scheduling_policy = scheduling_policy
         self.high_threshold = high_threshold
-        self.low_threshold = low_threshold
-        #: task id -> queue column (identity for dense machine programs).
-        self.task_column = {tid: col for col, tid in enumerate(self.task_ids)}
-        self.dense_tasks = self.task_ids == list(range(self.num_tasks))
-        #: capacity per queue column (identical across tiles).
-        self.queue_capacity = [iq_capacities[tid] for tid in self.task_ids]
+        #: capacity per task (identical across tiles).
+        self.queue_capacity = [iq_capacities[task] for task in range(self.num_tasks)]
 
         slots = num_tiles * self.num_tasks
-        # Task input queues (entries are RecordPool handles on the engine hot
-        # path; standalone tile views may push arbitrary items).
+        # Task input queues: deques of RecordPool handles, with the push/pop
+        # totals and high-water marks the invariant tracer checks.
         self.queues: List[deque] = [deque() for _ in range(slots)]
         self.queue_pushed = [0] * slots
         self.queue_popped = [0] * slots
         self.queue_max_occupancy = [0] * slots
-        self.queue_overflows = [0] * slots
 
         # Engine dispatch flags.
         self.busy = [False] * num_tiles
         self.refill_pending = [False] * num_tiles
 
-        # Processing unit occupancy and accounting.
+        # Processing unit occupancy and accounting (the result's per-tile
+        # busy cycles and instructions).
         self.pu_busy_until = [0.0] * num_tiles
         self.pu_busy_cycles = [0.0] * num_tiles
         self.pu_instructions = [0] * num_tiles
-        self.pu_tasks_executed = [0] * num_tiles
-        self.pu_stall_cycles = [0.0] * num_tiles
 
-        # TSU scheduling state.
+        # TSU round-robin cursors.
         self.tsu_cursor = [0] * num_tiles
-        self.tsu_decisions = [0] * num_tiles
-        self.tsu_gated = [True] * num_tiles
-
-        # Per-tile traffic / memory counters (energy model + heatmaps).
-        self.messages_sent = [0] * num_tiles
-        self.messages_received = [0] * num_tiles
-        self.flits_sent = [0] * num_tiles
-        self.flits_received = [0] * num_tiles
-        self.dram_accesses = [0] * num_tiles
-        self.cache_hits = [0] * num_tiles
-        self.cache_misses = [0] * num_tiles
-        self.interrupt_cycles = [0.0] * num_tiles
-        self.edges_processed = [0] * num_tiles
-
-        # Scratchpad access counters (dynamic SRAM energy).
-        self.sram_reads = [0] * num_tiles
-        self.sram_writes = [0] * num_tiles
-        self.sram_bytes_read = [0] * num_tiles
-        self.sram_bytes_written = [0] * num_tiles
 
         # Per-tile local frontier buckets (the paper's T3 -> T4 hand-off).
         self.frontier: List[list] = [[] for _ in range(num_tiles)]
@@ -185,28 +155,15 @@ class CoreState:
         self.records = RecordPool()
 
     # ------------------------------------------------------------------ queues
-    def queue_index(self, tile: int, task_id: int) -> int:
-        """Flat queue-column index of ``(tile, task)``."""
-        if self.dense_tasks:
-            return tile * self.num_tasks + task_id
-        return tile * self.num_tasks + self.task_column[task_id]
-
-    def capacity_of(self, task_id: int) -> int:
-        return self.queue_capacity[self.task_column[task_id]]
-
     def push_invocation(self, tile: int, task_id: int, item) -> None:
-        """Push one pending invocation; mirrors ``CircularQueue.push`` with
-        ``allow_overflow=True`` (overflow counted, never rejected).
+        """Append one pending invocation to ``(tile, task)``'s input queue.
 
-        This is the single engine-path push implementation (the cycle
-        engine's delivery/refill enqueues land here), so it inlines the
-        column arithmetic instead of calling :meth:`queue_index`.
+        A push past the queue's capacity is accepted: the engines model
+        unbounded ejection buffering, and the capacity only sets the
+        occupancy policy's priority.
         """
-        col = task_id if self.dense_tasks else self.task_column[task_id]
-        qi = tile * self.num_tasks + col
+        qi = tile * self.num_tasks + task_id
         queue = self.queues[qi]
-        if len(queue) >= self.queue_capacity[col]:
-            self.queue_overflows[qi] += 1
         queue.append(item)
         self.queue_pushed[qi] += 1
         occupancy = len(queue)
@@ -215,14 +172,10 @@ class CoreState:
 
     def pop_invocation(self, tile: int, task_id: int):
         """Pop the oldest pending invocation of ``(tile, task)``."""
-        qi = self.queue_index(tile, task_id)
+        qi = tile * self.num_tasks + task_id
+        item = self.queues[qi].popleft()
         self.queue_popped[qi] += 1
-        return self.queues[qi].popleft()
-
-    def tile_pending(self, tile: int) -> int:
-        """Total pending invocations across the tile's input queues."""
-        base = tile * self.num_tasks
-        return sum(len(queue) for queue in self.queues[base : base + self.num_tasks])
+        return item
 
     def tile_is_idle(self, tile: int) -> bool:
         base = tile * self.num_tasks
@@ -231,40 +184,22 @@ class CoreState:
                 return False
         return True
 
-    def queue_statistics(self, tile: int) -> Dict[int, dict]:
-        """Per-task queue statistics of one tile (same shape as the old
-        ``Tile.queue_statistics``)."""
-        stats = {}
-        for col, task_id in enumerate(self.task_ids):
-            qi = tile * self.num_tasks + col
-            stats[task_id] = {
-                "capacity": self.queue_capacity[col],
-                "max_occupancy": self.queue_max_occupancy[qi],
-                "total_pushed": self.queue_pushed[qi],
-                "overflow_events": self.queue_overflows[qi],
-            }
-        return stats
-
     # -------------------------------------------------------------- scheduling
     def select_task(self, tile: int) -> Optional[int]:
         """Pick the next task the tile's TSU would run (or ``None``).
 
-        Bit-compatible with ``TaskSchedulingUnit.select_task`` called with no
-        output-occupancy hint: the occupancy policy's medium priority level
-        (starving downstream consumers) never fires because the default
-        output occupancy of 0.5 exceeds the low threshold, exactly as in the
-        object implementation.
+        The occupancy policy ranks ready tasks by (level, capacity,
+        occupancy): level 2 when the input queue is at least
+        ``high_threshold`` full, else 0, so ties break toward the larger
+        queue.  The paper's medium level (a starving downstream consumer)
+        needs an output-queue occupancy the engines do not model, so it
+        never fires.
         """
         base = tile * self.num_tasks
         queues = self.queues
-        ready = [
-            tid for col, tid in enumerate(self.task_ids) if queues[base + col]
-        ]
+        ready = [task for task in range(self.num_tasks) if queues[base + task]]
         if not ready:
-            self.tsu_gated[tile] = True
             return None
-        self.tsu_gated[tile] = False
-        self.tsu_decisions[tile] += 1
         if self.scheduling_policy == ROUND_ROBIN:
             return self._select_round_robin(tile, ready)
         if len(ready) == 1:
@@ -276,32 +211,30 @@ class CoreState:
         return self._select_by_occupancy(tile, ready)
 
     def _select_round_robin(self, tile: int, ready: List[int]) -> int:
+        # ``num_tasks`` consecutive cursor values visit every task id, so the
+        # scan always reaches a ready task.
         ready_set = set(ready)
-        task_ids = self.task_ids
+        num_tasks = self.num_tasks
         cursor = self.tsu_cursor[tile]
-        for _ in range(self.num_tasks):
-            candidate = task_ids[cursor % self.num_tasks]
+        while True:
+            candidate = cursor % num_tasks
             cursor += 1
             if candidate in ready_set:
                 self.tsu_cursor[tile] = cursor
                 return candidate
-        self.tsu_cursor[tile] = cursor
-        return min(ready)
 
     def _select_by_occupancy(self, tile: int, ready: List[int]) -> int:
         base = tile * self.num_tasks
         queues = self.queues
         capacities = self.queue_capacity
         high = self.high_threshold
-        column = self.task_column
 
         def priority(task_id: int) -> tuple:
-            col = column[task_id]
-            occupancy = len(queues[base + col])
-            capacity = capacities[col]
-            # High priority when the input queue is nearly full; the medium
-            # level needs an output-occupancy hint the engines never pass.
+            occupancy = len(queues[base + task_id])
+            capacity = capacities[task_id]
             level = 2 if occupancy / capacity >= high else 0
             return (level, capacity, occupancy)
 
-        return max(sorted(ready), key=priority)
+        # ``ready`` is in ascending id order, so ``max`` keeps the lowest id
+        # among equal priorities.
+        return max(ready, key=priority)

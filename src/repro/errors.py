@@ -49,7 +49,3 @@ class InvariantViolation(SimulationError):
     A violation means the *simulator* miscounted, not that the workload is
     wrong -- it is the safety net differential testing relies on.
     """
-
-
-class CapacityError(ReproError):
-    """A scratchpad or queue capacity was exceeded where overflow is not allowed."""

@@ -134,34 +134,21 @@ class InvariantTracer:
         self.epochs_traced = epoch_index + 1
 
     # ----------------------------------------------------------------- verify
-    def record_queue_stats(self, tiles: Sequence, state=None) -> None:
-        """Per-tile input-queue occupancy high-water marks (max over tasks).
-
-        With a columnar :class:`~repro.core.state.CoreState` the marks are
-        read straight from the flat queue arrays; the per-tile-object path
-        remains for standalone tiles and tests.
-        """
-        if state is not None:
-            num_tasks = state.num_tasks
-            marks = state.queue_max_occupancy
-            self.queue_high_water = {
-                tile: max(marks[tile * num_tasks : (tile + 1) * num_tasks], default=0)
-                for tile in range(state.num_tiles)
-            }
-            return
+    def record_queue_stats(self, state) -> None:
+        """Per-tile input-queue occupancy high-water marks (max over tasks),
+        read from the :class:`~repro.core.state.CoreState` queue columns."""
+        num_tasks = state.num_tasks
+        marks = state.queue_max_occupancy
         self.queue_high_water = {
-            tile.tile_id: max(
-                (queue.max_occupancy for queue in tile.input_queues.values()), default=0
-            )
-            for tile in tiles
+            tile: max(marks[tile * num_tasks : (tile + 1) * num_tasks], default=0)
+            for tile in range(state.num_tiles)
         }
 
-    def verify(self, counters, tiles: Sequence, state=None) -> None:
+    def verify(self, counters, state) -> None:
         """Run the always-on conservation checks; raises :class:`InvariantViolation`.
 
-        Idempotent per run: engines call this once from ``build_result`` and
-        pass the columnar state so the queue-balance checks are flat array
-        sums instead of per-object walks.
+        Idempotent per run: engines call this once from ``build_result``; the
+        queue-balance checks are flat sums over the ``state`` queue columns.
         """
         total = self.total_spawned
         if self.consumed != total:
@@ -184,17 +171,9 @@ class InvariantTracer:
                 f"local_messages={counters.local_messages} exceeds "
                 f"messages={counters.messages}"
             )
-        if state is not None:
-            pending = sum(len(queue) for queue in state.queues)
-            pushed = sum(state.queue_pushed)
-            popped = sum(state.queue_popped)
-        else:
-            pending = sum(tile.pending_invocations() for tile in tiles)
-            pushed = popped = 0
-            for tile in tiles:
-                for queue in tile.input_queues.values():
-                    pushed += queue.total_pushed
-                    popped += queue.total_popped
+        pending = sum(len(queue) for queue in state.queues)
+        pushed = sum(state.queue_pushed)
+        popped = sum(state.queue_popped)
         if pending:
             raise InvariantViolation(
                 f"{pending} invocations still parked in tile queues at run end"

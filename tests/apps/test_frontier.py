@@ -26,21 +26,21 @@ class TestMarkFrontier:
         ctx = relax_context(machine, 5)
         machine.kernel.mark_frontier(ctx, 5)
         assert machine.arrays["in_frontier"][5] == 1
-        assert machine.tile_state[ctx.tile_id]["frontier"] == [5]
+        assert machine.state.frontier[ctx.tile_id] == [5]
 
     def test_mark_is_deduplicated(self):
         machine = make_machine(barrier=False)
         ctx = relax_context(machine, 5)
         machine.kernel.mark_frontier(ctx, 5)
         machine.kernel.mark_frontier(ctx, 5)
-        assert machine.tile_state[ctx.tile_id]["frontier"] == [5]
+        assert machine.state.frontier[ctx.tile_id] == [5]
 
     def test_barrier_mode_only_sets_flag(self):
         machine = make_machine(barrier=True)
         ctx = relax_context(machine, 5)
         machine.kernel.mark_frontier(ctx, 5)
         assert machine.arrays["in_frontier"][5] == 1
-        assert "frontier" not in machine.tile_state[ctx.tile_id]
+        assert machine.state.frontier[ctx.tile_id] == []
 
 
 class TestRefillTile:

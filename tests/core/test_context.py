@@ -144,9 +144,11 @@ class TestInvocation:
         ctx.invoke_range("T2_expand", 5, 5, 1)
         assert ctx.outgoing == []
 
-    def test_tile_state_is_per_tile(self):
+    def test_frontier_bucket_is_per_tile(self):
         machine = make_machine()
         ctx0 = TaskContext(machine, 0, machine.program.task("T3_relax"))
         ctx1 = TaskContext(machine, 1, machine.program.task("T3_relax"))
-        ctx0.tile_state["frontier"] = [1]
-        assert "frontier" not in ctx1.tile_state
+        ctx0.frontier_bucket().append(1)
+        assert ctx0.frontier_bucket() is machine.state.frontier[0]
+        assert machine.state.frontier[0] == [1]
+        assert ctx1.frontier_bucket() == []

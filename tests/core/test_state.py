@@ -1,10 +1,10 @@
-"""Columnar core state: scheduling conformance, record pooling, state reuse.
+"""Columnar core state: the TSU policy, record pooling, state reuse.
 
-Three families of checks guard the structure-of-arrays refactor:
+Four families of checks guard the structure-of-arrays core:
 
-* ``CoreState.select_task`` must be bit-compatible with the object
-  implementation in :class:`repro.tile.tsu.TaskSchedulingUnit` (the engines
-  use the former, standalone tiles the latter);
+* the scheduling policies of ``CoreState.select_task``, case by case;
+* ``CoreState.select_task`` agrees with :class:`TaskSchedulingUnit`, an
+  object-shaped scheduler kept here as the oracle, on random queue states;
 * the pooled task-record representation must fully recycle -- a drained run
   leaves zero live records, and the pool stays bounded by the run's peak
   in-flight work;
@@ -13,20 +13,74 @@ Three families of checks guard the structure-of-arrays refactor:
   pooled contexts, or the shared topology route caches).
 """
 
+import functools
 import json
+from collections import deque
+from typing import Dict, Sequence
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import MachineConfig
 from repro.core.machine import DalorexMachine
 from repro.core.registry import make_engine, make_kernel
-from repro.core.state import CoreState, RecordPool
+from repro.core.state import OCCUPANCY, ROUND_ROBIN, CoreState, RecordPool
+from repro.errors import ConfigurationError
 from repro.graph.generators import rmat_graph
 from repro.runtime import RunSpec
 from repro.runtime.backends import execute_to_payload
-from repro.tile.queues import CircularQueue
-from repro.tile.tsu import TaskSchedulingUnit
+
+
+class TaskSchedulingUnit:
+    """Object-shaped task scheduling unit: the oracle for ``select_task``.
+
+    One instance per tile, reading per-task queue objects.  The paper's TSU
+    runs a task only when its input queue is non-empty; the occupancy policy
+    gives high priority to a nearly full input queue and breaks ties toward
+    the larger queue, and round-robin rotates a cursor over the task ids.
+    (The paper's medium level needs an output-queue occupancy that neither
+    this oracle nor the simulator models.)
+    """
+
+    def __init__(
+        self,
+        task_ids: Sequence[int],
+        capacities: Dict[int, int],
+        policy: str = OCCUPANCY,
+        high_threshold: float = 0.75,
+    ) -> None:
+        self.task_ids = list(task_ids)
+        self.capacities = dict(capacities)
+        self.policy = policy
+        self.high_threshold = high_threshold
+        self._round_robin_cursor = 0
+
+    def select_task(self, input_queues: Dict[int, deque]):
+        ready = [tid for tid in self.task_ids if input_queues[tid]]
+        if not ready:
+            return None
+        if self.policy == ROUND_ROBIN:
+            return self._select_round_robin(ready)
+        return self._select_by_occupancy(ready, input_queues)
+
+    def _select_round_robin(self, ready: Sequence[int]) -> int:
+        ordered = sorted(ready)
+        for _ in range(len(self.task_ids)):
+            candidate = self.task_ids[self._round_robin_cursor % len(self.task_ids)]
+            self._round_robin_cursor += 1
+            if candidate in ordered:
+                return candidate
+        return ordered[0]
+
+    def _select_by_occupancy(self, ready: Sequence[int], input_queues) -> int:
+        def priority(task_id: int) -> tuple:
+            occupancy = len(input_queues[task_id])
+            capacity = self.capacities[task_id]
+            level = 2 if occupancy / capacity >= self.high_threshold else 0
+            return (level, capacity, occupancy)
+
+        return max(sorted(ready), key=priority)
 
 
 class TestRecordPool:
@@ -49,30 +103,224 @@ class TestRecordPool:
         pool.release(index)
         assert pool.params[index] == ()
 
+    def test_fresh_pool_is_empty(self):
+        pool = RecordPool()
+        assert pool.allocated == 0
+        assert pool.live_records() == 0
+
+    def test_latest_release_is_reused_first(self):
+        pool = RecordPool()
+        handles = [pool.alloc(tile, 0, (), False) for tile in range(3)]
+        pool.release(handles[0])
+        pool.release(handles[2])
+        assert pool.alloc(5, 1, (), True) == handles[2]
+        assert pool.alloc(6, 1, (), True) == handles[0]
+        assert pool.alloc(7, 1, (), True) == 3  # free list empty: the pool grows
+        assert pool.tile[handles[2]] == 5 and pool.tile[handles[0]] == 6
+
 
 class TestQueueColumns:
-    def make_state(self, policy="occupancy"):
-        return CoreState(2, [0, 1], {0: 4, 1: 8}, policy)
-
     def test_push_pop_and_stats(self):
-        state = self.make_state()
+        state = CoreState(2, {0: 4, 1: 8})
         state.push_invocation(1, 0, "a")
         state.push_invocation(1, 0, "b")
-        assert state.tile_pending(1) == 2
-        assert state.tile_pending(0) == 0
+        assert state.tile_is_idle(0)
         assert not state.tile_is_idle(1)
         assert state.pop_invocation(1, 0) == "a"
-        stats = state.queue_statistics(1)
-        assert stats[0]["total_pushed"] == 2
-        assert stats[0]["max_occupancy"] == 2
-        assert stats[1]["total_pushed"] == 0
+        qi = 1 * state.num_tasks + 0
+        assert state.queue_pushed[qi] == 2
+        assert state.queue_popped[qi] == 1
+        assert state.queue_max_occupancy[qi] == 2
+        assert state.queue_pushed[1 * state.num_tasks + 1] == 0
 
-    def test_overflow_counted_not_rejected(self):
-        state = CoreState(1, [0], {0: 1}, "occupancy")
+    def test_push_past_capacity_accepted(self):
+        state = CoreState(1, {0: 1})
         state.push_invocation(0, 0, "x")
         state.push_invocation(0, 0, "y")
-        assert state.queue_statistics(0)[0]["overflow_events"] == 1
-        assert state.tile_pending(0) == 2
+        assert list(state.queues[0]) == ["x", "y"]
+        assert state.queue_max_occupancy[0] == 2
+
+    def test_sparse_task_ids_rejected(self):
+        with pytest.raises(ConfigurationError, match="dense"):
+            CoreState(1, {0: 4, 2: 4})
+
+    def test_fifo_order_within_one_queue(self):
+        state = CoreState(1, {0: 4})
+        for item in "abc":
+            state.push_invocation(0, 0, item)
+        assert [state.pop_invocation(0, 0) for _ in range(3)] == ["a", "b", "c"]
+
+    def test_queues_are_independent_per_tile_and_task(self):
+        state = CoreState(2, {0: 4, 1: 4})
+        state.push_invocation(0, 1, "t0k1")
+        state.push_invocation(1, 0, "t1k0")
+        state.push_invocation(1, 1, "t1k1")
+        assert state.pop_invocation(1, 1) == "t1k1"
+        assert state.pop_invocation(0, 1) == "t0k1"
+        assert state.pop_invocation(1, 0) == "t1k0"
+        assert state.queue_pushed == [0, 1, 1, 1]
+        assert state.queue_popped == [0, 1, 1, 1]
+
+    def test_high_water_mark_survives_pops(self):
+        state = CoreState(1, {0: 8})
+        for item in range(3):
+            state.push_invocation(0, 0, item)
+        for _ in range(3):
+            state.pop_invocation(0, 0)
+        state.push_invocation(0, 0, "again")
+        assert state.queue_max_occupancy[0] == 3
+
+    def test_pop_from_empty_queue_counts_nothing(self):
+        state = CoreState(1, {0: 4})
+        with pytest.raises(IndexError):
+            state.pop_invocation(0, 0)
+        assert state.queue_popped[0] == 0
+
+    def test_capacities_follow_task_ids(self):
+        state = CoreState(3, {0: 8, 1: 2048, 2: 32})
+        assert state.num_tasks == 3
+        assert state.queue_capacity == [8, 2048, 32]
+
+
+#: Columns with one entry per tile, all zero (or False) on a fresh state.
+PER_TILE_COLUMNS = (
+    "busy",
+    "refill_pending",
+    "pu_busy_until",
+    "pu_busy_cycles",
+    "pu_instructions",
+    "tsu_cursor",
+    "noc_inject_free",
+    "noc_eject_free",
+)
+#: Columns with one entry per ``tile * num_tasks + task`` queue slot.
+QUEUE_COLUMNS = ("queues", "queue_pushed", "queue_popped", "queue_max_occupancy")
+
+
+class TestFreshState:
+    @pytest.mark.parametrize("column", PER_TILE_COLUMNS)
+    def test_per_tile_column_starts_zeroed(self, column):
+        values = getattr(CoreState(3, {0: 4, 1: 8}), column)
+        assert len(values) == 3
+        assert not any(values)
+
+    @pytest.mark.parametrize("column", QUEUE_COLUMNS)
+    def test_queue_column_has_one_slot_per_tile_and_task(self, column):
+        values = getattr(CoreState(3, {0: 4, 1: 8}), column)
+        assert len(values) == 3 * 2
+        assert not any(values)
+
+    def test_every_tile_starts_idle(self):
+        state = CoreState(4, {0: 4, 1: 8})
+        assert all(state.tile_is_idle(tile) for tile in range(4))
+
+    def test_frontier_buckets_are_distinct(self):
+        state = CoreState(3, {0: 4})
+        state.frontier[1].append(7)
+        assert state.frontier == [[], [7], []]
+
+
+def fill(state: CoreState, occupancies: Dict[int, int], tile: int = 0) -> None:
+    for task_id, count in occupancies.items():
+        for item in range(count):
+            state.push_invocation(tile, task_id, item)
+
+
+class TestSelectTask:
+    """The scheduling policies of CoreState.select_task, case by case."""
+
+    @pytest.mark.parametrize("policy", [OCCUPANCY, ROUND_ROBIN])
+    def test_nothing_ready_returns_none(self, policy):
+        state = CoreState(2, {0: 4, 1: 4}, policy)
+        fill(state, {0: 1}, tile=1)
+        assert state.select_task(0) is None
+
+    @pytest.mark.parametrize("policy", [OCCUPANCY, ROUND_ROBIN])
+    def test_single_ready_task_selected(self, policy):
+        state = CoreState(1, {0: 4, 1: 4}, policy)
+        fill(state, {1: 1})
+        assert state.select_task(0) == 1
+
+    def test_round_robin_rotates_over_ready_tasks(self):
+        state = CoreState(1, {0: 4, 1: 4, 2: 4}, ROUND_ROBIN)
+        fill(state, {0: 4, 2: 4})
+        picks = []
+        for _ in range(4):
+            choice = state.select_task(0)
+            picks.append(choice)
+            state.pop_invocation(0, choice)
+        # The cursor skips the empty task 1 and wraps around.
+        assert picks == [0, 2, 0, 2]
+
+    def test_round_robin_cursors_are_per_tile(self):
+        state = CoreState(2, {0: 4, 1: 4}, ROUND_ROBIN)
+        fill(state, {0: 2, 1: 2}, tile=0)
+        fill(state, {0: 2, 1: 2}, tile=1)
+        assert state.select_task(0) == 0
+        assert state.select_task(1) == 0
+        assert state.select_task(0) == 1
+
+    def test_nearly_full_queue_wins(self):
+        state = CoreState(1, {0: 4, 1: 100}, OCCUPANCY)
+        fill(state, {0: 3, 1: 1})  # task 0 at the 0.75 threshold: high priority
+        assert state.select_task(0) == 0
+
+    def test_below_threshold_has_no_priority(self):
+        state = CoreState(1, {0: 4, 1: 100}, OCCUPANCY)
+        fill(state, {0: 2, 1: 1})  # task 0 at 0.5: tie broken by capacity
+        assert state.select_task(0) == 1
+
+    def test_ties_break_toward_the_larger_queue(self):
+        state = CoreState(1, {0: 32, 1: 2048}, OCCUPANCY)
+        fill(state, {0: 1, 1: 1})
+        assert state.select_task(0) == 1
+
+    def test_equal_capacity_breaks_toward_occupancy_then_lowest_id(self):
+        state = CoreState(1, {0: 64, 1: 64, 2: 64}, OCCUPANCY)
+        fill(state, {0: 1, 1: 2, 2: 2})
+        assert state.select_task(0) == 1
+
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(ConfigurationError, match="scheduling policy"):
+            CoreState(1, {0: 4}, "priority")
+
+    @pytest.mark.parametrize("policy", [OCCUPANCY, ROUND_ROBIN])
+    def test_selection_does_not_consume(self, policy):
+        state = CoreState(1, {0: 4, 1: 4}, policy)
+        fill(state, {0: 2, 1: 1})
+        state.select_task(0)
+        assert [len(queue) for queue in state.queues] == [2, 1]
+        assert state.queue_popped == [0, 0]
+
+    def test_occupancy_policy_leaves_the_cursor(self):
+        state = CoreState(1, {0: 4, 1: 4}, OCCUPANCY)
+        fill(state, {0: 1, 1: 1})
+        state.select_task(0)
+        assert state.tsu_cursor == [0]
+
+    def test_round_robin_cursor_moves_past_a_lone_ready_task(self):
+        state = CoreState(1, {0: 4, 1: 4, 2: 4}, ROUND_ROBIN)
+        fill(state, {2: 1})
+        assert state.select_task(0) == 2
+        assert state.tsu_cursor == [3]
+        state.pop_invocation(0, 2)
+        fill(state, {0: 1, 1: 1})
+        assert state.select_task(0) == 0  # the cursor wrapped to task 0
+
+    def test_high_threshold_is_configurable(self):
+        state = CoreState(1, {0: 4, 1: 100}, OCCUPANCY, high_threshold=0.5)
+        fill(state, {0: 2, 1: 1})  # task 0 at 0.5: high priority at this threshold
+        assert state.select_task(0) == 0
+
+    def test_high_priority_ties_break_toward_the_larger_queue(self):
+        state = CoreState(1, {0: 4, 1: 8}, OCCUPANCY)
+        fill(state, {0: 4, 1: 6})  # both at or past 0.75
+        assert state.select_task(0) == 1
+
+    def test_queue_past_capacity_keeps_high_priority(self):
+        state = CoreState(1, {0: 2, 1: 100}, OCCUPANCY)
+        fill(state, {0: 5, 1: 10})
+        assert state.select_task(0) == 0
 
 
 @st.composite
@@ -85,40 +333,36 @@ def scheduling_scenarios(draw):
     occupancies = [
         draw(st.integers(min_value=0, max_value=20)) for _ in range(num_tasks)
     ]
-    policy = draw(st.sampled_from(["occupancy", "round_robin"]))
+    policy = draw(st.sampled_from([OCCUPANCY, ROUND_ROBIN]))
     rounds = draw(st.integers(min_value=1, max_value=6))
     return num_tasks, capacities, occupancies, policy, rounds
 
+
 class TestSchedulingConformance:
-    """CoreState.select_task is bit-compatible with TaskSchedulingUnit."""
+    """CoreState.select_task agrees with the object-shaped oracle."""
 
     @settings(max_examples=60, deadline=None)
     @given(scheduling_scenarios())
     def test_matches_object_tsu(self, scenario):
         num_tasks, capacities, occupancies, policy, rounds = scenario
         task_ids = list(range(num_tasks))
-        state = CoreState(1, task_ids, capacities, policy)
-        queues = {
-            tid: CircularQueue(capacities[tid], allow_overflow=True)
-            for tid in task_ids
-        }
-        tsu = TaskSchedulingUnit(task_ids, policy=policy)
+        state = CoreState(1, capacities, policy)
+        queues = {tid: deque() for tid in task_ids}
+        tsu = TaskSchedulingUnit(task_ids, capacities, policy=policy)
         for tid, occupancy in enumerate(occupancies):
             for item in range(occupancy):
                 state.push_invocation(0, tid, item)
-                queues[tid].push(item)
+                queues[tid].append(item)
         # Repeated selections keep cursors/occupancies in lockstep: pop what
         # each implementation selects and compare every round.
         for _ in range(rounds):
             expected = tsu.select_task(queues)
             got = state.select_task(0)
             assert got == expected
-            assert state.tsu_gated[0] == tsu.clock_gated
             if expected is None:
                 break
-            queues[expected].pop()
+            queues[expected].popleft()
             state.pop_invocation(0, expected)
-        assert state.tsu_decisions[0] == tsu.scheduling_decisions
 
 
 def _run_payload(app, engine, barrier, graph):
@@ -193,7 +437,68 @@ class TestEngineStateReuse:
         )
 
 
-class TestUnknownPolicy:
-    def test_bad_policy_rejected(self):
-        with pytest.raises(Exception):
-            CoreState(1, [0], {0: 4}, "not-a-policy")
+APPS = ("bfs", "sssp", "pagerank", "wcc", "spmv")
+
+
+@functools.lru_cache(maxsize=None)
+def _finished_machine(engine: str, app: str) -> DalorexMachine:
+    """One barrierless 4x4 run per (engine, app), shared by the tests below
+    (they only read the machine's columns)."""
+    graph = rmat_graph(6, edge_factor=4, seed=11)
+    kwargs = {"root": graph.highest_degree_vertex()} if app in ("bfs", "sssp") else {}
+    config = MachineConfig(width=4, height=4, engine=engine, barrier=False)
+    machine = DalorexMachine(config, make_kernel(app, **kwargs), graph)
+    machine.result = machine.run(verify=True)
+    return machine
+
+
+@pytest.fixture(params=[(e, a) for e in ("cycle", "analytic") for a in APPS],
+                ids=lambda p: f"{p[0]}-{p[1]}")
+def finished(request):
+    return _finished_machine(*request.param)
+
+
+@pytest.fixture(params=APPS)
+def finished_cycle(request):
+    return _finished_machine("cycle", request.param)
+
+
+class TestColumnsAfterRun:
+    """What a finished run leaves in the columns the result is built from."""
+
+    def test_instruction_column_sums_to_the_counter(self, finished):
+        assert finished.result.verified is True
+        column = np.asarray(finished.state.pu_instructions)
+        assert int(column.sum()) == finished.result.counters.instructions
+        assert np.array_equal(finished.result.per_tile_instructions, column)
+
+    def test_busy_cycles_column_is_the_result_array(self, finished):
+        busy = np.asarray(finished.state.pu_busy_cycles, dtype=np.float64)
+        assert np.array_equal(finished.result.per_tile_busy_cycles, busy)
+        assert busy.sum() > 0
+
+    def test_machine_is_quiescent(self, finished):
+        state = finished.state
+        assert all(state.tile_is_idle(tile) for tile in range(state.num_tiles))
+        assert state.frontier == [[] for _ in range(state.num_tiles)]
+        assert not any(state.busy)
+        assert not any(state.refill_pending)
+        assert state.records.live_records() == 0
+
+    def test_cycle_queues_balance(self, finished_cycle):
+        state = finished_cycle.state
+        assert sum(state.queue_pushed) > 0
+        assert state.queue_pushed == state.queue_popped
+        assert finished_cycle.tracer.queue_high_water == {
+            tile: max(state.queue_max_occupancy[tile * state.num_tasks : (tile + 1) * state.num_tasks])
+            for tile in range(state.num_tiles)
+        }
+
+    def test_cycle_pu_timeline_serializes_tasks(self, finished_cycle):
+        # Tasks on one PU never overlap: a PU that ran B busy cycles from
+        # cycle 0 cannot finish before cycle B, nor after the run ends.
+        state = finished_cycle.state
+        cycles = finished_cycle.result.cycles
+        for until, busy in zip(state.pu_busy_until, state.pu_busy_cycles):
+            assert busy <= until + 1e-9
+            assert until <= cycles + 1e-9

@@ -85,8 +85,8 @@ class TestInjectedBugsAreCaught:
         original = BaseEngine.account_context
         state = {"injected": False}
 
-        def tampered(self, tile_id, ctx):
-            original(self, tile_id, ctx)
+        def tampered(self, ctx):
+            original(self, ctx)
             if not state["injected"]:
                 state["injected"] = True
                 self.counters.tasks_executed += 1  # the injected off-by-one
