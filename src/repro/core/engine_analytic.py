@@ -84,6 +84,25 @@ class _MemoryTables:
         return None
 
 
+def batch_decline_reason(machine) -> Optional[str]:
+    """Why the analytic engine runs ``machine`` per invocation (None = batched).
+
+    The one gate of the batched path; the shard envelope
+    (:func:`~repro.core.shard_exec.shard_fallback_reason`) builds on it.
+    """
+    if not getattr(machine, "batch_execution", True):
+        return "batch execution is disabled on this machine"
+    if machine.config.allow_remote_access:
+        # Remote-access penalties are per-access scalar state the batch
+        # handlers do not model (the built-in kernels never trip them, but
+        # the scalar path is the one that owns that semantics).
+        return "allow_remote_access uses scalar-only per-access semantics"
+    handlers = machine.kernel.batch_handlers(machine)
+    if not handlers or any(task.name not in handlers for task in machine.program.tasks):
+        return f"kernel {machine.kernel.name!r} lacks batch handlers for every task"
+    return None
+
+
 class AnalyticalEngine(BaseEngine):
     """Fast engine for large grids and scaling sweeps."""
 
@@ -99,11 +118,14 @@ class AnalyticalEngine(BaseEngine):
             self._rebind_state_arrays()
         run_epoch = self._run_epoch_batched if self._batch is not None else self._run_epoch
         telemetry = self.telemetry
-        mode = "batched" if self._batch is not None else "scalar"
+        if self._batch is not None:
+            labels = {"mode": "batched"}
+        else:
+            labels = {"mode": "scalar", "reason": self.batch_decline}
 
         while seeds:
             if telemetry.enabled:
-                with telemetry.span("engine.analytic.epoch", mode=mode):
+                with telemetry.span("engine.analytic.epoch", **labels):
                     epoch_cycles = run_epoch(seeds, epoch_index, average_hops)
             else:
                 epoch_cycles = run_epoch(seeds, epoch_index, average_hops)
@@ -191,27 +213,13 @@ class AnalyticalEngine(BaseEngine):
     _BATCH_FLOAT_FIELDS = ("pu_busy_cycles",)
 
     def _prepare_batch(self) -> Optional[dict]:
-        """Batch handler table when every gate passes, else None (scalar mode).
-
-        Gates: the machine opts in, the topology supports batched routing
-        (uniform link lengths -- ruche and 3D stacks stay scalar), and the
-        kernel provides a batch handler for every program task.
-        """
-        if not getattr(self.machine, "batch_execution", True):
+        """Batch handler table, or None (scalar mode) when
+        :func:`batch_decline_reason` names a reason, kept in
+        :attr:`batch_decline`."""
+        self.batch_decline = batch_decline_reason(self.machine)
+        if self.batch_decline is not None:
             return None
-        if self.topology.uniform_link_length_tiles is None:
-            return None
-        if self.config.allow_remote_access:
-            # Remote-access penalties are per-access scalar state the batch
-            # handlers do not model (the built-in kernels never trip them,
-            # but the scalar path is the one that owns that semantics).
-            return None
-        handlers = self.kernel.batch_handlers(self.machine)
-        if not handlers:
-            return None
-        if any(task.name not in handlers for task in self.program.tasks):
-            return None
-        return handlers
+        return self.kernel.batch_handlers(self.machine)
 
     def _rebind_state_arrays(self) -> None:
         state = self.state

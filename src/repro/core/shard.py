@@ -150,8 +150,8 @@ def export_link_state(link: LinkLoadModel) -> Dict[str, Any]:
 
     ``total_flit_millimeters`` is intentionally omitted: the shard's local
     fold order differs from the serial engine's global emission order, so the
-    hub recomputes the millimeter fold itself (bit-exactly) from per-message
-    hop counts.
+    hub recomputes the millimeter fold itself (bit-exactly) from the
+    messages' routes.
     """
     num_tiles = link.topology.num_tiles
     if link.link_flits:

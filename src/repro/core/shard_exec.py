@@ -20,16 +20,16 @@ real :meth:`AnalyticalEngine._execute_segment` over their sub-segments.
   the owning shard in original order) or global (flit millimeters).  The hub
   replays the millimeter fold itself: shards report per-item emission counts,
   the hub assigns every child message its canonical global position
-  ``(parent position, emission index)`` and folds the per-message terms with
-  :func:`~repro.core.batch.sequential_sum` in exactly the serial emission
-  order.
+  ``(parent position, emission index)`` and folds the messages' terms with
+  :meth:`~repro.noc.analytical.LinkLoadModel.fold_millimeters` in exactly the
+  serial emission order.
 * Cross-shard children are routed through the hub, sorted by canonical
   position, and injected in that order -- so the next segment's columns are
   identical to the serial engine's.
 
 Runs outside the shardable envelope (cycle engine, ``dram_cache`` memory,
-non-uniform-link topologies, kernels without complete batch handlers) fall
-back to plain serial execution, which is trivially byte-identical.
+kernels without complete batch handlers) fall back to plain serial
+execution, which is trivially byte-identical.
 """
 
 from __future__ import annotations
@@ -40,8 +40,12 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.batch import Segment, segments_from_items, sequential_sum
-from repro.core.engine_analytic import AnalyticalEngine, _MemoryTables
+from repro.core.batch import Segment, segments_from_items
+from repro.core.engine_analytic import (
+    AnalyticalEngine,
+    _MemoryTables,
+    batch_decline_reason,
+)
 from repro.core.shard import ShardPlan, apply_link_state, export_link_state
 from repro.errors import SimulationError
 from repro.noc.analytical import LinkLoadModel
@@ -55,28 +59,19 @@ OWNED_INDEX_CHUNK = 1 << 22
 def shard_fallback_reason(machine) -> Optional[str]:
     """Why this machine cannot run sharded (None = fully shardable).
 
-    The gates mirror ``AnalyticalEngine._prepare_batch`` plus the two sharded
-    extras: only the analytic engine is partitioned, and ``dram_cache`` is
-    excluded because its fractional miss charges fold in global execution
-    order (a cross-shard float fold the exchange does not replay).
+    Shards run the batched analytic path, so every
+    :func:`~repro.core.engine_analytic.batch_decline_reason` applies, plus two
+    sharded extras: only the analytic engine is partitioned, and
+    ``dram_cache`` is excluded because its fractional miss charges fold in
+    global execution order (a cross-shard float fold the exchange does not
+    replay).
     """
     config = machine.config
     if config.engine != "analytic":
         return f"engine {config.engine!r} is not shardable (only 'analytic' is)"
     if config.memory == "dram_cache":
         return "dram_cache folds fractional miss charges in global execution order"
-    if not getattr(machine, "batch_execution", True):
-        return "batch execution is disabled on this machine"
-    if machine.topology.uniform_link_length_tiles is None:
-        return f"topology {config.noc!r} has non-uniform link lengths"
-    if config.allow_remote_access:
-        return "allow_remote_access uses scalar-only per-access semantics"
-    handlers = machine.kernel.batch_handlers(machine)
-    if not handlers or any(
-        task.name not in handlers for task in machine.program.tasks
-    ):
-        return f"kernel {machine.kernel.name!r} lacks batch handlers for every task"
-    return None
+    return batch_decline_reason(machine)
 
 
 def space_owned_indices(space, tile_lo: int, tile_hi: int) -> np.ndarray:
@@ -186,20 +181,10 @@ class ShardWorker:
         reply: Dict[str, Any] = {"counts": counts}
         if children:
             child = children[0]
-            sources = np.repeat(tiles, counts)
-            nl_src = sources[child.remote]
-            nl_dst = child.tiles[child.remote]
-            if len(nl_src):
-                nl_hops = self.topology.hop_distance_batch(nl_src, nl_dst).astype(
-                    np.int64
-                )
-            else:
-                nl_hops = np.empty(0, dtype=np.int64)
             reply["child_task"] = child.task.name
             reply["child_tiles"] = child.tiles
             reply["child_params"] = child.params
             reply["child_remote"] = child.remote
-            reply["nl_hops"] = nl_hops
         return reply
 
     def refill(self) -> List[Dict[str, Any]]:
@@ -338,7 +323,7 @@ class ShardCoordinator:
             {} for _ in range(plan.num_shards)
         ]
         self._arrays_current = True
-        self._epoch_mm = 0.0
+        self._epoch_link: Optional[LinkLoadModel] = None
 
     # -------------------------------------------------------------- exchange
     def _observe_exchange(self, payloads: Sequence, wait_seconds: float) -> None:
@@ -415,9 +400,8 @@ class ShardCoordinator:
             starts[shard] = msg
         self._broadcast(starts)
 
-        self._epoch_mm = 0.0
         self._arrays_current = False
-        epoch_link = LinkLoadModel(
+        epoch_link = self._epoch_link = LinkLoadModel(
             self.topology, detailed=engine.link_model.detailed
         )
         tasks_this_epoch = 0
@@ -458,7 +442,6 @@ class ShardCoordinator:
             apply_link_state(epoch_link, reply["link"])
             for name, delta in reply["counters"].items():
                 setattr(counters, name, getattr(counters, name) + delta)
-        epoch_link.total_flit_millimeters = self._epoch_mm
         engine.link_model.merge(epoch_link)
         compute_bound = float(busy_full.max()) if len(busy_full) else 0.0
         return engine._epoch_cycles(
@@ -561,44 +544,28 @@ class ShardCoordinator:
         child_remote = np.concatenate(
             [reply["child_remote"] for reply in with_children]
         )
-        nl_hops = np.concatenate([reply["nl_hops"] for reply in with_children])
-
-        self._fold_millimeters(out_task, child_pos, child_remote, nl_hops)
+        child_src = np.repeat(
+            np.concatenate([bundle[1] for bundle, _ in ordered]), counts
+        )
 
         final = np.argsort(child_pos)
+        child_tiles = child_tiles[final]
+        child_remote = child_remote[final]
+        # Replay the serial millimeter fold over the non-local children, in
+        # canonical (serial emission) order.
+        self._epoch_link.fold_millimeters(
+            child_src[final][child_remote],
+            child_tiles[child_remote],
+            out_task.flits_per_invocation,
+            self.machine.tile_pitch_mm,
+        )
         return self._make_record(
             child_task_name,
             record.gen + 1,
-            child_tiles[final],
+            child_tiles,
             tuple(column[final] for column in child_params),
-            child_remote[final],
+            child_remote,
         )
-
-    def _fold_millimeters(
-        self,
-        out_task,
-        child_pos: np.ndarray,
-        child_remote: np.ndarray,
-        nl_hops: np.ndarray,
-    ) -> None:
-        """Replay the serial per-segment flit-millimeter fold, bit-exactly."""
-        if not len(nl_hops):
-            return
-        flits = out_task.flits_per_invocation
-        pitch = self.machine.tile_pitch_mm
-        if self.engine.link_model.detailed:
-            # Uniform link length: the term is one constant, so only the link
-            # count matters (repeated addition of a constant).
-            term = flits * self.topology.uniform_link_length_tiles * pitch
-            total_links = int(nl_hops.sum())
-            self._epoch_mm = sequential_sum(
-                self._epoch_mm, np.full(total_links, term)
-            )
-            return
-        remote_order = np.argsort(child_pos[child_remote])
-        spans = nl_hops[remote_order] * self.topology.physical_length_factor
-        terms = (flits * spans) * pitch
-        self._epoch_mm = sequential_sum(self._epoch_mm, terms)
 
     # ---------------------------------------------------------------- refill
     def _refill(self, worklist: deque) -> bool:

@@ -17,6 +17,19 @@ from repro.noc.topology import Topology
 
 Link = Tuple[int, int]
 
+#: Route links one batched expansion materializes at most.  The closed-form
+#: expansion holds about a dozen 8-byte temporaries per link, so one huge
+#: segment's working set stays near 100 MB instead of growing with it.
+ROUTE_CHUNK_LINKS = 1 << 20
+
+
+def _route_chunks(hops: np.ndarray, srcs: np.ndarray, dsts: np.ndarray):
+    """Split messages, in order, into runs of about ROUTE_CHUNK_LINKS links."""
+    ends = np.cumsum(hops)
+    total = int(ends[-1]) if len(ends) else 0
+    cuts = np.searchsorted(ends, np.arange(ROUTE_CHUNK_LINKS, total, ROUTE_CHUNK_LINKS))
+    return zip(np.split(srcs, cuts), np.split(dsts, cuts))
+
 
 class LinkLoadModel:
     """Accumulates flit traffic per directed link, per router, and per endpoint.
@@ -89,12 +102,10 @@ class LinkLoadModel:
         """Charge a batch of equal-length messages; returns per-message hops.
 
         Bit-equal to calling :meth:`record_message` once per ``(src, dst)``
-        pair in order: the integer tallies are order-free scatters, and the
-        only float accumulator (``total_flit_millimeters``) grows by the same
-        constant per-link term on uniform-link topologies -- repeated addition
-        of a constant depends only on the count, so the in-order
-        ``np.add.accumulate`` fold reproduces the scalar sum exactly.  Only
-        valid on topologies advertising ``uniform_link_length_tiles``.
+        pair in order: routes come in closed form from the topology, the
+        integer tallies are order-free scatters, and the one float
+        accumulator folds the scalar loop's own terms in its order (see
+        :meth:`fold_millimeters`).
         """
         topology = self.topology
         num = len(srcs)
@@ -115,16 +126,12 @@ class LinkLoadModel:
             return hops
         nl_src = srcs[nonlocal_mask]
         nl_dst = dsts[nonlocal_mask]
-        nl_hops = topology.hop_distance_batch(nl_src, nl_dst).astype(np.int64)
+        nl_hops = topology.hop_distance_batch(nl_src, nl_dst)
         hops[nonlocal_mask] = nl_hops
         self.total_flit_hops += int(flits * nl_hops.sum())
 
         if not self.detailed:
-            spans = nl_hops * topology.physical_length_factor
-            terms = (flits * spans) * tile_pitch_mm
-            self.total_flit_millimeters = _sequential_sum(
-                self.total_flit_millimeters, terms
-            )
+            self.fold_millimeters(nl_src, nl_dst, flits, tile_pitch_mm)
             middle = topology.width // 2
             crossing = ((nl_src % topology.width) < middle) != (
                 (nl_dst % topology.width) < middle
@@ -132,41 +139,52 @@ class LinkLoadModel:
             self._bisection_flits += int(flits * crossing.sum())
             return hops
 
-        pair_codes, pair_counts = np.unique(
-            nl_src * num_tiles + nl_dst, return_counts=True
-        )
-        # One memoized link-code array per unique (src, dst) pair; everything
-        # downstream is flat integer scatters.  bincount weights go through
-        # float64, which is exact for the < 2^53 flit totals involved.
-        code_arrays = [
-            topology.route_link_codes(code) for code in pair_codes.tolist()
-        ]
-        route_lengths = np.fromiter(
-            (len(codes) for codes in code_arrays),
-            dtype=np.int64,
-            count=len(code_arrays),
-        )
-        all_codes = np.concatenate(code_arrays)
-        charges = np.repeat(flits * pair_counts, route_lengths)
-        unique_links, inverse = np.unique(all_codes, return_inverse=True)
-        link_sums = np.bincount(inverse, weights=charges).astype(np.int64)
         link_flits = self.link_flits
-        for code, charge in zip(unique_links.tolist(), link_sums.tolist()):
-            link = (code // num_tiles, code % num_tiles)
-            link_flits[link] = link_flits.get(link, 0) + charge
         router_flits = np.asarray(self.router_flits, dtype=np.int64)
-        router_flits += np.bincount(
-            unique_links // num_tiles, weights=link_sums, minlength=num_tiles
-        ).astype(np.int64)
         router_flits += flits * np.bincount(nl_dst, minlength=num_tiles)
+        for src, dst in _route_chunks(nl_hops, nl_src, nl_dst):
+            codes, lengths = topology.route_link_codes(src, dst)
+            self.total_flit_millimeters = _sequential_sum(
+                self.total_flit_millimeters, flits * lengths * tile_pitch_mm
+            )
+            links, traversals = np.unique(codes, return_counts=True)
+            charges = flits * traversals
+            for code, charge in zip(links.tolist(), charges.tolist()):
+                link = (code // num_tiles, code % num_tiles)
+                link_flits[link] = link_flits.get(link, 0) + charge
+            # bincount weights go through float64, exact for < 2^53 flit totals.
+            router_flits += np.bincount(
+                links // num_tiles, weights=charges, minlength=num_tiles
+            ).astype(np.int64)
         self.router_flits = router_flits.tolist()
-        length = topology.uniform_link_length_tiles
-        term = flits * length * tile_pitch_mm
-        total_links = int(nl_hops.sum())
-        self.total_flit_millimeters = _sequential_sum(
-            self.total_flit_millimeters, np.full(total_links, term)
-        )
         return hops
+
+    def fold_millimeters(
+        self, srcs: np.ndarray, dsts: np.ndarray, flits: int, tile_pitch_mm: float = 1.0
+    ) -> None:
+        """Add non-local messages' flit-millimeters in :meth:`record_message` order.
+
+        IEEE addition does not associate and ruche or TSV links make the
+        terms unequal, so the terms are the scalar loop's own -- one per
+        link, message by message, in route order (one per message in the
+        aggregate mode) -- folded left to right with ``sequential_sum``, one
+        in-order chunk of routes after another.  :meth:`record_batch` folds
+        the per-link terms in the loop that charges the links; the shard hub
+        calls this to replay the serial fold.
+        """
+        topology = self.topology
+        if not self.detailed:
+            self.total_flit_millimeters = _sequential_sum(
+                self.total_flit_millimeters,
+                flits * topology.route_span_tiles_batch(srcs, dsts) * tile_pitch_mm,
+            )
+            return
+        hops = topology.hop_distance_batch(srcs, dsts)
+        for src, dst in _route_chunks(hops, srcs, dsts):
+            self.total_flit_millimeters = _sequential_sum(
+                self.total_flit_millimeters,
+                flits * topology.route_link_lengths(src, dst) * tile_pitch_mm,
+            )
 
     # ------------------------------------------------------------------ bounds
     def max_link_load(self) -> float:

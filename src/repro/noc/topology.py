@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -161,20 +161,6 @@ class Topology(ABC):
     #: Physical wire length per tile of logical displacement (folded torus = 2).
     physical_length_factor = 1.0
 
-    #: Set (per concrete class) when every link has the same physical length in
-    #: tile pitches AND :meth:`hop_distance_batch` is implemented.  ``None``
-    #: means the topology does not support batched message accounting and the
-    #: engines must stay on the per-message path.  Deliberately *not*
-    #: inherited as a capability: subclasses with irregular links (ruche) opt
-    #: back out explicitly.
-    uniform_link_length_tiles: Optional[float] = None
-
-    def hop_distance_batch(self, srcs, dsts):
-        """Vectorized :meth:`hop_distance`; only uniform-link topologies provide it."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support batched routing"
-        )
-
     #: Ratio of the hottest link load to the average link load under uniform
     #: random traffic with dimension-ordered routing; used by the sparse
     #: link-load model on very large grids.
@@ -195,8 +181,11 @@ class Topology(ABC):
 
     #: Per-topology cap on memoized route profiles.  Topology instances are
     #: process-lived (``cached_topology``), so an uncapped cache would grow
-    #: toward num_tiles^2 entries on a long-running worker; 16x16 and 32x32
-    #: grids stay fully cached, larger grids cache their hottest pairs.
+    #: toward num_tiles^2 entries on a long-running worker.  Only the
+    #: per-message paths read it: the cycle engine's link accounting, the
+    #: analytic engine's scalar loop and ``AnalyticalNetwork.send``.  A 16x16
+    #: grid (65,536 ordered pairs) stays fully cached; a 32x32 grid has
+    #: 1,048,576 pairs, so it and larger grids cache only a FIFO window.
     ROUTE_PROFILE_CACHE_LIMIT = 1 << 17
 
     def route_profile(self, src: int, dst: int) -> tuple:
@@ -227,30 +216,104 @@ class Topology(ABC):
             cache[key] = profile
         return profile
 
-    def route_link_codes(self, pair_code: int) -> "np.ndarray":
-        """Memoized route of ``src*num_tiles + dst`` as flat directed-link codes.
+    # --------------------------------------------------------- batched routing
+    # Closed-form routes for arrays of messages: no route walk and no cache.
+    # Every kind supplies one hook, :meth:`_dimension_steps`; hop counts,
+    # spans, link codes and link lengths all derive from it.
 
-        Each entry is ``link_src * num_tiles + link_dst`` for one link of the
-        dimension-ordered route -- the array form the batched link-load
-        accounting scatters through ``np.bincount``.  Bounded like
-        :meth:`route_profile` (same eviction policy, separate cache).
+    @abstractmethod
+    def _dimension_steps(self, delta: np.ndarray, size: int) -> Tuple[np.ndarray, ...]:
+        """:meth:`next_hop_offsets` of every displacement in ``delta``, as counts.
+
+        Returns ``(sign, express, unit)`` arrays: the offsets are ``express``
+        hops of ``sign * ruche_factor`` followed by ``unit`` hops of ``sign``.
         """
-        cache = getattr(self, "_route_link_codes", None)
-        if cache is None:
-            cache = self._route_link_codes = {}
-        codes = cache.get(pair_code)
-        if codes is None:
-            num_tiles = self.num_tiles
-            links, _lengths = self.route_profile(
-                pair_code // num_tiles, pair_code % num_tiles
+
+    def _dimension_link_tiles(self) -> Tuple[float, ...]:
+        """Physical length of a one-tile hop along each dimension, in tile pitches."""
+        return (self.physical_length_factor,) * 2
+
+    def _batch_dimensions(self, srcs: np.ndarray, dsts: np.ndarray) -> Iterator[tuple]:
+        """Per dimension, in routing order: ``(stride, size, src coordinate,
+        sign, express, unit)``, the last four with one entry per message."""
+        srcs = np.asarray(srcs, dtype=np.int64)
+        dsts = np.asarray(dsts, dtype=np.int64)
+        stride = 1
+        for size in self.dimension_sizes():
+            src_c = srcs // stride % size
+            yield (stride, size, src_c) + self._dimension_steps(
+                dsts // stride % size - src_c, size
             )
-            codes = np.fromiter(
-                (a * num_tiles + b for a, b in links), dtype=np.int64, count=len(links)
-            )
-            while len(cache) >= self.ROUTE_PROFILE_CACHE_LIMIT:
-                cache.pop(next(iter(cache)))
-            cache[pair_code] = codes
-        return codes
+            stride *= size
+
+    def hop_distance_batch(self, srcs: np.ndarray, dsts: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`hop_distance`."""
+        hops = np.zeros(len(srcs), dtype=np.int64)
+        for *_, express, unit in self._batch_dimensions(srcs, dsts):
+            hops += express + unit
+        return hops
+
+    def route_span_tiles_batch(self, srcs: np.ndarray, dsts: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`route_span_tiles`."""
+        express_tiles = self.ruche_factor or 1
+        span = np.zeros(len(srcs), dtype=np.float64)
+        for (*_, express, unit), link_tiles in zip(
+            self._batch_dimensions(srcs, dsts), self._dimension_link_tiles()
+        ):
+            span += (express * express_tiles + unit) * link_tiles
+        return span
+
+    def _route_legs(self, srcs: np.ndarray, dsts: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """A batch's routes as legs: runs of equal hops along one dimension.
+
+        Every dimension contributes an express leg, then a unit leg, so a
+        message's legs in order are its route.  Returns flat per-leg arrays,
+        message by message: ``(hops, base, start, step, size, stride,
+        length)``.  Hop ``k`` of a leg leaves the tile ``base + c * stride``
+        with ``c = (start + k * step) % size``, over a link ``length`` tile
+        pitches long.
+        """
+        express_tiles = self.ruche_factor or 1
+        tile = np.asarray(srcs, dtype=np.int64)
+        dsts = np.asarray(dsts, dtype=np.int64)
+        per_message, per_dimension = [], []
+        for (stride, size, src_c, sign, express, unit), link_tiles in zip(
+            self._batch_dimensions(tile, dsts), self._dimension_link_tiles()
+        ):
+            base = tile - src_c * stride
+            express_step = sign * express_tiles
+            per_message.append((express, base, src_c, express_step))
+            per_message.append((unit, base, src_c + express * express_step, sign))
+            per_dimension.append((size, stride, link_tiles * express_tiles))
+            per_dimension.append((size, stride, link_tiles))
+            tile = base + dsts // stride % size * stride
+        return tuple(
+            np.stack(column, axis=1).reshape(-1) for column in zip(*per_message)
+        ) + tuple(np.tile(column, len(tile)) for column in zip(*per_dimension))
+
+    def route_link_codes(
+        self, srcs: np.ndarray, dsts: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Every message's route as directed-link codes, with each link's length.
+
+        Returns ``(codes, lengths)``, both message by message in route order:
+        ``codes`` concatenates :meth:`links_on_route` as ``link_src *
+        num_tiles + link_dst`` and ``lengths`` holds the
+        :meth:`link_length_tiles` of each of those links.
+        """
+        hops, base, start, step, size, stride, length = self._route_legs(srcs, dsts)
+        leg = np.repeat(np.arange(len(hops)), hops)
+        offset = np.arange(len(leg)) - (np.cumsum(hops) - hops)[leg]
+        base, step, size, stride = base[leg], step[leg], size[leg], stride[leg]
+        here = start[leg] + offset * step
+        link_src = base + here % size * stride
+        link_dst = base + (here + step) % size * stride
+        return link_src * self.num_tiles + link_dst, length[leg]
+
+    def route_link_lengths(self, srcs: np.ndarray, dsts: np.ndarray) -> np.ndarray:
+        """Just the ``lengths`` of :meth:`route_link_codes`, without the codes."""
+        hops, *_, length = self._route_legs(srcs, dsts)
+        return np.repeat(length, hops)
 
     def links(self) -> Iterator[Link]:
         """All directed links of the topology."""
@@ -330,14 +393,8 @@ class Topology(ABC):
         return f"{type(self).__name__}({self.width}x{self.height})"
 
 
-class Mesh2D(Topology):
-    """Plain 2D mesh with nearest-neighbour links and no wraparound."""
-
-    kind = "mesh"
-    area_factor = 1.0
-    physical_length_factor = 1.0
-    # Dimension-ordered routing concentrates traffic on the central columns/rows.
-    congestion_factor = 2.0
+class _MeshRouting:
+    """Per-dimension routing of a mesh: unit hops, no wraparound."""
 
     def next_hop_offsets(self, delta: int, size: int) -> List[int]:
         step = 1 if delta > 0 else -1
@@ -346,8 +403,53 @@ class Mesh2D(Topology):
     def _dimension_hops(self, delta: int, size: int) -> int:
         return abs(delta)
 
+    def _dimension_steps(self, delta: np.ndarray, size: int) -> Tuple[np.ndarray, ...]:
+        return np.where(delta > 0, 1, -1), np.zeros_like(delta), np.abs(delta)
+
     def _unit_steps(self, size: int) -> List[int]:
         return [-1, 1] if size > 1 else []
+
+
+class _TorusRouting:
+    """Per-dimension routing of a torus: unit hops the shorter way round."""
+
+    def next_hop_offsets(self, delta: int, size: int) -> List[int]:
+        if size <= 1 or delta == 0:
+            return []
+        forward = delta % size
+        backward = size - forward
+        if forward <= backward:
+            return [1] * forward
+        return [-1] * backward
+
+    def _dimension_hops(self, delta: int, size: int) -> int:
+        if size <= 1 or delta == 0:
+            return 0
+        forward = delta % size
+        return min(forward, size - forward)
+
+    def _dimension_span(self, delta: int, size: int) -> int:
+        return self._dimension_hops(delta, size)
+
+    def _dimension_steps(self, delta: np.ndarray, size: int) -> Tuple[np.ndarray, ...]:
+        forward = delta % size
+        backward = size - forward
+        ahead = forward <= backward
+        return (np.where(ahead, 1, -1), np.zeros_like(delta),
+                np.where(ahead, forward, backward))
+
+    def _unit_steps(self, size: int) -> List[int]:
+        return [-1, 1] if size > 1 else []
+
+
+class Mesh2D(_MeshRouting, Topology):
+    """Plain 2D mesh with nearest-neighbour links and no wraparound."""
+
+    kind = "mesh"
+    area_factor = 1.0
+    physical_length_factor = 1.0
+    # Dimension-ordered routing concentrates traffic on the central columns/rows.
+    congestion_factor = 2.0
 
     def neighbors(self, tile: int) -> List[int]:
         x, y = self.coords(tile)
@@ -369,17 +471,8 @@ class Mesh2D(Topology):
     def link_length_tiles(self, src: int, dst: int) -> float:
         return 1.0
 
-    uniform_link_length_tiles = 1.0
 
-    def hop_distance_batch(self, srcs, dsts):
-        sx = srcs % self.width
-        sy = srcs // self.width
-        dx = dsts % self.width
-        dy = dsts // self.width
-        return np.abs(dx - sx) + np.abs(dy - sy)
-
-
-class Torus2D(Topology):
+class Torus2D(_TorusRouting, Topology):
     """2D torus with wraparound links and shortest-direction dimension routing.
 
     The paper notes a 32-bit 2D torus is ~50% larger than a mesh but doubles the
@@ -392,27 +485,6 @@ class Torus2D(Topology):
     physical_length_factor = 2.0
     congestion_factor = 1.25
 
-    def next_hop_offsets(self, delta: int, size: int) -> List[int]:
-        if size <= 1 or delta == 0:
-            return []
-        forward = delta % size
-        backward = size - forward
-        if forward <= backward:
-            return [1] * forward
-        return [-1] * backward
-
-    def _dimension_hops(self, delta: int, size: int) -> int:
-        if size <= 1 or delta == 0:
-            return 0
-        forward = delta % size
-        return min(forward, size - forward)
-
-    def _dimension_span(self, delta: int, size: int) -> int:
-        return self._dimension_hops(delta, size)
-
-    def _unit_steps(self, size: int) -> List[int]:
-        return [-1, 1] if size > 1 else []
-
     def bisection_links(self) -> int:
         # Wraparound doubles the number of links crossing the middle cut.
         return 4 * self.height
@@ -420,13 +492,6 @@ class Torus2D(Topology):
     def link_length_tiles(self, src: int, dst: int) -> float:
         # Folded torus layout: every link spans two tile pitches.
         return 2.0
-
-    uniform_link_length_tiles = 2.0
-
-    def hop_distance_batch(self, srcs, dsts):
-        fx = (dsts % self.width - srcs % self.width) % self.width
-        fy = (dsts // self.width - srcs // self.width) % self.height
-        return np.minimum(fx, self.width - fx) + np.minimum(fy, self.height - fy)
 
 
 class RucheTorus2D(Torus2D):
@@ -439,14 +504,6 @@ class RucheTorus2D(Torus2D):
     kind = "torus_ruche"
 
     congestion_factor = 1.1
-
-    # Express channels give per-link lengths of 2*span tiles -- not uniform --
-    # and hop counts that mix express and unit hops, so the batched routing
-    # inherited from Torus2D would be wrong here.  Opt out explicitly.
-    uniform_link_length_tiles = None
-
-    def hop_distance_batch(self, srcs, dsts):
-        raise NotImplementedError("ruche channels need per-message routing")
 
     def __init__(self, width: int, height: int, ruche_factor: int = 2) -> None:
         super().__init__(width, height)
@@ -466,6 +523,10 @@ class RucheTorus2D(Torus2D):
             return 0
         forward = delta % size
         return min(forward, size - forward)
+
+    def _dimension_steps(self, delta: np.ndarray, size: int) -> Tuple[np.ndarray, ...]:
+        sign, _express, distance = super()._dimension_steps(delta, size)
+        return sign, distance // self.ruche_factor, distance % self.ruche_factor
 
     @property
     def area_factor(self) -> float:
@@ -603,6 +664,9 @@ class Topology3D(Topology):
             return self.via_length_tiles
         return self.physical_length_factor
 
+    def _dimension_link_tiles(self) -> Tuple[float, ...]:
+        return (self.physical_length_factor,) * 2 + (self.via_length_tiles,)
+
     # --------------------------------------------------------------- identity
     def signature(self) -> Tuple:
         return (self.kind, self.width, self.height, self.depth, self.ruche_factor)
@@ -614,7 +678,7 @@ class Topology3D(Topology):
         return f"{type(self).__name__}({self.width}x{self.height}x{self.depth})"
 
 
-class Mesh3D(Topology3D):
+class Mesh3D(_MeshRouting, Topology3D):
     """Stacked 3D mesh: nearest-neighbour links, no wraparound in any dimension."""
 
     kind = "mesh3d"
@@ -623,16 +687,6 @@ class Mesh3D(Topology3D):
     area_factor = 1.2
     congestion_factor = 2.0
     wraps = False
-
-    def next_hop_offsets(self, delta: int, size: int) -> List[int]:
-        step = 1 if delta > 0 else -1
-        return [step] * abs(delta)
-
-    def _dimension_hops(self, delta: int, size: int) -> int:
-        return abs(delta)
-
-    def _unit_steps(self, size: int) -> List[int]:
-        return [-1, 1] if size > 1 else []
 
     def neighbors(self, tile: int) -> List[int]:
         x, y, z = self.coords(tile)
@@ -652,7 +706,7 @@ class Mesh3D(Topology3D):
         return result
 
 
-class Torus3D(Topology3D):
+class Torus3D(_TorusRouting, Topology3D):
     """Stacked 3D torus: shortest-direction wraparound in all three dimensions.
 
     In-plane links follow the folded-torus layout (two tile pitches each);
@@ -665,27 +719,6 @@ class Torus3D(Topology3D):
     area_factor = 1.7
     congestion_factor = 1.25
     wraps = True
-
-    def next_hop_offsets(self, delta: int, size: int) -> List[int]:
-        if size <= 1 or delta == 0:
-            return []
-        forward = delta % size
-        backward = size - forward
-        if forward <= backward:
-            return [1] * forward
-        return [-1] * backward
-
-    def _dimension_hops(self, delta: int, size: int) -> int:
-        if size <= 1 or delta == 0:
-            return 0
-        forward = delta % size
-        return min(forward, size - forward)
-
-    def _dimension_span(self, delta: int, size: int) -> int:
-        return self._dimension_hops(delta, size)
-
-    def _unit_steps(self, size: int) -> List[int]:
-        return [-1, 1] if size > 1 else []
 
 
 _TOPOLOGY_KINDS = {

@@ -208,19 +208,36 @@ class TestOwnersOf:
 
 
 class TestHopDistanceBatch:
-    @pytest.mark.parametrize("noc", ["mesh", "torus"])
-    def test_matches_scalar_hop_distance(self, noc):
-        topology = make_topology(noc, 5, 4)
+    @pytest.mark.parametrize(
+        "noc,extra",
+        [("mesh", {}), ("torus", {}), ("torus_ruche", {"ruche_factor": 2}),
+         ("mesh3d", {"depth": 2}), ("torus3d", {"depth": 3})],
+    )
+    def test_matches_scalar_hop_distance(self, noc, extra):
+        topology = make_topology(noc, 5, 4, **extra)
         rng = np.random.default_rng(11)
         srcs = rng.integers(0, topology.num_tiles, size=200)
         dsts = rng.integers(0, topology.num_tiles, size=200)
         batch = topology.hop_distance_batch(srcs, dsts)
         scalar = [topology.hop_distance(int(s), int(d)) for s, d in zip(srcs, dsts)]
         assert batch.tolist() == scalar
-        assert topology.uniform_link_length_tiles is not None
 
-    def test_ruche_opts_out_of_batched_routing(self):
-        topology = make_topology("torus_ruche", 8, 8, ruche_factor=2)
-        assert topology.uniform_link_length_tiles is None
-        with pytest.raises(NotImplementedError):
-            topology.hop_distance_batch(np.array([0]), np.array([5]))
+
+class TestBatchedPathGate:
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(noc="torus_ruche", width=8, height=8, ruche_factor=3),
+         dict(noc="mesh3d", width=4, height=2, depth=2),
+         dict(noc="torus3d", width=2, height=2, depth=3)],
+        ids=["torus_ruche", "mesh3d", "torus3d"],
+    )
+    def test_ruche_and_3d_grids_engage_the_batched_path(self, overrides, small_rmat):
+        from repro.apps import BFSKernel
+        from repro.core.config import MachineConfig
+        from repro.core.engine_analytic import AnalyticalEngine, batch_decline_reason
+        from repro.core.machine import DalorexMachine
+
+        config = MachineConfig(engine="analytic", **overrides)
+        machine = DalorexMachine(config, BFSKernel(root=0), small_rmat)
+        assert batch_decline_reason(machine) is None
+        assert AnalyticalEngine(machine)._prepare_batch() is not None

@@ -43,7 +43,8 @@ def tiny_graph():
 
 
 # One case per interesting envelope dimension: barrier and barrierless,
-# sram and dram memory, detailed link model, placements, interrupts.
+# sram and dram memory, detailed link model, placements, interrupts, and the
+# mixed link lengths of ruche express channels and 3D TSVs.
 CASES = [
     ("bfs", dict(width=4, height=4, noc="torus")),
     ("sssp", dict(width=4, height=4, noc="mesh", memory="dram")),
@@ -51,6 +52,9 @@ CASES = [
     ("pagerank", dict(width=4, height=4, barrier=True)),
     ("spmv", dict(width=8, height=2, remote_invocation="interrupting")),
     ("sssp", dict(width=4, height=4, scheduling="round_robin", barrier=True)),
+    ("sssp", dict(width=6, height=4, noc="torus_ruche", ruche_factor=2)),
+    ("bfs", dict(width=4, height=2, depth=2, noc="mesh3d")),
+    ("pagerank", dict(width=2, height=3, depth=3, noc="torus3d", barrier=True)),
 ]
 
 
@@ -92,8 +96,6 @@ class TestFallbackEnvelope:
         [
             (dict(engine="cycle"), "engine"),
             (dict(memory="dram_cache"), "dram_cache"),
-            (dict(noc="torus_ruche"), "link length"),
-            (dict(noc="mesh3d", width=4, height=2, depth=2), "link length"),
             (dict(allow_remote_access=True), "remote_access"),
         ],
     )
@@ -105,7 +107,7 @@ class TestFallbackEnvelope:
 
     @pytest.mark.parametrize(
         "overrides",
-        [dict(engine="cycle"), dict(memory="dram_cache"), dict(noc="torus_ruche")],
+        [dict(engine="cycle"), dict(memory="dram_cache"), dict(allow_remote_access=True)],
     )
     def test_fallback_cases_still_byte_identical(self, overrides, tiny_graph):
         config = MachineConfig(**overrides).validate()
@@ -126,6 +128,19 @@ class TestGoldenCasesSharded:
                 assert sharded_payload(factory, shards) == base, (
                     f"{case.name} diverged at {shards} shards"
                 )
+
+    def test_every_analytic_golden_case_but_dram_cache_really_shards(self):
+        from tests.golden.golden_cases import GOLDEN_CASES, build_graph
+
+        serial_only = set()
+        for case in GOLDEN_CASES:
+            factory = machine_factory("".join(case.app), build_graph(case.graph), case.config())
+            if shard_fallback_reason(factory()) is not None:
+                serial_only.add(case.name)
+        analytic = {case.name for case in GOLDEN_CASES if "analytic" in case.name}
+        assert analytic & serial_only == {"g08-wcc-analytic-dramcache"}
+        assert "g05-spmv-analytic-ruche" in analytic
+        assert "g06-bfs-analytic-mesh3d" in analytic
 
 
 class TestSpecLevelSharding:

@@ -1,9 +1,11 @@
 """Unit tests for the link-load model."""
 
+import numpy as np
 import pytest
 
+from repro.noc import analytical
 from repro.noc.analytical import LinkLoadModel
-from repro.noc.topology import Mesh2D, Torus2D
+from repro.noc.topology import Mesh2D, Torus2D, make_topology
 
 
 class TestDetailedModel:
@@ -140,3 +142,72 @@ class TestAggregateModel:
 
     def test_congestion_factor_orders_mesh_above_torus(self):
         assert Mesh2D(8, 8).congestion_factor > Torus2D(8, 8).congestion_factor
+
+
+BATCH_TOPOLOGIES = [
+    ("mesh", dict()),
+    ("torus", dict()),
+    ("torus_ruche", dict(ruche_factor=2)),
+    ("torus_ruche", dict(ruche_factor=3)),
+    ("mesh3d", dict(depth=3)),
+    ("torus3d", dict(depth=2)),
+]
+
+
+class TestRecordBatch:
+    """``record_batch`` must equal a loop of ``record_message``, bit for bit."""
+
+    @pytest.mark.parametrize("chunk_links", [1 << 20, 7], ids=["whole", "chunked"])
+    @pytest.mark.parametrize("detailed", [True, False], ids=["detailed", "aggregate"])
+    @pytest.mark.parametrize("kind,extra", BATCH_TOPOLOGIES)
+    def test_matches_record_message_loop(
+        self, kind, extra, detailed, chunk_links, monkeypatch
+    ):
+        monkeypatch.setattr(analytical, "ROUTE_CHUNK_LINKS", chunk_links)
+        topology = make_topology(kind, 7, 6, **extra)
+        rng = np.random.default_rng(5)
+        batched = LinkLoadModel(topology, detailed=detailed)
+        scalar = LinkLoadModel(topology, detailed=detailed)
+        pitch = 0.37  # an inexact pitch, so the float fold order shows
+        for flits in (1, 3, 2):
+            srcs = rng.integers(0, topology.num_tiles, size=300)
+            dsts = rng.integers(0, topology.num_tiles, size=300)
+            dsts[:20] = srcs[:20]  # local messages ride along
+            hops = batched.record_batch(srcs, dsts, flits, pitch)
+            expected = [
+                scalar.record_message(src, dst, flits, pitch)
+                for src, dst in zip(srcs.tolist(), dsts.tolist())
+            ]
+            assert hops.tolist() == expected
+        assert batched.link_flits == scalar.link_flits
+        assert batched.router_flits == scalar.router_flits
+        assert batched.injected_flits == scalar.injected_flits
+        assert batched.ejected_flits == scalar.ejected_flits
+        assert batched.total_flit_hops == scalar.total_flit_hops
+        assert batched.total_messages == scalar.total_messages
+        assert batched.bisection_load() == scalar.bisection_load()
+        assert batched.total_flit_millimeters == scalar.total_flit_millimeters
+
+    @pytest.mark.parametrize("chunk_links", [1 << 20, 7], ids=["whole", "chunked"])
+    @pytest.mark.parametrize("detailed", [True, False], ids=["detailed", "aggregate"])
+    @pytest.mark.parametrize("kind,extra", BATCH_TOPOLOGIES)
+    def test_fold_millimeters_replays_record_batch_fold(
+        self, kind, extra, detailed, chunk_links, monkeypatch
+    ):
+        # The shard hub refolds a segment's millimeters from the non-local
+        # messages alone; it must land on record_batch's exact float.
+        monkeypatch.setattr(analytical, "ROUTE_CHUNK_LINKS", chunk_links)
+        topology = make_topology(kind, 7, 6, **extra)
+        rng = np.random.default_rng(9)
+        recorded = LinkLoadModel(topology, detailed=detailed)
+        folded = LinkLoadModel(topology, detailed=detailed)
+        for flits in (2, 1):
+            srcs = rng.integers(0, topology.num_tiles, size=200)
+            dsts = rng.integers(0, topology.num_tiles, size=200)
+            recorded.record_batch(srcs, dsts, flits, 0.37)
+            remote = srcs != dsts
+            folded.fold_millimeters(srcs[remote], dsts[remote], flits, 0.37)
+        empty = np.empty(0, dtype=np.int64)
+        folded.fold_millimeters(empty, empty, 3, 0.37)
+        assert folded.total_flit_millimeters == recorded.total_flit_millimeters
+        assert folded.total_flit_millimeters > 0

@@ -76,6 +76,25 @@ def test_analytic_engine_emits_epoch_spans_when_enabled():
     assert sum(h["count"] for h in spans.values()) > 0
 
 
+def test_scalar_epochs_carry_the_batch_decline_reason(small_rmat):
+    from repro.apps import BFSKernel
+    from repro.core.config import MachineConfig
+    from repro.core.machine import DalorexMachine
+
+    def epoch_span_labels(**overrides):
+        config = MachineConfig(width=4, height=4, engine="analytic", **overrides)
+        machine = DalorexMachine(config, BFSKernel(root=0), small_rmat)
+        with telemetry_session(Telemetry()) as telemetry:
+            machine.run(compute_energy=False)
+            histograms = telemetry.snapshot()["histograms"]
+        return set(histograms["span.engine.analytic.epoch.seconds"])
+
+    assert epoch_span_labels(noc="torus_ruche") == {"mode=batched"}
+    assert epoch_span_labels(allow_remote_access=True) == {
+        "mode=scalar,reason=allow_remote_access uses scalar-only per-access semantics"
+    }
+
+
 def test_simulated_noc_counts_flits_when_enabled():
     case = next(c for c in GOLDEN_CASES if c.name == "g19-bfs-cycle-simnet")
     with telemetry_session(Telemetry()) as telemetry:

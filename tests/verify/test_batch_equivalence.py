@@ -10,6 +10,7 @@ order fails loudly here.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -58,11 +59,14 @@ def equivalence_cases(draw):
         vertices = draw(st.integers(min_value=8, max_value=40))
         graph = uniform_random_graph(vertices, vertices * 3, seed=seed)
     kernel_name = draw(st.sampled_from(["bfs", "sssp", "wcc", "pagerank", "spmv"]))
+    noc = draw(st.sampled_from(["mesh", "torus", "torus_ruche", "mesh3d", "torus3d"]))
     overrides = {
-        "width": draw(st.sampled_from([2, 3, 4])),
+        "width": draw(st.sampled_from([2, 3, 4, 6])),
         "height": draw(st.sampled_from([2, 4])),
         "engine": "analytic",
-        "noc": draw(st.sampled_from(["mesh", "torus"])),
+        "noc": noc,
+        "depth": draw(st.sampled_from([1, 2, 3])) if noc.endswith("3d") else 1,
+        "ruche_factor": draw(st.sampled_from([2, 3])),
         "vertex_placement": draw(st.sampled_from(["block", "interleave"])),
         "barrier": draw(st.booleans()),
         "scheduling": draw(st.sampled_from(["occupancy", "round_robin"])),
@@ -103,18 +107,26 @@ def assert_bit_equal(graph, kernel_name, overrides):
 
 class TestBatchScalarEquivalence:
     @given(equivalence_cases())
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=40, deadline=None)
     def test_batched_run_is_bit_equal_to_scalar_run(self, case):
         graph, kernel_name, overrides = case
         assert_bit_equal(graph, kernel_name, overrides)
 
-    def test_ruche_topology_stays_on_scalar_path(self, small_rmat):
-        config = MachineConfig(width=8, height=8, engine="analytic", noc="torus_ruche")
-        machine = DalorexMachine(config, BFSKernel(root=0), small_rmat)
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(noc="torus_ruche", width=8, height=8),
+         dict(noc="mesh3d", width=4, height=2, depth=2),
+         dict(noc="torus3d", width=4, height=2, depth=3)],
+        ids=["torus_ruche", "mesh3d", "torus3d"],
+    )
+    def test_ruche_and_3d_topologies_take_batched_path(self, overrides, small_rmat):
+        config = MachineConfig(engine="analytic", **overrides)
+        machine = DalorexMachine(config, SSSPKernel(root=0), small_rmat)
         from repro.core.engine_analytic import AnalyticalEngine
 
-        assert AnalyticalEngine(machine)._prepare_batch() is None
+        assert AnalyticalEngine(machine)._prepare_batch() is not None
         assert machine.run(verify=True).verified is True
+        assert_bit_equal(small_rmat, "sssp", dict(engine="analytic", **overrides))
 
     def test_batch_mode_engages_on_default_config(self, small_rmat):
         config = MachineConfig(width=8, height=8, engine="analytic")
