@@ -103,20 +103,6 @@ class BaseEngine:
         counters.cache_hits += ctx.cache_hits
         counters.edges_processed += ctx.edges
 
-    def record_message_traffic(self, src: int, dst: int, task: Task) -> int:
-        """Account one task-invocation message; returns its hop count."""
-        flits = task.flits_per_invocation
-        counters = self.counters
-        counters.messages += 1
-        counters.flits += flits
-        if src == dst:
-            counters.local_messages += 1
-            return 0
-        hops = self.link_model.record_message(src, dst, flits, self.tile_pitch_mm)
-        counters.flit_hops += flits * hops
-        counters.router_traversals += flits * (hops + 1)
-        return hops
-
     # ------------------------------------------------------------------ seeds
     def resolve_seeds(self, seeds: Sequence[Seed]) -> List[Tuple[int, Task, tuple]]:
         """Map ``(task_name, params)`` seeds to their destination tiles."""

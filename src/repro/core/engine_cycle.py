@@ -11,6 +11,10 @@ heatmaps), while ``network="simulated"`` adds finite router input queues,
 credit backpressure and pluggable routing via the flit-level
 :class:`~repro.noc.sim.simulator.NocSimulator`.
 
+Only timing stays per message.  Link-load accounting never feeds the
+schedule, so non-local messages are logged in send order and charged to the
+link-load model in bulk, at the end of every drain (see ``_fold_traffic``).
+
 Remote invocations are non-interrupting when the TSU is present and add the
 configured interrupt penalty in the Tesseract-style baseline.  Barriered
 executions wait for global idle, add the idle-detection/broadcast latency, and
@@ -32,6 +36,8 @@ from __future__ import annotations
 import heapq
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.engine_base import BaseEngine, Seed
 from repro.core.network import make_network_model
 from repro.core.registry import register_engine
@@ -45,6 +51,10 @@ _REFILL = 2
 
 #: Bit position of the event kind inside a heap key (seq stays below 2**60).
 _KIND_SHIFT = 60
+
+#: Logged non-local messages that trigger a fold into the link-load model
+#: before the drain ends, bounding the log on long barrierless drains.
+TRAFFIC_FOLD_MESSAGES = 4096
 
 
 class CycleEngine(BaseEngine):
@@ -62,6 +72,10 @@ class CycleEngine(BaseEngine):
         self.network = make_network_model(self.config, self.topology, state=self.state)
         machine.network = self.network
         self._last_event_time = 0.0
+        # Non-local messages sent since the last _fold_traffic, in send order.
+        self._sent_src: List[int] = []
+        self._sent_dst: List[int] = []
+        self._sent_flits: List[int] = []
 
     # ------------------------------------------------------------------- heap
     def _push(self, time: float, kind: int, payload) -> None:
@@ -156,6 +170,7 @@ class CycleEngine(BaseEngine):
             if telemetry_on and len(heap) > peak_heap_depth:
                 peak_heap_depth = len(heap)
         self._last_event_time = last
+        self._fold_traffic()
         if telemetry_on and (deliver_count or complete_count or refill_count):
             telemetry = self.telemetry
             telemetry.count("engine.cycle.events", deliver_count, kind="deliver")
@@ -224,19 +239,54 @@ class CycleEngine(BaseEngine):
         state = self.state
         records = state.records
         network_send = self.network.send
-        for task, params, destination in ctx.outgoing:
-            self.record_message_traffic(tile_id, destination, task)
+        sent_src, sent_dst, sent_flits = self._sent_src, self._sent_dst, self._sent_flits
+        outgoing = ctx.outgoing
+        flits_out = local = 0
+        for task, params, destination in outgoing:
+            flits = task.flits_per_invocation
+            flits_out += flits
             if destination == tile_id:
+                local += 1
                 handle = records.alloc(tile_id, task.task_id, params, False)
                 state.push_invocation(tile_id, task.task_id, handle)
             else:
+                sent_src.append(tile_id)
+                sent_dst.append(destination)
+                sent_flits.append(flits)
                 # Delivery time of one message, per the configured network model.
-                arrival = network_send(
-                    tile_id, destination, task.flits_per_invocation, now
-                )
+                arrival = network_send(tile_id, destination, flits, now)
                 handle = records.alloc(destination, task.task_id, params, True)
                 self._push(arrival, _DELIVER, handle)
+        counters = self.counters
+        counters.messages += len(outgoing)
+        counters.flits += flits_out
+        counters.local_messages += local
         self.release_context(ctx)
+        if len(sent_src) >= TRAFFIC_FOLD_MESSAGES:
+            self._fold_traffic()
+
+    def _fold_traffic(self) -> None:
+        """Charge the logged non-local messages to the link-load model.
+
+        One :meth:`~repro.noc.analytical.LinkLoadModel.record_batch` call in
+        send order, bit-equal to one ``record_message`` per message, then
+        the flit-hop and router-traversal counters from its hops.
+        """
+        if not self._sent_src:
+            return
+        flits = np.array(self._sent_flits, dtype=np.int64)
+        hops = self.link_model.record_batch(
+            np.array(self._sent_src, dtype=np.int64),
+            np.array(self._sent_dst, dtype=np.int64),
+            flits,
+            self.tile_pitch_mm,
+        )
+        flit_hops = int(flits @ hops)
+        self.counters.flit_hops += flit_hops
+        self.counters.router_traversals += flit_hops + int(flits.sum())
+        self._sent_src.clear()
+        self._sent_dst.clear()
+        self._sent_flits.clear()
 
 
 register_engine("cycle", CycleEngine)

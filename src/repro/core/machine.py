@@ -62,9 +62,7 @@ class DalorexMachine:
         # the per-invocation path (the equivalence tests exercise both).
         self.batch_execution = True
 
-        # Topologies are immutable (they only grow memoized route profiles),
-        # so machines share one instance per shape -- every run after the
-        # first in a process reuses the accumulated route caches.
+        # Topologies are immutable, so machines share one instance per shape.
         self.topology = cached_topology(
             config.noc, config.width, config.height, config.ruche_factor,
             depth=config.depth,

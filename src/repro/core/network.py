@@ -21,8 +21,6 @@ replayable, cacheable and distributable.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
 from repro.noc.sim.simulator import NocSimulator
 from repro.noc.topology import Topology
 
@@ -36,31 +34,53 @@ class AnalyticalNetwork:
     :meth:`CycleEngine._network_delay` arithmetic, kept bit-identical so
     ``network="analytical"`` reproduces historical results byte for byte.
 
-    Routes come memoized from :meth:`Topology.route_profile`, shared with
-    the link-load accounting on the same topology instance.
+    Routes are walked in closed form from the topology's per-dimension
+    decomposition, :meth:`Topology.next_hop_offsets` (the one
+    :meth:`Topology.route` walks), tabulated once per dimension and
+    displacement: O(width + height) entries, no route cache.  A link is
+    named by the tile it leaves and its output port -- one port per
+    dimension and hop offset (+-1, plus +-R on ruche grids) -- so busy-until
+    times live in one flat list of ``num_tiles * ports`` slots.
     """
 
     kind = "analytical"
 
-    def __init__(self, topology: Topology, state=None) -> None:
-        self.topology = topology
-        self._link_free: Dict[Tuple[int, int], float] = {}
-        if state is not None:
-            # Publish the persistent link state on the machine's columnar
-            # state so diagnostics read network occupancy where everything
-            # else lives.
-            state.noc_link_free = self._link_free
+    def __init__(self, topology: Topology) -> None:
+        express = topology.ruche_factor
+        steps = (1, -1, express, -express) if express else (1, -1)
+        sizes = topology.dimension_sizes()
+        #: Per dimension, in routing order: ``(tile stride, size, legs)``,
+        #: where ``legs[delta + size - 1]`` lists the ``(offset, port)`` of
+        #: every hop that covers a displacement of ``delta``.
+        self._dimensions = []
+        stride = 1
+        for dim, size in enumerate(sizes):
+            port = {step: dim * len(steps) + index for index, step in enumerate(steps)}
+            legs = [
+                tuple((step, port[step]) for step in topology.next_hop_offsets(delta, size))
+                for delta in range(1 - size, size)
+            ]
+            self._dimensions.append((stride, size, legs))
+            stride *= size
+        self._ports = len(steps) * len(sizes)
+        self._busy_until = [0.0] * (topology.num_tiles * self._ports)
 
     def send(self, src: int, dst: int, flits: int, now: float) -> float:
         """Walk the route charging per-link serialization with persistent state."""
-        links, _lengths = self.topology.route_profile(src, dst)
-        link_free = self._link_free
-        get = link_free.get
+        busy_until = self._busy_until
+        num_ports = self._ports
         time = now
-        for link in links:
-            busy = get(link, 0.0)
-            time = (busy if busy > time else time) + flits
-            link_free[link] = time
+        tile = src
+        for stride, size, legs in self._dimensions:
+            here = tile // stride % size
+            base = tile - here * stride
+            for step, port in legs[dst // stride % size - here + size - 1]:
+                slot = tile * num_ports + port
+                busy = busy_until[slot]
+                time = (busy if busy > time else time) + flits
+                busy_until[slot] = time
+                here = (here + step) % size
+                tile = base + here * stride
         return time
 
 
@@ -74,9 +94,7 @@ def make_network_model(config, topology: Topology, state=None):
     ``kind``.  When given the machine's columnar
     :class:`~repro.core.state.CoreState`, the simulator keeps its per-tile
     injection/ejection port times in the state's ``noc_inject_free`` /
-    ``noc_eject_free`` arrays, and both models publish their persistent
-    link-busy map as ``state.noc_link_free`` -- network occupancy lives
-    where the rest of the machine state does.
+    ``noc_eject_free`` arrays.
     """
     if config.network == "simulated":
         return NocSimulator(
@@ -85,4 +103,4 @@ def make_network_model(config, topology: Topology, state=None):
             queue_depth=config.queue_depth,
             state=state,
         )
-    return AnalyticalNetwork(topology, state=state)
+    return AnalyticalNetwork(topology)

@@ -38,11 +38,11 @@ OCCUPANCY = "occupancy"
 class RecordPool:
     """Pooled task-invocation records: parallel arrays plus a free list.
 
-    One record is the columnar replacement for a ``TaskInvocation`` object:
-    destination tile, task id, parameter tuple and the remote flag live in
-    parallel lists addressed by an integer handle.  Handles are recycled
-    through :attr:`free`, so a run's steady state reuses a bounded set of
-    slots instead of allocating one object per delivered message.
+    One record is one pending task invocation: destination tile, task id,
+    parameter tuple and the remote flag live in parallel lists addressed by
+    an integer handle.  Handles are recycled through :attr:`free`, so a
+    run's steady state reuses a bounded set of slots instead of allocating
+    one object per delivered message.
     """
 
     __slots__ = ("tile", "task", "params", "remote", "free")

@@ -37,16 +37,15 @@ class Task:
     iq_capacity: int = 64
     description: str = ""
 
-    @property
-    def flits_per_invocation(self) -> int:
-        """Message length in flits (one flit per parameter, head included)."""
-        return max(1, self.num_params)
+    #: Message length in flits: one flit per parameter, head included.
+    flits_per_invocation: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.num_params < 1:
             raise ValueError(f"task {self.name!r} must take at least the routing index")
         if self.iq_capacity < 1:
             raise ValueError(f"task {self.name!r} needs a positive input-queue capacity")
+        self.flits_per_invocation = self.num_params
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
@@ -54,19 +53,3 @@ class Task:
             f"params={self.num_params}, iq={self.iq_capacity})"
         )
 
-
-@dataclass(frozen=True)
-class TaskInvocation:
-    """A pending task invocation: which task, with which parameters.
-
-    ``generation`` counts how many task-to-task hops separate this invocation
-    from the seed work; the analytical engine uses the maximum generation as the
-    task-chain critical path.  ``remote`` records whether the invocation arrived
-    over the network (relevant for interrupting remote calls in the baseline).
-    """
-
-    task_id: int
-    params: tuple
-    generation: int = 0
-    remote: bool = False
-    src_tile: int = field(default=-1)

@@ -23,12 +23,39 @@ Link = Tuple[int, int]
 ROUTE_CHUNK_LINKS = 1 << 20
 
 
-def _route_chunks(hops: np.ndarray, srcs: np.ndarray, dsts: np.ndarray):
-    """Split messages, in order, into runs of about ROUTE_CHUNK_LINKS links."""
+def _route_chunks(hops: np.ndarray, srcs: np.ndarray, dsts: np.ndarray, flits):
+    """Split messages, in order, into runs of about ROUTE_CHUNK_LINKS links.
+
+    Yields ``(srcs, dsts, link_flits)`` per run: ``link_flits`` is the flits
+    of every route link of the run, or the batch's one ``flits`` int.
+    """
     ends = np.cumsum(hops)
     total = int(ends[-1]) if len(ends) else 0
     cuts = np.searchsorted(ends, np.arange(ROUTE_CHUNK_LINKS, total, ROUTE_CHUNK_LINKS))
-    return zip(np.split(srcs, cuts), np.split(dsts, cuts))
+    runs = zip(np.split(srcs, cuts), np.split(dsts, cuts))
+    if np.ndim(flits) == 0:
+        for src, dst in runs:
+            yield src, dst, flits
+        return
+    for (src, dst), hop, flit in zip(runs, np.split(hops, cuts), np.split(flits, cuts)):
+        yield src, dst, np.repeat(flit, hop)
+
+
+def _flit_tally(keys: np.ndarray, flits, minlength: int) -> np.ndarray:
+    """Flits per key: ``flits`` is one length for every entry, or one per entry."""
+    if np.ndim(flits) == 0:
+        return flits * np.bincount(keys, minlength=minlength)
+    # bincount weights go through float64, exact for < 2^53 flit totals.
+    return np.bincount(keys, weights=flits, minlength=minlength).astype(np.int64)
+
+
+def _link_charges(codes: np.ndarray, link_flits) -> tuple:
+    """Distinct link codes, ascending, and the flits charged to each."""
+    if np.ndim(link_flits) == 0:
+        links, traversals = np.unique(codes, return_counts=True)
+        return links, link_flits * traversals
+    links, inverse = np.unique(codes, return_inverse=True)
+    return links, _flit_tally(inverse, link_flits, len(links))
 
 
 class LinkLoadModel:
@@ -81,8 +108,6 @@ class LinkLoadModel:
             if (self.topology.coords(src)[0] < middle) != (self.topology.coords(dst)[0] < middle):
                 self._bisection_flits += flits
             return hops
-        # Route and per-link lengths come memoized from the topology, shared
-        # with every other model on the same instance.
         links, lengths = self.topology.route_profile(src, dst)
         link_flits = self.link_flits
         router_flits = self.router_flits
@@ -97,14 +122,16 @@ class LinkLoadModel:
         return len(links)
 
     def record_batch(
-        self, srcs: np.ndarray, dsts: np.ndarray, flits: int, tile_pitch_mm: float = 1.0
+        self, srcs: np.ndarray, dsts: np.ndarray, flits, tile_pitch_mm: float = 1.0
     ) -> np.ndarray:
-        """Charge a batch of equal-length messages; returns per-message hops.
+        """Charge a batch of messages; returns per-message hops.
 
-        Bit-equal to calling :meth:`record_message` once per ``(src, dst)``
-        pair in order: routes come in closed form from the topology, the
-        integer tallies are order-free scatters, and the one float
-        accumulator folds the scalar loop's own terms in its order (see
+        ``flits`` is every message's length: one int for the whole batch,
+        or an int array aligned with ``srcs``.  Bit-equal to calling
+        :meth:`record_message` once per ``(src, dst)`` pair in order: routes
+        come in closed form from the topology, the integer tallies are
+        order-free (weighted) scatters, and the one float accumulator folds
+        the scalar loop's own terms in its order (see
         :meth:`fold_millimeters`).
         """
         topology = self.topology
@@ -114,10 +141,10 @@ class LinkLoadModel:
             return np.zeros(0, dtype=np.int64)
         num_tiles = topology.num_tiles
         inject = np.asarray(self.injected_flits, dtype=np.int64)
-        inject += flits * np.bincount(srcs, minlength=num_tiles)
+        inject += _flit_tally(srcs, flits, num_tiles)
         self.injected_flits = inject.tolist()
         eject = np.asarray(self.ejected_flits, dtype=np.int64)
-        eject += flits * np.bincount(dsts, minlength=num_tiles)
+        eject += _flit_tally(dsts, flits, num_tiles)
         self.ejected_flits = eject.tolist()
 
         nonlocal_mask = srcs != dsts
@@ -126,9 +153,11 @@ class LinkLoadModel:
             return hops
         nl_src = srcs[nonlocal_mask]
         nl_dst = dsts[nonlocal_mask]
+        if np.ndim(flits):
+            flits = flits[nonlocal_mask]
         nl_hops = topology.hop_distance_batch(nl_src, nl_dst)
         hops[nonlocal_mask] = nl_hops
-        self.total_flit_hops += int(flits * nl_hops.sum())
+        self.total_flit_hops += int((flits * nl_hops).sum())
 
         if not self.detailed:
             self.fold_millimeters(nl_src, nl_dst, flits, tile_pitch_mm)
@@ -136,31 +165,27 @@ class LinkLoadModel:
             crossing = ((nl_src % topology.width) < middle) != (
                 (nl_dst % topology.width) < middle
             )
-            self._bisection_flits += int(flits * crossing.sum())
+            self._bisection_flits += int((flits * crossing).sum())
             return hops
 
         link_flits = self.link_flits
         router_flits = np.asarray(self.router_flits, dtype=np.int64)
-        router_flits += flits * np.bincount(nl_dst, minlength=num_tiles)
-        for src, dst in _route_chunks(nl_hops, nl_src, nl_dst):
+        router_flits += _flit_tally(nl_dst, flits, num_tiles)
+        for src, dst, weight in _route_chunks(nl_hops, nl_src, nl_dst, flits):
             codes, lengths = topology.route_link_codes(src, dst)
             self.total_flit_millimeters = _sequential_sum(
-                self.total_flit_millimeters, flits * lengths * tile_pitch_mm
+                self.total_flit_millimeters, weight * lengths * tile_pitch_mm
             )
-            links, traversals = np.unique(codes, return_counts=True)
-            charges = flits * traversals
+            links, charges = _link_charges(codes, weight)
             for code, charge in zip(links.tolist(), charges.tolist()):
                 link = (code // num_tiles, code % num_tiles)
                 link_flits[link] = link_flits.get(link, 0) + charge
-            # bincount weights go through float64, exact for < 2^53 flit totals.
-            router_flits += np.bincount(
-                links // num_tiles, weights=charges, minlength=num_tiles
-            ).astype(np.int64)
+            router_flits += _flit_tally(links // num_tiles, charges, num_tiles)
         self.router_flits = router_flits.tolist()
         return hops
 
     def fold_millimeters(
-        self, srcs: np.ndarray, dsts: np.ndarray, flits: int, tile_pitch_mm: float = 1.0
+        self, srcs: np.ndarray, dsts: np.ndarray, flits, tile_pitch_mm: float = 1.0
     ) -> None:
         """Add non-local messages' flit-millimeters in :meth:`record_message` order.
 
@@ -168,9 +193,11 @@ class LinkLoadModel:
         terms unequal, so the terms are the scalar loop's own -- one per
         link, message by message, in route order (one per message in the
         aggregate mode) -- folded left to right with ``sequential_sum``, one
-        in-order chunk of routes after another.  :meth:`record_batch` folds
-        the per-link terms in the loop that charges the links; the shard hub
-        calls this to replay the serial fold.
+        in-order chunk of routes after another.  ``flits`` is one int or an
+        array aligned with ``srcs``, as in :meth:`record_batch`.
+        :meth:`record_batch` folds the per-link terms in the loop that
+        charges the links; the shard hub calls this to replay the serial
+        fold.
         """
         topology = self.topology
         if not self.detailed:
@@ -180,10 +207,10 @@ class LinkLoadModel:
             )
             return
         hops = topology.hop_distance_batch(srcs, dsts)
-        for src, dst in _route_chunks(hops, srcs, dsts):
+        for src, dst, weight in _route_chunks(hops, srcs, dsts, flits):
             self.total_flit_millimeters = _sequential_sum(
                 self.total_flit_millimeters,
-                flits * topology.route_link_lengths(src, dst) * tile_pitch_mm,
+                weight * topology.route_link_lengths(src, dst) * tile_pitch_mm,
             )
 
     # ------------------------------------------------------------------ bounds
@@ -273,7 +300,7 @@ class LinkLoadModel:
         self._bisection_flits += other._bisection_flits
 
     def reset(self) -> None:
-        """Clear all accumulated traffic (the topology keeps its route cache)."""
+        """Clear all accumulated traffic."""
         self.link_flits.clear()
         num_tiles = self.topology.num_tiles
         self.router_flits = [0] * num_tiles

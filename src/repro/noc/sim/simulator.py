@@ -94,7 +94,6 @@ class NocSimulator:
         if state is not None:
             self._inject_free = state.noc_inject_free
             self._eject_free = state.noc_eject_free
-            state.noc_link_free = self._link_free
         else:
             self._inject_free = [0.0] * topology.num_tiles
             self._eject_free = [0.0] * topology.num_tiles

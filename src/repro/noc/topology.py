@@ -179,42 +179,17 @@ class Topology(ABC):
         path = self.route(src, dst)
         return list(zip(path[:-1], path[1:]))
 
-    #: Per-topology cap on memoized route profiles.  Topology instances are
-    #: process-lived (``cached_topology``), so an uncapped cache would grow
-    #: toward num_tiles^2 entries on a long-running worker.  Only the
-    #: per-message paths read it: the cycle engine's link accounting, the
-    #: analytic engine's scalar loop and ``AnalyticalNetwork.send``.  A 16x16
-    #: grid (65,536 ordered pairs) stays fully cached; a 32x32 grid has
-    #: 1,048,576 pairs, so it and larger grids cache only a FIFO window.
-    ROUTE_PROFILE_CACHE_LIMIT = 1 << 17
-
     def route_profile(self, src: int, dst: int) -> tuple:
-        """Memoized ``(links, lengths)`` of the dimension-ordered route.
+        """``(links, lengths)`` of the dimension-ordered route, walked per call.
 
         ``links`` is :meth:`links_on_route`; ``lengths`` the matching
-        per-link physical lengths in tile pitches.  Routes are pure functions
-        of (src, dst), and the cache lives on the topology instance, so every
-        consumer sharing one topology -- the link-load models of both
-        engines, the analytical network, per-epoch accounting -- shares one
-        route computation per pair.
+        per-link physical lengths in tile pitches.  Only the per-message
+        reference path (:meth:`LinkLoadModel.record_message
+        <repro.noc.analytical.LinkLoadModel.record_message>`) reads it;
+        batches of messages route through :meth:`route_link_codes`.
         """
-        cache = getattr(self, "_route_profiles", None)
-        if cache is None:
-            cache = self._route_profiles = {}
-        key = (src, dst)
-        profile = cache.get(key)
-        if profile is None:
-            links = self.links_on_route(src, dst)
-            lengths = [self.link_length_tiles(*link) for link in links]
-            profile = (links, lengths)
-            # Bounded FIFO: evict the oldest-inserted entry once full, so a
-            # process-lived topology serving many traffic patterns keeps a
-            # bounded working set instead of merely refusing to learn new
-            # routes (or, worse, growing toward num_tiles^2 entries).
-            while len(cache) >= self.ROUTE_PROFILE_CACHE_LIMIT:
-                cache.pop(next(iter(cache)))
-            cache[key] = profile
-        return profile
+        links = self.links_on_route(src, dst)
+        return links, [self.link_length_tiles(*link) for link in links]
 
     # --------------------------------------------------------- batched routing
     # Closed-form routes for arrays of messages: no route walk and no cache.

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.program import DalorexProgram, EDGE_SPACE, VERTEX_SPACE
-from repro.core.task import Task, TaskInvocation
+from repro.core.task import Task
 from repro.errors import ProgramError
 
 
@@ -23,11 +23,6 @@ class TestTask:
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):
             Task(0, "T1", noop_handler, VERTEX_SPACE, num_params=1, iq_capacity=0)
-
-    def test_invocation_is_frozen(self):
-        invocation = TaskInvocation(0, (1, 2), generation=3, remote=True)
-        with pytest.raises(AttributeError):
-            invocation.generation = 4
 
 
 class TestProgram:

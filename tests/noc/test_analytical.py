@@ -169,14 +169,17 @@ class TestRecordBatch:
         batched = LinkLoadModel(topology, detailed=detailed)
         scalar = LinkLoadModel(topology, detailed=detailed)
         pitch = 0.37  # an inexact pitch, so the float fold order shows
-        for flits in (1, 3, 2):
+        for flits in (1, 3, 2, "mixed"):
             srcs = rng.integers(0, topology.num_tiles, size=300)
             dsts = rng.integers(0, topology.num_tiles, size=300)
             dsts[:20] = srcs[:20]  # local messages ride along
+            if flits == "mixed":  # one length per message, as the cycle engine logs
+                flits = rng.integers(1, 5, size=300)
             hops = batched.record_batch(srcs, dsts, flits, pitch)
+            lengths = np.broadcast_to(flits, srcs.shape).tolist()
             expected = [
-                scalar.record_message(src, dst, flits, pitch)
-                for src, dst in zip(srcs.tolist(), dsts.tolist())
+                scalar.record_message(src, dst, length, pitch)
+                for src, dst, length in zip(srcs.tolist(), dsts.tolist(), lengths)
             ]
             assert hops.tolist() == expected
         assert batched.link_flits == scalar.link_flits
@@ -201,12 +204,16 @@ class TestRecordBatch:
         rng = np.random.default_rng(9)
         recorded = LinkLoadModel(topology, detailed=detailed)
         folded = LinkLoadModel(topology, detailed=detailed)
-        for flits in (2, 1):
+        for flits in (2, 1, "mixed"):
             srcs = rng.integers(0, topology.num_tiles, size=200)
             dsts = rng.integers(0, topology.num_tiles, size=200)
-            recorded.record_batch(srcs, dsts, flits, 0.37)
             remote = srcs != dsts
-            folded.fold_millimeters(srcs[remote], dsts[remote], flits, 0.37)
+            remote_flits = flits
+            if flits == "mixed":
+                flits = rng.integers(1, 5, size=200)
+                remote_flits = flits[remote]
+            recorded.record_batch(srcs, dsts, flits, 0.37)
+            folded.fold_millimeters(srcs[remote], dsts[remote], remote_flits, 0.37)
         empty = np.empty(0, dtype=np.int64)
         folded.fold_millimeters(empty, empty, 3, 0.37)
         assert folded.total_flit_millimeters == recorded.total_flit_millimeters

@@ -1,4 +1,4 @@
-"""Property tests: closed-form batched routes equal the scalar route walk.
+"""Property tests: closed-form routes equal the scalar route walk.
 
 ``Topology.route_link_codes`` and its siblings generate a whole batch's
 routes with array arithmetic and no cache.  On small grids of every kind --
@@ -6,11 +6,16 @@ ruche factors 2-4 including widths below ``2R``, 1-wide dimensions, 3D
 depths 1-3 -- every ordered (src, dst) pair must give exactly what the
 per-message functions give: the same links in the same order, the same
 per-link lengths as exact floats, the same hop counts and the same spans.
+On the same grids, ``AnalyticalNetwork.send`` -- which walks routes per
+dimension and keeps one busy-until time per (tile, output port) -- must time
+random message sequences exactly like a walk over ``links_on_route`` with
+one busy-until time per (src, dst) link.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.network import AnalyticalNetwork
 from repro.noc.topology import make_topology
 
 # Every ruche factor meets widths and heights below, at and above 2R; the 3D
@@ -78,3 +83,52 @@ class TestClosedFormRoutes:
         assert topology.route_link_lengths(empty, empty).size == 0
         assert topology.hop_distance_batch(empty, empty).size == 0
         assert topology.route_span_tiles_batch(empty, empty).size == 0
+
+
+class TupleKeyedNetwork:
+    """Reference timing: the link walk ``AnalyticalNetwork`` replaced, one
+    busy-until time per ``(src, dst)`` link of :meth:`links_on_route`."""
+
+    def __init__(self, topology):
+        self.topology = topology
+        self.link_free = {}
+
+    def send(self, src, dst, flits, now):
+        time = now
+        for link in self.topology.links_on_route(src, dst):
+            busy = self.link_free.get(link, 0.0)
+            time = (busy if busy > time else time) + flits
+            self.link_free[link] = time
+        return time
+
+
+class TestClosedFormNetworkWalk:
+    @pytest.mark.parametrize("grid", SMALL_GRIDS, ids=grid_id)
+    def test_send_times_links_like_the_tuple_keyed_walk(self, grid):
+        kind, width, height, extra = grid
+        topology = make_topology(kind, width, height, **extra)
+        rng = np.random.default_rng(17)
+        network = AnalyticalNetwork(topology)
+        reference = TupleKeyedNetwork(topology)
+        num = 400
+        srcs = rng.integers(0, topology.num_tiles, size=num).tolist()
+        dsts = rng.integers(0, topology.num_tiles, size=num).tolist()
+        flits = rng.integers(1, 5, size=num).tolist()
+        # Nondecreasing send times, as the event loop issues them, often
+        # tied so that messages queue behind each other on shared links.
+        times = np.cumsum(rng.choice([0.0, 0.0, 0.5, 1.0, 2.25], size=num)).tolist()
+        for src, dst, length, now in zip(srcs, dsts, flits, times):
+            assert network.send(src, dst, length, now) == reference.send(
+                src, dst, length, now
+            )
+        # Per-link busy times: every link a route can use is the whole route
+        # between its own endpoints, so one 1-flit probe at time 0 per link
+        # reads that link's slot.  Probing every link once also shows that
+        # no two links share a slot (the second probe would see the first).
+        links = set(topology.links())
+        assert set(reference.link_free) <= links
+        for a, b in sorted(links):
+            if topology.links_on_route(a, b) != [(a, b)]:
+                assert (a, b) not in reference.link_free  # no route uses it
+                continue
+            assert network.send(a, b, 1, 0.0) == reference.link_free.get((a, b), 0.0) + 1

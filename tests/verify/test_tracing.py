@@ -6,6 +6,7 @@ import pytest
 from repro.apps import make_kernel
 from repro.core.config import MachineConfig
 from repro.core.engine_base import BaseEngine
+from repro.core.engine_cycle import CycleEngine
 from repro.core.machine import DalorexMachine
 from repro.errors import InvariantViolation
 from repro.graph.generators import rmat_graph
@@ -97,17 +98,17 @@ class TestInjectedBugsAreCaught:
         assert state["injected"]
 
     def test_dropped_message_count_is_caught(self, monkeypatch):
-        original = BaseEngine.record_message_traffic
+        original = CycleEngine._emit_outputs
         state = {"injected": False}
 
-        def tampered(self, src, dst, task):
-            hops = original(self, src, dst, task)
-            if not state["injected"] and src != dst:
+        def tampered(self, tile_id, ctx, now):
+            remote = any(dst != tile_id for _task, _params, dst in ctx.outgoing)
+            original(self, tile_id, ctx, now)
+            if not state["injected"] and remote:
                 state["injected"] = True
                 self.counters.messages -= 1  # lose one message
-            return hops
 
-        monkeypatch.setattr(BaseEngine, "record_message_traffic", tampered)
+        monkeypatch.setattr(CycleEngine, "_emit_outputs", tampered)
         with pytest.raises(InvariantViolation, match="messages"):
             run_machine("cycle", app="sssp")
         assert state["injected"]
