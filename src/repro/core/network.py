@@ -34,36 +34,22 @@ class AnalyticalNetwork:
     :meth:`CycleEngine._network_delay` arithmetic, kept bit-identical so
     ``network="analytical"`` reproduces historical results byte for byte.
 
-    Routes are walked in closed form from the topology's per-dimension
-    decomposition, :meth:`Topology.next_hop_offsets` (the one
-    :meth:`Topology.route` walks), tabulated once per dimension and
-    displacement: O(width + height) entries, no route cache.  A link is
-    named by the tile it leaves and its output port -- one port per
-    dimension and hop offset (+-1, plus +-R on ruche grids) -- so busy-until
-    times live in one flat list of ``num_tiles * ports`` slots.
+    Routes are walked in closed form over the topology's
+    :meth:`~repro.noc.topology.Topology.slot_layout` -- the per-dimension
+    decomposition :meth:`Topology.route` walks, tabulated once per dimension
+    and displacement: O(width + height) entries, no route cache.  A link is
+    named by the tile it leaves and its output port, so busy-until times
+    live in one flat list of ``num_tiles * ports`` slots, laid out as the
+    :class:`~repro.noc.sim.simulator.NocSimulator` lays out its link state.
     """
 
     kind = "analytical"
 
     def __init__(self, topology: Topology) -> None:
-        express = topology.ruche_factor
-        steps = (1, -1, express, -express) if express else (1, -1)
-        sizes = topology.dimension_sizes()
-        #: Per dimension, in routing order: ``(tile stride, size, legs)``,
-        #: where ``legs[delta + size - 1]`` lists the ``(offset, port)`` of
-        #: every hop that covers a displacement of ``delta``.
-        self._dimensions = []
-        stride = 1
-        for dim, size in enumerate(sizes):
-            port = {step: dim * len(steps) + index for index, step in enumerate(steps)}
-            legs = [
-                tuple((step, port[step]) for step in topology.next_hop_offsets(delta, size))
-                for delta in range(1 - size, size)
-            ]
-            self._dimensions.append((stride, size, legs))
-            stride *= size
-        self._ports = len(steps) * len(sizes)
-        self._busy_until = [0.0] * (topology.num_tiles * self._ports)
+        layout = topology.slot_layout()
+        self._dimensions = layout.dimensions
+        self._ports = layout.ports
+        self._busy_until = [0.0] * (topology.num_tiles * layout.ports)
 
     def send(self, src: int, dst: int, flits: int, now: float) -> float:
         """Walk the route charging per-link serialization with persistent state."""

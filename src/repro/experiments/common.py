@@ -74,9 +74,12 @@ APP_COST_FACTORS: Dict[str, float] = {
 
 #: Extra wall-clock cost of routing every cycle-engine message through the
 #: flit-level NoC simulator instead of the bare-link analytical model.
+#: Measured on the contention sweep (sssp on rmat16, 8x8 torus, graphs
+#: prebuilt): a simulated run averaged over queue depths 1-8 takes 1.7x its
+#: analytical run (median of 30 back-to-back ratios, quartiles 1.56-1.84).
 NETWORK_COST_FACTORS: Dict[str, float] = {
     "analytical": 1.0,
-    "simulated": 3.0,
+    "simulated": 1.7,
 }
 
 

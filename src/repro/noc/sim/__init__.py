@@ -6,13 +6,16 @@ message wait for another's buffers.  This package adds the other half of the
 story:
 
 * :mod:`repro.noc.sim.routing` -- pluggable routing policies (dimension-
-  ordered, oblivious XY/YX, minimal-adaptive) built on the topology's
-  ``minimal_next_hops`` decomposition, so every policy works on every
-  topology including the 3D stacks;
+  ordered, oblivious XY/YX, minimal-adaptive) that return a message's link
+  slots, walked in closed form over the topology's per-dimension leg table
+  (:meth:`~repro.noc.topology.Topology.slot_layout`), so every policy works
+  on every topology including the 3D stacks;
 * :mod:`repro.noc.sim.simulator` -- :class:`NocSimulator`, a deterministic
   flit-level virtual-cut-through model with finite per-router input queues,
   credit backpressure, link serialization and injection/ejection port
-  serialization.
+  serialization.  Its link state is flat per-slot lists -- busy-until
+  times, one ring of credit release times per slot, flit counts -- in the
+  (tile, output port) layout the analytical network model shares.
 
 The cycle engine selects between the two through the ``network`` knob of
 :class:`~repro.core.config.MachineConfig` (see :mod:`repro.core.network`).

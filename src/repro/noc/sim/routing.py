@@ -1,12 +1,16 @@
 """Pluggable routing policies for the flit-level NoC simulator.
 
-A policy maps one message to the ordered list of tiles it traverses.  All
-policies are *minimal* (they only take hops that reduce the remaining
-distance, honouring torus shortest-direction wraps and ruche express
-channels via :meth:`~repro.noc.topology.Topology.minimal_next_hops`), and all
-are deterministic: given the same topology, message sequence and link state
-they produce the same routes, which is what keeps simulated runs replayable
-and cacheable.
+A policy maps one message to the ordered list of link *slots* it traverses,
+in the topology's flat (tile, output port) numbering
+(:meth:`~repro.noc.topology.Topology.slot_layout`; ``layout.link(slot)``
+names the ``(tile, next_tile)`` pair).  Every policy walks the layout's
+per-dimension leg table in closed form, with no route cache.  All policies
+are *minimal* (each hop is the greedy first hop :meth:`Topology.route` takes
+in its dimension, so torus shortest-direction wraps and ruche express
+channels are honoured on every topology, 3D stacks included), and all are
+deterministic: given the same topology, message sequence and link state they
+produce the same routes, which is what keeps simulated runs replayable and
+cacheable.
 
 * :class:`DimensionOrderedRouting` -- X then Y (then Z): the paper's wormhole
   network, and the route set the analytical
@@ -18,7 +22,7 @@ and cacheable.
   load without consulting network state.
 * :class:`AdaptiveMinimalRouting` -- at every hop, pick the minimal-direction
   output whose link frees earliest (least congested), tie-broken in dimension
-  order; needs the simulator's live link state.
+  order; needs the simulator's live per-slot link state.
 
 Deadlock freedom is structural here: the simulator resolves each message to
 completion in injection order (see :mod:`repro.noc.sim.simulator`), so
@@ -27,13 +31,10 @@ cyclic buffer wait-for graphs cannot form and no virtual channels are needed.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import List
 
 from repro.errors import ConfigurationError
 from repro.noc.topology import Topology
-
-#: Link availability lookup the adaptive policy consults: ``(src, dst) -> time``.
-LinkState = Callable[[Tuple[int, int]], float]
 
 #: Policy names understood by :func:`make_routing` (mirrored by
 #: :data:`repro.core.config.ROUTING_KINDS`).
@@ -41,44 +42,46 @@ ROUTING_KINDS = ("dimension_ordered", "xy_yx", "adaptive")
 
 
 class RoutingPolicy:
-    """Base class: compute one message's route over a topology."""
+    """Base class: compute one message's route over a topology's link slots."""
 
     kind = "abstract"
 
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
+        #: The slot numbering routes are expressed in.
+        self.layout = topology.slot_layout()
 
-    def route(self, src: int, dst: int, message_index: int, link_state: LinkState) -> List[int]:
-        """Ordered tile list from ``src`` to ``dst`` inclusive.
+    def route(self, src: int, dst: int, message_index: int, link_free: List[float]) -> List[int]:
+        """Link slots from ``src`` to ``dst``, in route order.
 
         ``message_index`` is the injection sequence number (the oblivious
-        policy's only source of variety); ``link_state`` reports when a
-        directed link is next free (the adaptive policy's congestion signal).
+        policy's only source of variety); ``link_free[slot]`` is when that
+        link is next free (the adaptive policy's congestion signal).
         """
         raise NotImplementedError
 
+    def _walk(self, src: int, dst: int, dimensions) -> List[int]:
+        """Slots of the minimal route covering ``dimensions`` in the given order."""
+        ports = self.layout.ports
+        slots = []
+        tile = src
+        for stride, size, legs in dimensions:
+            here = tile // stride % size
+            base = tile - here * stride
+            for step, port in legs[dst // stride % size - here + size - 1]:
+                slots.append(tile * ports + port)
+                here = (here + step) % size
+                tile = base + here * stride
+        return slots
+
 
 class DimensionOrderedRouting(RoutingPolicy):
-    """X-then-Y(-then-Z) routing: identical to ``Topology.route``.
-
-    Routes are independent of message index and network state, so they are
-    cached per (src, dst) pair -- the same memoization the analytical model
-    uses.
-    """
+    """X-then-Y(-then-Z) routing: the links of ``Topology.route``."""
 
     kind = "dimension_ordered"
 
-    def __init__(self, topology: Topology) -> None:
-        super().__init__(topology)
-        self._cache: Dict[Tuple[int, int], List[int]] = {}
-
-    def route(self, src: int, dst: int, message_index: int, link_state: LinkState) -> List[int]:
-        key = (src, dst)
-        path = self._cache.get(key)
-        if path is None:
-            path = self.topology.route(src, dst)
-            self._cache[key] = path
-        return path
+    def route(self, src: int, dst: int, message_index: int, link_free: List[float]) -> List[int]:
+        return self._walk(src, dst, self.layout.dimensions)
 
 
 class XYYXObliviousRouting(RoutingPolicy):
@@ -95,41 +98,47 @@ class XYYXObliviousRouting(RoutingPolicy):
 
     def __init__(self, topology: Topology) -> None:
         super().__init__(topology)
-        dims = tuple(range(len(topology.dimension_sizes())))
-        self._orders = (dims, tuple(reversed(dims)))
+        dimensions = self.layout.dimensions
+        self._orders = (dimensions, dimensions[::-1])
 
-    def route(self, src: int, dst: int, message_index: int, link_state: LinkState) -> List[int]:
-        order = self._orders[message_index % 2]
-        return self.topology.route_dims(src, dst, order)
+    def route(self, src: int, dst: int, message_index: int, link_free: List[float]) -> List[int]:
+        return self._walk(src, dst, self._orders[message_index % 2])
 
 
 class AdaptiveMinimalRouting(RoutingPolicy):
     """Minimal-adaptive routing: steer each hop toward the least-busy link.
 
-    At every router the candidate set is the per-dimension minimal next hops;
-    the policy picks the candidate whose outgoing link is free earliest
-    according to the simulator's live link state.  Ties (equally free links)
-    resolve in dimension order, so the policy degenerates to
-    dimension-ordered routing on an idle network and the choice is fully
-    deterministic.
+    At every router the candidates are the first hop of every dimension that
+    still has displacement to cover; the policy takes the candidate slot
+    whose link is free earliest according to the simulator's live link
+    state.  Ties (equally free links) resolve in dimension order, so the
+    policy degenerates to dimension-ordered routing on an idle network and
+    the choice is fully deterministic.
     """
 
     kind = "adaptive"
 
-    def route(self, src: int, dst: int, message_index: int, link_state: LinkState) -> List[int]:
-        path = [src]
-        cur = src
-        while cur != dst:
-            candidates = self.topology.minimal_next_hops(cur, dst)
-            if not candidates:  # pragma: no cover - minimal hops always progress
-                raise ConfigurationError(
-                    f"routing stalled at tile {cur} toward {dst} on "
-                    f"{self.topology.describe()}"
-                )
-            best = min(candidates, key=lambda cand: (link_state((cur, cand[1])), cand[0]))
-            cur = best[1]
-            path.append(cur)
-        return path
+    def route(self, src: int, dst: int, message_index: int, link_free: List[float]) -> List[int]:
+        ports = self.layout.ports
+        dimensions = self.layout.dimensions
+        slots = []
+        tile = src
+        while tile != dst:
+            best = -1
+            for stride, size, legs in dimensions:
+                here = tile // stride % size
+                leg = legs[dst // stride % size - here + size - 1]
+                if leg:
+                    step, port = leg[0]
+                    slot = tile * ports + port
+                    free = link_free[slot]
+                    # Strictly earlier only: a tie keeps the lower dimension.
+                    if best < 0 or free < best_free:
+                        best, best_free = slot, free
+                        move = ((here + step) % size - here) * stride
+            slots.append(best)
+            tile += move
+        return slots
 
 
 _ROUTING_CLASSES = {

@@ -29,6 +29,13 @@ delivery times -- and the simulated-vs-analytical-bound gap the contention
 experiment plots -- are monotone as queues shrink (for a fixed injection
 trace).
 
+Network state is flat: one busy-until time, one flit count and one ring of
+``queue_depth`` credit release times per link slot of
+:meth:`~repro.noc.topology.Topology.slot_layout`, the (tile, output port)
+layout :class:`~repro.core.network.AnalyticalNetwork` uses too.  Routing
+policies return slot lists walked in closed form; nothing is cached per
+(src, dst) pair.
+
 Per-link flit totals are accounted exactly like the analytical
 :class:`~repro.noc.analytical.LinkLoadModel`: under dimension-ordered
 routing the two agree flit-for-flit on every link (the network conformance
@@ -38,8 +45,8 @@ but conserve flits and never shorten a route below minimal.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List, Tuple
+import math
+from typing import Dict, Tuple
 
 from repro.noc.sim.routing import RoutingPolicy, make_routing
 from repro.noc.topology import Topology
@@ -79,12 +86,6 @@ class NocSimulator:
         self.policy = (
             routing if isinstance(routing, RoutingPolicy) else make_routing(routing, topology)
         )
-        # Persistent network state ------------------------------------------
-        #: Next cycle each directed link can start transmitting a flit.
-        self._link_free: Dict[Link, float] = {}
-        #: Release times of the flits currently charged to each link's
-        #: downstream input-buffer slots (at most ``queue_depth`` entries).
-        self._credits: Dict[Link, Deque[float]] = {}
         #: Next cycle each tile's injection / ejection port is free -- flat
         #: arrays indexed by tile id.  When the simulator is built for a
         #: machine, these are the *same* lists as the columnar
@@ -97,14 +98,27 @@ class NocSimulator:
         else:
             self._inject_free = [0.0] * topology.num_tiles
             self._eject_free = [0.0] * topology.num_tiles
-        # Accounting --------------------------------------------------------
-        self.link_flits: Dict[Link, int] = {}
+        self.telemetry = get_telemetry()
+        self._clear_links()
+
+    def _clear_links(self) -> None:
+        """Fresh per-slot link, buffer and accounting state."""
+        num_slots = self.topology.num_tiles * self.policy.layout.ports
+        #: Next cycle each link slot can start transmitting a flit.
+        self._link_free = [0.0] * num_slots
+        #: Release times of the last ``queue_depth`` flits charged to each
+        #: slot's downstream buffer: slot ``s``'s ring is the ``queue_depth``
+        #: entries from ``s * queue_depth``, ``-inf`` where none was charged.
+        self._credits = [-math.inf] * (num_slots * self.queue_depth)
+        #: Ring position of each slot's oldest charge (its next overwrite).
+        self._credit_heads = [0] * num_slots
+        #: Flits routed over each link slot.
+        self._slot_flits = [0] * num_slots
         self.total_messages = 0
         self.total_flits = 0
         self.total_flit_hops = 0
         self.latency_sum = 0.0
         self.last_delivery = 0.0
-        self.telemetry = get_telemetry()
 
     # ------------------------------------------------------------------- send
     def send(self, src: int, dst: int, flits: int, now: float) -> float:
@@ -120,64 +134,85 @@ class NocSimulator:
             raise ValueError(f"message length must be >= 1 flit, got {flits}")
         message_index = self.total_messages
         self.total_messages += 1
-        path = self.policy.route(
-            src, dst, message_index, lambda link: self._link_free.get(link, 0.0)
-        )
-        links = list(zip(path[:-1], path[1:]))
-        hops = len(links)
-        arrival = now
+        link_free = self._link_free
+        route = self.policy.route(src, dst, message_index, link_free)
+        hops = len(route)
+        depth = self.queue_depth
+        credits = self._credits
+        heads = self._credit_heads
+        telemetry = self.telemetry
+        sampled = telemetry.enabled and message_index % _SAMPLE_STRIDE == 0
+        if sampled:
+            # Occupancy of every buffer along this route when the message
+            # arrives: charged flits not yet released by ``now``.  Sampled,
+            # because per-message histograms would dominate the flit loop on
+            # saturation traces.
+            for slot in route:
+                ring = credits[slot * depth:(slot + 1) * depth]
+                telemetry.observe(
+                    "noc.sim.queue_occupancy", sum(release > now for release in ring)
+                )
+        inject_free = self._inject_free
+        eject_free = self._eject_free
         for _flit in range(flits):
             # The tile's injection port releases one flit per cycle.
-            t = max(now, self._inject_free[src])
-            departures: List[float] = []
-            for link in links:
-                dep = max(t, self._link_free.get(link, 0.0))
-                credit = self._credits.get(link)
-                if credit is not None and len(credit) >= self.queue_depth:
-                    # All downstream buffer slots are charged: wait for the
-                    # oldest resident flit to leave, then reuse its slot.
-                    dep = max(dep, credit.popleft())
-                departures.append(dep)
-                self._link_free[link] = dep + 1.0
+            port = inject_free[src]
+            t = port if port > now else now
+            behind = -1  # ring entry charged for the buffer the flit is in
+            for slot in route:
+                free = link_free[slot]
+                dep = free if free > t else t
+                # Wait for the oldest flit charged to the downstream buffer
+                # to leave (-inf while the buffer has a free slot), then
+                # take over its ring entry.
+                head = heads[slot]
+                entry = slot * depth + head
+                oldest = credits[entry]
+                if oldest > dep:
+                    dep = oldest
+                heads[slot] = head + 1 if head + 1 < depth else 0
+                # Departing on this link frees the buffer behind it.  A
+                # minimal route never repeats a link, so no ring is read
+                # after this flit has charged it.
+                if behind >= 0:
+                    credits[behind] = dep
+                behind = entry
                 t = dep + 1.0  # flit lands in the downstream buffer
-            self._inject_free[src] = departures[0] + 1.0
+                link_free[slot] = t
+            # The injection port frees with the first link: one cycle after
+            # the flit left on it.
+            inject_free[src] = link_free[route[0]]
             # The destination's ejection port drains one flit per cycle.
-            eject = max(t, self._eject_free[dst])
-            self._eject_free[dst] = eject + 1.0
-            arrival = eject
-            # Charge the buffer slots this flit occupied: the slot behind
-            # link h frees when the flit departs on link h+1 (or ejects).
-            for h, link in enumerate(links):
-                release = departures[h + 1] if h + 1 < hops else eject
-                self._credits.setdefault(link, deque()).append(release)
+            port = eject_free[dst]
+            eject = port if port > t else t
+            eject_free[dst] = eject + 1.0
+            credits[behind] = eject
         # ------------------------------------------------------- accounting
-        for link in links:
-            self.link_flits[link] = self.link_flits.get(link, 0) + flits
+        slot_flits = self._slot_flits
+        for slot in route:
+            slot_flits[slot] += flits
         self.total_flits += flits
         self.total_flit_hops += flits * hops
-        self.latency_sum += arrival - now
-        if arrival > self.last_delivery:
-            self.last_delivery = arrival
-        telemetry = self.telemetry
+        self.latency_sum += eject - now
+        if eject > self.last_delivery:
+            self.last_delivery = eject
         if telemetry.enabled:
             telemetry.count("noc.sim.messages")
             telemetry.count("noc.sim.flits", flits)
-            if message_index % _SAMPLE_STRIDE == 0:
-                # Occupancy of every buffer along this route, plus latency:
-                # sampled, because per-message histograms would dominate the
-                # flit loop on saturation traces.
-                for link in links:
-                    credit = self._credits.get(link)
-                    telemetry.observe(
-                        "noc.sim.queue_occupancy", len(credit) if credit else 0
-                    )
-                telemetry.observe("noc.sim.latency_cycles", arrival - now)
-        return arrival
+            if sampled:
+                telemetry.observe("noc.sim.latency_cycles", eject - now)
+        return eject
+
+    @property
+    def link_flits(self) -> Dict[Link, int]:
+        """Flits routed over each used directed link, ``(src, dst) -> flits``."""
+        link = self.policy.layout.link
+        return {link(slot): flits for slot, flits in enumerate(self._slot_flits) if flits}
 
     # ------------------------------------------------------------------ stats
     def max_link_load(self) -> int:
         """Heaviest per-link flit count actually routed (simulated traffic)."""
-        return max(self.link_flits.values(), default=0)
+        return max(self._slot_flits, default=0)
 
     def mean_latency(self) -> float:
         """Average message latency (delivery minus injection), in cycles."""
@@ -203,14 +238,7 @@ class NocSimulator:
 
         Port arrays are zeroed in place: they may be shared with a machine's
         columnar state."""
-        self._link_free.clear()
-        self._credits.clear()
         for tile in range(len(self._inject_free)):
             self._inject_free[tile] = 0.0
             self._eject_free[tile] = 0.0
-        self.link_flits.clear()
-        self.total_messages = 0
-        self.total_flits = 0
-        self.total_flit_hops = 0
-        self.latency_sum = 0.0
-        self.last_delivery = 0.0
+        self._clear_links()

@@ -4,10 +4,13 @@ Routing is dimension-ordered (X then Y, then Z on 3D stacks), matching the
 paper's wormhole network.  A route is the ordered list of tiles a message
 traverses, including source and destination; the directed links used are the
 consecutive pairs of that list.  :meth:`Topology.route_dims` generalizes the
-same per-dimension decomposition to arbitrary dimension orders, and
-:meth:`Topology.minimal_next_hops` exposes the per-dimension minimal next-hop
-candidates -- the API the :mod:`repro.noc.sim` routing policies (oblivious
-XY/YX, minimal-adaptive) are built on.
+same per-dimension decomposition to arbitrary dimension orders.
+
+Both cycle-engine network models keep link state in flat lists indexed by
+the ``tile * ports + output port`` slots of :meth:`Topology.slot_layout`, and
+walk every route, of every :mod:`repro.noc.sim` policy, in closed form from
+its per-dimension leg table, with no route cache; :meth:`SlotLayout.link`
+turns a slot back into its ``(tile, next_tile)`` link.
 
 The torus models the paper's folded layout ("consecutive logical tiles at a
 distance of two in the silicon"): link length is twice the tile pitch, which the
@@ -21,6 +24,7 @@ fraction of a tile pitch in wire length.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, List, Optional, Tuple
 
@@ -29,6 +33,33 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 Link = Tuple[int, int]
+
+
+@dataclass(frozen=True)
+class SlotLayout:
+    """A topology's directed links numbered ``tile * ports + output port``.
+
+    Every router has one output port per dimension and hop offset: +-1, plus
+    +-R on ruche grids.  A minimal route never takes two offsets that land
+    on the same neighbour, so each link a route can use has one slot.
+    """
+
+    #: Output ports per router: ``len(steps)`` per dimension.
+    ports: int
+    #: The hop offset of each port within its dimension, in port order.
+    steps: Tuple[int, ...]
+    #: Per dimension, in routing order: ``(tile stride, size, legs)``, where
+    #: ``legs[delta + size - 1]`` lists the ``(offset, port)`` of every hop
+    #: that covers a displacement of ``delta``.
+    dimensions: Tuple[tuple, ...]
+
+    def link(self, slot: int) -> Link:
+        """The ``(tile, next_tile)`` link a slot names (inverse of the layout)."""
+        tile, port = divmod(slot, self.ports)
+        dim, index = divmod(port, len(self.steps))
+        stride, size, _legs = self.dimensions[dim]
+        here = tile // stride % size
+        return tile, tile + ((here + self.steps[index]) % size - here) * stride
 
 
 class Topology(ABC):
@@ -96,9 +127,9 @@ class Topology(ABC):
     def route_dims(self, src: int, dst: int, dim_order: Tuple[int, ...]) -> List[int]:
         """Minimal route visiting dimensions in ``dim_order`` (e.g. Y before X).
 
-        ``route_dims(src, dst, (0, 1))`` reproduces :meth:`route` exactly; a
-        permuted order is what the oblivious XY/YX routing policy uses to
-        spread traffic over both dimension orders.
+        ``route_dims(src, dst, (0, 1))`` reproduces :meth:`route` exactly;
+        ``(1, 0)`` is the Y-first route the oblivious XY/YX routing policy
+        gives odd-numbered messages.
         """
         sizes = self.dimension_sizes()
         cur = list(self.coords_nd(src))
@@ -110,28 +141,27 @@ class Topology(ABC):
                 path.append(self.tile_from_nd(tuple(cur)))
         return path
 
-    def minimal_next_hops(self, cur: int, dst: int) -> List[Tuple[int, int]]:
-        """Minimal next-hop candidates from ``cur`` toward ``dst``.
+    def slot_layout(self) -> SlotLayout:
+        """The flat (tile, output port) link numbering both network models use.
 
-        Returns ``(dimension, next_tile)`` pairs, one per dimension that still
-        has displacement to cover, in dimension order (so taking the first
-        candidate at every step reproduces dimension-ordered routing).  The
-        per-dimension step is the same greedy first hop :meth:`route` takes,
-        so express (ruche) channels and shortest-direction torus wraps are
-        honoured by every policy built on this.
+        Tabulates :meth:`next_hop_offsets` once per dimension and
+        displacement -- O(width + height) entries -- so a route is walked in
+        closed form: hop ``k`` of a dimension leaves the tile reached so far
+        through the port of that leg's offset.
         """
-        sizes = self.dimension_sizes()
-        cur_c = self.coords_nd(cur)
-        dst_c = self.coords_nd(dst)
-        candidates: List[Tuple[int, int]] = []
-        for dim, size in enumerate(sizes):
-            offsets = self.next_hop_offsets(dst_c[dim] - cur_c[dim], size)
-            if not offsets:
-                continue
-            nxt = list(cur_c)
-            nxt[dim] = (nxt[dim] + offsets[0]) % size
-            candidates.append((dim, self.tile_from_nd(tuple(nxt))))
-        return candidates
+        express = self.ruche_factor
+        steps = (1, -1, express, -express) if express else (1, -1)
+        dimensions = []
+        stride = 1
+        for dim, size in enumerate(self.dimension_sizes()):
+            port = {step: dim * len(steps) + index for index, step in enumerate(steps)}
+            legs = [
+                tuple((step, port[step]) for step in self.next_hop_offsets(delta, size))
+                for delta in range(1 - size, size)
+            ]
+            dimensions.append((stride, size, legs))
+            stride *= size
+        return SlotLayout(len(steps) * len(dimensions), steps, tuple(dimensions))
 
     def hop_distance(self, src: int, dst: int) -> int:
         """Number of router-to-router hops between two tiles (O(1) arithmetic)."""

@@ -143,18 +143,19 @@ def check_network_contention(result, link_model, network) -> List[str]:
         )
     routing = network.policy.kind
     if routing == "dimension_ordered":
-        if link_model.detailed and network.link_flits != link_model.link_flits:
+        simulated = network.link_flits  # derived per read: read it once
+        if link_model.detailed and simulated != link_model.link_flits:
             diffs = [
                 link
-                for link in set(network.link_flits) | set(link_model.link_flits)
-                if network.link_flits.get(link, 0) != link_model.link_flits.get(link, 0)
+                for link in set(simulated) | set(link_model.link_flits)
+                if simulated.get(link, 0) != link_model.link_flits.get(link, 0)
             ]
             sample = sorted(diffs)[:3]
             violations.append(
                 f"per-link flit totals diverge from the analytical model on "
                 f"{len(diffs)} link(s), e.g. "
                 + ", ".join(
-                    f"{link}: sim={network.link_flits.get(link, 0)} "
+                    f"{link}: sim={simulated.get(link, 0)} "
                     f"analytical={link_model.link_flits.get(link, 0)}"
                     for link in sample
                 )

@@ -15,9 +15,29 @@ TOPOLOGIES = [
 ]
 
 
-def idle_links(link):
-    """Link-state stub for an empty network: every link free at cycle 0."""
-    return 0.0
+def idle_links(policy):
+    """Link-state stub for an empty network: every link slot free at cycle 0."""
+    return [0.0] * (policy.topology.num_tiles * policy.layout.ports)
+
+
+def tile_path(policy, src, slots):
+    """The tiles a slot route visits from ``src``, via the layout's inverse.
+
+    Each slot must leave the tile the previous one entered (contiguity).
+    """
+    path = [src]
+    for slot in slots:
+        tile, next_tile = policy.layout.link(slot)
+        assert tile == path[-1], f"slot {slot} leaves {tile}, not {path[-1]}"
+        path.append(next_tile)
+    return path
+
+
+def route_path(policy, src, dst, message_index, link_free=None):
+    """One message's route as the tile list it traverses, inclusive."""
+    if link_free is None:
+        link_free = idle_links(policy)
+    return tile_path(policy, src, policy.route(src, dst, message_index, link_free))
 
 
 def pairs(topology, stride=3):
@@ -36,7 +56,7 @@ class TestRoutesAreValid:
         topology = make_topology(kind, width, height, depth=depth)
         policy = make_routing(routing, topology)
         for src, dst in pairs(topology):
-            path = policy.route(src, dst, 0, idle_links)
+            path = route_path(policy, src, dst, 0)
             assert path[0] == src and path[-1] == dst
             # Minimal: exactly the dimension-ordered hop count, whatever the
             # policy (all policies only take distance-reducing steps).
@@ -48,9 +68,10 @@ class TestRoutesAreValid:
         topology = make_topology(kind, width, height, depth=depth)
         policy_a = make_routing(routing, topology)
         policy_b = make_routing(routing, topology)
+        idle = idle_links(policy_a)
         for index, (src, dst) in enumerate(pairs(topology)):
-            assert policy_a.route(src, dst, index, idle_links) == policy_b.route(
-                src, dst, index, idle_links
+            assert policy_a.route(src, dst, index, idle) == policy_b.route(
+                src, dst, index, idle
             )
 
 
@@ -60,7 +81,7 @@ class TestDimensionOrdered:
         policy = make_routing("dimension_ordered", topology)
         for src in range(topology.num_tiles):
             for dst in range(topology.num_tiles):
-                assert policy.route(src, dst, 0, idle_links) == topology.route(src, dst)
+                assert route_path(policy, src, dst, 0) == topology.route(src, dst)
 
 
 class TestXYYX:
@@ -68,8 +89,8 @@ class TestXYYX:
         topology = make_topology("mesh", 4, 4)
         policy = make_routing("xy_yx", topology)
         src, dst = 0, topology.tile_at(3, 3)
-        x_first = policy.route(src, dst, 0, idle_links)
-        y_first = policy.route(src, dst, 1, idle_links)
+        x_first = route_path(policy, src, dst, 0)
+        y_first = route_path(policy, src, dst, 1)
         assert x_first == topology.route(src, dst)
         assert y_first == topology.route_dims(src, dst, (1, 0))
         assert x_first != y_first  # corner-to-corner: the orders must differ
@@ -78,7 +99,7 @@ class TestXYYX:
         topology = make_topology("torus", 4, 4)
         policy = make_routing("xy_yx", topology)
         for src, dst in pairs(topology, stride=2):
-            assert policy.route(src, dst, 2, idle_links) == topology.route(src, dst)
+            assert route_path(policy, src, dst, 2) == topology.route(src, dst)
 
 
 class TestAdaptive:
@@ -86,7 +107,7 @@ class TestAdaptive:
         topology = make_topology("mesh", 4, 4)
         policy = make_routing("adaptive", topology)
         for src, dst in pairs(topology, stride=2):
-            assert policy.route(src, dst, 0, idle_links) == topology.route(src, dst)
+            assert route_path(policy, src, dst, 0) == topology.route(src, dst)
 
     def test_steers_around_a_busy_link(self):
         topology = make_topology("mesh", 4, 4)
@@ -94,11 +115,12 @@ class TestAdaptive:
         src = topology.tile_at(0, 0)
         dst = topology.tile_at(1, 1)
         hot = (src, topology.tile_at(1, 0))  # the X-first first hop
+        congested = idle_links(policy)
+        hot_slot = policy.route(src, dst, 0, congested)[0]
+        assert policy.layout.link(hot_slot) == hot
+        congested[hot_slot] = 100.0
 
-        def congested(link):
-            return 100.0 if link == hot else 0.0
-
-        path = policy.route(src, dst, 0, congested)
+        path = route_path(policy, src, dst, 0, congested)
         assert path[1] == topology.tile_at(0, 1), "should take the free Y hop first"
         assert len(path) - 1 == topology.hop_distance(src, dst)
 
