@@ -6,7 +6,10 @@ a figure sweep through ``run_all_experiments.py --backend distributed``, and
 asserts the JSON output is byte-identical to the same sweep executed on the
 local process-pool backend.  With ``--kill-one-worker`` an extra worker is
 started and SIGKILLed mid-sweep, proving that lease expiry + requeue finish
-the batch anyway (the byte-equality assertion is unchanged).
+the batch anyway (the byte-equality assertion is unchanged).  With
+``--shards N`` the sweep then runs again at N shards per simulation against
+a fresh broker and plain workers, each running its sharded specs on its own
+local shard transport; that output must be byte-identical too.
 
 This is the CI job behind the subsystem's acceptance criterion; run it
 locally with::
@@ -69,19 +72,9 @@ def _start_broker(
 
 
 def _start_worker(
-    address: str,
-    tag: str,
-    protocol: str = None,
-    telemetry: bool = False,
-    trace: Path = None,
-    gang: bool = False,
+    address: str, tag: str, telemetry: bool = False, trace: Path = None
 ) -> subprocess.Popen:
     env = _env()
-    if protocol is not None:
-        # Stamp this worker's wire messages with an older protocol
-        # generation: the mixed-fleet smoke proves a v2 worker still
-        # completes work against the v3 asyncio broker.
-        env["DALOREX_PROTOCOL"] = protocol
     if telemetry:
         env["DALOREX_TELEMETRY"] = "1"
     if trace is not None:
@@ -91,9 +84,26 @@ def _start_worker(
     command = [sys.executable, "-m", "repro.cli", "worker",
                "--connect", address, "--worker-id", tag,
                "--poll-interval", "0.1", "--patience", "60"]
-    if gang:
-        command.append("--gang")
     return subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL)
+
+
+def _stop_fleet(address: str, broker: subprocess.Popen, workers: list) -> None:
+    """Shut the broker down through the protocol, then reap every process."""
+    from repro.runtime.distributed.protocol import parse_address, request
+
+    try:
+        request(parse_address(address), {"op": "shutdown"})
+    except Exception:
+        broker.send_signal(signal.SIGINT)
+    for process in workers:
+        try:
+            process.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            process.kill()
+    try:
+        broker.wait(timeout=30)
+    except subprocess.TimeoutExpired:
+        broker.kill()
 
 
 def _run_sweep(args, tag: str, work_dir: Path, extra: list) -> bytes:
@@ -221,53 +231,45 @@ def _check_trace_links(trace_files: list) -> None:
           f">=2 processes", flush=True)
 
 
-def _sharded_gang_phase(args, work_dir: Path, reference: bytes) -> bool:
-    """Run the sweep again as 2-shard broker gangs; must stay byte-identical.
+def _sharded_phase(args, work_dir: Path, reference: bytes) -> bool:
+    """Run the sweep again at ``--shards N`` on plain workers; must stay
+    byte-identical.
 
-    A fresh broker (own cache/state under ``work_dir/gang``) so the main
-    phase's ingested payloads cannot short-circuit the submits, plus two
-    gang-capable workers: every spec executes jointly -- the popping worker
-    becomes the hub (coordinator + shard 0) and the other joins as shard 1,
-    exchanging segments through the broker's gang mailbox.  The broker's
-    ``broker.gang.joins`` counter proves gangs actually formed.
+    A fresh broker (own cache/state under ``work_dir/sharded``) so the main
+    phase's ingested payloads cannot short-circuit the submits.  Every
+    worker leases a sharded spec like any other and runs it on its own
+    local shard transport.
     """
     from repro.runtime.distributed.protocol import parse_address, request
 
-    gang_dir = work_dir / "gang"
-    gang_dir.mkdir()
-    broker, address, _http = _start_broker(gang_dir, args.lease_timeout)
-    print(f"[smoke] gang broker up at {address}", flush=True)
-    workers = [_start_worker(address, f"gang-{i}", gang=True) for i in range(2)]
+    shard_dir = work_dir / "sharded"
+    shard_dir.mkdir()
+    broker, address, _http = _start_broker(shard_dir, args.lease_timeout)
+    print(f"[smoke] sharded broker up at {address}", flush=True)
+    workers = [
+        _start_worker(address, f"sharded-{i}") for i in range(args.workers)
+    ]
     try:
-        print("[smoke] sharded sweep via a 2-worker gang fleet", flush=True)
+        print(f"[smoke] {args.shards}-shard sweep via {args.workers} "
+              "worker(s)", flush=True)
         sharded = _run_sweep(
-            args, "sharded-gang", work_dir,
-            ["--backend", "distributed", "--connect", address, "--shards", "2"],
+            args, "sharded", work_dir,
+            ["--backend", "distributed", "--connect", address,
+             "--shards", str(args.shards)],
         )
-        response = request(parse_address(address), {"op": "metrics"})
-        joins = sum(
-            response["metrics"]["counters"].get("broker.gang.joins", {}).values()
-        )
-        assert joins >= 1, "no gang ever formed: the sharded sweep ran solo"
-        print(f"[smoke] {joins} gang join(s) recorded by the broker", flush=True)
+        status = request(parse_address(address), {"op": "status"})
+        completed = status["stats"]["completed"]
+        assert completed >= 1, "no sharded spec ever reached the fleet"
+        print(f"[smoke] the fleet completed {completed} sharded spec(s)",
+              flush=True)
     finally:
-        try:
-            request(parse_address(address), {"op": "shutdown"})
-        except Exception:
-            broker.send_signal(signal.SIGINT)
-        for process in workers:
-            try:
-                process.wait(timeout=30)
-            except subprocess.TimeoutExpired:
-                process.kill()
-        try:
-            broker.wait(timeout=30)
-        except subprocess.TimeoutExpired:
-            broker.kill()
+        _stop_fleet(address, broker, workers)
     if sharded != reference:
-        print("[smoke] FAIL: 2-shard gang output differs from process pool")
+        print(f"[smoke] FAIL: {args.shards}-shard fleet output differs from "
+              "process pool")
         return False
-    print(f"[smoke] OK: {len(sharded)} JSON bytes identical at 2-shard gangs")
+    print(f"[smoke] OK: {len(sharded)} JSON bytes identical at "
+          f"{args.shards} shards")
     return True
 
 
@@ -280,10 +282,6 @@ def main(argv=None) -> int:
                         help="short lease so a killed worker's spec requeues fast")
     parser.add_argument("--kill-one-worker", action="store_true",
                         help="SIGKILL one extra worker mid-sweep")
-    parser.add_argument("--v2-worker", action="store_true",
-                        help="run one of the workers with "
-                             "DALOREX_PROTOCOL=dalorex-dist/2: a mixed "
-                             "v2/v3 fleet must stay byte-identical")
     parser.add_argument("--telemetry", action="store_true",
                         help="run the fleet with telemetry on (broker JSONL "
                              "trace + DALOREX_TELEMETRY=1 workers), assert "
@@ -292,11 +290,12 @@ def main(argv=None) -> int:
     parser.add_argument("--trace-out", default=None, metavar="PATH",
                         help="with --telemetry, copy the broker's JSONL "
                              "trace here (CI uploads it as an artifact)")
-    parser.add_argument("--sharded-gang", action="store_true",
+    parser.add_argument("--shards", type=int, default=1, metavar="N",
                         help="after the main phase, re-run the sweep with "
-                             "--shards 2 on a fresh broker whose workers are "
-                             "gang-capable: each spec executes as a 2-shard "
-                             "broker gang and must stay byte-identical")
+                             "--shards N on a fresh broker and plain workers "
+                             "(each runs sharded specs on its own local "
+                             "shard transport); output must stay "
+                             "byte-identical (default: 1, no sharded phase)")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="dalorex-smoke-") as tmp:
@@ -311,10 +310,7 @@ def main(argv=None) -> int:
         print(f"[smoke] broker up at {address}"
               + (f", gateway at {http_address}" if http_address else ""),
               flush=True)
-        worker_tags = [
-            f"smoke-{i}" + ("-v2" if args.v2_worker and i == 0 else "")
-            for i in range(args.workers)
-        ]
+        worker_tags = [f"smoke-{i}" for i in range(args.workers)]
         worker_traces = {
             tag: work_dir / f"worker-{tag}.jsonl" for tag in worker_tags
         } if args.telemetry else {}
@@ -322,14 +318,11 @@ def main(argv=None) -> int:
             _start_worker(
                 address,
                 tag,
-                protocol="dalorex-dist/2" if args.v2_worker and i == 0 else None,
                 telemetry=args.telemetry,
                 trace=worker_traces.get(tag),
             )
-            for i, tag in enumerate(worker_tags)
+            for tag in worker_tags
         ]
-        if args.v2_worker:
-            print("[smoke] worker smoke-0-v2 speaks dalorex-dist/2", flush=True)
         victim = _start_worker(address, "smoke-victim") if args.kill_one_worker else None
 
         try:
@@ -352,21 +345,7 @@ def main(argv=None) -> int:
                 _check_telemetry(address, worker_tags=worker_tags)
                 _check_gateway(http_address, worker_tags=worker_tags)
         finally:
-            from repro.runtime.distributed.protocol import parse_address, request
-
-            try:
-                request(parse_address(address), {"op": "shutdown"})
-            except Exception:
-                broker.send_signal(signal.SIGINT)
-            for process in workers + ([victim] if victim else []):
-                try:
-                    process.wait(timeout=30)
-                except subprocess.TimeoutExpired:
-                    process.kill()
-            try:
-                broker.wait(timeout=30)
-            except subprocess.TimeoutExpired:
-                broker.kill()
+            _stop_fleet(address, broker, workers + ([victim] if victim else []))
 
         if args.telemetry:
             assert trace.is_file() and trace.stat().st_size > 0, \
@@ -391,7 +370,7 @@ def main(argv=None) -> int:
             return 1
         print(f"[smoke] OK: {len(reference)} JSON bytes identical across backends")
 
-        if args.sharded_gang and not _sharded_gang_phase(args, work_dir, reference):
+        if args.shards > 1 and not _sharded_phase(args, work_dir, reference):
             return 1
         return 0
 

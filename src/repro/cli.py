@@ -123,8 +123,9 @@ def add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--shard-backend", choices=SHARD_BACKEND_CHOICES, default=None,
         help="transport for --shards > 1: 'local' forks a process pool "
-             "per run (default), 'inproc' runs shards in-process, 'gang' "
-             "is reserved for broker-fleet workers",
+             "per run (default), 'inproc' runs shards in-process; not "
+             "valid with --backend distributed, whose workers choose their "
+             "own",
     )
 
 
@@ -146,8 +147,16 @@ def runner_from_args(args: argparse.Namespace) -> ExperimentRunner:
         raise SystemExit(f"error: {exc}")
     shard_backend = getattr(args, "shard_backend", None)
     if shard_backend is not None:
+        if backend.name == "distributed":
+            # The client ships canonical specs only; each fleet worker runs
+            # a sharded spec on the transport its own environment names.
+            raise SystemExit(
+                "error: --shard-backend does not apply to --backend "
+                "distributed: fleet workers choose their own shard transport "
+                "(DALOREX_SHARD_BACKEND in each worker's environment)"
+            )
         # The environment carries the choice into execute_spec wherever the
-        # run lands: inline, the process pool, or a fleet worker's subtree.
+        # run lands in this process tree: inline or the process pool.
         os.environ["DALOREX_SHARD_BACKEND"] = shard_backend
     return ExperimentRunner(
         jobs=args.jobs, cache=cache, backend=backend,
@@ -892,9 +901,6 @@ def worker_command(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--capacity", type=_positive_int, default=1, metavar="N",
                         help="lease and execute up to N specs concurrently "
                              "(default: 1)")
-    parser.add_argument("--gang", action="store_true",
-                        help="join broker-coordinated gangs for sharded specs "
-                             "(hub or member shard; see docs/SHARDING.md)")
     parser.add_argument("--quiet", action="store_true", help="suppress progress lines")
     args = parser.parse_args(argv)
 
@@ -905,7 +911,6 @@ def worker_command(argv: Optional[List[str]] = None) -> int:
         max_runs=args.max_runs,
         connect_patience=args.patience,
         capacity=args.capacity,
-        gang=args.gang,
         log=None if args.quiet else lambda line: print(line, flush=True),
     )
     try:

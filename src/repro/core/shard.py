@@ -1,4 +1,4 @@
-"""Sharded simulation primitives: tile-extent partitioning and exchange codecs.
+"""Sharded simulation primitives: tile-extent partitioning and link-state codec.
 
 One simulation can be partitioned across ``S`` shard workers: the tile grid is
 split into ``S`` contiguous tile extents (spartan-style block splitting), each
@@ -8,9 +8,6 @@ module owns the pieces that are pure data plumbing:
 
 * :class:`ShardPlan` -- the balanced contiguous tile split plus the
   vectorized tile->shard ownership map;
-* the **columnar codec** (:func:`encode_tree` / :func:`decode_tree`) that
-  turns numpy column batches into JSON-safe payloads for trust-boundary
-  transports (the broker gang mailbox), preserving dtypes exactly;
 * the **link-state codec** (:func:`export_link_state` /
   :func:`apply_link_state`) that ships a shard's per-epoch
   :class:`~repro.noc.analytical.LinkLoadModel` integer tallies to the hub.
@@ -19,12 +16,12 @@ module owns the pieces that are pure data plumbing:
   (see :mod:`repro.core.shard_exec` for the determinism argument).
 
 Everything here is deterministic and transport-independent; byte-identical
-reports at any shard count are a property of the algorithm, not the wire.
+reports at any shard count are a property of the algorithm, not the wire
+(the process transport pickles numpy columns, which keeps dtypes exact).
 """
 
 from __future__ import annotations
 
-import base64
 from typing import Any, Dict, Iterator, Tuple
 
 import numpy as np
@@ -85,63 +82,6 @@ class ShardPlan:
 
     def describe(self) -> str:
         return f"{self.num_shards} shard(s) over {self.num_tiles} tiles"
-
-
-# ------------------------------------------------------------ columnar codec
-_ND_TAG = "__nd__"
-_TUPLE_TAG = "__tuple__"
-
-
-def encode_array(array: np.ndarray) -> Dict[str, Any]:
-    """JSON-safe dtype-exact encoding of one numpy array."""
-    array = np.ascontiguousarray(array)
-    return {
-        _ND_TAG: True,
-        "dtype": array.dtype.str,
-        "shape": list(array.shape),
-        "data": base64.b64encode(array.tobytes()).decode("ascii"),
-    }
-
-
-def decode_array(blob: Dict[str, Any]) -> np.ndarray:
-    raw = base64.b64decode(blob["data"].encode("ascii"))
-    array = np.frombuffer(raw, dtype=np.dtype(blob["dtype"]))
-    return array.reshape(tuple(blob["shape"])).copy()
-
-
-def encode_tree(value: Any) -> Any:
-    """Recursively encode dict/list/tuple trees with ndarray leaves.
-
-    Tuples are tagged so :func:`decode_tree` restores them exactly (segment
-    params are tuples of columns).  Numpy scalars become Python scalars.
-    """
-    if isinstance(value, np.ndarray):
-        return encode_array(value)
-    if isinstance(value, tuple):
-        return {_TUPLE_TAG: [encode_tree(item) for item in value]}
-    if isinstance(value, list):
-        return [encode_tree(item) for item in value]
-    if isinstance(value, dict):
-        return {key: encode_tree(item) for key, item in value.items()}
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    return value
-
-
-def decode_tree(value: Any) -> Any:
-    if isinstance(value, dict):
-        if value.get(_ND_TAG):
-            return decode_array(value)
-        if _TUPLE_TAG in value and len(value) == 1:
-            return tuple(decode_tree(item) for item in value[_TUPLE_TAG])
-        return {key: decode_tree(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [decode_tree(item) for item in value]
-    return value
 
 
 # ---------------------------------------------------------- link-state codec

@@ -257,8 +257,8 @@ class InprocChannel:
     """Same-process channel: the worker object is invoked directly.
 
     Byte-identity is a property of the sharded algorithm, not the wire, so
-    the conformance tests drive this cheapest transport; the process-pool and
-    gang transports carry the same messages.
+    the conformance tests drive this cheapest transport; the process-pool
+    transport carries the same messages.
     """
 
     def __init__(self, worker: ShardWorker) -> None:
@@ -698,7 +698,7 @@ def run_sharded(
     shard).  Outside the shardable envelope -- or at an effective shard count
     of 1 -- this falls back to plain ``machine.run()``, which is trivially
     byte-identical.  ``channel_factory(plan)`` supplies transport channels
-    (process pipes, gang mailboxes); the default runs every shard in-process.
+    (process pipes); the default runs every shard in-process.
     """
     hub = machine_factory()
     effective = min(int(shards), hub.config.num_tiles)

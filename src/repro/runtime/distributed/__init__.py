@@ -4,18 +4,17 @@ The spec/payload boundary was process-safe JSON from PR 1 on, so remote
 execution is transport plus trust management:
 
 * :mod:`~repro.runtime.distributed.protocol` -- JSON-lines-over-TCP framing
-  shared by all three roles (generations v1..v3: gzip transport, structured
-  error/failure codes, bounded frames, chunked fetch, tenancy);
+  shared by all three roles, speaking ``dalorex-dist/3`` only: gzip
+  payloads, structured error/failure codes, bounded frames, chunked fetch,
+  tenancy;
 * :mod:`~repro.runtime.distributed.broker` -- ``dalorex broker``: an asyncio
   TCP service over a costliest-first, fair-share-per-tenant queue
   (:meth:`RunSpec.predicted_cost`) with pull leases, heartbeats, crash
   requeue under an attempt cap, admission control, digest- and
   oracle-checked ingest, and an optional restart-safe journal;
 * :mod:`~repro.runtime.distributed.worker` -- ``dalorex worker``: stateless
-  pull loops that rebuild graph and machine from the canonical spec;
-* :mod:`~repro.runtime.distributed.gang` -- the ``--gang`` transport: one
-  ``shards > 1`` spec executed jointly by several fleet workers (hub +
-  member shards) through the broker's gang mailbox, all-or-nothing;
+  pull loops that rebuild graph and machine from the canonical spec (a
+  sharded spec runs on the worker's own local shard transport);
 * :mod:`~repro.runtime.distributed.client` -- the
   :class:`~repro.runtime.backends.RunnerBackend` that
   ``--backend distributed`` plugs into any ExperimentRunner call site;
@@ -34,22 +33,12 @@ from repro.runtime.distributed.broker import (
     BrokerStats,
 )
 from repro.runtime.distributed.client import DistributedBackend
-from repro.runtime.distributed.gang import (
-    GangAborted,
-    GangChannel,
-    run_gang_hub,
-    run_gang_member,
-)
 from repro.runtime.distributed.gateway import ObservabilityGateway
 from repro.runtime.distributed.protocol import (
-    COMPAT_PROTOCOLS,
     DEFAULT_PORT,
     DEFAULT_TENANT,
     MAX_FRAME_BYTES,
     PROTOCOL,
-    PROTOCOL_V1,
-    PROTOCOL_V2,
-    PROTOCOL_V3,
     BrokerError,
     ProtocolError,
     format_address,
@@ -64,24 +53,16 @@ __all__ = [
     "BrokerError",
     "BrokerServer",
     "BrokerStats",
-    "COMPAT_PROTOCOLS",
     "DEFAULT_PORT",
     "DEFAULT_TENANT",
     "DistributedBackend",
-    "GangAborted",
-    "GangChannel",
     "MAX_FRAME_BYTES",
     "ObservabilityGateway",
     "PROTOCOL",
-    "PROTOCOL_V1",
-    "PROTOCOL_V2",
-    "PROTOCOL_V3",
     "ProtocolError",
     "Worker",
     "execute_canonical",
     "format_address",
     "parse_address",
     "request",
-    "run_gang_hub",
-    "run_gang_member",
 ]

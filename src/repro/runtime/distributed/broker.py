@@ -10,14 +10,18 @@ of concurrent connections cheap -- one task per connection instead of one
 thread -- while every broker op runs on a worker thread so the lock-guarded
 state machine never stalls the event loop.
 
-Multi-tenancy (protocol v3, see ``docs/DISTRIBUTED.md``): every submit may
-name a ``tenant``.  Each tenant owns its own costliest-first heap, and
-leases round-robin across tenants with queued work -- one greedy tenant can
-no longer starve the rest -- while ``tenant_quota`` bounds how many
-incomplete specs a single tenant may have in flight (rejected with the
-typed ``tenant-quota-exceeded`` code).  Untagged peers (all v1/v2 traffic)
-share the ``default`` tenant, which preserves the historical global
-costliest-first order exactly.
+Multi-tenancy (see ``docs/DISTRIBUTED.md``): every submit may name a
+``tenant``.  Each tenant owns its own costliest-first heap, and leases
+round-robin across tenants with queued work -- one greedy tenant can no
+longer starve the rest -- while ``tenant_quota`` bounds how many incomplete
+specs a single tenant may have in flight (rejected with the typed
+``tenant-quota-exceeded`` code).  Untagged submits share the ``default``
+tenant, which is one global costliest-first order.
+
+The server speaks ``dalorex-dist/3`` only: a request stamped with any other
+generation (or with none) is refused with the typed ``unsupported-protocol``
+code.  Uploads travel as ``payload_gz`` and fetch answers as ``results_gz``
+plus a ``chunked`` map; there is no plain-JSON payload encoding.
 
 Failure semantics (see ``docs/DISTRIBUTED.md``):
 
@@ -52,20 +56,20 @@ import socket
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.runtime.cache import ResultCache, payload_digest
 from repro.runtime.distributed.protocol import (
-    COMPAT_PROTOCOLS,
     DEFAULT_TENANT,
     ERR_BAD_REQUEST,
     ERR_FRAME_TOO_LARGE,
     ERR_TENANT_QUOTA,
     ERR_UNKNOWN_KEY,
     ERR_UNKNOWN_OP,
+    ERR_UNSUPPORTED_PROTOCOL,
     FAIL_GAVE_UP,
     FAIL_NEVER_SUBMITTED,
     MAX_FRAME_BYTES,
@@ -130,63 +134,10 @@ class _Task:
     #: Wire-form trace context the client minted at submission (telemetry
     #: only: echoed on the lease so the worker's spans join the same trace).
     trace: Optional[Dict[str, str]] = None
-    #: Gang currently executing this task (``shards > 1`` tasks leased by
-    #: gang-capable workers); ``None`` for solo leases.
-    gang_id: Optional[str] = None
 
     @property
     def leased(self) -> bool:
         return self.worker is not None
-
-
-@dataclass
-class _Gang:
-    """One all-or-nothing gang jointly executing a sharded task.
-
-    The worker that pops the task becomes the *hub* (it runs the shard
-    coordinator plus shard 0 in-process); every later gang-capable lease
-    joins as one member shard until shards ``1..size-1`` are all held.  The
-    broker relays the hub <-> member exchange through ``mailbox`` (FIFO
-    per ``(shard, box)``; ``"in"`` carries hub->member messages, ``"out"``
-    the replies).  Any member failure -- missed heartbeats, an executor
-    error, or a formation window that never fills -- aborts the *whole*
-    gang and requeues the task, so a partial gang can never publish a
-    partial result.
-    """
-
-    gang_id: str
-    key: str
-    #: Effective shard count (``min(spec.shards, num_tiles)``); the hub
-    #: holds shard 0, so a complete gang has ``size - 1`` members.
-    size: int
-    #: Member shard index -> worker id (shards ``1..size-1``).
-    members: Dict[int, str] = field(default_factory=dict)
-    #: Member shard index -> lease deadline (heartbeat-extended).
-    deadlines: Dict[int, float] = field(default_factory=dict)
-    #: The gang aborts if it is still missing members past this instant.
-    formation_deadline: float = 0.0
-    #: ``(shard, box)`` -> FIFO of JSON-safe exchange blobs.
-    mailbox: Dict[Tuple[int, str], Deque[Any]] = field(default_factory=dict)
-
-    @property
-    def complete(self) -> bool:
-        return len(self.members) >= self.size - 1
-
-    def next_shard(self) -> int:
-        """Smallest member shard index not yet held."""
-        for shard in range(1, self.size):
-            if shard not in self.members:
-                return shard
-        raise ValueError(f"gang {self.gang_id} is already complete")
-
-
-def _effective_shards(canonical: Dict[str, Any]) -> int:
-    """Shard count a gang for this spec needs (1 = not a gang candidate)."""
-    try:
-        spec = RunSpec.from_canonical(canonical)
-        return max(1, min(int(spec.shards), spec.config.num_tiles))
-    except Exception:  # malformed spec: lease it solo, let the worker fail it
-        return 1
 
 
 @dataclass
@@ -272,7 +223,7 @@ class Broker:
         # FAIL_NEVER_SUBMITTED counts per fetch *response* (the condition is
         # per-poll, not per-spec); everything else counts once per incident.
         self._code_totals: Dict[str, int] = {}
-        # Latest worker-side self-reported stats (piggybacked on v3 lease
+        # Latest worker-side self-reported stats (piggybacked on lease
         # requests): worker id -> {completed, leases, leaked_heartbeats, ...}.
         self._worker_reports: Dict[str, Dict[str, int]] = {}
         # Fleet-wide telemetry: workers piggyback cumulative registry
@@ -286,8 +237,8 @@ class Broker:
         self._lock = threading.Lock()
         self._tasks: Dict[str, _Task] = {}
         # One costliest-first heap per tenant plus a round-robin rotation of
-        # tenants with queued work; the single-tenant case (all v1/v2
-        # traffic) degenerates to the historical global heap exactly.
+        # tenants with queued work; the single-tenant case degenerates to
+        # one global costliest-first heap.
         self._queues: Dict[str, List[Tuple[float, int, str]]] = {}
         self._rotation: Deque[str] = deque()
         self._completed: Dict[str, _Completed] = {}
@@ -300,10 +251,6 @@ class Broker:
         # Canonical specs of failed keys (in-memory only): lets a late but
         # valid upload for a given-up spec still be verified and accepted.
         self._failed_specs: Dict[str, Dict[str, Any]] = {}
-        # Live gangs (in-memory only: a broker restart aborts every gang,
-        # which is exactly the whole-gang-requeue failure semantics).
-        self._gangs: Dict[str, _Gang] = {}
-        self._gang_seq = 0
         self._seq = 0
         self._shutdown = False
         if self.state_path is not None:
@@ -325,11 +272,10 @@ class Broker:
         :class:`AdmissionError` (the ``tenant-quota-exceeded`` code on the
         wire).
 
-        ``traces`` optionally maps spec keys to wire-form trace contexts
-        (protocol v3, additive): the broker stores each with its task and
-        echoes it on the lease, which is how a worker's spans join the trace
-        the submitting client minted.  Purely observational -- scheduling
-        never reads it.
+        ``traces`` optionally maps spec keys to wire-form trace contexts:
+        the broker stores each with its task and echoes it on the lease,
+        which is how a worker's spans join the trace the submitting client
+        minted.  Purely observational -- scheduling never reads it.
         """
         queued = duplicates = 0
         specs = [RunSpec.from_canonical(canonical) for canonical in canonicals]
@@ -381,25 +327,15 @@ class Broker:
         return {"queued": queued, "duplicates": duplicates}
 
     def lease(
-        self,
-        worker: str,
-        stats: Optional[Dict[str, Any]] = None,
-        gang_ok: bool = False,
+        self, worker: str, stats: Optional[Dict[str, Any]] = None
     ) -> Dict[str, Any]:
         """Hand out the next spec: fair-share across tenants, costliest
         first within each tenant.
 
         ``stats`` is the worker's self-reported counter dict (piggybacked on
-        v3 lease requests); the broker keeps the latest report per worker so
+        lease requests); the broker keeps the latest report per worker so
         fleet dashboards can see worker-side health (completed, uploads,
         leaked heartbeat threads) without a side channel to every worker.
-
-        ``gang_ok`` (additive v3 field) marks a gang-capable worker: it
-        first fills any forming gang (joining as one member shard of an
-        already-leased sharded task), and a ``shards > 1`` task it pops
-        itself starts a new gang with this worker as the hub.  Workers that
-        never send the flag lease sharded tasks solo (the local transports
-        execute them byte-identically), so a mixed fleet stays live.
         """
         with self._lock:
             if stats:
@@ -411,10 +347,6 @@ class Broker:
             if self._shutdown:
                 return {"key": None, "shutdown": True}
             self._requeue_expired_locked()
-            if gang_ok:
-                joined = self._join_gang_locked(worker)
-                if joined is not None:
-                    return joined
             for _ in range(len(self._rotation)):
                 tenant = self._rotation.popleft()
                 queue = self._queues.get(tenant, [])
@@ -439,20 +371,6 @@ class Broker:
                 task.leased_at = now
                 self.stats.leases += 1
                 self._worker_ledger_locked(worker)["leases"] += 1
-                gang_info: Optional[Dict[str, Any]] = None
-                if gang_ok:
-                    size = _effective_shards(task.canonical)
-                    if size > 1:
-                        self._gang_seq += 1
-                        gang_id = f"gang-{self._gang_seq}-{task.key[:8]}"
-                        self._gangs[gang_id] = _Gang(
-                            gang_id,
-                            task.key,
-                            size,
-                            formation_deadline=now + self.lease_timeout,
-                        )
-                        task.gang_id = gang_id
-                        gang_info = {"id": gang_id, "shard": 0, "size": size}
                 telemetry = self.telemetry
                 if telemetry.enabled:
                     telemetry.count("broker.leases", tenant=task.tenant)
@@ -471,144 +389,27 @@ class Broker:
                     "attempt": task.attempts,
                     "lease_timeout": self.lease_timeout,
                 }
-                if gang_info is not None:
-                    lease["gang"] = gang_info
                 if task.trace is not None:
-                    # Additive v3 field: a v2 worker ignores it and its
-                    # spans simply stay unlinked.
                     lease["trace"] = dict(task.trace)
                 return lease
             return {"key": None, "shutdown": False}
 
-    def _join_gang_locked(self, worker: str) -> Optional[Dict[str, Any]]:
-        """Seat ``worker`` in the oldest forming gang, if any.
-
-        The member lease reuses the task's key/spec/attempt so the worker's
-        heartbeat and release plumbing works unchanged; joining never
-        consumes a task attempt (the gang's formation already did).
-        """
-        for gang in self._gangs.values():
-            if gang.complete:
-                continue
-            task = self._tasks.get(gang.key)
-            if task is None or task.gang_id != gang.gang_id:
-                continue  # stale gang; the sweep will collect it
-            shard = gang.next_shard()
-            gang.members[shard] = worker
-            gang.deadlines[shard] = self._clock() + self.lease_timeout
-            self.stats.leases += 1
-            self._worker_ledger_locked(worker)["leases"] += 1
-            if self.telemetry.enabled:
-                self.telemetry.count("broker.gang.joins")
-                self.telemetry.emit(
-                    "event",
-                    name="gang.joined",
-                    key=task.key[:12],
-                    worker=worker,
-                    gang=gang.gang_id,
-                    shard=shard,
-                )
-            lease = {
-                "key": task.key,
-                "spec": task.canonical,
-                "attempt": task.attempts,
-                "lease_timeout": self.lease_timeout,
-                "gang": {"id": gang.gang_id, "shard": shard, "size": gang.size},
-            }
-            if task.trace is not None:
-                lease["trace"] = dict(task.trace)
-            return lease
-        return None
-
-    # ---------------------------------------------------------------- gangs
-    def gang_put(self, gang_id: str, shard: int, box: str, data: Any) -> Dict[str, Any]:
-        """Append one exchange blob to a gang mailbox FIFO.
-
-        ``box`` is ``"in"`` (hub -> member ``shard``) or ``"out"`` (member
-        ``shard`` -> hub).  A missing or swept gang answers ``aborted`` so
-        both ends stop immediately instead of timing out.
-        """
-        if box not in ("in", "out"):
-            raise ValueError(f"gang box must be 'in' or 'out', got {box!r}")
-        with self._lock:
-            gang = self._gangs.get(gang_id)
-            if gang is None:
-                return {"aborted": True}
-            queue = gang.mailbox.setdefault((int(shard), box), deque())
-            queue.append(data)
-            return {"posted": True}
-
-    def gang_take(self, gang_id: str, shard: int, box: str) -> Dict[str, Any]:
-        """Pop the next blob from a gang mailbox FIFO (non-blocking).
-
-        ``pending`` means "poll again"; ``aborted`` means the gang is gone
-        (completed, swept, or released) and the caller must unwind.  The
-        expiry sweep runs here too, so a fleet whose workers are all busy
-        polling mailboxes still detects dead members promptly.
-        """
-        with self._lock:
-            self._requeue_expired_locked()
-            gang = self._gangs.get(gang_id)
-            if gang is None:
-                return {"aborted": True}
-            queue = gang.mailbox.get((int(shard), box))
-            if not queue:
-                return {"pending": True}
-            return {"data": queue.popleft()}
-
-    def _abort_gang_locked(self, gang_id: Optional[str]) -> None:
-        """Drop one gang; pollers of its mailbox then see ``aborted``."""
-        if gang_id is None:
-            return
-        gang = self._gangs.pop(gang_id, None)
-        if gang is not None and self.telemetry.enabled:
-            self.telemetry.count("broker.gang.aborts")
-
     def heartbeat(self, worker: str, key: str) -> Dict[str, Any]:
-        """Extend a lease; ``active: False`` tells the worker it lost it.
-
-        Gang members heartbeat with the shared task key but their own worker
-        id: every member shard that worker holds is extended (one worker may
-        hold several shards when its capacity exceeds one).
-        """
+        """Extend a lease; ``active: False`` tells the worker it lost it."""
         with self._lock:
             task = self._tasks.get(key)
-            if task is None:
+            if task is None or task.worker != worker:
                 return {"active": False}
-            now = self._clock()
-            if task.worker == worker:
-                task.deadline = now + self.lease_timeout
-                return {"active": True}
-            gang = self._gangs.get(task.gang_id) if task.gang_id else None
-            if gang is not None:
-                held = [
-                    shard
-                    for shard, member in gang.members.items()
-                    if member == worker
-                ]
-                if held:
-                    for shard in held:
-                        gang.deadlines[shard] = now + self.lease_timeout
-                    return {"active": True}
-            return {"active": False}
+            task.deadline = self._clock() + self.lease_timeout
+            return {"active": True}
 
     def release(self, worker: str, key: str, error: str = "") -> Dict[str, Any]:
         """A worker gives a spec back (its executor raised): requeue now
         instead of waiting for the lease to expire.
-
-        A release from any gang member aborts the whole gang -- the sharded
-        exchange cannot survive a lost shard, so the task requeues as one
-        unit and the surviving members unwind on their next mailbox poll.
         """
         with self._lock:
             task = self._tasks.get(key)
-            if task is None:
-                return {"requeued": False}
-            is_member = False
-            if task.gang_id is not None and task.worker != worker:
-                gang = self._gangs.get(task.gang_id)
-                is_member = gang is not None and worker in gang.members.values()
-            if task.worker != worker and not is_member:
+            if task is None or task.worker != worker:
                 return {"requeued": False}
             requeued = self._requeue_locked(
                 task, error or f"released by worker {worker}"
@@ -622,23 +423,22 @@ class Broker:
         worker: str,
         key: str,
         digest: str,
-        payload: Dict[str, Any],
+        payload: Optional[Dict[str, Any]],
         transport_error: Optional[str] = None,
         trace: Optional[Dict[str, str]] = None,
     ) -> Dict[str, Any]:
         """Verify and accept one uploaded result (first valid upload wins).
 
         ``transport_error`` short-circuits verification with a decoding
-        failure the transport layer already diagnosed (e.g. a corrupt gzip
-        blob) -- the upload is rejected with that exact reason (and the spec
-        requeued), so the uploader can tell a broken blob apart from a
-        broker that does not understand its encoding at all.  Rejections
-        carry a structured ``code`` next to the human-readable ``reason``.
+        failure the transport layer already diagnosed (a corrupt gzip blob)
+        -- the upload is rejected with that exact reason and the spec
+        requeued.  Rejections carry a structured ``code`` next to the
+        human-readable ``reason``.
 
         ``trace`` is the wire-form trace context echoed on the upload
-        envelope (protocol v3, additive): the broker-side verification span
-        joins the same trace as the client submission and the worker
-        execution.  Falls back to the trace stored with the task.
+        envelope: the broker-side verification span joins the same trace as
+        the client submission and the worker execution.  Falls back to the
+        trace stored with the task.
         """
         with self._lock:
             if key in self._completed or (
@@ -706,10 +506,6 @@ class Broker:
             # longer live -- including a spec the broker gave up on while
             # the (slow) verification ran: first valid upload wins.
             if task is not None:
-                # A completed gang run retires its mailbox; members that are
-                # still polling see ``aborted`` and exit cleanly.
-                if task.gang_id is not None:
-                    self._gangs.pop(task.gang_id, None)
                 del self._tasks[key]
             self._failed.pop(key, None)
             self._failed_codes.pop(key, None)
@@ -752,8 +548,8 @@ class Broker:
         cache, so a client can harvest results across a broker restart.
         Cache reads (full payload parse + digest) happen outside the broker
         lock so slow shared filesystems never stall leases and heartbeats.
-        ``failed_codes`` mirrors ``failed`` with structured codes (v3);
-        older clients simply ignore it.
+        ``failed_codes`` mirrors ``failed`` with structured codes.  The
+        server encodes ``results`` onto the wire (see ``_dispatch_fetch``).
         """
         results: Dict[str, Dict[str, Any]] = {}
         failed: Dict[str, str] = {}
@@ -833,7 +629,6 @@ class Broker:
                 "leased": leased,
                 "completed": len(self._completed),
                 "failed": len(self._failed),
-                "gangs": len(self._gangs),
                 "shutdown": self._shutdown,
                 "uptime_seconds": self._clock() - self._started,
                 "stats": self.stats.to_dict(),
@@ -932,7 +727,7 @@ class Broker:
         }
 
     def record_worker_telemetry(self, source: str, report: Any) -> bool:
-        """Adopt one worker's piggybacked registry snapshot (v3, additive).
+        """Adopt one worker's piggybacked registry snapshot.
 
         ``report`` is ``{"seq": n, "counters": ..., "gauges": ...,
         "histograms": ...}`` -- a *cumulative* snapshot with a monotonic
@@ -1061,6 +856,8 @@ class Broker:
     ) -> Tuple[Optional[str], Optional[str]]:
         """``(None, None)`` if the upload is trustworthy, else the rejection
         ``(reason, code)``."""
+        if payload is None:
+            return "upload carries no payload_gz", REJECT_BAD_PAYLOAD
         if not isinstance(payload, dict):
             return (
                 f"payload is not an object: {type(payload).__name__}",
@@ -1107,8 +904,6 @@ class Broker:
 
     def _requeue_locked(self, task: _Task, reason: str) -> bool:
         """Give a leased task back to the queue, or fail it at the cap."""
-        self._abort_gang_locked(task.gang_id)
-        task.gang_id = None
         task.worker = None
         task.deadline = None
         task.leased_at = None
@@ -1129,30 +924,6 @@ class Broker:
 
     def _requeue_expired_locked(self) -> None:
         now = self._clock()
-        # Gangs first: a member that stopped heartbeating, or a forming gang
-        # that never filled, fails the *whole* gang (all-or-nothing) -- the
-        # task requeues as one unit and every surviving participant unwinds
-        # on its next mailbox poll or heartbeat.
-        for gang in list(self._gangs.values()):
-            task = self._tasks.get(gang.key)
-            if task is None or task.gang_id != gang.gang_id:
-                # Task completed/failed since; just drop the mailbox.
-                self._gangs.pop(gang.gang_id, None)
-                continue
-            member_expired = any(
-                deadline < now for deadline in gang.deadlines.values()
-            )
-            never_formed = not gang.complete and gang.formation_deadline < now
-            if member_expired or never_formed:
-                self.stats.expired_leases += 1
-                reason = (
-                    "gang member stopped heartbeating"
-                    if member_expired
-                    else f"gang never filled {gang.size - 1} member slot(s) "
-                    f"within the formation window"
-                )
-                self._requeue_locked(task, reason)
-                self._save_state_locked()
         expired = [
             task
             for task in self._tasks.values()
@@ -1456,21 +1227,12 @@ class BrokerServer:
                 if not isinstance(message, dict):
                     return
                 response = await asyncio.to_thread(self._dispatch, message)
-                # Echo a compatible requester's protocol generation: a v1/v2
-                # worker or client rejects responses stamped with a version
-                # it does not know, and every newer feature is negotiated
-                # per message anyway (payload_gz / accept_gzip /
-                # max_frame_bytes), so mixed-generation fleets keep working
-                # without those features on the old legs.
-                requested = message.get("protocol")
-                response["protocol"] = (
-                    requested if requested in COMPAT_PROTOCOLS else PROTOCOL
-                )
+                response["protocol"] = PROTOCOL
                 try:
                     await self._reply(writer, response)
                 except (ConnectionError, OSError):
                     return
-                if message.get("op") == "shutdown":
+                if message.get("op") == "shutdown" and response["ok"]:
                     # Stop accepting connections once the response is
                     # flushed; asyncio.run tears down the open handlers.
                     self._signal_stop()
@@ -1509,6 +1271,16 @@ class BrokerServer:
     def _dispatch_op(self, message: Dict[str, Any]) -> Dict[str, Any]:
         broker = self.broker
         op = message.get("op")
+        if message.get("protocol") != PROTOCOL:
+            broker.count_code(ERR_UNSUPPORTED_PROTOCOL)
+            return {
+                "ok": False,
+                "error": (
+                    f"unsupported protocol {message.get('protocol')!r}; this "
+                    f"broker speaks {PROTOCOL!r} only"
+                ),
+                "code": ERR_UNSUPPORTED_PROTOCOL,
+            }
         try:
             if op == "submit":
                 traces = message.get("traces")
@@ -1522,26 +1294,9 @@ class BrokerServer:
                 body = broker.lease(
                     str(message.get("worker", "?")),
                     stats=reported if isinstance(reported, dict) else None,
-                    # Additive v3 field: gang-capable workers opt in; every
-                    # other worker leases sharded specs solo as before.
-                    gang_ok=bool(message.get("gang")),
-                )
-            elif op == "gang_put":
-                body = broker.gang_put(
-                    str(message.get("gang", "")),
-                    int(message.get("shard", 0)),
-                    str(message.get("box", "")),
-                    message.get("data"),
-                )
-            elif op == "gang_take":
-                body = broker.gang_take(
-                    str(message.get("gang", "")),
-                    int(message.get("shard", 0)),
-                    str(message.get("box", "")),
                 )
             elif op == "heartbeat":
-                # Workers piggyback cumulative telemetry snapshots here
-                # (additive v3 field; v1/v2 workers never send one).
+                # Workers piggyback cumulative telemetry snapshots here.
                 report = message.get("telemetry")
                 if report is not None:
                     broker.record_worker_telemetry(
@@ -1557,13 +1312,13 @@ class BrokerServer:
                     str(message.get("error", "")),
                 )
             elif op == "result":
-                payload = message.get("payload")
+                # The digest is computed on the decompressed payload.  An
+                # upload without ``payload_gz`` reaches ingest as ``None``
+                # (a bad payload); a corrupt blob rejects with its own
+                # transport reason.
+                payload = None
                 transport_error = None
-                if payload is None and message.get("payload_gz") is not None:
-                    # v2+ compressed upload: the digest below is computed on
-                    # the decompressed payload, so verification is unchanged.
-                    # A corrupt blob rejects with its own distinct reason so
-                    # the worker does not mistake it for a gzip-less broker.
+                if message.get("payload_gz") is not None:
                     try:
                         payload = decompress_payload(str(message["payload_gz"]))
                     except ProtocolError as exc:
@@ -1612,47 +1367,32 @@ class BrokerServer:
         return dict(body, ok=True)
 
     def _dispatch_fetch(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """``fetch`` with the transport-level negotiations applied.
+        """``fetch`` encoded for the wire: ``results_gz`` plus ``chunked``.
 
-        ``accept_gzip`` (v2) ships payloads compressed; ``max_frame_bytes``
-        (v3) bounds the response: payloads are inlined -- in key order --
-        until the next one would push the response past the budget, and the
-        rest are announced in ``chunked`` (key -> encoded byte size) for the
-        client to stream with ``fetch_chunk``.  A v1/v2 client sends neither
-        or only ``accept_gzip`` and sees the historical shapes.
+        Payloads travel as base64-gzip blobs, inlined -- in key order --
+        until the next one would push the response past the requester's
+        ``max_frame_bytes`` budget (half this server's frame cap when it
+        names none).  The rest are announced in ``chunked`` (key -> encoded
+        byte size) for the client to stream with ``fetch_chunk``.
         """
         body = self.broker.fetch(
             [str(key) for key in message.get("keys", [])]
         )
-        use_gzip = bool(message.get("accept_gzip"))
         budget = message.get("max_frame_bytes")
-        results: Dict[str, Dict[str, Any]] = body.pop("results")
-        if budget is None and not use_gzip:
-            body["results"] = results
-            return body
-        inline: Dict[str, Any] = {}
+        budget = self.max_message_bytes // 2 if budget is None else int(budget)
+        inline: Dict[str, str] = {}
         chunked: Dict[str, int] = {}
         spent = 0
-        for key in sorted(results):
-            blob = compress_payload(results[key]) if use_gzip else None
-            size = len(blob) if use_gzip else _plain_size(results[key])
-            if budget is not None and spent + size > int(budget):
+        for key, payload in sorted(body.pop("results").items()):
+            blob = compress_payload(payload)
+            if spent + len(blob) > budget:
                 # Over budget (or a single payload alone exceeding it): the
                 # client streams this one with fetch_chunk instead.
-                chunked[key] = len(
-                    blob if blob is not None else compress_payload(results[key])
-                )
+                chunked[key] = len(blob)
                 continue
-            inline[key] = blob if use_gzip else results[key]
-            spent += size
-        if use_gzip:
-            body["results_gz"] = inline
-            body["results"] = {}
-        else:
-            body["results"] = inline
-        if budget is not None:
-            body["chunked"] = chunked
-        return body
+            inline[key] = blob
+            spent += len(blob)
+        return dict(body, results_gz=inline, chunked=chunked)
 
     def _dispatch_fetch_chunk(self, message: Dict[str, Any]) -> Dict[str, Any]:
         """One bounded slice of a completed payload's base64-gzip encoding.
@@ -1692,7 +1432,7 @@ class BrokerServer:
         }
 
     def _dispatch_metrics(self) -> Dict[str, Any]:
-        """The v3 ``metrics`` op: fleet-wide snapshot + Prometheus text.
+        """The ``metrics`` op: fleet-wide snapshot + Prometheus text.
 
         Delegates to :meth:`Broker.observability`, the same builder behind
         the HTTP gateway's ``/metrics``: gauges refreshed at request time,
@@ -1703,6 +1443,3 @@ class BrokerServer:
         """
         return self.broker.observability()
 
-
-def _plain_size(payload: Dict[str, Any]) -> int:
-    return len(json.dumps(payload, sort_keys=True, separators=(",", ":")))

@@ -8,16 +8,15 @@ the runner caches remote results incrementally and sweeps stay resumable.
 Resilience: transport errors retry with the submit/fetch loop (riding out
 broker restarts up to ``patience`` seconds of no contact), and specs a
 restarted stateless broker no longer knows are transparently resubmitted --
-matched on the structured v3 ``never-submitted`` failure code, with an
-exact-reason fallback for v2 brokers that send no codes.  A spec the broker
-gave up on (attempt cap) surfaces as a
-:class:`~repro.errors.SimulationError` carrying the broker's reason.
+matched on the structured ``never-submitted`` failure code.  Any other
+failed key -- a give-up at the attempt cap, or a failure with no code --
+surfaces as a :class:`~repro.errors.SimulationError` carrying the broker's
+reason.
 
-Large results: every fetch names a frame budget (protocol v3); payloads the
-broker cannot inline under it are announced in a ``chunked`` map and
-streamed with ``fetch_chunk`` in bounded base64-gzip slices, reassembled and
-decompressed here.  A v2 broker ignores the budget and inlines everything,
-which the frame cap still bounds.
+Results arrive gzipped (``results_gz``).  Every fetch names a frame budget;
+payloads the broker cannot inline under it are announced in a ``chunked``
+map and streamed with ``fetch_chunk`` in bounded base64-gzip slices,
+reassembled and decompressed here.
 """
 
 from __future__ import annotations
@@ -42,14 +41,6 @@ from repro.runtime.distributed.protocol import (
 from repro.runtime.spec import RunSpec
 from repro.telemetry import TraceContext
 
-#: The v2 broker's *exact* fetch-time reason for keys it has no record of.
-#: Matched whole (never as a substring): a give-up whose free-text reason
-#: merely mentions "never submitted" must surface as the failure it is, not
-#: trigger an endless resubmit loop.  v3 brokers are matched on the
-#: structured ``failed_codes`` entry instead and never reach this string.
-_NEVER_SUBMITTED_REASON = "never submitted to this broker"
-
-
 def _canonical_key(canonical: Dict[str, Any]) -> str:
     """The spec key the broker will assign this canonical: SHA-256 of its
     canonical JSON -- the exact :meth:`RunSpec.key` computation, done here
@@ -73,7 +64,7 @@ class DistributedBackend(RunnerBackend):
             before declaring the broker lost.
         submit_chunk: specs per submit message (bounds message size).
         tenant: queue identity stamped on submits (fair-share scheduling
-            and quotas on a v3 broker; ignored by older brokers).
+            and quotas).
         max_frame_bytes: cap on any single response frame; also announced
             to the broker so oversized payloads arrive chunked.
         clock / sleep: injectable time sources (fake-clock tests).
@@ -138,17 +129,13 @@ class DistributedBackend(RunnerBackend):
         fatal: Dict[str, str] = {}
         while outstanding:
             try:
-                # accept_gzip: a v2+ broker ships payloads compressed (an
-                # order of magnitude smaller over WAN links); a v1 broker
-                # ignores the flag and answers with plain JSON results.
-                # max_frame_bytes: a v3 broker defers payloads that do not
-                # fit the budget to the chunked stream below.
+                # The broker defers payloads that do not fit the budget to
+                # the chunked stream below.
                 response = request(
                     self.address,
                     {
                         "op": "fetch",
                         "keys": sorted(outstanding),
-                        "accept_gzip": True,
                         "max_frame_bytes": self._response_budget(),
                     },
                     max_bytes=self.max_frame_bytes,
@@ -160,9 +147,10 @@ class DistributedBackend(RunnerBackend):
                 self._check_patience(last_contact, exc)
                 self._sleep(started)
                 continue
-            fetched: Dict[str, Dict[str, Any]] = dict(response.get("results", {}))
-            for key, blob in response.get("results_gz", {}).items():
-                fetched[key] = decompress_payload(blob)
+            fetched: Dict[str, Dict[str, Any]] = {
+                key: decompress_payload(blob)
+                for key, blob in response.get("results_gz", {}).items()
+            }
             for key in response.get("chunked", {}):
                 if key in fetched or key not in outstanding:
                     continue
@@ -202,10 +190,9 @@ class DistributedBackend(RunnerBackend):
     ) -> None:
         """Submit canonical specs, chunked, with their trace contexts.
 
-        The per-chunk ``traces`` map (keys from ``self._trace_wires``,
-        matched by recomputing each canonical's spec key) is an additive v3
-        field: older brokers ignore it and the fleet's spans simply stay
-        unlinked.
+        The per-chunk ``traces`` map holds the contexts from
+        ``self._trace_wires``, matched by recomputing each canonical's spec
+        key.
         """
         for start in range(0, len(canonicals), self.submit_chunk):
             chunk = canonicals[start : start + self.submit_chunk]
@@ -300,22 +287,18 @@ class DistributedBackend(RunnerBackend):
         fatal: Dict[str, str],
         started: float,
     ) -> None:
-        """Resubmit amnesiac-broker keys; record genuine give-ups as fatal
-        (raised by the caller once everything else has drained)."""
+        """Resubmit amnesiac-broker keys; record every other failure as fatal
+        (raised by the caller once everything else has drained).
+
+        Only the ``never-submitted`` code means amnesia.  The reason text is
+        never matched: a give-up whose reason merely mentions "never
+        submitted", or a failure with no code at all, is fatal.
+        """
         lost: List[Dict[str, Any]] = []
         for key, reason in failed.items():
             if key not in outstanding:
                 continue
-            code = failed_codes.get(key)
-            if code is not None:
-                amnesia = code == FAIL_NEVER_SUBMITTED
-            else:
-                # v2 broker, no codes: the never-submitted reason is a
-                # frozen exact string.  Never substring-match it -- a
-                # give-up reason that happens to *contain* the words would
-                # resubmit a genuinely failed spec forever.
-                amnesia = reason == _NEVER_SUBMITTED_REASON
-            if amnesia:
+            if failed_codes.get(key) == FAIL_NEVER_SUBMITTED:
                 # The broker restarted without its journal and forgot the
                 # spec; it is still ours to finish, so hand it back (with
                 # its original trace context: the resubmitted run still

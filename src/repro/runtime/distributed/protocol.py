@@ -6,25 +6,24 @@ lines").  Every request carries an ``op`` field; every response carries
 ``ok`` is false.  The payloads that cross the wire are exactly the payloads
 the :class:`~repro.runtime.cache.ResultCache` stores -- canonical spec dicts
 upward (:meth:`RunSpec.canonical`), serialized result payloads downward
-(:mod:`repro.runtime.serialize`) -- so the transport adds no serialization
-format of its own, and a result is byte-identical whether it came from a
-local process pool, a remote worker or the cache.
+(:mod:`repro.runtime.serialize`) -- so a result is byte-identical whether it
+came from a local process pool, a remote worker or the cache.
 
 Connections are short-lived (one or a few requests each); idempotent
 server-side semantics make blind reconnects safe, which is what lets workers
 and clients ride out a broker restart.
 
-Since ``dalorex-dist/2``, result payloads may additionally travel gzipped
-(base64-wrapped in ``payload_gz`` / ``results_gz`` fields): uploads shrink by
-roughly an order of magnitude for WAN workers, while digests are always
-computed over the *decompressed* payload object, so ingest checking is
-byte-for-byte unchanged.  Compression is negotiated per message with a
-plain-JSON fallback -- a v1 peer simply never sees the gzip fields -- which
-is why the compat set below accepts both generations instead of hard-failing
-the handshake.
+Every message in both directions is stamped ``protocol: "dalorex-dist/3"``
+(:data:`PROTOCOL`).  The broker refuses any other stamp -- a missing one
+included -- with the typed ``unsupported-protocol`` code, and
+:func:`request` raises :class:`ProtocolError` on a response stamped with
+anything else.  There is one generation and one encoding per direction (see
+docs/DISTRIBUTED.md):
 
-``dalorex-dist/3`` makes the broker safe to share (see docs/DISTRIBUTED.md):
-
+* **gzip payloads**: uploads carry ``payload_gz`` and fetch answers carry
+  ``results_gz`` (base64-wrapped gzip of the payload's canonical JSON).
+  Digests are computed over the *decompressed* payload object, so ingest
+  checking is byte-for-byte independent of the encoding.
 * **structured codes**: ``ok: false`` responses carry a machine-readable
   ``code`` (``ERR_*`` below) next to the human ``error``; ``fetch``
   responses carry ``failed_codes`` (``FAIL_*``) next to the free-text
@@ -33,33 +32,27 @@ the handshake.
 * **bounded frames**: every line is capped (:data:`MAX_FRAME_BYTES`,
   configurable); oversized frames are rejected with a typed error instead
   of buffering unbounded memory.
-* **chunked fetch**: payloads too large for one frame are announced in a
-  ``chunked`` map and streamed with the ``fetch_chunk`` op in bounded
-  base64-gzip slices.
+* **chunked fetch**: a fetch answer inlines payloads up to a frame budget
+  and announces the rest in a ``chunked`` map, streamed with the
+  ``fetch_chunk`` op in bounded base64-gzip slices.
 * **tenancy**: ``submit`` may carry a ``tenant``; the broker schedules
   fair-share across tenants and can enforce per-tenant quotas
   (``ERR_TENANT_QUOTA``).
 * **observability**: the ``metrics`` op returns the *fleet-wide* telemetry
   snapshot (counters / gauges / histograms) plus a Prometheus-style text
   exposition (see docs/OBSERVABILITY.md); ``lease`` requests may carry a
-  worker ``stats`` self-report the broker republishes to dashboards.  Both
-  are additive -- old peers never send or read them.
-* **trace propagation** (additive, absent-tolerant): ``submit`` may carry a
+  worker ``stats`` self-report the broker republishes to dashboards.
+* **trace propagation** (optional fields): ``submit`` may carry a
   ``traces`` map (spec key -> ``{"trace": id, "parent": span_id}``); the
   broker echoes each context as ``trace`` on the matching ``lease`` and
   accepts it back on the ``result`` envelope, linking client, broker and
   worker spans into one trace per spec.  Trace fields never enter the
   result *payload*, so digests and byte-equality are untouched.
-* **telemetry piggyback** (additive): ``heartbeat`` and ``result`` messages
-  may carry a ``telemetry`` report -- the worker's *cumulative* registry
-  snapshot with a monotonic ``seq`` -- which the broker merges into its
-  fleet aggregate (idempotent under retry/duplication: newest seq wins).
-
-All v3 fields are additive and negotiated per message, so v1/v2 peers keep
-interoperating (they never send the new fields and ignore the new response
-fields).  Set ``DALOREX_PROTOCOL`` in the environment to stamp outgoing
-messages with an older generation -- the knob mixed-fleet compat tests and
-the CI smoke use to impersonate a v2 peer.
+* **telemetry piggyback** (optional field): ``heartbeat`` and ``result``
+  messages may carry a ``telemetry`` report -- the worker's *cumulative*
+  registry snapshot with a monotonic ``seq`` -- which the broker merges
+  into its fleet aggregate (idempotent under retry/duplication: newest seq
+  wins).
 """
 
 from __future__ import annotations
@@ -67,19 +60,13 @@ from __future__ import annotations
 import base64
 import gzip
 import json
-import os
 import socket
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ReproError
 
-#: Known protocol generations, oldest first.
-PROTOCOL_V1 = "dalorex-dist/1"
-PROTOCOL_V2 = "dalorex-dist/2"
-PROTOCOL_V3 = "dalorex-dist/3"
-
-#: Protocol generations this build interoperates with.
-COMPAT_PROTOCOLS = (PROTOCOL_V1, PROTOCOL_V2, PROTOCOL_V3)
+#: The one protocol generation every message is stamped with.
+PROTOCOL = "dalorex-dist/3"
 
 #: Default TCP port of ``dalorex broker`` (chosen out of the ephemeral range).
 DEFAULT_PORT = 4573
@@ -89,16 +76,17 @@ DEFAULT_PORT = 4573
 #: line is a protocol violation, not a legitimate message.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-#: Queue identity used when a peer names no tenant (v1/v2 peers never do).
+#: Queue identity used when a peer names no tenant.
 DEFAULT_TENANT = "default"
 
-# --------------------------------------------------------------- v3 codes
+# ------------------------------------------------------------------ codes
 #: ``ok: false`` error codes.
 ERR_UNKNOWN_OP = "unknown-op"
 ERR_BAD_REQUEST = "bad-request"
 ERR_TENANT_QUOTA = "tenant-quota-exceeded"
 ERR_FRAME_TOO_LARGE = "frame-too-large"
 ERR_UNKNOWN_KEY = "unknown-key"
+ERR_UNSUPPORTED_PROTOCOL = "unsupported-protocol"
 
 #: ``fetch`` failure codes (``failed_codes``).
 FAIL_NEVER_SUBMITTED = "never-submitted"
@@ -122,36 +110,12 @@ class BrokerError(ProtocolError):
     Unlike transport-level :class:`ProtocolError`/``OSError``, retrying the
     same request will deterministically fail again (bad spec version,
     unknown op, quota exceeded, ...), so callers should surface it instead
-    of backing off.  ``code`` carries the broker's structured error code
-    when it sent one (v3 brokers always do; v1/v2 leave it ``None``).
+    of backing off.  ``code`` carries the broker's structured error code.
     """
 
     def __init__(self, message: str, code: Optional[str] = None) -> None:
         super().__init__(message)
         self.code = code
-
-
-def _wire_protocol() -> str:
-    """The generation stamped on outgoing messages (normally the newest).
-
-    ``DALOREX_PROTOCOL`` overrides it so compat tests and the CI smoke can
-    run genuinely mixed-generation fleets from one build; anything outside
-    the known generations is a configuration error and fails loudly.
-    """
-    override = os.environ.get("DALOREX_PROTOCOL", "").strip()
-    if not override:
-        return PROTOCOL_V3
-    if override not in COMPAT_PROTOCOLS:
-        raise ProtocolError(
-            f"DALOREX_PROTOCOL={override!r} is not a known protocol "
-            f"generation {COMPAT_PROTOCOLS}"
-        )
-    return override
-
-
-#: Generation stamped on every outgoing message; mismatches beyond the
-#: compat set are hard errors (a fleet must not mix generations silently).
-PROTOCOL = _wire_protocol()
 
 
 def parse_address(text: str) -> Tuple[str, int]:
@@ -241,7 +205,7 @@ def read_message(rfile, max_bytes: int = MAX_FRAME_BYTES) -> Optional[Dict[str, 
     The frame is bounded: a line longer than ``max_bytes`` (newline
     included) raises :class:`ProtocolError` instead of buffering unbounded
     memory -- one hostile or broken peer must not be able to balloon the
-    process.  Legitimately huge payloads travel under the cap via the v3
+    process.  Legitimately huge payloads travel under the cap via the
     chunked fetch.
     """
     line = rfile.readline(max_bytes + 1)
@@ -270,8 +234,9 @@ def request(
     """One request/response round-trip on a fresh connection.
 
     Raises :class:`ProtocolError` on transport failure, a closed connection,
-    or an ``ok: false`` response (the server-side error message -- and v3
-    ``code`` -- is preserved on the raised :class:`BrokerError`).
+    or a response not stamped :data:`PROTOCOL`; an ``ok: false`` response
+    raises :class:`BrokerError`, which preserves the server-side error
+    message and ``code``.
     Connection-level ``OSError`` propagates so callers can distinguish
     "broker unreachable" (retryable) from "broker said no".
     """
@@ -284,10 +249,10 @@ def request(
             f"broker at {format_address(address)} closed the connection "
             f"before responding to {message.get('op')!r}"
         )
-    if response.get("protocol") not in (None,) + COMPAT_PROTOCOLS:
+    if response.get("protocol") != PROTOCOL:
         raise ProtocolError(
-            f"protocol mismatch: broker speaks {response.get('protocol')!r}, "
-            f"this client speaks {PROTOCOL!r} (compat: {COMPAT_PROTOCOLS})"
+            f"protocol mismatch: broker at {format_address(address)} speaks "
+            f"{response.get('protocol')!r}, this peer speaks {PROTOCOL!r}"
         )
     if not response.get("ok"):
         raise BrokerError(

@@ -16,6 +16,11 @@ one process (``dalorex worker --capacity N``): each loop holds its own lease
 and heartbeat, simulations share the per-process graph memo, and the broker
 sees N independent leases from one ``worker_id``.  ``stop()``, ``max_runs``
 and the shared counters apply across all loops.
+
+A sharded spec (``shards > 1``) is one lease like any other: the executor
+runs it on this worker's own local shard transport
+(:func:`~repro.runtime.sharding.execute_spec_sharded`, chosen by this
+process's ``DALOREX_SHARD_BACKEND``), byte-identical to serial execution.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.runtime.backends import execute_to_payload
 from repro.runtime.cache import payload_digest
-from repro.runtime.distributed.gang import run_gang_hub, run_gang_member
 from repro.runtime.distributed.protocol import (
     ProtocolError,
     compress_payload,
@@ -36,14 +40,6 @@ from repro.runtime.distributed.protocol import (
 )
 from repro.runtime.spec import RunSpec
 from repro.telemetry import TraceContext, get_telemetry
-
-#: How a protocol-v1 broker rejects an upload that carries no ``payload``
-#: field (it never reads ``payload_gz``).  The string is frozen in released
-#: v1 builds, which is what makes it a safe downgrade signal; a v2 broker
-#: rejects a *corrupt* gzip blob with its own distinct "cannot decompress"
-#: reason, so a one-off bad upload never disables compression.
-_V1_EMPTY_PAYLOAD_REASON = "payload is not an object"
-
 
 def execute_canonical(canonical: Dict[str, Any]) -> Dict[str, Any]:
     """Default executor: canonical spec dict -> result payload."""
@@ -65,11 +61,6 @@ class Worker:
             poisoned ones).
         log: progress sink, e.g. ``print`` (default: silent).
         capacity: concurrent leases this worker holds and executes (>= 1).
-        gang: advertise gang capability on every lease (``dalorex worker
-            --gang``): sharded specs then execute as broker-coordinated
-            gangs -- this worker may be handed the hub role or one member
-            shard.  Off by default; a non-gang worker executes sharded
-            specs solo through the local transports, byte-identically.
     """
 
     def __init__(
@@ -82,12 +73,10 @@ class Worker:
         executor: Callable[[Dict[str, Any]], Dict[str, Any]] = execute_canonical,
         log: Optional[Callable[[str], None]] = None,
         capacity: int = 1,
-        gang: bool = False,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.address = address
-        self.gang = bool(gang)
         self.worker_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
         self.poll_interval = max(0.01, float(poll_interval))
         self.max_runs = max_runs
@@ -115,10 +104,6 @@ class Worker:
         # releases on a non-accepted outcome, so concurrent loops never
         # overshoot the accepted-results budget).
         self._claimed_runs = 0
-        # Uploads travel gzipped by default (protocol v2); a v1 broker
-        # rejects the gzip-only upload as an empty payload, which flips this
-        # flag and the worker falls back to plain JSON for its lifetime.
-        self._use_gzip = True
         # Monotonic generation of the telemetry snapshots piggybacked on
         # heartbeat/result messages: the broker applies a report only when
         # its seq advances, which makes retried or reordered deliveries
@@ -229,14 +214,9 @@ class Worker:
                 time.sleep(self.poll_interval)
                 continue
             try:
-                # Self-reported stats ride along (additive v3 field; older
-                # brokers ignore unknown fields, so mixed fleets are safe).
+                # Self-reported stats ride along on every lease request.
                 lease_request = {"op": "lease", "worker": self.worker_id,
                                  "stats": self.stats()}
-                if self.gang:
-                    # Additive v3 field: opt in to gang scheduling for
-                    # sharded specs (hub or member role, broker's choice).
-                    lease_request["gang"] = True
                 if self.telemetry.enabled:
                     with self.telemetry.span("worker.lease"):
                         lease = request(self.address, lease_request)
@@ -261,13 +241,11 @@ class Worker:
                 time.sleep(self.poll_interval)
                 continue
             self._count("leases")
-            gang = lease.get("gang")
             accepted = self._run_one(
                 key,
                 lease["spec"],
                 float(lease.get("lease_timeout", 60.0)),
                 trace_wire=lease.get("trace"),
-                gang=gang if isinstance(gang, dict) else None,
             )
             if not accepted:
                 self._release_run_slot()
@@ -281,7 +259,6 @@ class Worker:
         canonical: Dict[str, Any],
         lease_timeout: float,
         trace_wire: Optional[Dict[str, str]] = None,
-        gang: Optional[Dict[str, Any]] = None,
     ) -> bool:
         """Execute one leased spec; True when the upload was accepted.
 
@@ -291,16 +268,7 @@ class Worker:
         emits -- join the client's trace, and echoed back on the upload
         envelope.  It never touches the payload object itself, so payload
         bytes and digests are identical with tracing on or off.
-
-        ``gang`` is the gang assignment from the lease, if any.  Shard 0 is
-        the hub: it runs the shard coordinator (reaching the other shards
-        through the broker mailbox) and uploads the result through the
-        normal path below.  Member shards serve the exchange loop instead
-        -- they heartbeat like any lease but never upload; their run ends
-        when the hub shuts them down or the gang aborts.
         """
-        if gang is not None and int(gang.get("shard", 0)) != 0:
-            return self._run_gang_member(key, canonical, lease_timeout, gang)
         stop_beat = threading.Event()
         beat = threading.Thread(
             target=self._heartbeat_loop,
@@ -310,18 +278,14 @@ class Worker:
         beat.start()
         telemetry = self.telemetry
         trace = TraceContext.from_wire(trace_wire) if telemetry.enabled else None
-        if gang is None:
-            executor = self.executor
-        else:
-            executor = lambda c: run_gang_hub(self.address, gang, c)  # noqa: E731
         try:
             if telemetry.enabled:
                 with telemetry.trace_scope(trace):
                     with telemetry.scope(spec=key[:12], worker=self.worker_id):
                         with telemetry.span("worker.execute"):
-                            payload = executor(canonical)
+                            payload = self.executor(canonical)
             else:
-                payload = executor(canonical)
+                payload = self.executor(canonical)
         except Exception as exc:
             self._count("errors")
             self._log(f"[{self.worker_id}] {key[:12]} failed: {exc}")
@@ -366,110 +330,29 @@ class Worker:
         )
         return False
 
-    def _run_gang_member(
-        self,
-        key: str,
-        canonical: Dict[str, Any],
-        lease_timeout: float,
-        gang: Dict[str, Any],
-    ) -> bool:
-        """Serve one member shard of a gang; never uploads (the hub does).
-
-        Heartbeats run exactly like a solo lease -- the broker extends this
-        member's gang deadline instead of the task deadline.  A clean end
-        ("done"/"aborted") releases nothing: the hub owns the task outcome.
-        A shard-worker exception releases the task, which aborts the whole
-        gang and requeues the spec as one unit.
-        """
-        stop_beat = threading.Event()
-        beat = threading.Thread(
-            target=self._heartbeat_loop,
-            args=(key, lease_timeout, stop_beat),
-            daemon=True,
-        )
-        beat.start()
-        shard = int(gang.get("shard", 0))
-        try:
-            outcome = run_gang_member(
-                self.address,
-                gang,
-                canonical,
-                # The member's poll gates every segment round-trip, so it is
-                # much tighter than the idle-queue poll interval.
-                poll_interval=min(self.poll_interval, 0.01),
-                patience=self.connect_patience,
-                stop=self._stop,
-            )
-            self._log(
-                f"[{self.worker_id}] gang {gang['id']} shard {shard}: {outcome}"
-            )
-        except Exception as exc:  # noqa: BLE001 - fail the whole gang
-            self._count("errors")
-            self._log(
-                f"[{self.worker_id}] gang {gang['id']} shard {shard} "
-                f"failed: {exc}"
-            )
-            self._send_quietly(
-                {"op": "release", "worker": self.worker_id, "key": key,
-                 "error": f"gang member shard {shard} raised: {exc}"}
-            )
-        finally:
-            stop_beat.set()
-            beat.join(timeout=self.heartbeat_join_timeout)
-            if beat.is_alive():
-                self._count("leaked_heartbeats")
-        return False
-
     def _upload(
         self, key: str, payload: Dict[str, Any], trace_wire=None
     ) -> Optional[Dict[str, Any]]:
-        """Send one result, gzipped when the broker understands it.
+        """Send one result as ``payload_gz``; ``None`` on transport failure.
 
-        The digest always covers the decompressed payload, so the broker's
-        verification is identical for both transports.  A v1 broker sees no
-        ``payload`` field in the gzip upload and rejects it as an empty
-        payload; that rejection switches this worker to plain JSON and the
-        result is resent immediately (the broker requeued the spec on
-        rejection, so the plain upload is accepted as a fresh first-valid
-        result).
-
-        Trace context and the telemetry snapshot ride on the upload
-        *envelope* (additive v3 fields the broker strips before
-        verification), never inside ``payload`` -- digests and byte-equality
-        are untouched.
+        The digest covers the decompressed payload, which is what the broker
+        verifies.  Trace context and the telemetry snapshot ride on the
+        upload *envelope*, never inside the payload -- digests and
+        byte-equality are untouched.
         """
         upload = {
             "op": "result",
             "worker": self.worker_id,
             "key": key,
             "sha256": payload_digest(payload),
+            "payload_gz": compress_payload(payload),
         }
         if isinstance(trace_wire, dict):
             upload["trace"] = trace_wire
         report = self._telemetry_report()
         if report is not None:
             upload["telemetry"] = report
-        if self._use_gzip:
-            response = self._send_quietly(
-                dict(upload, payload_gz=compress_payload(payload))
-            )
-            fallback = (
-                response is not None
-                and not response.get("accepted")
-                # A coded rejection (v3 broker) is never a downgrade signal:
-                # the broker understood the gzip upload and rejected its
-                # *content*.  Only the code-less v1 empty-payload reason is.
-                and response.get("code") is None
-                and _V1_EMPTY_PAYLOAD_REASON in str(response.get("reason", ""))
-            )
-            if not fallback:
-                return response
-            self._use_gzip = False
-            self._log(
-                f"[{self.worker_id}] broker does not speak gzip uploads; "
-                "falling back to plain JSON"
-            )
-        return self._send_quietly(dict(upload, payload=payload))
+        return self._send_quietly(upload)
 
     def _heartbeat_loop(
         self, key: str, lease_timeout: float, stop: threading.Event
@@ -480,9 +363,9 @@ class Worker:
             beat = {"op": "heartbeat", "worker": self.worker_id, "key": key}
             report = self._telemetry_report()
             if report is not None:
-                # Piggybacked cumulative snapshot (additive v3 field): the
-                # broker's fleet aggregate sees this worker's counters while
-                # it is mid-simulation, not only after an upload.
+                # Piggybacked cumulative snapshot: the broker's fleet
+                # aggregate sees this worker's counters while it is
+                # mid-simulation, not only after an upload.
                 beat["telemetry"] = report
             response = self._send_quietly(beat)
             if response is not None and not response.get("active", False):

@@ -8,9 +8,8 @@ for ``spec.shards > 1``.  Two transports carry the hub <-> shard exchange:
 * ``local`` -- one OS process per shard connected over multiprocessing
   pipes (the default: real CPU parallelism on one host).
 
-The broker-fleet gang transport lives in
-:mod:`repro.runtime.distributed.gang`; it reuses the same
-:class:`~repro.core.shard_exec.ShardWorker` message protocol.
+A fleet worker runs a sharded spec the same way, on the transport its own
+``DALOREX_SHARD_BACKEND`` names.
 
 Byte-identity across transports is structural: the coordinator and workers
 exchange the same messages regardless of the wire, and numpy arrays survive
@@ -29,7 +28,7 @@ from repro.errors import SimulationError
 
 #: Transport selected when the caller does not pass one explicitly.
 DEFAULT_SHARD_BACKEND = "local"
-SHARD_BACKEND_CHOICES = ("local", "inproc", "gang")
+SHARD_BACKEND_CHOICES = ("local", "inproc")
 
 _SHARD_BACKEND_ENV = "DALOREX_SHARD_BACKEND"
 
@@ -166,12 +165,6 @@ def start_process_channels(spec, plan: ShardPlan) -> List[ProcessShardChannel]:
 def execute_spec_sharded(spec, backend: Optional[str] = None):
     """Execute one spec across ``spec.shards`` workers, byte-identical to serial."""
     name = resolve_shard_backend(backend)
-    if name == "gang":
-        raise SimulationError(
-            "the gang transport runs inside fleet workers; submit the spec "
-            "through the distributed backend instead"
-        )
-
     from repro.runtime.spec import build_machine
 
     factory = lambda: build_machine(spec)  # noqa: E731 - tiny closure

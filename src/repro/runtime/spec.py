@@ -137,7 +137,9 @@ class RunSpec:
         iteration; relaxation kernels revisit edges).  Uses the dataset
         registry's stand-in sizing, so no graph is built; the runner -- and
         the distributed broker -- sort pending work by this so the slowest
-        points start first and parallel tail latency shrinks.
+        points start first and parallel tail latency shrinks.  ``shards``
+        does not enter it: a sharded run costs what its serial run costs
+        (two local shards measured no faster than serial).
         """
         from repro.experiments.common import (
             app_cost_factor,
@@ -149,21 +151,13 @@ class RunSpec:
 
         divisor = experiment_scale_divisor(self.dataset, self.scale)
         edges = dataset_spec(self.dataset).stand_in_edges(divisor)
-        cost = (
+        return (
             float(self.config.num_tiles)
             * float(edges)
             * engine_cost_factor(self.config.engine)
             * app_cost_factor(self.app, self.pagerank_iterations)
             * network_cost_factor(self.config.network, self.config.engine)
         )
-        effective_shards = min(int(self.shards), self.config.num_tiles)
-        if effective_shards > 1:
-            # Sharded gangs split the compute but pay exchange overhead, so
-            # the divisor is sub-linear; single-shard costs stay untouched so
-            # the broker's costliest-first ordering is unchanged for the
-            # existing fleet.
-            cost /= 1.0 + 0.75 * (effective_shards - 1)
-        return cost
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RunSpec):

@@ -11,8 +11,8 @@ Every JSONL record emitted while a context is installed carries its
 from any number of processes into per-trace span trees.
 
 The wire form is a plain JSON object (``{"trace": ..., "parent": ...}``),
-additive on protocol v3 messages and absent-tolerant: v2 peers simply never
-see or send it, and malformed values decode to ``None`` rather than raise.
+an optional field of the protocol's messages: an untraced peer simply never
+sends it, and malformed values decode to ``None`` rather than raise.
 Contexts never enter the uploaded *payload* object itself -- payload bytes
 (and their digests) stay byte-identical with telemetry on or off.
 """

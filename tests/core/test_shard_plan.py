@@ -1,17 +1,11 @@
-"""Unit tests for the sharding primitives: plan geometry, codecs, link state."""
+"""Unit tests for the sharding primitives: plan geometry and link state."""
+
+import multiprocessing
 
 import numpy as np
 import pytest
 
-from repro.core.shard import (
-    ShardPlan,
-    apply_link_state,
-    decode_array,
-    decode_tree,
-    encode_array,
-    encode_tree,
-    export_link_state,
-)
+from repro.core.shard import ShardPlan, apply_link_state, export_link_state
 from repro.errors import ConfigurationError
 from repro.noc.analytical import LinkLoadModel
 from repro.noc.topology import make_topology
@@ -66,44 +60,6 @@ class TestShardPlan:
             ShardPlan(4, 2).extent(2)
 
 
-class TestColumnarCodec:
-    @pytest.mark.parametrize(
-        "array",
-        [
-            np.arange(5, dtype=np.int64),
-            np.array([1.5, -0.0, np.pi], dtype=np.float64),
-            np.array([True, False, True]),
-            np.empty(0, dtype=np.int32),
-        ],
-    )
-    def test_array_roundtrip_is_dtype_exact(self, array):
-        restored = decode_array(encode_array(array))
-        assert restored.dtype == array.dtype
-        assert restored.shape == array.shape
-        assert np.array_equal(restored, array)
-
-    def test_tree_roundtrip_preserves_tuples_and_nesting(self):
-        tree = {
-            "op": "exec",
-            "params": (np.arange(3), np.array([0.5, 1.5, 2.5])),
-            "nested": [{"tiles": np.array([1, 2])}, 7, "name"],
-            "scalar": np.int64(42),
-        }
-        restored = decode_tree(encode_tree(tree))
-        assert isinstance(restored["params"], tuple)
-        assert np.array_equal(restored["params"][1], tree["params"][1])
-        assert restored["params"][1].dtype == np.float64
-        assert np.array_equal(restored["nested"][0]["tiles"], np.array([1, 2]))
-        assert restored["scalar"] == 42 and isinstance(restored["scalar"], int)
-
-    def test_encoded_tree_is_json_serializable(self):
-        import json
-
-        blob = json.dumps(encode_tree({"cols": (np.arange(4), np.ones(4))}))
-        restored = decode_tree(json.loads(blob))
-        assert np.array_equal(restored["cols"][0], np.arange(4))
-
-
 class TestLinkStateCodec:
     def _loaded_model(self, detailed):
         topology = make_topology("torus", 4, 4)
@@ -146,11 +102,21 @@ class TestLinkStateCodec:
         assert target.total_flit_hops == 2 * model.total_flit_hops
         assert target.total_messages == 2 * model.total_messages
 
-    def test_export_survives_json_roundtrip(self):
-        import json
-
-        topology, model = self._loaded_model(True)
-        blob = json.dumps(encode_tree(export_link_state(model)))
-        target = LinkLoadModel(topology, detailed=True)
-        apply_link_state(target, decode_tree(json.loads(blob)))
+    @pytest.mark.parametrize("detailed", [True, False])
+    def test_export_survives_the_process_pipe(self, detailed):
+        # The local transport ships the export over a multiprocessing pipe,
+        # which pickles it: the integer columns must arrive dtype-exact.
+        topology, model = self._loaded_model(detailed)
+        hub_end, shard_end = multiprocessing.Pipe()
+        shard_end.send(export_link_state(model))
+        state = hub_end.recv()
+        hub_end.close()
+        shard_end.close()
+        for name in ("link_codes", "link_counts", "router_flits",
+                     "injected_flits", "ejected_flits"):
+            assert state[name].dtype == np.int64, name
+        target = LinkLoadModel(topology, detailed=detailed)
+        apply_link_state(target, state)
         assert dict(target.link_flits) == dict(model.link_flits)
+        assert target.total_flit_hops == model.total_flit_hops
+        assert target._bisection_flits == model._bisection_flits

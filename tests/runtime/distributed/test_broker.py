@@ -1,5 +1,6 @@
 """Queue, lease, ingest and persistence semantics of the Broker (no TCP)."""
 
+import dataclasses
 import json
 
 import pytest
@@ -101,6 +102,8 @@ class TestQueue:
         broker = Broker(lease_timeout=3600.0)
         submit_all(broker, [make_spec()])
         lease = broker.lease("w0")
+        # Only the lease holder can give a spec back.
+        assert broker.release("w-imposter", lease["key"])["requeued"] is False
         assert broker.release("w0", lease["key"], "executor raised")["requeued"]
         assert broker.lease("w1")["key"] == lease["key"]  # no timeout wait
 
@@ -114,6 +117,67 @@ class TestQueue:
         assert broker.fetch([spec.key()])["failed"]  # cap hit
         assert submit_all(broker, [spec])["queued"] == 1
         assert broker.lease("w0")["attempt"] == 1
+
+
+def sharded_spec(shards=2, **kwargs):
+    return dataclasses.replace(make_spec(**kwargs), shards=shards)
+
+
+class TestShardedSpecs:
+    """A sharded spec is one task: one worker leases it whole and runs it
+    on its own shard transport, so lease, expiry and release treat it like
+    any other spec."""
+
+    def test_sharded_spec_is_leased_whole_to_one_worker(self):
+        broker = Broker()
+        spec = sharded_spec(shards=3)
+        submit_all(broker, [spec])
+        lease = broker.lease("w0")
+        assert lease["key"] == spec.key()
+        assert lease["spec"]["shards"] == 3
+        assert lease["attempt"] == 1
+        assert set(lease) == {"key", "spec", "attempt", "lease_timeout"}
+        # Nothing is left for a second worker to join.
+        assert broker.lease("w1")["key"] is None
+        status = broker.status()
+        assert (status["pending"], status["leased"]) == (0, 1)
+
+    def test_silent_worker_loses_a_sharded_spec_at_the_lease_timeout(self):
+        clock = FakeClock()
+        broker = Broker(lease_timeout=5.0, max_attempts=10, clock=clock)
+        submit_all(broker, [sharded_spec()])
+        first = broker.lease("w0")
+        clock.advance(3.0)
+        assert broker.heartbeat("w0", first["key"])["active"] is True
+        assert broker.heartbeat("w-imposter", first["key"])["active"] is False
+        clock.advance(6.0)  # the holder went silent past its renewed deadline
+        second = broker.lease("w1")
+        assert second["key"] == first["key"]
+        assert second["attempt"] == 2
+        assert broker.heartbeat("w0", first["key"])["active"] is False
+        assert broker.stats.expired_leases == 1
+
+    def test_released_sharded_spec_requeues_at_once(self):
+        broker = Broker(lease_timeout=3600.0, max_attempts=10)
+        submit_all(broker, [sharded_spec()])
+        lease = broker.lease("w0")
+        assert broker.release("w-imposter", lease["key"])["requeued"] is False
+        assert broker.status()["leased"] == 1
+        assert broker.release("w0", lease["key"], "shard died")["requeued"]
+        assert broker.status()["pending"] == 1
+        again = broker.lease("w1")
+        assert (again["key"], again["attempt"]) == (lease["key"], 2)
+
+    def test_mixed_queue_leases_in_serial_cost_order(self):
+        # A sharded spec costs what its serial run costs.  wcc on 2x2 tiles
+        # costs 1.6x bfs on 2x2 tiles, so it leases first even at 2 shards.
+        broker = Broker()
+        sharded = sharded_spec(app="wcc")
+        serial = make_spec(app="bfs")
+        assert 1.0 < sharded.predicted_cost() / serial.predicted_cost() < 1.75
+        submit_all(broker, [serial, sharded])
+        assert broker.lease("w0")["key"] == sharded.key()
+        assert broker.lease("w0")["key"] == serial.key()
 
 
 class TestIngest:

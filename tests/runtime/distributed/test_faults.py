@@ -5,8 +5,14 @@ results -- batches complete with byte-identical payloads as long as one
 honest worker survives, and a broker restart resumes the pending queue.
 """
 
+import dataclasses
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +30,11 @@ from repro.runtime.distributed import (
     DistributedBackend,
     Worker,
 )
-from repro.runtime.distributed.protocol import request
+from repro.runtime.distributed.protocol import (
+    compress_payload,
+    format_address,
+    request,
+)
 
 from distributed_helpers import fleet, make_spec, make_specs
 
@@ -203,7 +213,7 @@ class TestPoisonedPayload:
                 server.address,
                 {"op": "result", "worker": "evil", "key": key,
                  "sha256": payload_digest(payload),  # claims the honest digest
-                 "payload": {"format": 1, "garbage": True}},
+                 "payload_gz": compress_payload({"format": 1, "garbage": True})},
             )
         assert outcome["accepted"] is False
         assert "digest mismatch" in outcome["reason"]
@@ -328,3 +338,69 @@ class TestBrokerRestart:
             thread.join(timeout=10.0)
             server2.stop()
         assert summaries(remote) == summaries(serial)
+
+
+REPO = Path(__file__).resolve().parents[3]
+
+
+def _spawn_worker(address, tag):
+    """A ``dalorex worker`` process on the default (local) shard transport."""
+    env = dict(os.environ)
+    env.pop("DALOREX_SHARD_BACKEND", None)
+    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "worker",
+         "--connect", address, "--worker-id", tag,
+         "--poll-interval", "0.05", "--patience", "60", "--quiet"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+
+
+class TestShardedWorkerKill:
+    def test_sigkilled_worker_requeues_its_sharded_spec(self, monkeypatch):
+        """SIGKILL the worker process that runs a sharded spec on its own
+        shard processes: the lease expires, the spec requeues, and a
+        replacement worker finishes it with a byte-identical payload."""
+        monkeypatch.setenv("DALOREX_SHARD_BACKEND", "inproc")  # the reference
+        # Big enough (about a second of work) that the kill lands mid-run.
+        spec = dataclasses.replace(
+            make_spec(app="sssp", width=4), shards=2, scale=8.0
+        )
+        key, reference = execute_to_payload(spec)
+        broker = Broker(lease_timeout=1.0, max_attempts=5)
+        broker.submit([spec.canonical()])
+        processes = {}
+        try:
+            with BrokerServer(broker) as server:
+                address = format_address(server.address)
+                processes["victim"] = _spawn_worker(address, "victim")
+                deadline = time.monotonic() + 60.0
+                while (broker.status()["leased"] == 0
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
+                assert broker.status()["leased"] == 1, "the spec was never leased"
+                processes["victim"].send_signal(signal.SIGKILL)
+                processes["victim"].wait(timeout=10)
+                # Spawned only now, so the victim is certain to hold the lease.
+                processes["replacement"] = _spawn_worker(address, "replacement")
+                payload = None
+                deadline = time.monotonic() + 120.0
+                while payload is None and time.monotonic() < deadline:
+                    payload = broker.fetch_payload(key)
+                    if payload is None:
+                        time.sleep(0.1)
+                assert payload is not None, "the fleet never recovered"
+                assert payload == reference
+                assert broker.stats.expired_leases >= 1
+                ledgers = broker.fleet_stats()["per_worker"]
+                assert ledgers["victim"]["completed"] == 0
+                assert ledgers["replacement"]["completed"] == 1
+                broker.shutdown()
+                # Drain the replacement while the server can still answer
+                # its lease poll with the shutdown notice.
+                processes["replacement"].wait(timeout=30)
+        finally:
+            for process in processes.values():
+                if process.poll() is None:
+                    process.kill()
+                    process.wait(timeout=10)

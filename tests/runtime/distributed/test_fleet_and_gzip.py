@@ -4,12 +4,7 @@ import time
 
 from repro.runtime.cache import ResultCache, payload_digest
 from repro.runtime.distributed import Broker, BrokerServer, Worker, request
-from repro.runtime.distributed.protocol import (
-    COMPAT_PROTOCOLS,
-    PROTOCOL,
-    compress_payload,
-    decompress_payload,
-)
+from repro.runtime.distributed.protocol import compress_payload, decompress_payload
 
 from distributed_helpers import fleet, make_spec, make_specs
 
@@ -81,11 +76,6 @@ class TestGzipTransport:
         plain = len(json.dumps(payload, separators=(",", ":")))
         assert len(blob) < plain
 
-    def test_protocol_v3_remains_compatible_with_v1_and_v2(self):
-        assert PROTOCOL == "dalorex-dist/3"
-        assert "dalorex-dist/1" in COMPAT_PROTOCOLS
-        assert "dalorex-dist/2" in COMPAT_PROTOCOLS
-
     def test_gzip_upload_is_verified_and_accepted(self, real_payload):
         key, payload = real_payload
         broker = Broker()
@@ -105,7 +95,7 @@ class TestGzipTransport:
             )
             assert response["accepted"]
             fetched = request(server.address, {"op": "fetch", "keys": [key]})
-            assert fetched["results"][key] == payload
+            assert decompress_payload(fetched["results_gz"][key]) == payload
 
     def test_corrupt_gzip_upload_is_rejected_not_fatal(self, real_payload):
         key, payload = real_payload
@@ -124,38 +114,12 @@ class TestGzipTransport:
                 },
             )
             assert not response["accepted"]
-            # The reason is the transport diagnosis, distinct from a v1
-            # broker's empty-payload rejection -- a worker seeing it must
-            # NOT turn gzip off.
+            # The reason is the transport diagnosis of the broken blob.
             assert "decompress" in response["reason"]
             # The spec is requeued, not lost.
             assert broker.status()["pending"] == 1
 
-    def test_broker_echoes_a_v1_requesters_protocol(self):
-        """A v1 worker only accepts responses stamped dalorex-dist/1; the
-        broker must echo the requester's generation, not its own."""
-        import socket
-
-        from repro.runtime.distributed.protocol import encode_message, read_message
-
-        broker = Broker()
-        with BrokerServer(broker) as server:
-            for sent, expected in (
-                ("dalorex-dist/1", "dalorex-dist/1"),
-                ("dalorex-dist/2", "dalorex-dist/2"),
-                (None, PROTOCOL),
-                ("dalorex-dist/99", PROTOCOL),
-            ):
-                message = {"op": "status"}
-                if sent is not None:
-                    message["protocol"] = sent
-                with socket.create_connection(server.address, timeout=5) as sock:
-                    sock.sendall(encode_message(message))
-                    with sock.makefile("rb") as rfile:
-                        response = read_message(rfile)
-                assert response["protocol"] == expected, (sent, response)
-
-    def test_fetch_accept_gzip_ships_compressed_results(self, real_payload):
+    def test_fetch_ships_compressed_results(self, real_payload):
         key, payload = real_payload
         cache = None
         broker = Broker(cache=cache)
@@ -163,43 +127,38 @@ class TestGzipTransport:
             broker.submit([make_spec().canonical()])
             broker.lease("w0")
             broker.ingest("w0", key, payload_digest(payload), payload)
-            plain = request(server.address, {"op": "fetch", "keys": [key]})
-            assert plain["results"][key] == payload
-            assert "results_gz" not in plain
-            gz = request(
-                server.address, {"op": "fetch", "keys": [key], "accept_gzip": True}
-            )
-            assert gz["results"] == {}
-            assert decompress_payload(gz["results_gz"][key]) == payload
+            fetched = request(server.address, {"op": "fetch", "keys": [key]})
+            # One encoding: no plain ``results`` map beside ``results_gz``.
+            assert "results" not in fetched
+            assert fetched["results_gz"][key] == compress_payload(payload)
+            assert decompress_payload(fetched["results_gz"][key]) == payload
 
-    def test_worker_falls_back_to_plain_json_on_a_v1_broker(self, real_payload):
-        """A v1 broker never reads payload_gz, so it rejects the gzip-only
-        upload as an empty payload; that must flip the worker to plain JSON
-        (for its lifetime) and resend immediately."""
+    def test_worker_uploads_only_payload_gz(self, real_payload):
+        """One upload encoding: the worker never falls back to a plain
+        ``payload``, even when the broker rejects the upload with the
+        empty-payload reason an old broker gave for a gzip upload."""
         key, payload = real_payload
         worker = Worker(("127.0.0.1", 1), worker_id="w0")
         sent = []
 
-        def v1_broker(message):
+        def rejecting_broker(message):
             sent.append(message)
-            if "payload" not in message:  # v1 dispatch: payload field or bust
-                return {"accepted": False,
-                        "reason": "payload is not an object: NoneType"}
-            return {"accepted": True, "duplicate": False}
+            return {"accepted": False,
+                    "reason": "payload is not an object: NoneType"}
 
-        worker._send_quietly = v1_broker
-        response = worker._upload(key, payload)
-        assert response is not None and response["accepted"]
-        assert worker._use_gzip is False
-        assert "payload_gz" in sent[0] and "payload" not in sent[0]
-        assert "payload" in sent[1] and "payload_gz" not in sent[1]
-        # Later uploads skip the gzip attempt entirely.
-        worker._upload(key, payload)
-        assert "payload" in sent[2] and "payload_gz" not in sent[2]
+        worker._send_quietly = rejecting_broker
+        for _ in range(2):
+            response = worker._upload(key, payload)
+            assert response is not None and not response["accepted"]
+        assert len(sent) == 2  # one message per upload, no resend
+        for message in sent:
+            assert "payload" not in message
+            assert message["sha256"] == payload_digest(payload)
+            assert decompress_payload(message["payload_gz"]) == payload
 
     def test_end_to_end_fleet_uses_gzip_by_default(self):
-        """Full fleet run on the v2 protocol: results land through gzip
-        uploads and gzip fetches, byte-identical to local execution."""
+        """Full fleet run: results land through gzip uploads and gzip
+        fetches, byte-identical to local execution."""
         from repro.runtime import ExperimentRunner
         from repro.runtime.backends import execute_to_payload
         from repro.runtime.distributed.client import DistributedBackend
@@ -214,4 +173,3 @@ class TestGzipTransport:
         assert len(results) == len(specs)
         for spec, result in zip(specs, results):
             assert result.cycles == expected[spec.key()]["cycles"]
-        assert all(worker._use_gzip for worker in workers)

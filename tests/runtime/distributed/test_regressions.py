@@ -65,32 +65,29 @@ class TestPoisonedGiveUpReason:
         # Fatal means fatal: the spec was not quietly handed back.
         assert broker.stats.submitted == 1
 
-    def test_v2_fallback_matches_the_exact_reason_only(self):
-        """Against a v2 broker (no codes) amnesia detection must compare
-        the whole frozen reason string, never a substring."""
+    def test_failure_without_a_code_is_fatal(self):
+        """Only the never-submitted code means amnesia: a failed key with no
+        code is fatal, even when its reason is the never-submitted text."""
         backend = DistributedBackend(("127.0.0.1", 1))
         resubmitted = []
         backend._submit = lambda canonicals, started: resubmitted.extend(canonicals)
 
-        outstanding = {"k1": {"spec": 1}, "k2": {"spec": 2}, "k3": {"spec": 3}}
+        outstanding = {"k1": {"spec": 1}}
         fatal = {}
         backend._handle_failures(
-            {
-                "k1": "never submitted to this broker",  # exact: amnesia
-                "k2": f"gave up after 5 attempts (last: {TestPoisonedGiveUpReason.POISON})",
-                "k3": "never submitted to this broker, probably",
-            },
-            {},  # no codes: the v2 path
+            {"k1": "never submitted to this broker"},
+            {},
             outstanding,
             fatal,
             started=0.0,
         )
-        assert resubmitted == [{"spec": 1}]
-        assert set(fatal) == {"k2", "k3"}
+        assert resubmitted == []
+        assert fatal == {"k1": "never submitted to this broker"}
+        assert outstanding == {}
 
     def test_v3_codes_override_the_reason_text(self):
-        """With codes present, even the exact v2 reason string must not
-        trigger a resubmit unless the code says never-submitted."""
+        """Even the exact never-submitted reason string must not trigger a
+        resubmit unless the code says never-submitted."""
         backend = DistributedBackend(("127.0.0.1", 1))
         resubmitted = []
         backend._submit = lambda canonicals, started: resubmitted.extend(canonicals)

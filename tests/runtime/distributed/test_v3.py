@@ -23,8 +23,10 @@ from repro.runtime.distributed.protocol import (
     ERR_UNKNOWN_OP,
     FAIL_GAVE_UP,
     FAIL_NEVER_SUBMITTED,
+    REJECT_BAD_PAYLOAD,
     REJECT_DIGEST_MISMATCH,
     compress_payload,
+    decompress_payload,
 )
 
 from distributed_helpers import fleet, make_spec, make_specs
@@ -64,7 +66,7 @@ class TestFairShare:
         assert broker.lease("w0")["key"] == small.key()
 
     def test_single_tenant_order_matches_the_historical_global_heap(self):
-        """All v1/v2 traffic lands on the default tenant; its ordering must
+        """Untagged submits land on the default tenant; its ordering must
         be exactly the old global costliest-first heap."""
         broker = Broker()
         specs = sorted(
@@ -182,11 +184,34 @@ class TestFailureCodes:
                     "worker": "w0",
                     "key": key,
                     "sha256": "0" * 64,
-                    "payload": payload,
+                    "payload_gz": compress_payload(payload),
                 },
             )
             assert not rejected["accepted"]
             assert rejected["code"] == REJECT_DIGEST_MISMATCH
+
+    def test_upload_without_payload_gz_is_a_bad_payload(self, real_payload):
+        # A plain ``payload`` field is not an encoding the broker reads,
+        # even with the correct digest: rejected and requeued.
+        key, payload = real_payload
+        broker = Broker()
+        with BrokerServer(broker) as server:
+            broker.submit([make_spec().canonical()])
+            broker.lease("w0")
+            rejected = request(
+                server.address,
+                {
+                    "op": "result",
+                    "worker": "w0",
+                    "key": key,
+                    "sha256": payload_digest(payload),
+                    "payload": payload,
+                },
+            )
+        assert not rejected["accepted"]
+        assert rejected["code"] == REJECT_BAD_PAYLOAD
+        assert "payload_gz" in rejected["reason"]
+        assert broker.status()["pending"] == 1
 
 
 class TestChunkedFetch:
@@ -201,12 +226,32 @@ class TestChunkedFetch:
                 server.address,
                 {"op": "fetch", "keys": [key], "max_frame_bytes": 64},
             )
-            assert response["results"] == {}
+            assert response["results_gz"] == {}
             assert response["chunked"][key] == len(compress_payload(payload))
-            # Without a budget the payload still arrives inline (v2 shape).
+            # Without a budget the payload still arrives inline.
             inline = request(server.address, {"op": "fetch", "keys": [key]})
-            assert inline["results"][key] == payload
-            assert "chunked" not in inline
+            assert decompress_payload(inline["results_gz"][key]) == payload
+            assert inline["chunked"] == {}
+
+    def test_fetch_without_a_budget_gets_half_the_frame_cap(self, real_payload):
+        key, payload = real_payload
+        blob_size = len(compress_payload(payload))
+        broker = Broker()
+        broker.submit([make_spec().canonical()])
+        broker.lease("w0")
+        broker.ingest("w0", key, payload_digest(payload), payload)
+        # A cap just under twice the blob defers it; just over inlines it.
+        for cap, chunked in ((2 * blob_size - 2, True), (2 * blob_size, False)):
+            with BrokerServer(broker, max_message_bytes=cap) as server:
+                response = request(
+                    server.address, {"op": "fetch", "keys": [key]}
+                )
+            if chunked:
+                assert response["chunked"] == {key: blob_size}
+                assert response["results_gz"] == {}
+            else:
+                assert response["chunked"] == {}
+                assert decompress_payload(response["results_gz"][key]) == payload
 
     def test_chunk_stream_reassembles_byte_identically(self, real_payload):
         key, payload = real_payload

@@ -203,6 +203,16 @@ class TestShardFlags:
         assert runner.shards == 4
         assert os.environ["DALOREX_SHARD_BACKEND"] == "inproc"
 
+    def test_shard_backend_is_refused_for_the_distributed_backend(self):
+        # Fleet workers read their own environment; the client's choice
+        # would silently never reach them.
+        args = dict(jobs=1, cache_dir=None, no_cache=False,
+                    backend="distributed", connect="127.0.0.1:1", shards=2,
+                    shard_backend="inproc")
+        with pytest.raises(SystemExit, match="fleet workers choose"):
+            cli.runner_from_args(cli.argparse.Namespace(**args))
+        assert "DALOREX_SHARD_BACKEND" not in os.environ
+
     def test_experiments_accept_the_shard_flags(self, capsys):
         exit_code = cli.experiments_command(
             ["textstats", "--scale", "0.05",
