@@ -71,7 +71,10 @@ class Kernel(ABC):
     def refill_tile(self, machine, tile_id: int, budget: int) -> List[Seed]:
         """Work a tile can pull from its local frontier when it would otherwise idle.
 
-        Only called in barrierless mode.  The default is no local refill
+        Only called in barrierless mode.  Refill draws only from the tile's
+        local frontier bucket, ``machine.state.frontier[tile_id]``, so a
+        tile whose bucket is empty has nothing to refill and the analytic
+        engine does not ask it.  The default is no local refill
         (single-pass programs such as SPMV).
         """
         return []

@@ -20,6 +20,7 @@ epoch as slow as its slowest tile.
 from __future__ import annotations
 
 from collections import deque
+from itertools import compress, islice
 from typing import List, Optional
 
 import numpy as np
@@ -198,12 +199,22 @@ class AnalyticalEngine(BaseEngine):
         """Barrierless mode: pull parked frontier work once the worklist drains."""
         if self.machine.barrier_effective:
             return False
-        refilled = False
-        for tile_id in range(self.config.num_tiles):
+        items = self.refill_items(0, self.config.num_tiles)
+        worklist.extend(items)
+        return bool(items)
+
+    def refill_items(self, lo: int, hi: int) -> list:
+        """Barrierless refill of tiles ``[lo, hi)`` as worklist items, in tile order.
+
+        :meth:`~repro.apps.common.Kernel.refill_tile` draws only from a
+        tile's ``state.frontier`` bucket, so only the tiles whose bucket
+        holds work are visited.
+        """
+        items = []
+        for tile_id in compress(range(lo, hi), islice(self.state.frontier, lo, hi)):
             for task, params in self.resolve_refill(tile_id):
-                worklist.append((tile_id, task, params, 0, False))
-                refilled = True
-        return refilled
+                items.append((tile_id, task, params, 0, False))
+        return items
 
     # ------------------------------------------------------------- batch mode
     #: CoreState per-tile counter lists rebound to numpy arrays in batch mode
@@ -283,10 +294,7 @@ class AnalyticalEngine(BaseEngine):
         """Batched twin of :meth:`_refill_all_tiles` (same tile order)."""
         if self.machine.barrier_effective:
             return False
-        items = []
-        for tile_id in range(self.config.num_tiles):
-            for task, params in self.resolve_refill(tile_id):
-                items.append((tile_id, task, params, 0, False))
+        items = self.refill_items(0, self.config.num_tiles)
         if not items:
             return False
         worklist.extend(segments_from_items(items))

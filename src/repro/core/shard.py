@@ -10,7 +10,8 @@ module owns the pieces that are pure data plumbing:
   vectorized tile->shard ownership map;
 * the **link-state codec** (:func:`export_link_state` /
   :func:`apply_link_state`) that ships a shard's per-epoch
-  :class:`~repro.noc.analytical.LinkLoadModel` integer tallies to the hub.
+  :class:`~repro.noc.analytical.LinkLoadModel` integer tallies -- per-slot
+  link loads and per-tile router and endpoint loads -- to the hub.
   Float flit-millimeters are deliberately *excluded*: IEEE addition does not
   associate, so the hub replays that fold itself in global emission order
   (see :mod:`repro.core.shard_exec` for the determinism argument).
@@ -85,6 +86,10 @@ class ShardPlan:
 
 
 # ---------------------------------------------------------- link-state codec
+#: The per-slot and per-tile tallies the codec ships, as int64 arrays.
+LINK_STATE_ARRAYS = ("slot_flits", "router_flits", "injected_flits", "ejected_flits")
+
+
 def export_link_state(link: LinkLoadModel) -> Dict[str, Any]:
     """Integer traffic tallies of one epoch-local link model, as arrays.
 
@@ -93,45 +98,18 @@ def export_link_state(link: LinkLoadModel) -> Dict[str, Any]:
     hub recomputes the millimeter fold itself (bit-exactly) from the
     messages' routes.
     """
-    num_tiles = link.topology.num_tiles
-    if link.link_flits:
-        codes = np.fromiter(
-            (src * num_tiles + dst for src, dst in link.link_flits),
-            dtype=np.int64,
-            count=len(link.link_flits),
-        )
-        counts = np.fromiter(
-            link.link_flits.values(), dtype=np.int64, count=len(link.link_flits)
-        )
-    else:
-        codes = np.empty(0, dtype=np.int64)
-        counts = np.empty(0, dtype=np.int64)
-    return {
-        "link_codes": codes,
-        "link_counts": counts,
-        "router_flits": np.asarray(link.router_flits, dtype=np.int64),
-        "injected_flits": np.asarray(link.injected_flits, dtype=np.int64),
-        "ejected_flits": np.asarray(link.ejected_flits, dtype=np.int64),
-        "total_flit_hops": int(link.total_flit_hops),
-        "total_messages": int(link.total_messages),
-        "bisection_flits": int(link._bisection_flits),
-    }
+    state: Dict[str, Any] = {name: getattr(link, name) for name in LINK_STATE_ARRAYS}
+    state["total_flit_hops"] = int(link.total_flit_hops)
+    state["total_messages"] = int(link.total_messages)
+    state["bisection_flits"] = int(link._bisection_flits)
+    return state
 
 
 def apply_link_state(target: LinkLoadModel, state: Dict[str, Any]) -> None:
     """Accumulate one shard's exported integer tallies into ``target``."""
-    num_tiles = target.topology.num_tiles
-    codes = np.asarray(state["link_codes"], dtype=np.int64)
-    counts = np.asarray(state["link_counts"], dtype=np.int64)
-    link_flits = target.link_flits
-    for code, flits in zip(codes.tolist(), counts.tolist()):
-        link = (code // num_tiles, code % num_tiles)
-        link_flits[link] = link_flits.get(link, 0) + flits
-    for field in ("router_flits", "injected_flits", "ejected_flits"):
-        merged = np.asarray(getattr(target, field), dtype=np.int64) + np.asarray(
-            state[field], dtype=np.int64
-        )
-        setattr(target, field, merged.tolist())
+    for name in LINK_STATE_ARRAYS:
+        tally = getattr(target, name)
+        tally += np.asarray(state[name], dtype=np.int64)
     target.total_flit_hops += int(state["total_flit_hops"])
     target.total_messages += int(state["total_messages"])
     target._bisection_flits += int(state["bisection_flits"])

@@ -188,13 +188,9 @@ class ShardWorker:
         return reply
 
     def refill(self) -> List[Dict[str, Any]]:
-        items = []
-        for tile_id in range(self.lo, self.hi):
-            for task, params in self.engine.resolve_refill(tile_id):
-                items.append((tile_id, task, params, 0, False))
         return [
             {"task": segment.task.name, "tiles": segment.tiles, "params": segment.params}
-            for segment in segments_from_items(items)
+            for segment in segments_from_items(self.engine.refill_items(self.lo, self.hi))
         ]
 
     def epoch_end(self) -> Dict[str, Any]:

@@ -4,6 +4,14 @@ Every message is routed over the topology and its flits are charged to each
 directed link on the path.  The resulting per-link loads bound the achievable
 runtime (one flit per link per cycle), expose the mesh-vs-torus center
 congestion the paper shows in Fig. 10, and feed the energy model via flit-hops.
+
+Per-link loads live in one int64 array over the topology's
+:meth:`~repro.noc.topology.Topology.slot_layout` slots (``tile * ports +
+output port``), the numbering both cycle-engine network models use.  A
+batch charges each route *leg* -- a run of hops through one output port --
+as one interval of the layout's :attr:`~repro.noc.topology.SlotLayout.cycle_order`,
+two entries of a difference array, so its cost grows with messages and
+slots, not with hops.
 """
 
 from __future__ import annotations
@@ -17,28 +25,18 @@ from repro.noc.topology import Topology
 
 Link = Tuple[int, int]
 
-#: Route links one batched expansion materializes at most.  The closed-form
-#: expansion holds about a dozen 8-byte temporaries per link, so one huge
-#: segment's working set stays near 100 MB instead of growing with it.
+#: Route links one batched millimeter fold materializes at most: the fold
+#: keeps one float per hop (IEEE addition does not associate), so one huge
+#: segment's working set stays bounded instead of growing with it.
 ROUTE_CHUNK_LINKS = 1 << 20
 
 
-def _route_chunks(hops: np.ndarray, srcs: np.ndarray, dsts: np.ndarray, flits):
-    """Split messages, in order, into runs of about ROUTE_CHUNK_LINKS links.
-
-    Yields ``(srcs, dsts, link_flits)`` per run: ``link_flits`` is the flits
-    of every route link of the run, or the batch's one ``flits`` int.
-    """
-    ends = np.cumsum(hops)
-    total = int(ends[-1]) if len(ends) else 0
-    cuts = np.searchsorted(ends, np.arange(ROUTE_CHUNK_LINKS, total, ROUTE_CHUNK_LINKS))
-    runs = zip(np.split(srcs, cuts), np.split(dsts, cuts))
+def _per_leg(flits, legs: int, messages: int):
+    """Messages' flits per route leg: the batch's one int, or each message's
+    length repeated over its legs (every message has equally many)."""
     if np.ndim(flits) == 0:
-        for src, dst in runs:
-            yield src, dst, flits
-        return
-    for (src, dst), hop, flit in zip(runs, np.split(hops, cuts), np.split(flits, cuts)):
-        yield src, dst, np.repeat(flit, hop)
+        return flits
+    return np.repeat(flits, legs // max(messages, 1))
 
 
 def _flit_tally(keys: np.ndarray, flits, minlength: int) -> np.ndarray:
@@ -49,44 +47,42 @@ def _flit_tally(keys: np.ndarray, flits, minlength: int) -> np.ndarray:
     return np.bincount(keys, weights=flits, minlength=minlength).astype(np.int64)
 
 
-def _link_charges(codes: np.ndarray, link_flits) -> tuple:
-    """Distinct link codes, ascending, and the flits charged to each."""
-    if np.ndim(link_flits) == 0:
-        links, traversals = np.unique(codes, return_counts=True)
-        return links, link_flits * traversals
-    links, inverse = np.unique(codes, return_inverse=True)
-    return links, _flit_tally(inverse, link_flits, len(links))
-
-
 class LinkLoadModel:
     """Accumulates flit traffic per directed link, per router, and per endpoint.
 
     Two accounting modes are supported:
 
     * ``detailed=True`` (default): every message is routed and its flits are
-      charged to each link on the path.  Exact, but O(hops) per message --
-      appropriate up to a few thousand tiles.
+      charged to each link on the path, kept per slot in :attr:`slot_flits`.
     * ``detailed=False``: only aggregate statistics are kept (flit-hops via the
       O(1) hop distance, endpoint loads, bisection crossings); the hottest link
-      is estimated as ``flit_hops / links * congestion_factor``.  Used by the
-      analytical engine on very large grids, where per-link accounting would
-      dominate simulation time.
+      is estimated as ``flit_hops / links * congestion_factor``, and
+      :attr:`slot_flits` is empty.  Used by the analytical engine on very
+      large grids.
+
+    Every tally is an int64 array: ``slot_flits`` per link slot,
+    ``router_flits``, ``injected_flits`` and ``ejected_flits`` per tile.
     """
 
     def __init__(self, topology: Topology, detailed: bool = True) -> None:
         self.topology = topology
         self.detailed = detailed
-        self.link_flits: Dict[Link, int] = {}
-        # Per-tile counters are plain Python lists: the hot path increments
-        # single elements, where numpy scalar indexing costs ~10x more.
-        # router_traffic() materializes the numpy view on demand.
-        self.router_flits = [0] * topology.num_tiles
-        self.injected_flits = [0] * topology.num_tiles
-        self.ejected_flits = [0] * topology.num_tiles
+        num_tiles = topology.num_tiles
+        num_slots = topology.slot_layout().num_slots if detailed else 0
+        self.slot_flits = np.zeros(num_slots, dtype=np.int64)
+        self.router_flits = np.zeros(num_tiles, dtype=np.int64)
+        self.injected_flits = np.zeros(num_tiles, dtype=np.int64)
+        self.ejected_flits = np.zeros(num_tiles, dtype=np.int64)
         self.total_flit_hops = 0
         self.total_flit_millimeters = 0.0
         self.total_messages = 0
         self._bisection_flits = 0
+
+    @property
+    def link_flits(self) -> Dict[Link, int]:
+        """Flits per used directed link, ``(src, dst) -> flits`` (a view
+        derived from :attr:`slot_flits`)."""
+        return self.topology.slot_layout().link_view(self.slot_flits)
 
     def record_message(self, src: int, dst: int, flits: int, tile_pitch_mm: float = 1.0) -> int:
         """Charge one ``flits``-long message from ``src`` to ``dst``.
@@ -108,18 +104,19 @@ class LinkLoadModel:
             if (self.topology.coords(src)[0] < middle) != (self.topology.coords(dst)[0] < middle):
                 self._bisection_flits += flits
             return hops
-        links, lengths = self.topology.route_profile(src, dst)
-        link_flits = self.link_flits
-        router_flits = self.router_flits
+        slots, lengths = self.topology.route_profile(src, dst)
+        route = np.array(slots)
+        # A minimal route visits every slot and every router at most once,
+        # so the fancy-indexed additions never repeat an index.
+        self.slot_flits[route] += flits
+        self.router_flits[route // self.topology.slot_layout().ports] += flits
+        self.router_flits[dst] += flits
         millimeters = self.total_flit_millimeters
-        for link, length in zip(links, lengths):
-            link_flits[link] = link_flits.get(link, 0) + flits
-            router_flits[link[0]] += flits
+        for length in lengths:
             millimeters += flits * length * tile_pitch_mm
         self.total_flit_millimeters = millimeters
-        router_flits[dst] += flits
-        self.total_flit_hops += flits * len(links)
-        return len(links)
+        self.total_flit_hops += flits * len(slots)
+        return len(slots)
 
     def record_batch(
         self, srcs: np.ndarray, dsts: np.ndarray, flits, tile_pitch_mm: float = 1.0
@@ -128,11 +125,11 @@ class LinkLoadModel:
 
         ``flits`` is every message's length: one int for the whole batch,
         or an int array aligned with ``srcs``.  Bit-equal to calling
-        :meth:`record_message` once per ``(src, dst)`` pair in order: routes
-        come in closed form from the topology, the integer tallies are
-        order-free (weighted) scatters, and the one float accumulator folds
+        :meth:`record_message` once per ``(src, dst)`` pair in order: the
+        integer tallies are order-free, and the one float accumulator folds
         the scalar loop's own terms in its order (see
-        :meth:`fold_millimeters`).
+        :meth:`fold_millimeters`).  Routes come from the topology as legs,
+        each charged to its slots as one interval (:meth:`_charge_legs`).
         """
         topology = self.topology
         num = len(srcs)
@@ -140,12 +137,8 @@ class LinkLoadModel:
         if num == 0:
             return np.zeros(0, dtype=np.int64)
         num_tiles = topology.num_tiles
-        inject = np.asarray(self.injected_flits, dtype=np.int64)
-        inject += _flit_tally(srcs, flits, num_tiles)
-        self.injected_flits = inject.tolist()
-        eject = np.asarray(self.ejected_flits, dtype=np.int64)
-        eject += _flit_tally(dsts, flits, num_tiles)
-        self.ejected_flits = eject.tolist()
+        self.injected_flits += _flit_tally(srcs, flits, num_tiles)
+        self.ejected_flits += _flit_tally(dsts, flits, num_tiles)
 
         nonlocal_mask = srcs != dsts
         hops = np.zeros(num, dtype=np.int64)
@@ -155,34 +148,68 @@ class LinkLoadModel:
         nl_dst = dsts[nonlocal_mask]
         if np.ndim(flits):
             flits = flits[nonlocal_mask]
-        nl_hops = topology.hop_distance_batch(nl_src, nl_dst)
-        hops[nonlocal_mask] = nl_hops
-        self.total_flit_hops += int((flits * nl_hops).sum())
-
-        if not self.detailed:
+        if self.detailed:
+            leg_hops, tiles, ports = topology._route_legs(nl_src, nl_dst)
+            nl_hops = leg_hops.reshape(len(nl_src), -1).sum(axis=1)
+            leg_flits = _per_leg(flits, len(leg_hops), len(nl_src))
+            self._fold_legs(leg_hops, ports, leg_flits, tile_pitch_mm)
+            self._charge_legs(leg_hops, tiles, ports, leg_flits)
+            self.router_flits += _flit_tally(nl_dst, flits, num_tiles)
+        else:
+            nl_hops = topology.hop_distance_batch(nl_src, nl_dst)
             self.fold_millimeters(nl_src, nl_dst, flits, tile_pitch_mm)
             middle = topology.width // 2
             crossing = ((nl_src % topology.width) < middle) != (
                 (nl_dst % topology.width) < middle
             )
             self._bisection_flits += int((flits * crossing).sum())
-            return hops
-
-        link_flits = self.link_flits
-        router_flits = np.asarray(self.router_flits, dtype=np.int64)
-        router_flits += _flit_tally(nl_dst, flits, num_tiles)
-        for src, dst, weight in _route_chunks(nl_hops, nl_src, nl_dst, flits):
-            codes, lengths = topology.route_link_codes(src, dst)
-            self.total_flit_millimeters = _sequential_sum(
-                self.total_flit_millimeters, weight * lengths * tile_pitch_mm
-            )
-            links, charges = _link_charges(codes, weight)
-            for code, charge in zip(links.tolist(), charges.tolist()):
-                link = (code // num_tiles, code % num_tiles)
-                link_flits[link] = link_flits.get(link, 0) + charge
-            router_flits += _flit_tally(links // num_tiles, charges, num_tiles)
-        self.router_flits = router_flits.tolist()
+        hops[nonlocal_mask] = nl_hops
+        self.total_flit_hops += int((flits * nl_hops).sum())
         return hops
+
+    def _charge_legs(self, hops: np.ndarray, tiles: np.ndarray, ports: np.ndarray, flits) -> None:
+        """Charge route legs to their slots and routers, O(legs + slots).
+
+        A leg's hops are consecutive positions of the layout's doubled
+        :attr:`~repro.noc.topology.SlotLayout.cycle_order`, so the leg adds
+        its flits at the start of that interval and subtracts them past its
+        end; one cumulative sum turns the differences into per-position
+        loads, and a slot's load is the sum of its two positions.
+        """
+        layout = self.topology.slot_layout()
+        first, second, cycle = layout.cycle_order
+        # A leg with a negative step runs down its cycle: its interval ends
+        # at the position after its first hop's second copy.
+        starts = first[tiles * layout.ports + ports] + np.where(
+            layout.port_table()[0][ports] < 0, cycle[ports] + 1 - hops, 0
+        )
+        positions = 2 * len(first) + 1
+        loads = np.cumsum(
+            _flit_tally(starts, flits, positions) - _flit_tally(starts + hops, flits, positions)
+        )
+        loads = loads[first] + loads[second]
+        self.slot_flits += loads
+        self.router_flits += loads.reshape(-1, layout.ports).sum(axis=1)
+
+    def _fold_legs(self, hops: np.ndarray, ports: np.ndarray, flits, tile_pitch_mm: float) -> None:
+        """Fold route legs' flit-millimeters in :meth:`record_message` order.
+
+        A leg's term is ``flits * length * pitch``, repeated over its hops;
+        the terms fold left to right, ROUTE_CHUNK_LINKS hops at a time, as
+        ``sequential_sum`` folds them, in the repeated terms' own buffer.
+        """
+        terms = flits * self.topology.slot_layout().port_table()[3][ports] * tile_pitch_mm
+        ends = np.cumsum(hops)
+        cuts = np.searchsorted(
+            ends, np.arange(ROUTE_CHUNK_LINKS, ends[-1] if len(ends) else 0, ROUTE_CHUNK_LINKS)
+        )
+        total = self.total_flit_millimeters
+        for term, hop in zip(np.split(terms, cuts), np.split(hops, cuts)):
+            chain = np.repeat(term, hop)
+            if len(chain):
+                chain[0] += total  # the fold's first addition, total + t0
+                total = float(np.add.accumulate(chain, out=chain)[-1])
+        self.total_flit_millimeters = total
 
     def fold_millimeters(
         self, srcs: np.ndarray, dsts: np.ndarray, flits, tile_pitch_mm: float = 1.0
@@ -192,12 +219,10 @@ class LinkLoadModel:
         IEEE addition does not associate and ruche or TSV links make the
         terms unequal, so the terms are the scalar loop's own -- one per
         link, message by message, in route order (one per message in the
-        aggregate mode) -- folded left to right with ``sequential_sum``, one
-        in-order chunk of routes after another.  ``flits`` is one int or an
-        array aligned with ``srcs``, as in :meth:`record_batch`.
-        :meth:`record_batch` folds the per-link terms in the loop that
-        charges the links; the shard hub calls this to replay the serial
-        fold.
+        aggregate mode) -- folded left to right with ``sequential_sum``.
+        ``flits`` is one int or an array aligned with ``srcs``, as in
+        :meth:`record_batch`, which folds with the same code; the shard hub
+        calls this to replay the serial fold.
         """
         topology = self.topology
         if not self.detailed:
@@ -206,12 +231,10 @@ class LinkLoadModel:
                 flits * topology.route_span_tiles_batch(srcs, dsts) * tile_pitch_mm,
             )
             return
-        hops = topology.hop_distance_batch(srcs, dsts)
-        for src, dst, weight in _route_chunks(hops, srcs, dsts, flits):
-            self.total_flit_millimeters = _sequential_sum(
-                self.total_flit_millimeters,
-                weight * topology.route_link_lengths(src, dst) * tile_pitch_mm,
-            )
+        leg_hops, _tiles, ports = topology._route_legs(srcs, dsts)
+        self._fold_legs(
+            leg_hops, ports, _per_leg(flits, len(leg_hops), len(srcs)), tile_pitch_mm
+        )
 
     # ------------------------------------------------------------------ bounds
     def max_link_load(self) -> float:
@@ -219,28 +242,17 @@ class LinkLoadModel:
         if not self.detailed:
             links = max(1, self.topology.num_directed_links())
             return self.total_flit_hops / links * self.topology.congestion_factor
-        return max(self.link_flits.values(), default=0)
+        return int(self.slot_flits.max(initial=0))
 
     def max_endpoint_load(self) -> int:
         """Heaviest injection/ejection flit count over all tiles."""
-        inject = max(self.injected_flits, default=0)
-        eject = max(self.ejected_flits, default=0)
-        return int(max(inject, eject))
+        return int(max(self.injected_flits.max(), self.ejected_flits.max()))
 
     def bisection_load(self) -> int:
         """Flits crossing the vertical middle cut (both directions)."""
         if not self.detailed:
             return self._bisection_flits
-        middle = self.topology.width // 2
-        total = 0
-        for (src, dst), flits in self.link_flits.items():
-            # coords() yields (x, y) on 2D topologies and (x, y, z) on 3D
-            # stacks; the vertical middle cut only cares about x.
-            sx = self.topology.coords(src)[0]
-            dx = self.topology.coords(dst)[0]
-            if (sx < middle) != (dx < middle):
-                total += flits
-        return total
+        return int(self.slot_flits[self.topology.slot_layout().middle_cut].sum())
 
     def bisection_bound_cycles(self) -> float:
         """Cycles needed to push the bisection traffic through the bisection links."""
@@ -258,14 +270,7 @@ class LinkLoadModel:
     # ------------------------------------------------------------------- stats
     def router_traffic(self) -> np.ndarray:
         """Flits traversing each router (for utilization heatmaps)."""
-        return np.array(self.router_flits, dtype=np.int64)
-
-    def link_load_matrix(self) -> np.ndarray:
-        """Dense (num_tiles x num_tiles) matrix of link loads (0 where no link)."""
-        matrix = np.zeros((self.topology.num_tiles, self.topology.num_tiles), dtype=np.int64)
-        for (src, dst), flits in self.link_flits.items():
-            matrix[src, dst] = flits
-        return matrix
+        return self.router_flits.copy()
 
     def merge(self, other: "LinkLoadModel") -> None:
         """Accumulate another model's traffic into this one.
@@ -286,14 +291,10 @@ class LinkLoadModel:
                 "cannot merge link-load models built on different topologies: "
                 f"{self.topology.describe()} vs {other.topology.describe()}"
             )
-        for link, flits in other.link_flits.items():
-            self.link_flits[link] = self.link_flits.get(link, 0) + flits
-        for tile, flits in enumerate(other.router_flits):
-            self.router_flits[tile] += flits
-        for tile, flits in enumerate(other.injected_flits):
-            self.injected_flits[tile] += flits
-        for tile, flits in enumerate(other.ejected_flits):
-            self.ejected_flits[tile] += flits
+        self.slot_flits += other.slot_flits
+        self.router_flits += other.router_flits
+        self.injected_flits += other.injected_flits
+        self.ejected_flits += other.ejected_flits
         self.total_flit_hops += other.total_flit_hops
         self.total_flit_millimeters += other.total_flit_millimeters
         self.total_messages += other.total_messages
@@ -301,11 +302,9 @@ class LinkLoadModel:
 
     def reset(self) -> None:
         """Clear all accumulated traffic."""
-        self.link_flits.clear()
-        num_tiles = self.topology.num_tiles
-        self.router_flits = [0] * num_tiles
-        self.injected_flits = [0] * num_tiles
-        self.ejected_flits = [0] * num_tiles
+        for tally in (self.slot_flits, self.router_flits, self.injected_flits,
+                      self.ejected_flits):
+            tally.fill(0)
         self.total_flit_hops = 0
         self.total_flit_millimeters = 0.0
         self.total_messages = 0

@@ -60,20 +60,6 @@ class RoutingPolicy:
         """
         raise NotImplementedError
 
-    def _walk(self, src: int, dst: int, dimensions) -> List[int]:
-        """Slots of the minimal route covering ``dimensions`` in the given order."""
-        ports = self.layout.ports
-        slots = []
-        tile = src
-        for stride, size, legs in dimensions:
-            here = tile // stride % size
-            base = tile - here * stride
-            for step, port in legs[dst // stride % size - here + size - 1]:
-                slots.append(tile * ports + port)
-                here = (here + step) % size
-                tile = base + here * stride
-        return slots
-
 
 class DimensionOrderedRouting(RoutingPolicy):
     """X-then-Y(-then-Z) routing: the links of ``Topology.route``."""
@@ -81,7 +67,7 @@ class DimensionOrderedRouting(RoutingPolicy):
     kind = "dimension_ordered"
 
     def route(self, src: int, dst: int, message_index: int, link_free: List[float]) -> List[int]:
-        return self._walk(src, dst, self.layout.dimensions)
+        return self.layout.route(src, dst)
 
 
 class XYYXObliviousRouting(RoutingPolicy):
@@ -102,7 +88,7 @@ class XYYXObliviousRouting(RoutingPolicy):
         self._orders = (dimensions, dimensions[::-1])
 
     def route(self, src: int, dst: int, message_index: int, link_free: List[float]) -> List[int]:
-        return self._walk(src, dst, self._orders[message_index % 2])
+        return self.layout.route(src, dst, self._orders[message_index % 2])
 
 
 class AdaptiveMinimalRouting(RoutingPolicy):

@@ -37,10 +37,11 @@ policies return slot lists walked in closed form; nothing is cached per
 (src, dst) pair.
 
 Per-link flit totals are accounted exactly like the analytical
-:class:`~repro.noc.analytical.LinkLoadModel`: under dimension-ordered
-routing the two agree flit-for-flit on every link (the network conformance
-oracle pins this); adaptive/oblivious policies move flits to different links
-but conserve flits and never shorten a route below minimal.
+:class:`~repro.noc.analytical.LinkLoadModel`, on the same slots: under
+dimension-ordered routing the two agree flit-for-flit on every slot (the
+network conformance oracle pins this); adaptive/oblivious policies move
+flits to different links but conserve flits and never shorten a route below
+minimal.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ class NocSimulator:
         #: Ring position of each slot's oldest charge (its next overwrite).
         self._credit_heads = [0] * num_slots
         #: Flits routed over each link slot.
-        self._slot_flits = [0] * num_slots
+        self.slot_flits = [0] * num_slots
         self.total_messages = 0
         self.total_flits = 0
         self.total_flit_hops = 0
@@ -188,7 +189,7 @@ class NocSimulator:
             eject_free[dst] = eject + 1.0
             credits[behind] = eject
         # ------------------------------------------------------- accounting
-        slot_flits = self._slot_flits
+        slot_flits = self.slot_flits
         for slot in route:
             slot_flits[slot] += flits
         self.total_flits += flits
@@ -205,14 +206,14 @@ class NocSimulator:
 
     @property
     def link_flits(self) -> Dict[Link, int]:
-        """Flits routed over each used directed link, ``(src, dst) -> flits``."""
-        link = self.policy.layout.link
-        return {link(slot): flits for slot, flits in enumerate(self._slot_flits) if flits}
+        """Flits routed over each used directed link, ``(src, dst) -> flits``
+        (a view derived from :attr:`slot_flits`)."""
+        return self.policy.layout.link_view(self.slot_flits)
 
     # ------------------------------------------------------------------ stats
     def max_link_load(self) -> int:
         """Heaviest per-link flit count actually routed (simulated traffic)."""
-        return max(self._slot_flits, default=0)
+        return max(self.slot_flits, default=0)
 
     def mean_latency(self) -> float:
         """Average message latency (delivery minus injection), in cycles."""

@@ -6,11 +6,12 @@ traverses, including source and destination; the directed links used are the
 consecutive pairs of that list.  :meth:`Topology.route_dims` generalizes the
 same per-dimension decomposition to arbitrary dimension orders.
 
-Both cycle-engine network models keep link state in flat lists indexed by
-the ``tile * ports + output port`` slots of :meth:`Topology.slot_layout`, and
-walk every route, of every :mod:`repro.noc.sim` policy, in closed form from
-its per-dimension leg table, with no route cache; :meth:`SlotLayout.link`
-turns a slot back into its ``(tile, next_tile)`` link.
+Both cycle-engine network models and the analytical link-load model keep
+link state in flat arrays indexed by the ``tile * ports + output port`` slots
+of :meth:`Topology.slot_layout`.  Every route, of every :mod:`repro.noc.sim`
+policy, is walked in closed form from the layout's per-dimension leg table,
+with no route cache; :meth:`SlotLayout.endpoints` turns slots back into their
+``(tile, next_tile)`` links.
 
 The torus models the paper's folded layout ("consecutive logical tiles at a
 distance of two in the silicon"): link length is twice the tile pitch, which the
@@ -25,8 +26,9 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, List, Optional, Tuple
+from functools import cached_property, lru_cache
+from math import gcd
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,14 +54,105 @@ class SlotLayout:
     #: ``legs[delta + size - 1]`` lists the ``(offset, port)`` of every hop
     #: that covers a displacement of ``delta``.
     dimensions: Tuple[tuple, ...]
+    #: Physical length of every port's links, in tile pitches, in port order.
+    lengths: Tuple[float, ...]
+
+    @property
+    def num_slots(self) -> int:
+        stride, size, _legs = self.dimensions[-1]
+        return stride * size * self.ports
+
+    def route(self, src: int, dst: int, dimensions: Optional[Sequence[tuple]] = None) -> List[int]:
+        """Slots of the minimal route from ``src`` to ``dst``, in route order.
+
+        ``dimensions`` is :attr:`dimensions` in the order to route them;
+        the default, dimension order, gives the links of :meth:`Topology.route`.
+        """
+        ports = self.ports
+        slots = []
+        tile = src
+        for stride, size, legs in self.dimensions if dimensions is None else dimensions:
+            here = tile // stride % size
+            base = tile - here * stride
+            for step, port in legs[dst // stride % size - here + size - 1]:
+                slots.append(tile * ports + port)
+                here = (here + step) % size
+                tile = base + here * stride
+        return slots
+
+    def port_table(self) -> Tuple[np.ndarray, ...]:
+        """Per output port, in port order: ``(step, stride, size, length)``."""
+        per_dimension = len(self.steps)
+        return (
+            np.tile(np.asarray(self.steps, dtype=np.int64), len(self.dimensions)),
+            np.repeat([stride for stride, _size, _legs in self.dimensions], per_dimension),
+            np.repeat([size for _stride, size, _legs in self.dimensions], per_dimension),
+            np.asarray(self.lengths, dtype=np.float64),
+        )
+
+    def endpoints(self, slots) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(tile, next_tile)`` link of every slot (inverse of the layout)."""
+        tiles, ports = np.divmod(np.asarray(slots, dtype=np.int64), self.ports)
+        step, stride, size, _length = self.port_table()
+        step, stride, size = step[ports], stride[ports], size[ports]
+        here = tiles // stride % size
+        return tiles, tiles + ((here + step) % size - here) * stride
 
     def link(self, slot: int) -> Link:
-        """The ``(tile, next_tile)`` link a slot names (inverse of the layout)."""
-        tile, port = divmod(slot, self.ports)
-        dim, index = divmod(port, len(self.steps))
-        stride, size, _legs = self.dimensions[dim]
-        here = tile // stride % size
-        return tile, tile + ((here + self.steps[index]) % size - here) * stride
+        """The ``(tile, next_tile)`` link one slot names."""
+        tiles, next_tiles = self.endpoints([slot])
+        return int(tiles[0]), int(next_tiles[0])
+
+    def link_view(self, slot_flits) -> Dict[Link, int]:
+        """A per-slot flit tally keyed by link: ``(tile, next_tile) -> flits``
+        for every slot that carried traffic."""
+        slot_flits = np.asarray(slot_flits, dtype=np.int64)
+        used = np.flatnonzero(slot_flits)
+        tiles, next_tiles = self.endpoints(used)
+        return dict(zip(zip(tiles.tolist(), next_tiles.tolist()), slot_flits[used].tolist()))
+
+    @cached_property
+    def middle_cut(self) -> np.ndarray:
+        """Per slot: does its link cross the vertical middle cut of the first dimension?"""
+        _stride, width, _legs = self.dimensions[0]
+        middle = width // 2
+        tiles, next_tiles = self.endpoints(np.arange(self.num_slots))
+        return (tiles % width < middle) != (next_tiles % width < middle)
+
+    @cached_property
+    def cycle_order(self) -> Tuple[np.ndarray, ...]:
+        """Every slot's place in a doubled, cycle-ordered copy of the slots.
+
+        Within one row of a dimension, the slots of a port with step ``s``
+        follow the port's cycles: coordinates ``r, r + s, r + 2s, ...``
+        modulo the dimension's size, one cycle of ``n = size / gcd(|s|,
+        size)`` slots per residue ``r < gcd(|s|, size)`` (one cycle of the
+        whole row for a unit port).  Every cycle is laid out twice in a row,
+        ``2n`` positions, and each port's cycles fill ``2 * num_tiles``
+        positions, port after port.  So ``k <= n`` consecutive hops through
+        one port -- one leg of a route, wrapping or not -- cover ``k``
+        consecutive positions, one per slot.
+
+        Returns ``(first, second, cycle)``: a slot's two positions,
+        ``second = first + n``, and ``n`` per port.
+        """
+        step, stride, size, _length = self.port_table()
+        groups = np.array([gcd(a, b) for a, b in zip(step.tolist(), size.tolist())])
+        cycle = size // groups
+        # The cycle index j of coordinate c solves c = r + j * |s| (mod size).
+        inverse = np.array([
+            pow(abs(a) // g, -1, n)
+            for a, g, n in zip(step.tolist(), groups.tolist(), cycle.tolist())
+        ])
+        num_tiles = self.num_slots // self.ports
+        tiles, ports = np.divmod(np.arange(self.num_slots), self.ports)
+        stride, size, groups = stride[ports], size[ports], groups[ports]
+        here = tiles // stride % size
+        row = tiles // (stride * size) * stride + tiles % stride
+        block = row * groups + here % groups
+        index = here // groups * inverse[ports] % cycle[ports]
+        first = ports * 2 * num_tiles + block * 2 * cycle[ports] + index
+        return first, first + cycle[ports], cycle
 
 
 class Topology(ABC):
@@ -142,26 +235,34 @@ class Topology(ABC):
         return path
 
     def slot_layout(self) -> SlotLayout:
-        """The flat (tile, output port) link numbering both network models use.
+        """The flat (tile, output port) link numbering every network model uses.
 
         Tabulates :meth:`next_hop_offsets` once per dimension and
         displacement -- O(width + height) entries -- so a route is walked in
         closed form: hop ``k`` of a dimension leaves the tile reached so far
-        through the port of that leg's offset.
+        through the port of that leg's offset.  Built once per topology.
         """
+        layout = self.__dict__.get("_slot_layout")
+        if layout is not None:
+            return layout
         express = self.ruche_factor
         steps = (1, -1, express, -express) if express else (1, -1)
-        dimensions = []
+        dimensions, lengths = [], []
         stride = 1
-        for dim, size in enumerate(self.dimension_sizes()):
+        for dim, (size, link_tiles) in enumerate(
+            zip(self.dimension_sizes(), self._dimension_link_tiles())
+        ):
             port = {step: dim * len(steps) + index for index, step in enumerate(steps)}
             legs = [
                 tuple((step, port[step]) for step in self.next_hop_offsets(delta, size))
                 for delta in range(1 - size, size)
             ]
             dimensions.append((stride, size, legs))
+            lengths.extend(link_tiles * abs(step) for step in steps)
             stride *= size
-        return SlotLayout(len(steps) * len(dimensions), steps, tuple(dimensions))
+        layout = SlotLayout(len(steps) * len(dimensions), steps, tuple(dimensions), tuple(lengths))
+        self._slot_layout = layout
+        return layout
 
     def hop_distance(self, src: int, dst: int) -> int:
         """Number of router-to-router hops between two tiles (O(1) arithmetic)."""
@@ -197,12 +298,16 @@ class Topology(ABC):
     congestion_factor = 1.0
 
     def num_directed_links(self) -> int:
-        """Total number of directed router-to-router links (cached enumeration)."""
-        cached = getattr(self, "_num_directed_links", None)
-        if cached is None:
-            cached = sum(1 for _ in self.links())
-            self._num_directed_links = cached
-        return cached
+        """Total number of directed router-to-router links, in closed form:
+        ``sum(1 for _ in links())`` without enumerating them."""
+        return sum(
+            self.num_tiles // size * self._dimension_links(size)
+            for size in self.dimension_sizes()
+        )
+
+    def _dimension_links(self, size: int) -> int:
+        """Directed links along one row of ``size`` tiles (wraparound kinds)."""
+        return size * len({step % size for step in self._unit_steps(size)} - {0})
 
     def links_on_route(self, src: int, dst: int) -> List[Link]:
         """Directed links traversed by a message from ``src`` to ``dst``."""
@@ -210,16 +315,19 @@ class Topology(ABC):
         return list(zip(path[:-1], path[1:]))
 
     def route_profile(self, src: int, dst: int) -> tuple:
-        """``(links, lengths)`` of the dimension-ordered route, walked per call.
+        """``(slots, lengths)`` of the dimension-ordered route, walked per call.
 
-        ``links`` is :meth:`links_on_route`; ``lengths`` the matching
-        per-link physical lengths in tile pitches.  Only the per-message
+        ``slots`` names every link of :meth:`links_on_route`, in route
+        order, by its :meth:`slot_layout` slot; ``lengths`` holds each
+        link's physical length in tile pitches.  Only the per-message
         reference path (:meth:`LinkLoadModel.record_message
         <repro.noc.analytical.LinkLoadModel.record_message>`) reads it;
-        batches of messages route through :meth:`route_link_codes`.
+        batches of messages route as legs (:meth:`_route_legs`).
         """
-        links = self.links_on_route(src, dst)
-        return links, [self.link_length_tiles(*link) for link in links]
+        layout = self.slot_layout()
+        slots = layout.route(src, dst)
+        ports = layout.ports
+        return slots, [layout.lengths[slot % ports] for slot in slots]
 
     # --------------------------------------------------------- batched routing
     # Closed-form routes for arrays of messages: no route walk and no cache.
@@ -269,32 +377,33 @@ class Topology(ABC):
         return span
 
     def _route_legs(self, srcs: np.ndarray, dsts: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """A batch's routes as legs: runs of equal hops along one dimension.
+        """A batch's routes as legs: runs of hops through one output port.
 
-        Every dimension contributes an express leg, then a unit leg, so a
-        message's legs in order are its route.  Returns flat per-leg arrays,
-        message by message: ``(hops, base, start, step, size, stride,
-        length)``.  Hop ``k`` of a leg leaves the tile ``base + c * stride``
-        with ``c = (start + k * step) % size``, over a link ``length`` tile
-        pitches long.
+        Every dimension contributes an express leg (ruche grids only), then
+        a unit leg, so a message's legs in order are its route.  Returns
+        flat per-leg arrays, message by message: ``(hops, tiles, ports)``.
+        A leg leaves ``tiles`` through the :meth:`slot_layout` port
+        ``ports`` and takes ``hops`` hops of that port's step, all through
+        the same port; the layout's :meth:`~SlotLayout.port_table` holds
+        each port's step, dimension and link length.
         """
-        express_tiles = self.ruche_factor or 1
+        express_step = self.ruche_factor
+        per_dimension = 4 if express_step else 2
         tile = np.asarray(srcs, dtype=np.int64)
         dsts = np.asarray(dsts, dtype=np.int64)
-        per_message, per_dimension = [], []
-        for (stride, size, src_c, sign, express, unit), link_tiles in zip(
-            self._batch_dimensions(tile, dsts), self._dimension_link_tiles()
+        legs = []
+        for dim, (stride, size, src_c, sign, express, unit) in enumerate(
+            self._batch_dimensions(tile, dsts)
         ):
             base = tile - src_c * stride
-            express_step = sign * express_tiles
-            per_message.append((express, base, src_c, express_step))
-            per_message.append((unit, base, src_c + express * express_step, sign))
-            per_dimension.append((size, stride, link_tiles * express_tiles))
-            per_dimension.append((size, stride, link_tiles))
+            # Port order within a dimension: +1, -1, +R, -R.
+            port = dim * per_dimension + (sign < 0)
+            if express_step:
+                legs.append((express, tile, port + 2))
+                tile = base + (src_c + express * sign * express_step) % size * stride
+            legs.append((unit, tile, port))
             tile = base + dsts // stride % size * stride
-        return tuple(
-            np.stack(column, axis=1).reshape(-1) for column in zip(*per_message)
-        ) + tuple(np.tile(column, len(tile)) for column in zip(*per_dimension))
+        return tuple(np.stack(column, axis=1).reshape(-1) for column in zip(*legs))
 
     def route_link_codes(
         self, srcs: np.ndarray, dsts: np.ndarray
@@ -304,21 +413,21 @@ class Topology(ABC):
         Returns ``(codes, lengths)``, both message by message in route order:
         ``codes`` concatenates :meth:`links_on_route` as ``link_src *
         num_tiles + link_dst`` and ``lengths`` holds the
-        :meth:`link_length_tiles` of each of those links.
+        :meth:`link_length_tiles` of each of those links.  Batches are
+        charged leg by leg (:meth:`_route_legs`) and never expand their
+        hops this way; the tests use this expansion as a per-link reference.
         """
-        hops, base, start, step, size, stride, length = self._route_legs(srcs, dsts)
+        hops, tiles, ports = self._route_legs(srcs, dsts)
+        layout = self.slot_layout()
+        step, stride, size, length = layout.port_table()
         leg = np.repeat(np.arange(len(hops)), hops)
         offset = np.arange(len(leg)) - (np.cumsum(hops) - hops)[leg]
-        base, step, size, stride = base[leg], step[leg], size[leg], stride[leg]
-        here = start[leg] + offset * step
-        link_src = base + here % size * stride
-        link_dst = base + (here + step) % size * stride
-        return link_src * self.num_tiles + link_dst, length[leg]
-
-    def route_link_lengths(self, srcs: np.ndarray, dsts: np.ndarray) -> np.ndarray:
-        """Just the ``lengths`` of :meth:`route_link_codes`, without the codes."""
-        hops, *_, length = self._route_legs(srcs, dsts)
-        return np.repeat(length, hops)
+        tiles, ports = tiles[leg], ports[leg]
+        step, stride, size = step[ports], stride[ports], size[ports]
+        here = tiles // stride % size
+        hop_tiles = tiles + ((here + offset * step) % size - here) * stride
+        link_src, link_dst = layout.endpoints(hop_tiles * layout.ports + ports)
+        return link_src * self.num_tiles + link_dst, length[ports]
 
     def links(self) -> Iterator[Link]:
         """All directed links of the topology."""
@@ -413,6 +522,9 @@ class _MeshRouting:
 
     def _unit_steps(self, size: int) -> List[int]:
         return [-1, 1] if size > 1 else []
+
+    def _dimension_links(self, size: int) -> int:
+        return 2 * (size - 1)
 
 
 class _TorusRouting:

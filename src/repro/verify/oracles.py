@@ -25,7 +25,7 @@ A third oracle family covers the contention-aware network model
 latency relative to the analytical link-load bound, must conserve traffic,
 and -- under dimension-ordered routing -- must charge exactly the flits the
 analytical :class:`~repro.noc.analytical.LinkLoadModel` charges to exactly
-the same links (see :func:`check_network_contention`).
+the same link slots (see :func:`check_network_contention`).
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def check_network_contention(result, link_model, network) -> List[str]:
 
     * traffic conservation: both models saw the same messages, and -- since
       every routing policy is minimal -- the same total flit-hops;
-    * under dimension-ordered routing, per-link flit totals agree *exactly*
+    * under dimension-ordered routing, per-slot flit totals agree *exactly*
       and the run's cycle count respects the analytical network lower bound;
     * under adaptive/oblivious routing (which may legitimately spread load
       off the analytical model's hot links), the cycle count still respects
@@ -143,24 +143,22 @@ def check_network_contention(result, link_model, network) -> List[str]:
         )
     routing = network.policy.kind
     if routing == "dimension_ordered":
-        simulated = network.link_flits  # derived per read: read it once
-        if link_model.detailed and simulated != link_model.link_flits:
-            diffs = [
-                link
-                for link in set(simulated) | set(link_model.link_flits)
-                if simulated.get(link, 0) != link_model.link_flits.get(link, 0)
-            ]
-            sample = sorted(diffs)[:3]
-            violations.append(
-                f"per-link flit totals diverge from the analytical model on "
-                f"{len(diffs)} link(s), e.g. "
-                + ", ".join(
-                    f"{link}: sim={simulated.get(link, 0)} "
-                    f"analytical={link_model.link_flits.get(link, 0)}"
-                    for link in sample
-                )
-            )
         if link_model.detailed:
+            # Both models count flits per slot of the topology's slot layout.
+            simulated = np.asarray(network.slot_flits, dtype=np.int64)
+            analytical = link_model.slot_flits
+            diffs = np.flatnonzero(simulated != analytical)
+            if len(diffs):
+                link = network.policy.layout.link
+                violations.append(
+                    f"per-link flit totals diverge from the analytical model on "
+                    f"{len(diffs)} link(s), e.g. "
+                    + ", ".join(
+                        f"{link(slot)}: sim={simulated[slot]} "
+                        f"analytical={analytical[slot]}"
+                        for slot in diffs[:3].tolist()
+                    )
+                )
             bound = link_model.network_bound_cycles()
             if result.cycles < bound:
                 violations.append(

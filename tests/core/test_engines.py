@@ -1,11 +1,16 @@
 """Tests for the analytical and cycle engines (timing behaviour and agreement)."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
 from repro.apps import BFSKernel, SSSPKernel, SPMVKernel
+from repro.core.batch import segments_from_items
 from repro.core.config import MachineConfig
+from repro.core.engine_analytic import AnalyticalEngine
 from repro.core.machine import DalorexMachine
+from repro.core.program import VERTEX_SPACE
 from repro.graph.generators import chain_graph, rmat_graph, star_graph
 
 
@@ -104,3 +109,54 @@ class TestCycleEngineBehaviour:
         result = run("cycle", small_rmat, SPMVKernel)
         assert result.epochs == 1
         assert result.verified is True
+
+
+class TestBarrierlessRefill:
+    """The analytic engine asks only the tiles whose frontier bucket holds work."""
+
+    def _parked_engine(self, graph, monkeypatch, asked):
+        config = MachineConfig(width=4, height=4, engine="analytic", frontier_refill_batch=2)
+        machine = DalorexMachine(config, BFSKernel(root=0), graph)
+        assert not machine.barrier_effective
+        engine = AnalyticalEngine(machine)
+        resolve = engine.resolve_refill
+
+        def counted(tile_id):
+            asked.append(tile_id)
+            return resolve(tile_id)
+
+        monkeypatch.setattr(engine, "resolve_refill", counted)
+        owners = machine.placement.space(VERTEX_SPACE).owners_of(
+            np.arange(graph.num_vertices)
+        )
+        # Tiles 2, 9 and 14 park work; tile 9 parks more than one refill takes.
+        for tile, count in ((2, 1), (9, 5), (14, 2)):
+            machine.state.frontier[tile].extend(np.flatnonzero(owners == tile)[:count].tolist())
+        return machine, engine
+
+    def test_refill_equals_a_sweep_over_every_tile(self, small_rmat, monkeypatch):
+        skipped, swept = [], []
+        machine, engine = self._parked_engine(small_rmat, monkeypatch, skipped)
+        reference, sweeper = self._parked_engine(small_rmat, monkeypatch, swept)
+
+        worklist = deque()
+        assert engine._refill_segments(worklist)
+        items = [
+            (tile, task, params, 0, False)
+            for tile in range(reference.config.num_tiles)
+            for task, params in sweeper.resolve_refill(tile)
+        ]
+        expected = segments_from_items(items)
+
+        assert skipped == [2, 9, 14]
+        assert swept == list(range(reference.config.num_tiles))
+        assert len(worklist) == len(expected)
+        for got, want in zip(worklist, expected):
+            assert got.task.name == want.task.name
+            assert np.array_equal(got.tiles, want.tiles)
+            assert all(np.array_equal(a, b) for a, b in zip(got.params, want.params))
+            assert np.array_equal(got.gens, want.gens)
+            assert np.array_equal(got.remote, want.remote)
+        assert engine.tracer.summary() == sweeper.tracer.summary()
+        assert machine.state.frontier == reference.state.frontier
+        assert [len(bucket) for bucket in machine.state.frontier if bucket] == [3]

@@ -5,7 +5,12 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from repro.core.shard import ShardPlan, apply_link_state, export_link_state
+from repro.core.shard import (
+    LINK_STATE_ARRAYS,
+    ShardPlan,
+    apply_link_state,
+    export_link_state,
+)
 from repro.errors import ConfigurationError
 from repro.noc.analytical import LinkLoadModel
 from repro.noc.topology import make_topology
@@ -79,10 +84,8 @@ class TestLinkStateCodec:
         assert target.total_flit_hops == model.total_flit_hops
         assert target.total_messages == model.total_messages
         assert target._bisection_flits == model._bisection_flits
-        assert list(target.router_flits) == list(model.router_flits)
-        assert list(target.injected_flits) == list(model.injected_flits)
-        assert list(target.ejected_flits) == list(model.ejected_flits)
-        assert dict(target.link_flits) == dict(model.link_flits)
+        for name in LINK_STATE_ARRAYS:
+            assert np.array_equal(getattr(target, name), getattr(model, name)), name
 
     def test_millimeters_are_not_exported(self):
         topology, model = self._loaded_model(False)
@@ -112,11 +115,10 @@ class TestLinkStateCodec:
         state = hub_end.recv()
         hub_end.close()
         shard_end.close()
-        for name in ("link_codes", "link_counts", "router_flits",
-                     "injected_flits", "ejected_flits"):
+        for name in LINK_STATE_ARRAYS:
             assert state[name].dtype == np.int64, name
         target = LinkLoadModel(topology, detailed=detailed)
         apply_link_state(target, state)
-        assert dict(target.link_flits) == dict(model.link_flits)
+        assert np.array_equal(target.slot_flits, model.slot_flits)
         assert target.total_flit_hops == model.total_flit_hops
         assert target._bisection_flits == model._bisection_flits

@@ -92,6 +92,19 @@ class TestEngineIntegration:
         )
         assert any("lower bound" in violation for violation in violations)
 
+    def test_network_oracle_flags_a_per_slot_divergence(self, graph):
+        machine, result = run_machine(graph, network="simulated")
+        slot = int(np.flatnonzero(machine.link_model.slot_flits)[0])
+        machine.link_model.slot_flits[slot] += 1
+        violations = check_network_contention(
+            result, machine.link_model, machine.network
+        )
+        link = machine.network.policy.layout.link(slot)
+        assert any(
+            "on 1 link(s)" in violation and f"{link}:" in violation
+            for violation in violations
+        ), violations
+
     def test_network_oracle_flags_missing_network_model(self, graph):
         machine, result = run_machine(graph, network="analytical")
         violations = check_network_contention(result, machine.link_model, machine.network)

@@ -182,10 +182,10 @@ class TestRecordBatch:
                 for src, dst, length in zip(srcs.tolist(), dsts.tolist(), lengths)
             ]
             assert hops.tolist() == expected
-        assert batched.link_flits == scalar.link_flits
-        assert batched.router_flits == scalar.router_flits
-        assert batched.injected_flits == scalar.injected_flits
-        assert batched.ejected_flits == scalar.ejected_flits
+        assert np.array_equal(batched.slot_flits, scalar.slot_flits)
+        assert np.array_equal(batched.router_flits, scalar.router_flits)
+        assert np.array_equal(batched.injected_flits, scalar.injected_flits)
+        assert np.array_equal(batched.ejected_flits, scalar.ejected_flits)
         assert batched.total_flit_hops == scalar.total_flit_hops
         assert batched.total_messages == scalar.total_messages
         assert batched.bisection_load() == scalar.bisection_load()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.noc.topology import Mesh2D, RucheTorus2D, Torus2D, make_topology
+from tests.property.test_property_batched_routes import SMALL_GRIDS, grid_id
 
 
 class TestAddressing:
@@ -58,6 +59,13 @@ class TestMeshRouting:
     def test_num_directed_links(self):
         topo = Mesh2D(4, 4)
         assert topo.num_directed_links() == sum(1 for _ in topo.links())
+
+
+@pytest.mark.parametrize("grid", SMALL_GRIDS, ids=grid_id)
+def test_num_directed_links_on_small_grids(grid):
+    kind, width, height, extra = grid
+    topo = make_topology(kind, width, height, **extra)
+    assert topo.num_directed_links() == sum(1 for _ in topo.links())
 
 
 class TestTorusRouting:

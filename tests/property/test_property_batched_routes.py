@@ -6,7 +6,10 @@ ruche factors 2-4 including widths below ``2R``, 1-wide dimensions, 3D
 depths 1-3 -- every ordered (src, dst) pair must give exactly what the
 per-message functions give: the same links in the same order, the same
 per-link lengths as exact floats, the same hop counts and the same spans.
-On the same grids, ``AnalyticalNetwork.send`` -- which walks routes per
+On the same grids, ``LinkLoadModel.record_batch`` -- which charges every
+route leg as one interval of the slot layout's cycle order -- must leave
+exactly the per-slot and per-router tallies of a walk over
+``links_on_route``, and ``AnalyticalNetwork.send`` -- which walks routes per
 dimension and keeps one busy-until time per (tile, output port) -- must time
 random message sequences exactly like a walk over ``links_on_route`` with
 one busy-until time per (src, dst) link.
@@ -16,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core.network import AnalyticalNetwork
+from repro.noc.analytical import LinkLoadModel
 from repro.noc.topology import make_topology
 
 # Every ruche factor meets widths and heights below, at and above 2R; the 3D
@@ -49,17 +53,22 @@ class TestClosedFormRoutes:
         topology = make_topology(kind, width, height, **extra)
         srcs, dsts = all_pairs(topology)
         num_tiles = topology.num_tiles
+        layout = topology.slot_layout()
         codes, lengths, hops, spans = [], [], [], []
         for src, dst in zip(srcs.tolist(), dsts.tolist()):
-            for a, b in topology.links_on_route(src, dst):
-                codes.append(a * num_tiles + b)
-                lengths.append(topology.link_length_tiles(a, b))
+            links = topology.links_on_route(src, dst)
+            route_lengths = [topology.link_length_tiles(a, b) for a, b in links]
+            # The scalar reference path's slot walk names the same links.
+            slots, slot_lengths = topology.route_profile(src, dst)
+            assert [layout.link(slot) for slot in slots] == links
+            assert slot_lengths == route_lengths
+            codes.extend(a * num_tiles + b for a, b in links)
+            lengths.extend(route_lengths)
             hops.append(topology.hop_distance(src, dst))
             spans.append(topology.route_span_tiles(src, dst))
         batch_codes, batch_lengths = topology.route_link_codes(srcs, dsts)
         assert batch_codes.tolist() == codes
         assert batch_lengths.tolist() == lengths
-        assert topology.route_link_lengths(srcs, dsts).tolist() == lengths
         assert topology.hop_distance_batch(srcs, dsts).tolist() == hops
         assert topology.route_span_tiles_batch(srcs, dsts).tolist() == spans
 
@@ -80,9 +89,59 @@ class TestClosedFormRoutes:
         empty = np.empty(0, dtype=np.int64)
         codes, lengths = topology.route_link_codes(empty, empty)
         assert codes.size == 0 and lengths.size == 0
-        assert topology.route_link_lengths(empty, empty).size == 0
         assert topology.hop_distance_batch(empty, empty).size == 0
         assert topology.route_span_tiles_batch(empty, empty).size == 0
+
+
+def link_slot(layout, link, wraps):
+    """The slot a dimension-ordered route charges ``link`` to, found from
+    the layout's port data alone: the link's dimension, and the port of
+    that dimension whose step is the link's displacement -- modulo the
+    dimension's size on wraparound kinds, where routes break a +s/-s tie
+    forward, so the first such port in port order (+1, -1, +R, -R)."""
+    a, b = link
+    per_dimension = len(layout.steps)
+    for dim, (stride, size, _legs) in enumerate(layout.dimensions):
+        delta = b // stride % size - a // stride % size
+        if delta:
+            index = next(
+                index for index, step in enumerate(layout.steps)
+                if ((step - delta) % size if wraps else step - delta) == 0
+            )
+            return a * layout.ports + dim * per_dimension + index
+    raise AssertionError(f"{link} is not a link")
+
+
+class TestLegAccounting:
+    @pytest.mark.parametrize("grid", SMALL_GRIDS, ids=grid_id)
+    def test_slot_tallies_equal_a_per_link_walk_for_every_pair(self, grid):
+        kind, width, height, extra = grid
+        topology = make_topology(kind, width, height, **extra)
+        layout = topology.slot_layout()
+        srcs, dsts = all_pairs(topology)
+        per_message = np.random.default_rng(23).integers(1, 6, size=len(srcs))
+        for flits in (3, per_message):
+            batched = LinkLoadModel(topology)
+            scalar = LinkLoadModel(topology)
+            batched.record_batch(srcs, dsts, flits, 0.37)
+            slots = np.zeros(layout.num_slots, dtype=np.int64)
+            routers = np.zeros(topology.num_tiles, dtype=np.int64)
+            lengths = np.broadcast_to(flits, srcs.shape).tolist()
+            for src, dst, length in zip(srcs.tolist(), dsts.tolist(), lengths):
+                scalar.record_message(src, dst, length, 0.37)
+                links = topology.links_on_route(src, dst)
+                for link in links:
+                    slots[link_slot(layout, link, not kind.startswith("mesh"))] += length
+                    routers[link[0]] += length
+                if links:
+                    routers[dst] += length
+            assert np.array_equal(batched.slot_flits, slots)
+            assert np.array_equal(batched.router_flits, routers)
+            assert np.array_equal(scalar.slot_flits, slots)
+            assert np.array_equal(scalar.router_flits, routers)
+            # No link is charged on two slots, so the link view loses nothing.
+            assert len(batched.link_flits) == np.count_nonzero(slots)
+            assert batched.total_flit_millimeters == scalar.total_flit_millimeters
 
 
 class TupleKeyedNetwork:

@@ -1,9 +1,11 @@
 """Property-based tests for NoC routing invariants."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.noc.topology import make_topology
+from tests.property.test_property_batched_routes import SMALL_GRIDS, grid_id
 
 grids = st.tuples(
     st.sampled_from(["mesh", "torus", "torus_ruche"]),
@@ -53,4 +55,10 @@ class TestRoutingInvariants:
     def test_link_count_matches_formula(self, grid):
         kind, width, height = grid
         topo = make_topology(kind, width, height)
+        assert topo.num_directed_links() == sum(1 for _ in topo.links())
+
+    @pytest.mark.parametrize("grid", SMALL_GRIDS, ids=grid_id)
+    def test_link_count_matches_formula_on_small_grids(self, grid):
+        kind, width, height, extra = grid
+        topo = make_topology(kind, width, height, **extra)
         assert topo.num_directed_links() == sum(1 for _ in topo.links())

@@ -97,7 +97,7 @@ def assert_bit_equal(graph, kernel_name, overrides):
     assert np.array_equal(batched.per_router_flits, scalar.per_router_flits)
     for name in batched.outputs:
         assert np.array_equal(batched.outputs[name], scalar.outputs[name]), name
-    assert machine_b.link_model.link_flits == machine_s.link_model.link_flits
+    assert np.array_equal(machine_b.link_model.slot_flits, machine_s.link_model.slot_flits)
     assert (
         machine_b.link_model.total_flit_millimeters
         == machine_s.link_model.total_flit_millimeters
