@@ -28,61 +28,14 @@ import numpy as np
 from repro.core.batch import (
     BatchFallback,
     Segment,
-    repeated_add_prefix,
     segments_from_items,
     sequential_sum,
 )
-from repro.core.context import TaskContext
 from repro.core.engine_base import BaseEngine, Seed
 from repro.core.registry import register_engine
 from repro.core.results import SimulationResult
 from repro.errors import SimulationError
 from repro.noc.analytical import LinkLoadModel
-
-
-class _MemoryTables:
-    """Per-access-count cost tables matching the scalar memory model bit-for-bit.
-
-    :class:`~repro.core.context.TaskContext` accumulates its memory stall (and
-    the dram_cache hit/miss fractions) by repeated per-access addition, which
-    is not ``k * step`` in IEEE arithmetic.  These prefix tables hold the
-    exact repeated-addition values, indexed by access count.
-    """
-
-    def __init__(self, machine) -> None:
-        probe = TaskContext(machine, 0, None)
-        self.memory = machine.config.memory
-        self._stall_step = probe._local_stall
-        self._hit_rate = probe._cache_hit_rate
-        self._miss_rate = probe._cache_miss_rate
-        self._size = 0
-        self.stall = np.zeros(1, dtype=np.float64)
-        self._hit_table = self._miss_table = None
-        self.ensure(64)
-
-    def ensure(self, count: int) -> None:
-        if count <= self._size:
-            return
-        size = max(count, 2 * self._size)
-        self.stall = repeated_add_prefix(self._stall_step, size)
-        if self.memory == "dram_cache":
-            self._hit_table = repeated_add_prefix(self._hit_rate, size)
-            self._miss_table = repeated_add_prefix(self._miss_rate, size)
-        self._size = size
-
-    def dram(self, accesses: np.ndarray) -> Optional[np.ndarray]:
-        """Per-item dram_accesses, or None when the mode never charges DRAM."""
-        if self.memory == "dram":
-            # Repeated addition of 1.0 is exactly the integer count.
-            return accesses.astype(np.float64)
-        if self.memory == "dram_cache":
-            return self._miss_table[accesses]
-        return None
-
-    def hits(self, accesses: np.ndarray) -> Optional[np.ndarray]:
-        if self.memory == "dram_cache":
-            return self._hit_table[accesses]
-        return None
 
 
 def batch_decline_reason(machine) -> Optional[str]:
@@ -115,7 +68,6 @@ class AnalyticalEngine(BaseEngine):
 
         self._batch = self._prepare_batch()
         if self._batch is not None:
-            self._tables = _MemoryTables(self.machine)
             self._rebind_state_arrays()
         run_epoch = self._run_epoch_batched if self._batch is not None else self._run_epoch
         telemetry = self.telemetry
@@ -322,7 +274,7 @@ class AnalyticalEngine(BaseEngine):
         writes = result.writes
         accesses = reads + writes
         instructions = config.task_overhead_instructions + accesses + result.extra
-        tables = self._tables
+        tables = self.memory_tables
         tables.ensure(int(accesses.max()) if n else 0)
         cost = instructions.astype(np.float64) + tables.stall[accesses]
         if config.remote_invocation == "interrupting" and segment.remote.any():

@@ -9,7 +9,11 @@ assembly of the :class:`~repro.core.results.SimulationResult`.
 All per-tile accounting goes through the machine's columnar
 :class:`~repro.core.state.CoreState` (flat arrays indexed by tile id) rather
 than per-tile objects, and task contexts are pooled: one execution costs one
-:meth:`~repro.core.context.TaskContext.reset`, not an allocation.
+:meth:`~repro.core.context.TaskContext.reset` and one
+:meth:`~repro.core.context.TaskContext.finish`, not an allocation.  Every
+context of one engine shares the engine's
+:class:`~repro.core.context.MemoryTables`, which the analytic engine's batched
+path indexes too: one memory-cost definition for every path.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.context import TaskContext
+from repro.core.context import MemoryTables, TaskContext
 from repro.core.results import AggregateCounters, SimulationResult
 from repro.core.task import Task
 from repro.errors import SimulationError
@@ -53,6 +57,9 @@ class BaseEngine:
         # Pool of reusable task contexts (one live context per in-flight
         # task execution; the cycle engine holds one per busy tile).
         self._context_pool: List[TaskContext] = []
+        #: Per-access-count memory costs, shared by every context and batch.
+        self.memory_tables = MemoryTables(self.config)
+        self._interrupting = self.config.remote_invocation == "interrupting"
         # Conservation tracing: both engines feed the same spawn/consume hooks,
         # and build_result() runs the always-on checks.  The machine keeps a
         # reference so callers can inspect the trace after run() returns.
@@ -78,12 +85,12 @@ class BaseEngine:
         """
         pool = self._context_pool
         ctx = pool.pop().reset(tile_id, task) if pool else TaskContext(
-            self.machine, tile_id, task
+            self.machine, tile_id, task, self.memory_tables
         )
         task.handler(ctx, *params)
+        cost = ctx.finish()
         self.tracer.record_execution(task, ctx.outgoing)
-        cost = ctx.cycles
-        if remote and self.config.remote_invocation == "interrupting":
+        if remote and self._interrupting:
             cost += self.config.interrupt_penalty_cycles
             self.counters.remote_interrupts += 1
         return ctx, cost

@@ -20,21 +20,25 @@ configured interrupt penalty in the Tesseract-style baseline.  Barriered
 executions wait for global idle, add the idle-detection/broadcast latency, and
 re-seed the next epoch from the kernel (the paper's per-epoch frontier swap).
 
-Hot-path representation (the columnar-core refactor): pending invocations are
-integer handles into the machine state's :class:`~repro.core.state.RecordPool`
-(destination tile, task id, params, remote flag in parallel arrays); tile
-queues are deques of those handles inside :class:`~repro.core.state.CoreState`;
-and heap entries are ``(time, key, payload)`` tuples where ``key`` packs the
-event kind and a monotonically increasing sequence number into one integer
-(``kind << 60 | seq``), preserving the historical (time, kind, seq) ordering
--- deliveries before completions before refills at equal timestamps -- while
-keeping comparisons cheap and payloads unallocated.
+The per-task core is lean.  An invocation is a plain tuple: a delivery's heap
+payload is ``(tile, task_id, params, remote)`` and a queued invocation is
+``(params, remote)`` in its tile's :class:`~repro.core.state.CoreState`
+queue.  Heap entries are ``(time, key, payload)`` tuples where ``key`` packs
+the event kind and a monotonically increasing sequence number into one
+integer (``kind << 60 | seq``), preserving the historical (time, kind, seq)
+ordering -- deliveries before completions before refills at equal
+timestamps.  The drain loop handles deliveries and completions itself and
+starts tasks through one dispatch function; both read the run's state (heap,
+queues, busy and PU columns, context pool, the network's ``send``, counters)
+from locals bound once, and the dispatch function is never stored on the
+engine, so a finished engine is freed without the cyclic collector.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Tuple
+from itertools import compress, count
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,6 +49,7 @@ from repro.core.results import SimulationResult
 from repro.errors import SimulationError
 
 # Event kinds, ordered so deliveries at a timestamp happen before completions.
+# A delivery's key is its bare sequence number (kind 0).
 _DELIVER = 0
 _COMPLETE = 1
 _REFILL = 2
@@ -63,7 +68,7 @@ class CycleEngine(BaseEngine):
     def __init__(self, machine) -> None:
         super().__init__(machine)
         self._heap: List[Tuple[float, int, object]] = []
-        self._sequence = 0
+        self._sequence = count(1)
         # Message timing is delegated to the configured network model
         # (analytical link serialization, or the flit-level simulator with
         # finite queues).  Published on the machine -- like the tracer -- so
@@ -77,25 +82,21 @@ class CycleEngine(BaseEngine):
         self._sent_dst: List[int] = []
         self._sent_flits: List[int] = []
 
-    # ------------------------------------------------------------------- heap
-    def _push(self, time: float, kind: int, payload) -> None:
-        self._sequence += 1
-        heapq.heappush(self._heap, (time, (kind << _KIND_SHIFT) | self._sequence, payload))
-
     # ------------------------------------------------------------------ run
     def run(self) -> SimulationResult:
         epoch_index = 0
         time_base = 0.0
         seeds: Optional[List[Seed]] = list(self.kernel.initial_tasks(self.machine.graph))
+        dispatch = self._dispatcher()
 
         while seeds:
             self._inject_seeds(seeds, time_base, charge=epoch_index > 0)
-            self._drain_events()
+            self._drain_events(dispatch)
             if not self.machine.barrier_effective:
                 # Barrierless mode: any work still parked in local frontiers is
                 # pulled as soon as its tile idles (no global synchronization).
-                while self._refill_idle_tiles(self._last_event_time):
-                    self._drain_events()
+                while self._refill_idle_tiles(self._last_event_time, dispatch):
+                    self._drain_events(dispatch)
             self.tracer.epoch_finished(epoch_index, self.counters)
             epoch_index += 1
             if not self.machine.barrier_effective:
@@ -121,149 +122,176 @@ class CycleEngine(BaseEngine):
         resolved = self.resolve_seeds(seeds)
         if charge:
             self.charge_epoch_seeding(resolved)
-        records = self.state.records
+        heap, sequence = self._heap, self._sequence
         for tile_id, task, params in resolved:
-            handle = records.alloc(tile_id, task.task_id, params, False)
-            self._push(time_base, _DELIVER, handle)
+            heapq.heappush(
+                heap, (time_base, next(sequence), (tile_id, task.task_id, params, False))
+            )
+
+    # --------------------------------------------------------------- dispatch
+    def _dispatcher(self) -> Callable[[int, float], None]:
+        """The run's dispatch function: ``dispatch(tile, now)`` for an idle PU.
+
+        It starts the task the tile's TSU selects, or -- on a tile with
+        nothing queued -- schedules a refill in barrierless mode.  The state
+        it reads is bound once here; the caller keeps the function in a
+        local, never on the engine, so no engine -> closure -> engine cycle
+        outlives the run.
+        """
+        state = self.state
+        pending = state.pending
+        select_task = state.select_task
+        pop_invocation = state.pop_invocation
+        busy = state.busy
+        refill_pending = state.refill_pending
+        pu_busy_until = state.pu_busy_until
+        pu_busy_cycles = state.pu_busy_cycles
+        pu_instructions = state.pu_instructions
+        task_table = self.task_table
+        execute_invocation = self.execute_invocation
+        account_context = self.account_context
+        heap = self._heap
+        sequence = self._sequence
+        heappush = heapq.heappush
+        barrierless = not self.machine.barrier_effective
+        refill_delay = self.config.frontier_refill_delay_cycles
+        complete_kind = _COMPLETE << _KIND_SHIFT
+        refill_kind = _REFILL << _KIND_SHIFT
+
+        def dispatch(tile: int, now: float) -> None:
+            if not pending[tile]:
+                # The tile is idle: schedule a low-priority pull from its local
+                # frontier (the paper's T4 draining the bitmap under TSU
+                # control).  The delay models T4's low priority: in-flight
+                # updates get a chance to land before the vertex is
+                # re-explored, preserving work efficiency.
+                if barrierless and not refill_pending[tile]:
+                    refill_pending[tile] = True
+                    heappush(heap, (now + refill_delay, refill_kind | next(sequence), tile))
+                return
+            task_id = select_task(tile)
+            params, remote = pop_invocation(tile, task_id)
+            ctx, cost = execute_invocation(tile, task_table[task_id], params, remote)
+            account_context(ctx)
+            busy_until = pu_busy_until[tile]
+            completion = (busy_until if busy_until > now else now) + cost
+            pu_busy_until[tile] = completion
+            pu_busy_cycles[tile] += cost
+            pu_instructions[tile] += ctx.instructions
+            busy[tile] = True
+            heappush(heap, (completion, complete_kind | next(sequence), (tile, ctx)))
+
+        return dispatch
 
     # ----------------------------------------------------------------- events
-    def _drain_events(self) -> None:
+    def _drain_events(self, dispatch: Callable[[int, float], None]) -> None:
+        """Run events until the heap is empty.
+
+        A delivery queues its invocation and dispatches an idle tile.  A
+        completion frees the PU, emits the task's outputs -- local ones
+        straight into the tile's queues, the rest through the network
+        model as deliveries, logged for :meth:`_fold_traffic` -- and
+        dispatches the tile again.  A refill pulls local frontier work.
+        """
         heap = self._heap
+        heappop, heappush = heapq.heappop, heapq.heappush
+        sequence = self._sequence
         state = self.state
         push_invocation = state.push_invocation
-        records = state.records
+        pending = state.pending
         busy = state.busy
+        refill_pending = state.refill_pending
+        release = self._context_pool.append
+        send = self.network.send
+        counters = self.counters
+        sent_src, sent_dst, sent_flits = self._sent_src, self._sent_dst, self._sent_flits
+        fold_messages = TRAFFIC_FOLD_MESSAGES
+        complete_kind = _COMPLETE << _KIND_SHIFT
+        refill_kind = _REFILL << _KIND_SHIFT
         last = self._last_event_time
         # Telemetry is observed in plain locals and flushed once after the
         # loop: with observability off the per-event overhead is a single
         # local-bool branch, and either way the event order is untouched.
         telemetry_on = self.telemetry.enabled
-        deliver_count = complete_count = refill_count = 0
+        events = [0, 0, 0]
         peak_heap_depth = len(heap)
         while heap:
-            time, key, payload = heapq.heappop(heap)
+            time, key, payload = heappop(heap)
             if time > last:
                 last = time
-            kind = key >> _KIND_SHIFT
-            if kind == _DELIVER:
-                if telemetry_on:
-                    deliver_count += 1
-                tile_id = records.tile[payload]
-                push_invocation(tile_id, records.task[payload], payload)
-                if not busy[tile_id]:
-                    self._try_dispatch(tile_id, time)
-            elif kind == _COMPLETE:
-                if telemetry_on:
-                    complete_count += 1
-                tile_id, ctx = payload
-                busy[tile_id] = False
-                self._emit_outputs(tile_id, ctx, time)
-                self._try_dispatch(tile_id, time)
-            else:  # _REFILL: low-priority local frontier drain (paper's T4)
-                if telemetry_on:
-                    refill_count += 1
-                tile_id = payload
-                state.refill_pending[tile_id] = False
-                if not busy[tile_id] and state.tile_is_idle(tile_id):
-                    if self._refill_tile(tile_id, time):
-                        self._try_dispatch(tile_id, time)
-            if telemetry_on and len(heap) > peak_heap_depth:
-                peak_heap_depth = len(heap)
+            if key < complete_kind:
+                tile, task_id, params, remote = payload
+                push_invocation(tile, task_id, (params, remote))
+                if not busy[tile]:
+                    dispatch(tile, time)
+            elif key < refill_kind:
+                tile, ctx = payload
+                busy[tile] = False
+                outgoing = ctx.outgoing
+                flits_out = local = 0
+                for task, params, destination in outgoing:
+                    flits = task.flits_per_invocation
+                    flits_out += flits
+                    if destination == tile:
+                        local += 1
+                        push_invocation(tile, task.task_id, (params, False))
+                    else:
+                        sent_src.append(tile)
+                        sent_dst.append(destination)
+                        sent_flits.append(flits)
+                        # Delivery time of one message, per the network model.
+                        heappush(heap, (
+                            send(tile, destination, flits, time),
+                            next(sequence),
+                            (destination, task.task_id, params, True),
+                        ))
+                counters.messages += len(outgoing)
+                counters.flits += flits_out
+                counters.local_messages += local
+                release(ctx)
+                if len(sent_src) >= fold_messages:
+                    self._fold_traffic()
+                dispatch(tile, time)
+            else:  # refill: low-priority local frontier drain (paper's T4)
+                tile = payload
+                refill_pending[tile] = False
+                if not busy[tile] and not pending[tile] and self._refill_tile(tile):
+                    dispatch(tile, time)
+            if telemetry_on:
+                events[key >> _KIND_SHIFT] += 1
+                if len(heap) > peak_heap_depth:
+                    peak_heap_depth = len(heap)
         self._last_event_time = last
         self._fold_traffic()
-        if telemetry_on and (deliver_count or complete_count or refill_count):
+        if telemetry_on and any(events):
             telemetry = self.telemetry
-            telemetry.count("engine.cycle.events", deliver_count, kind="deliver")
-            telemetry.count("engine.cycle.events", complete_count, kind="complete")
-            telemetry.count("engine.cycle.events", refill_count, kind="refill")
+            for kind, name in enumerate(("deliver", "complete", "refill")):
+                telemetry.count("engine.cycle.events", events[kind], kind=name)
             telemetry.gauge("engine.cycle.heap_depth_peak", peak_heap_depth)
             telemetry.observe("engine.cycle.heap_depth", peak_heap_depth)
 
-    def _refill_idle_tiles(self, now: float) -> bool:
-        """Give every idle tile work from its local frontier; True if any refilled."""
-        refilled = False
+    def _refill_idle_tiles(self, now: float, dispatch: Callable[[int, float], None]) -> bool:
+        """Give every idle tile work from its local frontier; True if any refilled.
+
+        :meth:`~repro.apps.common.Kernel.refill_tile` draws only from a
+        tile's ``state.frontier`` bucket, so only the tiles whose bucket
+        holds work are visited, in tile order.
+        """
         state = self.state
-        for tile_id in range(self.config.num_tiles):
-            if not state.busy[tile_id] and state.tile_is_idle(tile_id):
-                if self._refill_tile(tile_id, now):
-                    refilled = True
-                    self._try_dispatch(tile_id, now)
+        busy, pending = state.busy, state.pending
+        refilled = False
+        for tile_id in compress(range(self.config.num_tiles), state.frontier):
+            if not busy[tile_id] and not pending[tile_id] and self._refill_tile(tile_id):
+                refilled = True
+                dispatch(tile_id, now)
         return refilled
 
-    def _refill_tile(self, tile_id: int, now: float) -> bool:
+    def _refill_tile(self, tile_id: int) -> bool:
         resolved = self.resolve_refill(tile_id)
-        if not resolved:
-            return False
-        state = self.state
+        push_invocation = self.state.push_invocation
         for task, params in resolved:
-            handle = state.records.alloc(tile_id, task.task_id, params, False)
-            state.push_invocation(tile_id, task.task_id, handle)
-        return True
-
-    def _try_dispatch(self, tile_id: int, now: float) -> None:
-        state = self.state
-        if state.busy[tile_id]:
-            return
-        task_id = state.select_task(tile_id)
-        if task_id is None and not self.machine.barrier_effective:
-            # The tile is idle: schedule a low-priority pull from its local
-            # frontier (the paper's T4 draining the bitmap under TSU control).
-            # The delay models T4's low priority: in-flight updates get a chance
-            # to land before the vertex is re-explored, preserving work efficiency.
-            if not state.refill_pending[tile_id]:
-                state.refill_pending[tile_id] = True
-                self._push(
-                    now + self.config.frontier_refill_delay_cycles, _REFILL, tile_id
-                )
-            return
-        if task_id is None:
-            return
-        records = state.records
-        handle = state.pop_invocation(tile_id, task_id)
-        params = records.params[handle]
-        remote = records.remote[handle]
-        records.release(handle)
-        task = self.task_table[task_id]
-        ctx, cost = self.execute_invocation(tile_id, task, params, remote)
-        self.account_context(ctx)
-        busy_until = state.pu_busy_until[tile_id]
-        start = busy_until if busy_until > now else now
-        completion = start + cost
-        state.pu_busy_until[tile_id] = completion
-        state.pu_busy_cycles[tile_id] += cost
-        state.pu_instructions[tile_id] += ctx.instructions
-        state.busy[tile_id] = True
-        self._push(completion, _COMPLETE, (tile_id, ctx))
-
-    def _emit_outputs(self, tile_id: int, ctx, now: float) -> None:
-        state = self.state
-        records = state.records
-        network_send = self.network.send
-        sent_src, sent_dst, sent_flits = self._sent_src, self._sent_dst, self._sent_flits
-        outgoing = ctx.outgoing
-        flits_out = local = 0
-        for task, params, destination in outgoing:
-            flits = task.flits_per_invocation
-            flits_out += flits
-            if destination == tile_id:
-                local += 1
-                handle = records.alloc(tile_id, task.task_id, params, False)
-                state.push_invocation(tile_id, task.task_id, handle)
-            else:
-                sent_src.append(tile_id)
-                sent_dst.append(destination)
-                sent_flits.append(flits)
-                # Delivery time of one message, per the configured network model.
-                arrival = network_send(tile_id, destination, flits, now)
-                handle = records.alloc(destination, task.task_id, params, True)
-                self._push(arrival, _DELIVER, handle)
-        counters = self.counters
-        counters.messages += len(outgoing)
-        counters.flits += flits_out
-        counters.local_messages += local
-        self.release_context(ctx)
-        if len(sent_src) >= TRAFFIC_FOLD_MESSAGES:
-            self._fold_traffic()
+            push_invocation(tile_id, task.task_id, (params, False))
+        return bool(resolved)
 
     def _fold_traffic(self) -> None:
         """Charge the logged non-local messages to the link-load model.

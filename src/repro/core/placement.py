@@ -119,8 +119,10 @@ class BlockPlacement(SpacePlacement):
         self.chunk_size = max(1, -(-length // num_tiles)) if length else 1
 
     def owner(self, index: int) -> int:
-        self._check_index(index)
-        return min(index // self.chunk_size, self.num_tiles - 1)
+        if not 0 <= index < self.length:
+            self._check_index(index)
+        tile = index // self.chunk_size
+        return tile if tile < self.num_tiles else self.num_tiles - 1
 
     def local_index(self, index: int) -> int:
         self._check_index(index)
@@ -157,7 +159,8 @@ class InterleavedPlacement(SpacePlacement):
     """Low-order-bit placement: element ``i`` lives on tile ``i % num_tiles``."""
 
     def owner(self, index: int) -> int:
-        self._check_index(index)
+        if not 0 <= index < self.length:
+            self._check_index(index)
         return index % self.num_tiles
 
     def local_index(self, index: int) -> int:
@@ -196,7 +199,8 @@ class OwnerMapPlacement(SpacePlacement):
             next_local[tile] += 1
 
     def owner(self, index: int) -> int:
-        self._check_index(index)
+        if not 0 <= index < self.length:
+            self._check_index(index)
         return int(self.owner_map[index])
 
     def local_index(self, index: int) -> int:

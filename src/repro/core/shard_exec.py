@@ -41,11 +41,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.batch import Segment, segments_from_items
-from repro.core.engine_analytic import (
-    AnalyticalEngine,
-    _MemoryTables,
-    batch_decline_reason,
-)
+from repro.core.engine_analytic import AnalyticalEngine, batch_decline_reason
 from repro.core.shard import ShardPlan, apply_link_state, export_link_state
 from repro.errors import SimulationError
 from repro.noc.analytical import LinkLoadModel
@@ -115,7 +111,6 @@ class ShardWorker:
         engine._batch = engine._prepare_batch()
         if engine._batch is None:
             raise SimulationError("batch preparation failed on a shardable machine")
-        engine._tables = _MemoryTables(machine)
         engine._rebind_state_arrays()
         self.engine = engine
         self.topology = machine.topology

@@ -7,16 +7,13 @@ per-tile state: flat parallel arrays indexed by tile id (and, for queues, by
 
 * PU occupancy and accounting (``pu_busy_until``, ``pu_busy_cycles``,
   ``pu_instructions``), which the result's utilization and heatmaps read;
-* task input queues (one deque of pooled record indices per tile x task) with
-  the push/pop/high-water statistics the invariant tracer checks;
+* task input queues (one deque of ``(params, remote)`` invocations per
+  tile x task) with the push/pop/high-water statistics the invariant tracer
+  checks, and a per-tile count of pending invocations;
 * the TSU's round-robin cursors;
 * per-tile local frontier buckets (the paper's T3 -> T4 hand-off);
 * the NoC interface port state shared with the flit-level simulator
   (``noc_inject_free`` / ``noc_eject_free``).
-
-Pending invocations are held in a :class:`RecordPool`: parallel arrays of
-(tile, task, params, remote) slots recycled through a free list, so steady
-state simulation allocates no per-event objects.
 
 Task ids are dense (``0..K-1``, assigned by the program), so a task id is its
 queue column.  ``tests/core/test_state.py`` pins :meth:`CoreState.select_task`
@@ -33,57 +30,6 @@ from repro.errors import ConfigurationError
 #: Scheduling policies understood by :meth:`CoreState.select_task`.
 ROUND_ROBIN = "round_robin"
 OCCUPANCY = "occupancy"
-
-
-class RecordPool:
-    """Pooled task-invocation records: parallel arrays plus a free list.
-
-    One record is one pending task invocation: destination tile, task id,
-    parameter tuple and the remote flag live in parallel lists addressed by
-    an integer handle.  Handles are recycled through :attr:`free`, so a
-    run's steady state reuses a bounded set of slots instead of allocating
-    one object per delivered message.
-    """
-
-    __slots__ = ("tile", "task", "params", "remote", "free")
-
-    def __init__(self) -> None:
-        self.tile: List[int] = []
-        self.task: List[int] = []
-        self.params: List[tuple] = []
-        self.remote: List[bool] = []
-        self.free: List[int] = []
-
-    def alloc(self, tile: int, task: int, params: tuple, remote: bool) -> int:
-        """Claim a record slot and return its integer handle."""
-        free = self.free
-        if free:
-            index = free.pop()
-            self.tile[index] = tile
-            self.task[index] = task
-            self.params[index] = params
-            self.remote[index] = remote
-            return index
-        index = len(self.tile)
-        self.tile.append(tile)
-        self.task.append(task)
-        self.params.append(params)
-        self.remote.append(remote)
-        return index
-
-    def release(self, index: int) -> None:
-        """Return a record slot to the pool (drops the params reference)."""
-        self.params[index] = ()
-        self.free.append(index)
-
-    @property
-    def allocated(self) -> int:
-        """Total slots ever created (live + free)."""
-        return len(self.tile)
-
-    def live_records(self) -> int:
-        """Slots currently claimed (0 at the end of a fully-drained run)."""
-        return len(self.tile) - len(self.free)
 
 
 class CoreState:
@@ -123,12 +69,14 @@ class CoreState:
         self.queue_capacity = [iq_capacities[task] for task in range(self.num_tasks)]
 
         slots = num_tiles * self.num_tasks
-        # Task input queues: deques of RecordPool handles, with the push/pop
-        # totals and high-water marks the invariant tracer checks.
+        # Task input queues: deques of ``(params, remote)`` invocations, with
+        # the push/pop totals and high-water marks the invariant tracer checks.
         self.queues: List[deque] = [deque() for _ in range(slots)]
         self.queue_pushed = [0] * slots
         self.queue_popped = [0] * slots
         self.queue_max_occupancy = [0] * slots
+        #: Pending invocations per tile: the summed length of its queues.
+        self.pending = [0] * num_tiles
 
         # Engine dispatch flags.
         self.busy = [False] * num_tiles
@@ -151,9 +99,6 @@ class CoreState:
         self.noc_inject_free = [0.0] * num_tiles
         self.noc_eject_free = [0.0] * num_tiles
 
-        #: Pooled pending-invocation records shared by every queue.
-        self.records = RecordPool()
-
     # ------------------------------------------------------------------ queues
     def push_invocation(self, tile: int, task_id: int, item) -> None:
         """Append one pending invocation to ``(tile, task)``'s input queue.
@@ -166,6 +111,7 @@ class CoreState:
         queue = self.queues[qi]
         queue.append(item)
         self.queue_pushed[qi] += 1
+        self.pending[tile] += 1
         occupancy = len(queue)
         if occupancy > self.queue_max_occupancy[qi]:
             self.queue_max_occupancy[qi] = occupancy
@@ -175,14 +121,11 @@ class CoreState:
         qi = tile * self.num_tasks + task_id
         item = self.queues[qi].popleft()
         self.queue_popped[qi] += 1
+        self.pending[tile] -= 1
         return item
 
     def tile_is_idle(self, tile: int) -> bool:
-        base = tile * self.num_tasks
-        for queue in self.queues[base : base + self.num_tasks]:
-            if queue:
-                return False
-        return True
+        return not self.pending[tile]
 
     # -------------------------------------------------------------- scheduling
     def select_task(self, tile: int) -> Optional[int]:
@@ -195,19 +138,27 @@ class CoreState:
         needs an output-queue occupancy the engines do not model, so it
         never fires.
         """
-        base = tile * self.num_tasks
-        queues = self.queues
-        ready = [task for task in range(self.num_tasks) if queues[base + task]]
-        if not ready:
+        pending = self.pending[tile]
+        if not pending:
             return None
+        num_tasks = self.num_tasks
+        base = tile * num_tasks
+        queues = self.queues
+        task = 0
+        while not queues[base + task]:
+            task += 1
+        if len(queues[base + task]) == pending:
+            # The lone ready task holds every pending invocation.  Occupancy
+            # has no rival to rank it against; the round-robin scan from the
+            # cursor reaches it after ``(task - cursor) % K`` empty queues
+            # and stops one past it.
+            if self.scheduling_policy == ROUND_ROBIN:
+                cursor = self.tsu_cursor[tile]
+                self.tsu_cursor[tile] = cursor + (task - cursor) % num_tasks + 1
+            return task
+        ready = [other for other in range(task, num_tasks) if queues[base + other]]
         if self.scheduling_policy == ROUND_ROBIN:
             return self._select_round_robin(tile, ready)
-        if len(ready) == 1:
-            # Occupancy selection over a single ready task is that task; the
-            # priority comparison only arbitrates between candidates.  (The
-            # round-robin policy cannot shortcut: its cursor advances by a
-            # data-dependent amount even for a lone candidate.)
-            return ready[0]
         return self._select_by_occupancy(tile, ready)
 
     def _select_round_robin(self, tile: int, ready: List[int]) -> int:

@@ -48,12 +48,14 @@ class TestDataAccess:
         ctx = TaskContext(machine, other, machine.program.task("T3_relax"))
         ctx.read("level", 5)
         assert ctx.remote_accesses == 1
+        ctx.finish()
         assert ctx.memory_stall_cycles >= 40
 
     def test_dram_access_stalls(self):
         machine = make_machine(memory="dram", dram_latency_cycles=50)
         ctx = context_for(machine, "level", 2)
         ctx.read("level", 2)
+        ctx.finish()
         assert ctx.dram_accesses == 1
         assert ctx.memory_stall_cycles == pytest.approx(49)
 
@@ -64,6 +66,7 @@ class TestDataAccess:
         )
         ctx = context_for(machine, "level", 2)
         ctx.read("level", 2)
+        ctx.finish()
         assert ctx.cache_hits == pytest.approx(0.5)
         assert ctx.dram_accesses == pytest.approx(0.5)
         assert ctx.memory_stall_cycles == pytest.approx(50)
@@ -92,6 +95,26 @@ class TestAccounting:
         ctx = context_for(make_machine(), "level", 0)
         ctx.count_edges(12)
         assert ctx.edges == 12
+
+    def test_negative_count_edges_rejected(self):
+        ctx = context_for(make_machine(), "level", 0)
+        ctx.count_edges(3)
+        with pytest.raises(ProgramError, match="edge count"):
+            ctx.count_edges(-5)
+        assert ctx.edges == 3
+
+    def test_finish_charges_one_instruction_per_access(self):
+        machine = make_machine(task_overhead_instructions=4, memory="dram",
+                               dram_latency_cycles=10)
+        ctx = context_for(machine, "level", 2)
+        ctx.read("level", 2)
+        ctx.write("level", 2, 7)
+        ctx.compute(3)
+        assert ctx.instructions == 4 + 3  # accesses are charged by finish()
+        assert ctx.finish() == 4 + 3 + 2 + 2 * 9.0
+        assert ctx.instructions == 4 + 3 + 2
+        assert ctx.cycles == ctx.instructions + ctx.memory_stall_cycles
+        assert (ctx.dram_accesses, ctx.cache_hits) == (2.0, 0.0)
 
 
 class TestInvocation:
@@ -142,6 +165,20 @@ class TestInvocation:
         machine = make_machine()
         ctx = TaskContext(machine, 0, machine.program.task("T1_explore"))
         ctx.invoke_range("T2_expand", 5, 5, 1)
+        assert ctx.outgoing == []
+
+    def test_invoke_range_empty_rejects_unknown_task(self):
+        machine = make_machine()
+        ctx = TaskContext(machine, 0, machine.program.task("T1_explore"))
+        with pytest.raises(ProgramError, match="unknown task"):
+            ctx.invoke_range("T2_typo", 3, 3)
+        assert ctx.outgoing == []
+
+    def test_invoke_range_empty_rejects_wrong_arity(self):
+        machine = make_machine()
+        ctx = TaskContext(machine, 0, machine.program.task("T1_explore"))
+        with pytest.raises(ProgramError, match="expects 3 parameters, got 4"):
+            ctx.invoke_range("T2_expand", 3, 3, 1, 2)
         assert ctx.outgoing == []
 
     def test_frontier_bucket_is_per_tile(self):

@@ -14,7 +14,7 @@ import pytest
 from repro.apps import make_kernel
 from repro.core import engine_base, engine_cycle
 from repro.core.config import MachineConfig
-from repro.core.engine_cycle import CycleEngine
+from repro.core.engine_base import BaseEngine
 from repro.core.machine import DalorexMachine
 from repro.core.network import AnalyticalNetwork
 from repro.experiments.common import build_kernel
@@ -59,13 +59,14 @@ def test_link_model_equals_record_message_replay(case, fold, detailed, monkeypat
     spy(monkeypatch, AnalyticalNetwork, "send", sent)
     spy(monkeypatch, NocSimulator, "send", sent)
     spy(monkeypatch, LinkLoadModel, "record_batch", batches)
-    emit = CycleEngine._emit_outputs
+    execute = BaseEngine.execute_invocation
 
-    def counted_emit(self, tile_id, ctx, now):
+    def counted_execute(self, tile_id, task, params, remote):
+        ctx, cost = execute(self, tile_id, task, params, remote)
         fan_outs.append(sum(dst != tile_id for _task, _params, dst in ctx.outgoing))
-        emit(self, tile_id, ctx, now)
+        return ctx, cost
 
-    monkeypatch.setattr(CycleEngine, "_emit_outputs", counted_emit)
+    monkeypatch.setattr(BaseEngine, "execute_invocation", counted_execute)
 
     graph = build_graph(case.graph)
     machine = DalorexMachine(case.config(), build_kernel(case.app, graph), graph)

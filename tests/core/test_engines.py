@@ -1,5 +1,7 @@
 """Tests for the analytical and cycle engines (timing behaviour and agreement)."""
 
+import gc
+import weakref
 from collections import deque
 
 import numpy as np
@@ -9,6 +11,7 @@ from repro.apps import BFSKernel, SSSPKernel, SPMVKernel
 from repro.core.batch import segments_from_items
 from repro.core.config import MachineConfig
 from repro.core.engine_analytic import AnalyticalEngine
+from repro.core.engine_cycle import CycleEngine
 from repro.core.machine import DalorexMachine
 from repro.core.program import VERTEX_SPACE
 from repro.graph.generators import chain_graph, rmat_graph, star_graph
@@ -160,3 +163,95 @@ class TestBarrierlessRefill:
         assert engine.tracer.summary() == sweeper.tracer.summary()
         assert machine.state.frontier == reference.state.frontier
         assert [len(bucket) for bucket in machine.state.frontier if bucket] == [3]
+
+
+class TestCycleBarrierlessRefill:
+    """The cycle engine's refill sweep asks only the tiles whose frontier
+    bucket holds work."""
+
+    def _parked_engine(self, graph, monkeypatch, asked):
+        config = MachineConfig(width=4, height=4, engine="cycle", frontier_refill_batch=2)
+        machine = DalorexMachine(config, BFSKernel(root=0), graph)
+        assert not machine.barrier_effective
+        engine = CycleEngine(machine)
+        resolve = engine.resolve_refill
+
+        def counted(tile_id):
+            asked.append(tile_id)
+            return resolve(tile_id)
+
+        monkeypatch.setattr(engine, "resolve_refill", counted)
+        owners = machine.placement.space(VERTEX_SPACE).owners_of(
+            np.arange(graph.num_vertices)
+        )
+        # Tiles 2, 9 and 14 park work; tile 9 parks more than one refill takes.
+        for tile, count in ((2, 1), (9, 5), (14, 2)):
+            machine.state.frontier[tile].extend(np.flatnonzero(owners == tile)[:count].tolist())
+        return machine, engine
+
+    def test_refill_equals_a_sweep_over_every_tile(self, small_rmat, monkeypatch):
+        skipped, swept = [], []
+        machine, engine = self._parked_engine(small_rmat, monkeypatch, skipped)
+        reference, sweeper = self._parked_engine(small_rmat, monkeypatch, swept)
+
+        assert engine._refill_idle_tiles(0.0, engine._dispatcher())
+        # The sweep it replaces: every idle tile is asked, in tile order, and
+        # a refilled tile is dispatched at once.
+        dispatch = sweeper._dispatcher()
+        state = reference.state
+        for tile in range(reference.config.num_tiles):
+            if not state.busy[tile] and state.tile_is_idle(tile):
+                resolved = sweeper.resolve_refill(tile)
+                for task, params in resolved:
+                    state.push_invocation(tile, task.task_id, (params, False))
+                if resolved:
+                    dispatch(tile, 0.0)
+
+        assert skipped == [2, 9, 14]
+        assert swept == list(range(reference.config.num_tiles))
+        for column in ("queues", "queue_pushed", "queue_popped", "pending", "busy",
+                       "pu_busy_until", "pu_busy_cycles", "pu_instructions", "frontier"):
+            assert getattr(machine.state, column) == getattr(state, column), column
+        assert [len(bucket) for bucket in machine.state.frontier if bucket] == [3]
+
+        def events(heap):
+            return sorted(
+                (time, key, tile, ctx.outgoing) for time, key, (tile, ctx) in heap
+            )
+
+        assert events(engine._heap) == events(sweeper._heap)
+        assert len(engine._heap) == 3  # one started task per refilled tile
+        assert engine.tracer.summary() == sweeper.tracer.summary()
+        assert vars(engine.counters) == vars(sweeper.counters)
+        for name, values in machine.arrays.items():
+            assert np.array_equal(values, reference.arrays[name]), name
+
+
+class TestCycleEngineReferences:
+    """A finished cycle-engine run leaves no reference cycle behind: the
+    engine and its machine are freed as soon as the last reference goes,
+    without the cyclic collector."""
+
+    @pytest.mark.parametrize("barrier", [True, False])
+    def test_machine_and_engine_die_with_their_references(self, small_rmat, barrier):
+        root = small_rmat.highest_degree_vertex()
+        config = MachineConfig(width=4, height=4, engine="cycle", barrier=barrier)
+        gc.collect()
+        gc.disable()
+        try:
+            machine = DalorexMachine(config, BFSKernel(root=root), small_rmat)
+            result = machine.run(verify=True)
+            assert result.verified is True
+            machine_ref = weakref.ref(machine)
+            del machine, result
+            assert machine_ref() is None
+
+            machine = DalorexMachine(config, BFSKernel(root=root), small_rmat)
+            engine = CycleEngine(machine)
+            engine.run()
+            engine_ref, machine_ref = weakref.ref(engine), weakref.ref(machine)
+            del engine, machine
+            assert engine_ref() is None
+            assert machine_ref() is None
+        finally:
+            gc.enable()

@@ -1,16 +1,16 @@
-"""Columnar core state: the TSU policy, record pooling, state reuse.
+"""Columnar core state: the TSU policy, queue balance, state reuse.
 
 Four families of checks guard the structure-of-arrays core:
 
 * the scheduling policies of ``CoreState.select_task``, case by case;
 * ``CoreState.select_task`` agrees with :class:`TaskSchedulingUnit`, an
-  object-shaped scheduler kept here as the oracle, on random queue states;
-* the pooled task-record representation must fully recycle -- a drained run
-  leaves zero live records, and the pool stays bounded by the run's peak
-  in-flight work;
+  object-shaped scheduler kept here as the oracle, on random queue states
+  and on every lone-ready-task state from every round-robin cursor;
+* a drained run leaves every queue empty, every tile's pending count at
+  zero and the queue push/pop totals balanced;
 * two back-to-back ``run()`` calls on fresh registry-built machines must
-  produce byte-identical payloads (no state leakage through pooled records,
-  pooled contexts, or the shared topology route caches).
+  produce byte-identical payloads (no state leakage through pooled
+  contexts or the shared topology caches).
 """
 
 import functools
@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import MachineConfig
 from repro.core.machine import DalorexMachine
 from repro.core.registry import make_engine, make_kernel
-from repro.core.state import OCCUPANCY, ROUND_ROBIN, CoreState, RecordPool
+from repro.core.state import OCCUPANCY, ROUND_ROBIN, CoreState
 from repro.errors import ConfigurationError
 from repro.graph.generators import rmat_graph
 from repro.runtime import RunSpec
@@ -81,42 +81,6 @@ class TaskSchedulingUnit:
             return (level, capacity, occupancy)
 
         return max(sorted(ready), key=priority)
-
-
-class TestRecordPool:
-    def test_alloc_release_recycles_slots(self):
-        pool = RecordPool()
-        first = pool.alloc(1, 2, (3,), False)
-        second = pool.alloc(4, 5, (6,), True)
-        assert {first, second} == {0, 1}
-        pool.release(first)
-        assert pool.live_records() == 1
-        third = pool.alloc(7, 0, (8, 9), False)
-        assert third == first  # the freed slot is reused
-        assert pool.allocated == 2
-        assert pool.params[third] == (8, 9)
-        assert pool.remote[third] is False
-
-    def test_release_drops_params_reference(self):
-        pool = RecordPool()
-        index = pool.alloc(0, 0, (1, 2, 3), False)
-        pool.release(index)
-        assert pool.params[index] == ()
-
-    def test_fresh_pool_is_empty(self):
-        pool = RecordPool()
-        assert pool.allocated == 0
-        assert pool.live_records() == 0
-
-    def test_latest_release_is_reused_first(self):
-        pool = RecordPool()
-        handles = [pool.alloc(tile, 0, (), False) for tile in range(3)]
-        pool.release(handles[0])
-        pool.release(handles[2])
-        assert pool.alloc(5, 1, (), True) == handles[2]
-        assert pool.alloc(6, 1, (), True) == handles[0]
-        assert pool.alloc(7, 1, (), True) == 3  # free list empty: the pool grows
-        assert pool.tile[handles[2]] == 5 and pool.tile[handles[0]] == 6
 
 
 class TestQueueColumns:
@@ -364,6 +328,52 @@ class TestSchedulingConformance:
             queues[expected].popleft()
             state.pop_invocation(0, expected)
 
+    @pytest.mark.parametrize("policy", [OCCUPANCY, ROUND_ROBIN])
+    @pytest.mark.parametrize("num_tasks", [1, 2, 3, 5])
+    def test_lone_ready_task_from_every_cursor(self, policy, num_tasks):
+        """The one-ready-task path: every lone task, occupancy and cursor."""
+        capacities = {tid: 4 for tid in range(num_tasks)}
+        for cursor in range(3 * num_tasks):
+            for task in range(num_tasks):
+                for occupancy in (1, 2, 5):
+                    state = CoreState(1, capacities, policy)
+                    state.tsu_cursor[0] = cursor
+                    tsu = TaskSchedulingUnit(range(num_tasks), capacities, policy=policy)
+                    tsu._round_robin_cursor = cursor
+                    fill(state, {task: occupancy})
+                    queues = {tid: deque() for tid in range(num_tasks)}
+                    queues[task].extend(range(occupancy))
+                    assert state.select_task(0) == tsu.select_task(queues) == task
+                    assert state.tsu_cursor == [tsu._round_robin_cursor]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num_tasks=st.integers(min_value=1, max_value=5),
+        policy=st.sampled_from([OCCUPANCY, ROUND_ROBIN]),
+        steps=st.lists(st.integers(min_value=-1, max_value=4), min_size=1, max_size=40),
+    )
+    def test_push_select_pop_sequences_match_object_tsu(self, num_tasks, policy, steps):
+        """Single pushes between selections: queue states with one ready task
+        and with several alternate, and cursors and pending counts carry
+        over from step to step."""
+        capacities = {tid: 2 + tid for tid in range(num_tasks)}
+        state = CoreState(1, capacities, policy)
+        tsu = TaskSchedulingUnit(range(num_tasks), capacities, policy=policy)
+        queues = {tid: deque() for tid in range(num_tasks)}
+        lone = 0
+        for step, target in enumerate(steps):
+            if 0 <= target < num_tasks:  # push one invocation, else select only
+                state.push_invocation(0, target, step)
+                queues[target].append(step)
+            lone += sum(1 for queue in queues.values() if queue) == 1
+            expected = tsu.select_task(queues)
+            assert state.select_task(0) == expected
+            assert state.tsu_cursor == [tsu._round_robin_cursor]
+            if expected is not None:
+                assert state.pop_invocation(0, expected) == queues[expected].popleft()
+            assert state.pending == [sum(len(queue) for queue in queues.values())]
+        assert lone or not any(0 <= target < num_tasks for target in steps)
+
 
 def _run_payload(app, engine, barrier, graph):
     config = MachineConfig(width=4, height=4, engine=engine, barrier=barrier)
@@ -408,17 +418,18 @@ class TestEngineStateReuse:
             engine = make_engine(engine_name, machine)
             assert isinstance(engine, engine_cls)
 
-    def test_record_pool_fully_recycled_after_cycle_run(self, small_rmat):
+    def test_cycle_run_drains_every_queue_and_pending_count(self, small_rmat):
         config = MachineConfig(width=4, height=4, engine="cycle")
         root = small_rmat.highest_degree_vertex()
         machine = DalorexMachine(config, make_kernel("bfs", root=root), small_rmat)
         machine.run()
-        pool = machine.state.records
-        assert pool.live_records() == 0
-        assert pool.allocated >= 1
-        # The pool stays far below one-object-per-message: it is bounded by
-        # the run's peak in-flight work, not its total message count.
-        assert pool.allocated <= machine.tracer.total_spawned
+        state = machine.state
+        assert not any(state.queues)
+        assert state.pending == [0] * state.num_tiles
+        # Every queued invocation was popped; every task the tracer saw
+        # consumed passed through a queue.
+        assert sum(state.queue_pushed) == sum(state.queue_popped)
+        assert sum(state.queue_popped) == machine.tracer.consumed >= 1
 
     def test_spec_executor_deterministic_through_registry(self):
         spec = RunSpec(
@@ -483,7 +494,8 @@ class TestColumnsAfterRun:
         assert state.frontier == [[] for _ in range(state.num_tiles)]
         assert not any(state.busy)
         assert not any(state.refill_pending)
-        assert state.records.live_records() == 0
+        assert not any(state.pending)
+        assert state.queue_pushed == state.queue_popped
 
     def test_cycle_queues_balance(self, finished_cycle):
         state = finished_cycle.state

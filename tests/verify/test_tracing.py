@@ -98,17 +98,17 @@ class TestInjectedBugsAreCaught:
         assert state["injected"]
 
     def test_dropped_message_count_is_caught(self, monkeypatch):
-        original = CycleEngine._emit_outputs
+        original = CycleEngine._fold_traffic
         state = {"injected": False}
 
-        def tampered(self, tile_id, ctx, now):
-            remote = any(dst != tile_id for _task, _params, dst in ctx.outgoing)
-            original(self, tile_id, ctx, now)
+        def tampered(self):
+            remote = bool(self._sent_src)  # non-local messages sent since the last fold
+            original(self)
             if not state["injected"] and remote:
                 state["injected"] = True
                 self.counters.messages -= 1  # lose one message
 
-        monkeypatch.setattr(CycleEngine, "_emit_outputs", tampered)
+        monkeypatch.setattr(CycleEngine, "_fold_traffic", tampered)
         with pytest.raises(InvariantViolation, match="messages"):
             run_machine("cycle", app="sssp")
         assert state["injected"]
