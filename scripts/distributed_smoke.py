@@ -6,10 +6,7 @@ a figure sweep through ``run_all_experiments.py --backend distributed``, and
 asserts the JSON output is byte-identical to the same sweep executed on the
 local process-pool backend.  With ``--kill-one-worker`` an extra worker is
 started and SIGKILLed mid-sweep, proving that lease expiry + requeue finish
-the batch anyway (the byte-equality assertion is unchanged).  With
-``--shards N`` the sweep then runs again at N shards per simulation against
-a fresh broker and plain workers, each running its sharded specs on its own
-local shard transport; that output must be byte-identical too.
+the batch anyway (the byte-equality assertion is unchanged).
 
 This is the CI job behind the subsystem's acceptance criterion; run it
 locally with::
@@ -231,48 +228,6 @@ def _check_trace_links(trace_files: list) -> None:
           f">=2 processes", flush=True)
 
 
-def _sharded_phase(args, work_dir: Path, reference: bytes) -> bool:
-    """Run the sweep again at ``--shards N`` on plain workers; must stay
-    byte-identical.
-
-    A fresh broker (own cache/state under ``work_dir/sharded``) so the main
-    phase's ingested payloads cannot short-circuit the submits.  Every
-    worker leases a sharded spec like any other and runs it on its own
-    local shard transport.
-    """
-    from repro.runtime.distributed.protocol import parse_address, request
-
-    shard_dir = work_dir / "sharded"
-    shard_dir.mkdir()
-    broker, address, _http = _start_broker(shard_dir, args.lease_timeout)
-    print(f"[smoke] sharded broker up at {address}", flush=True)
-    workers = [
-        _start_worker(address, f"sharded-{i}") for i in range(args.workers)
-    ]
-    try:
-        print(f"[smoke] {args.shards}-shard sweep via {args.workers} "
-              "worker(s)", flush=True)
-        sharded = _run_sweep(
-            args, "sharded", work_dir,
-            ["--backend", "distributed", "--connect", address,
-             "--shards", str(args.shards)],
-        )
-        status = request(parse_address(address), {"op": "status"})
-        completed = status["stats"]["completed"]
-        assert completed >= 1, "no sharded spec ever reached the fleet"
-        print(f"[smoke] the fleet completed {completed} sharded spec(s)",
-              flush=True)
-    finally:
-        _stop_fleet(address, broker, workers)
-    if sharded != reference:
-        print(f"[smoke] FAIL: {args.shards}-shard fleet output differs from "
-              "process pool")
-        return False
-    print(f"[smoke] OK: {len(sharded)} JSON bytes identical at "
-          f"{args.shards} shards")
-    return True
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", type=float, default=0.05)
@@ -290,12 +245,6 @@ def main(argv=None) -> int:
     parser.add_argument("--trace-out", default=None, metavar="PATH",
                         help="with --telemetry, copy the broker's JSONL "
                              "trace here (CI uploads it as an artifact)")
-    parser.add_argument("--shards", type=int, default=1, metavar="N",
-                        help="after the main phase, re-run the sweep with "
-                             "--shards N on a fresh broker and plain workers "
-                             "(each runs sharded specs on its own local "
-                             "shard transport); output must stay "
-                             "byte-identical (default: 1, no sharded phase)")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="dalorex-smoke-") as tmp:
@@ -369,9 +318,6 @@ def main(argv=None) -> int:
             print("[smoke] FAIL: distributed output differs from process pool")
             return 1
         print(f"[smoke] OK: {len(reference)} JSON bytes identical across backends")
-
-        if args.shards > 1 and not _sharded_phase(args, work_dir, reference):
-            return 1
         return 0
 
 

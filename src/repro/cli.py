@@ -45,10 +45,7 @@
 * ``--cache-dir PATH`` replays previously computed runs from a
   content-addressed on-disk cache (one JSON blob per run, keyed by the
   SHA-256 of the run's spec) and stores new ones;
-* ``--no-cache`` disables the cache even when ``--cache-dir`` is given;
-* ``--shards N`` partitions every simulation across N shard workers
-  (``--shard-backend`` picks the transport); reports stay byte-identical
-  to serial execution at any shard count (see ``docs/SHARDING.md``).
+* ``--no-cache`` disables the cache even when ``--cache-dir`` is given.
 
 Results are bit-identical whatever the backend/jobs/cache settings.
 """
@@ -74,7 +71,6 @@ from repro.runtime import (
     resolve_backend,
 )
 from repro.runtime.cache import PRUNE_POLICIES
-from repro.runtime.sharding import SHARD_BACKEND_CHOICES
 
 
 def _positive_int(text: str) -> int:
@@ -115,24 +111,10 @@ def add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
         help="tenant queue to submit under on a multi-tenant broker "
              "(--backend distributed only; default: the shared queue)",
     )
-    parser.add_argument(
-        "--shards", type=_positive_int, default=None, metavar="N",
-        help="partition each simulation across N shard workers "
-             "(byte-identical to serial execution; see docs/SHARDING.md)",
-    )
-    parser.add_argument(
-        "--shard-backend", choices=SHARD_BACKEND_CHOICES, default=None,
-        help="transport for --shards > 1: 'local' forks a process pool "
-             "per run (default), 'inproc' runs shards in-process; not "
-             "valid with --backend distributed, whose workers choose their "
-             "own",
-    )
 
 
 def runner_from_args(args: argparse.Namespace) -> ExperimentRunner:
     """Build the shared experiment runner the parsed flags describe."""
-    import os
-
     cache = None
     if args.cache_dir and not args.no_cache:
         cache = ResultCache(args.cache_dir)
@@ -145,23 +127,7 @@ def runner_from_args(args: argparse.Namespace) -> ExperimentRunner:
         )
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
-    shard_backend = getattr(args, "shard_backend", None)
-    if shard_backend is not None:
-        if backend.name == "distributed":
-            # The client ships canonical specs only; each fleet worker runs
-            # a sharded spec on the transport its own environment names.
-            raise SystemExit(
-                "error: --shard-backend does not apply to --backend "
-                "distributed: fleet workers choose their own shard transport "
-                "(DALOREX_SHARD_BACKEND in each worker's environment)"
-            )
-        # The environment carries the choice into execute_spec wherever the
-        # run lands in this process tree: inline or the process pool.
-        os.environ["DALOREX_SHARD_BACKEND"] = shard_backend
-    return ExperimentRunner(
-        jobs=args.jobs, cache=cache, backend=backend,
-        shards=getattr(args, "shards", None),
-    )
+    return ExperimentRunner(jobs=args.jobs, cache=cache, backend=backend)
 
 
 def add_workload_arguments(

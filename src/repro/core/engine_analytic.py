@@ -20,7 +20,7 @@ epoch as slow as its slowest tile.
 from __future__ import annotations
 
 from collections import deque
-from itertools import compress, islice
+from itertools import compress
 from typing import List, Optional
 
 import numpy as np
@@ -38,25 +38,6 @@ from repro.errors import SimulationError
 from repro.noc.analytical import LinkLoadModel
 
 
-def batch_decline_reason(machine) -> Optional[str]:
-    """Why the analytic engine runs ``machine`` per invocation (None = batched).
-
-    The one gate of the batched path; the shard envelope
-    (:func:`~repro.core.shard_exec.shard_fallback_reason`) builds on it.
-    """
-    if not getattr(machine, "batch_execution", True):
-        return "batch execution is disabled on this machine"
-    if machine.config.allow_remote_access:
-        # Remote-access penalties are per-access scalar state the batch
-        # handlers do not model (the built-in kernels never trip them, but
-        # the scalar path is the one that owns that semantics).
-        return "allow_remote_access uses scalar-only per-access semantics"
-    handlers = machine.kernel.batch_handlers(machine)
-    if not handlers or any(task.name not in handlers for task in machine.program.tasks):
-        return f"kernel {machine.kernel.name!r} lacks batch handlers for every task"
-    return None
-
-
 class AnalyticalEngine(BaseEngine):
     """Fast engine for large grids and scaling sweeps."""
 
@@ -67,8 +48,6 @@ class AnalyticalEngine(BaseEngine):
         average_hops = self.topology.average_hop_distance(sample=64)
 
         self._batch = self._prepare_batch()
-        if self._batch is not None:
-            self._rebind_state_arrays()
         run_epoch = self._run_epoch_batched if self._batch is not None else self._run_epoch
         telemetry = self.telemetry
         if self._batch is not None:
@@ -151,45 +130,54 @@ class AnalyticalEngine(BaseEngine):
         """Barrierless mode: pull parked frontier work once the worklist drains."""
         if self.machine.barrier_effective:
             return False
-        items = self.refill_items(0, self.config.num_tiles)
+        items = self.refill_items()
         worklist.extend(items)
         return bool(items)
 
-    def refill_items(self, lo: int, hi: int) -> list:
-        """Barrierless refill of tiles ``[lo, hi)`` as worklist items, in tile order.
+    def refill_items(self) -> list:
+        """Barrierless refill as worklist items, in tile order.
 
         :meth:`~repro.apps.common.Kernel.refill_tile` draws only from a
         tile's ``state.frontier`` bucket, so only the tiles whose bucket
         holds work are visited.
         """
         items = []
-        for tile_id in compress(range(lo, hi), islice(self.state.frontier, lo, hi)):
+        for tile_id in compress(range(self.config.num_tiles), self.state.frontier):
             for task, params in self.resolve_refill(tile_id):
                 items.append((tile_id, task, params, 0, False))
         return items
 
     # ------------------------------------------------------------- batch mode
-    #: CoreState per-tile counter lists rebound to numpy arrays in batch mode
-    #: (integer counters scatter through np.add.at; floats stay order-exact
-    #: because np.add.at applies duplicate indices in element order).
-    _BATCH_INT_FIELDS = ("pu_instructions",)
-    _BATCH_FLOAT_FIELDS = ("pu_busy_cycles",)
-
     def _prepare_batch(self) -> Optional[dict]:
-        """Batch handler table, or None (scalar mode) when
-        :func:`batch_decline_reason` names a reason, kept in
-        :attr:`batch_decline`."""
-        self.batch_decline = batch_decline_reason(self.machine)
-        if self.batch_decline is not None:
-            return None
-        return self.kernel.batch_handlers(self.machine)
+        """The batch handler table, or None to run per invocation.
 
-    def _rebind_state_arrays(self) -> None:
+        The one gate of the batched path: the reason it declines is kept in
+        :attr:`batch_decline` (None when batched).  A batched run rebinds the
+        per-tile counters to numpy arrays, so ``np.add.at`` scatters into
+        them; floats stay order-exact because it applies duplicate indices in
+        element order.
+        """
+        machine = self.machine
+        self.batch_decline = None
+        if not getattr(machine, "batch_execution", True):
+            self.batch_decline = "batch execution is disabled on this machine"
+            return None
+        if self.config.allow_remote_access:
+            # Remote-access penalties are per-access scalar state the batch
+            # handlers do not model (the built-in kernels never trip them,
+            # but the scalar path is the one that owns that semantics).
+            self.batch_decline = "allow_remote_access uses scalar-only per-access semantics"
+            return None
+        handlers = self.kernel.batch_handlers(machine)
+        if not handlers or any(task.name not in handlers for task in machine.program.tasks):
+            self.batch_decline = (
+                f"kernel {self.kernel.name!r} lacks batch handlers for every task"
+            )
+            return None
         state = self.state
-        for name in self._BATCH_INT_FIELDS:
-            setattr(state, name, np.asarray(getattr(state, name), dtype=np.int64))
-        for name in self._BATCH_FLOAT_FIELDS:
-            setattr(state, name, np.asarray(getattr(state, name), dtype=np.float64))
+        state.pu_instructions = np.asarray(state.pu_instructions, dtype=np.int64)
+        state.pu_busy_cycles = np.asarray(state.pu_busy_cycles, dtype=np.float64)
+        return handlers
 
     def _run_epoch_batched(
         self, seeds: List[Seed], epoch_index: int, average_hops: float
@@ -224,12 +212,12 @@ class AnalyticalEngine(BaseEngine):
             segment = worklist.popleft()
             if telemetry_on:
                 with telemetry.span("engine.analytic.segment", task=segment.task.name):
-                    children, executed, child_gen, _counts = self._execute_segment(
+                    children, executed, child_gen = self._execute_segment(
                         segment, epoch_link, epoch_busy
                     )
                 telemetry.observe("engine.analytic.segment_size", segment.n)
             else:
-                children, executed, child_gen, _counts = self._execute_segment(
+                children, executed, child_gen = self._execute_segment(
                     segment, epoch_link, epoch_busy
                 )
             tasks_this_epoch += executed
@@ -246,20 +234,15 @@ class AnalyticalEngine(BaseEngine):
         """Batched twin of :meth:`_refill_all_tiles` (same tile order)."""
         if self.machine.barrier_effective:
             return False
-        items = self.refill_items(0, self.config.num_tiles)
+        items = self.refill_items()
         if not items:
             return False
         worklist.extend(segments_from_items(items))
         return True
 
     def _execute_segment(self, segment: Segment, epoch_link, epoch_busy):
-        """Execute one same-task run as a batch.
-
-        Returns ``(children, count, max_gen, counts_per_item)`` where
-        ``counts_per_item`` is the per-item emission count (or ``None`` when
-        the segment emitted nothing) -- the sharded executor uses it to
-        assign every child its canonical global position.
-        """
+        """Execute one same-task run as a batch; returns ``(children, count,
+        max_gen)``."""
         handler = self._batch[segment.task.name]
         try:
             result = handler(segment)
@@ -304,7 +287,6 @@ class AnalyticalEngine(BaseEngine):
         max_child_gen = 0
         out_task = None
         out_count = 0
-        counts_per_item = None
         if result.emits is not None:
             out_task, dests, out_params, counts_per_item = result.emits
             out_count = len(dests)
@@ -327,7 +309,7 @@ class AnalyticalEngine(BaseEngine):
             child_gens = np.repeat(segment.gens + 1, counts_per_item)
             max_child_gen = int(child_gens.max())
             children.append(Segment(out_task, dests, out_params, child_gens, remote_out))
-        return children, n, max_child_gen, (counts_per_item if out_count else None)
+        return children, n, max_child_gen
 
     def _execute_segment_scalar(self, segment: Segment, epoch_link, epoch_busy):
         """Per-item fallback: the exact scalar path over one segment's items."""
@@ -335,7 +317,6 @@ class AnalyticalEngine(BaseEngine):
         counters = self.counters
         items_out = []
         max_child_gen = 0
-        emit_counts = np.zeros(segment.n, dtype=np.int64)
         for index in range(segment.n):
             tile_id = int(segment.tiles[index])
             params = tuple(column[index] for column in segment.params)
@@ -346,7 +327,6 @@ class AnalyticalEngine(BaseEngine):
             state.pu_busy_cycles[tile_id] += cost
             state.pu_instructions[tile_id] += ctx.instructions
             epoch_busy[tile_id] += cost
-            emit_counts[index] = len(ctx.outgoing)
             for out_task, out_params, destination in ctx.outgoing:
                 flits = out_task.flits_per_invocation
                 counters.messages += 1
@@ -367,8 +347,7 @@ class AnalyticalEngine(BaseEngine):
                      destination != tile_id)
                 )
             self.release_context(ctx)
-        children = segments_from_items(items_out)
-        return children, segment.n, max_child_gen, (emit_counts if items_out else None)
+        return segments_from_items(items_out), segment.n, max_child_gen
 
     def _epoch_cycles(
         self,

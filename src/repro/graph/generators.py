@@ -112,7 +112,8 @@ def rmat_graph_chunked(
     keys, sorted copies), peaking near ~10x the final CSR footprint -- which is
     what caps the single-process graph size.  This variant emits edges in
     chunks of ``chunk_edges`` and keeps only compact ``int32`` endpoint columns
-    plus one sort permutation, so huge per-shard demo graphs fit in budget.
+    plus one sort permutation, so a larger graph fits in one process's
+    memory budget.
 
     Determinism is preserved by replaying the *exact* PCG64 stream of
     :func:`rmat_graph`: each ``Generator.random`` double consumes one uint64,

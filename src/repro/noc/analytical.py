@@ -125,11 +125,13 @@ class LinkLoadModel:
 
         ``flits`` is every message's length: one int for the whole batch,
         or an int array aligned with ``srcs``.  Bit-equal to calling
-        :meth:`record_message` once per ``(src, dst)`` pair in order: the
-        integer tallies are order-free, and the one float accumulator folds
-        the scalar loop's own terms in its order (see
-        :meth:`fold_millimeters`).  Routes come from the topology as legs,
-        each charged to its slots as one interval (:meth:`_charge_legs`).
+        :meth:`record_message` once per ``(src, dst)`` pair in order.  The
+        integer tallies are order-free.  The one float accumulator folds the
+        scalar loop's own terms left to right, since IEEE addition does not
+        associate and ruche or TSV links make the terms unequal: one term per
+        hop (:meth:`_fold_legs`), or one per message in the aggregate mode.
+        Routes come from the topology as legs, each charged to its slots as
+        one interval (:meth:`_charge_legs`).
         """
         topology = self.topology
         num = len(srcs)
@@ -157,7 +159,10 @@ class LinkLoadModel:
             self.router_flits += _flit_tally(nl_dst, flits, num_tiles)
         else:
             nl_hops = topology.hop_distance_batch(nl_src, nl_dst)
-            self.fold_millimeters(nl_src, nl_dst, flits, tile_pitch_mm)
+            self.total_flit_millimeters = _sequential_sum(
+                self.total_flit_millimeters,
+                flits * topology.route_span_tiles_batch(nl_src, nl_dst) * tile_pitch_mm,
+            )
             middle = topology.width // 2
             crossing = ((nl_src % topology.width) < middle) != (
                 (nl_dst % topology.width) < middle
@@ -210,31 +215,6 @@ class LinkLoadModel:
                 chain[0] += total  # the fold's first addition, total + t0
                 total = float(np.add.accumulate(chain, out=chain)[-1])
         self.total_flit_millimeters = total
-
-    def fold_millimeters(
-        self, srcs: np.ndarray, dsts: np.ndarray, flits, tile_pitch_mm: float = 1.0
-    ) -> None:
-        """Add non-local messages' flit-millimeters in :meth:`record_message` order.
-
-        IEEE addition does not associate and ruche or TSV links make the
-        terms unequal, so the terms are the scalar loop's own -- one per
-        link, message by message, in route order (one per message in the
-        aggregate mode) -- folded left to right with ``sequential_sum``.
-        ``flits`` is one int or an array aligned with ``srcs``, as in
-        :meth:`record_batch`, which folds with the same code; the shard hub
-        calls this to replay the serial fold.
-        """
-        topology = self.topology
-        if not self.detailed:
-            self.total_flit_millimeters = _sequential_sum(
-                self.total_flit_millimeters,
-                flits * topology.route_span_tiles_batch(srcs, dsts) * tile_pitch_mm,
-            )
-            return
-        leg_hops, _tiles, ports = topology._route_legs(srcs, dsts)
-        self._fold_legs(
-            leg_hops, ports, _per_leg(flits, len(leg_hops), len(srcs)), tile_pitch_mm
-        )
 
     # ------------------------------------------------------------------ bounds
     def max_link_load(self) -> float:

@@ -13,8 +13,8 @@ execution is transport plus trust management:
   requeue under an attempt cap, admission control, digest- and
   oracle-checked ingest, and an optional restart-safe journal;
 * :mod:`~repro.runtime.distributed.worker` -- ``dalorex worker``: stateless
-  pull loops that rebuild graph and machine from the canonical spec (a
-  sharded spec runs on the worker's own local shard transport);
+  pull loops that rebuild graph and machine from the canonical spec and
+  run it on the one serial engine;
 * :mod:`~repro.runtime.distributed.client` -- the
   :class:`~repro.runtime.backends.RunnerBackend` that
   ``--backend distributed`` plugs into any ExperimentRunner call site;

@@ -16,11 +16,6 @@ one process (``dalorex worker --capacity N``): each loop holds its own lease
 and heartbeat, simulations share the per-process graph memo, and the broker
 sees N independent leases from one ``worker_id``.  ``stop()``, ``max_runs``
 and the shared counters apply across all loops.
-
-A sharded spec (``shards > 1``) is one lease like any other: the executor
-runs it on this worker's own local shard transport
-(:func:`~repro.runtime.sharding.execute_spec_sharded`, chosen by this
-process's ``DALOREX_SHARD_BACKEND``), byte-identical to serial execution.
 """
 
 from __future__ import annotations

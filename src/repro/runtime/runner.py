@@ -23,7 +23,6 @@ re-runs nothing.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -82,10 +81,6 @@ class ExperimentRunner:
         refresh: ignore (but still refill) existing cache entries.
         backend: execution strategy for cache misses; defaults to the
             inline/process-pool choice ``jobs`` implies.
-        shards: when set and greater than one, rewrite every incoming spec
-            to run sharded across this many workers (``dalorex run --shards``
-            / ``dalorex experiments --shards``).  Sharded execution is
-            byte-identical to serial, so only cache keys change.
     """
 
     def __init__(
@@ -94,16 +89,12 @@ class ExperimentRunner:
         cache: Optional[ResultCache] = None,
         refresh: bool = False,
         backend: Optional[RunnerBackend] = None,
-        shards: Optional[int] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if shards is not None and shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
         self.jobs = jobs
         self.cache = cache
         self.refresh = refresh
-        self.shards = shards
         self.stats = RunnerStats()
         self.backend = backend if backend is not None else resolve_backend(None, jobs)
         # Payloads of recent specs, so a spec repeated across *batches*
@@ -162,12 +153,6 @@ class ExperimentRunner:
         callers mutate results in place).
         """
         telemetry = get_telemetry()
-        if self.shards is not None and self.shards > 1:
-            specs = [
-                spec if spec.shards == self.shards
-                else dataclasses.replace(spec, shards=self.shards)
-                for spec in specs
-            ]
         keys = [spec.key() for spec in specs]
         unique: Dict[str, RunSpec] = {}
         for key, spec in zip(keys, specs):

@@ -27,13 +27,20 @@ from repro.graph.datasets import resolve_dataset_name
 #: changes incompatibly, so stale cache entries never alias new runs.
 #: Version 2: MachineConfig grew the depth / network / routing / queue_depth
 #: knobs (3D grids and the contention-aware NoC simulator).
-#: Version 3: sharded execution -- ``shards`` joins the canonical form (only
-#: when > 1, so single-shard keys are untouched by the field itself).
+#: Version 3: the form could also carry a partition count (only when above
+#: 1, so every other key kept its value).  Partitioned execution is gone;
+#: version 3 forms without that field are exactly the serial ones.
 SPEC_VERSION = 3
 
 #: Canonical-form versions :meth:`RunSpec.from_canonical` still accepts.
-#: Version 2 payloads simply predate the ``shards`` knob (implicitly 1).
 _ACCEPTED_SPEC_VERSIONS = (2, 3)
+
+#: Every key of the canonical form; :meth:`RunSpec.from_canonical` refuses
+#: any other.
+_CANONICAL_FIELDS = frozenset(
+    ("version", "app", "dataset", "config", "scale", "seed", "verify",
+     "pagerank_iterations")
+)
 
 
 def _default_pagerank_iterations() -> int:
@@ -60,11 +67,6 @@ class RunSpec:
     seed: int = 7
     verify: bool = False
     pagerank_iterations: int = field(default_factory=_default_pagerank_iterations)
-    #: Partition the run across this many shard workers (1 = serial).  The
-    #: sharded executor is byte-identical to serial at any count, so shards
-    #: only joins the cache key when > 1 to keep existing keys stable within
-    #: a spec version.
-    shards: int = 1
 
     # ---------------------------------------------------------------- identity
     def canonical(self) -> dict:
@@ -73,12 +75,9 @@ class RunSpec:
         ``pagerank_iterations`` only participates for the pagerank app; other
         kernels ignore it, and two identical simulations must never get
         distinct cache keys because of a knob that cannot affect them.
-        ``shards`` participates only when the effective count (clamped to the
-        tile count) exceeds 1, for the same reason: sharding is
-        byte-identical, so a single-shard run must alias the serial one.
         """
         app = self.app.strip().lower()
-        data = {
+        return {
             "version": SPEC_VERSION,
             "app": app,
             "dataset": resolve_dataset_name(self.dataset),
@@ -90,10 +89,6 @@ class RunSpec:
                 int(self.pagerank_iterations) if app == "pagerank" else None
             ),
         }
-        effective_shards = min(int(self.shards), self.config.num_tiles)
-        if effective_shards > 1:
-            data["shards"] = effective_shards
-        return data
 
     def key(self) -> str:
         """Stable content hash: SHA-256 hex digest of the canonical JSON."""
@@ -105,13 +100,24 @@ class RunSpec:
         """Rebuild a spec from its :meth:`canonical` form (repro-file replay).
 
         Round-trip guarantee: ``RunSpec.from_canonical(spec.canonical())``
-        compares equal to ``spec`` and produces the same cache key.
+        compares equal to ``spec`` and produces the same cache key.  A form
+        with a field this version does not know -- such as the partition
+        count of the removed partitioned execution -- is refused: running it
+        anyway would file the result under a key its submitter never asks
+        for.
         """
         version = data.get("version", SPEC_VERSION)
         if version not in _ACCEPTED_SPEC_VERSIONS:
             raise ValueError(
                 f"spec version {version} is not supported "
                 f"(accepted: {_ACCEPTED_SPEC_VERSIONS})"
+            )
+        unknown = sorted(set(data) - _CANONICAL_FIELDS)
+        if unknown:
+            raise ValueError(
+                f"spec field(s) {unknown} are not part of the canonical form "
+                "(partitioned execution and its partition count were removed; "
+                "every run is serial)"
             )
         pagerank_iterations = data.get("pagerank_iterations")
         kwargs = {}
@@ -124,7 +130,6 @@ class RunSpec:
             scale=float(data.get("scale", 1.0)),
             seed=int(data.get("seed", 7)),
             verify=bool(data.get("verify", False)),
-            shards=int(data.get("shards", 1)),
             **kwargs,
         )
 
@@ -137,9 +142,7 @@ class RunSpec:
         iteration; relaxation kernels revisit edges).  Uses the dataset
         registry's stand-in sizing, so no graph is built; the runner -- and
         the distributed broker -- sort pending work by this so the slowest
-        points start first and parallel tail latency shrinks.  ``shards``
-        does not enter it: a sharded run costs what its serial run costs
-        (two local shards measured no faster than serial).
+        points start first and parallel tail latency shrinks.
         """
         from repro.experiments.common import (
             app_cost_factor,
@@ -228,8 +231,7 @@ def load_graph(dataset: str, scale: float = 1.0, seed: int = 7) -> CSRGraph:
 def build_machine(spec: RunSpec) -> "DalorexMachine":
     """Build the (fresh, un-run) machine a spec describes.
 
-    Deterministic: every call builds an identical machine, which is what the
-    sharded executor relies on to give hub and shard workers the same model.
+    Deterministic: every call builds an identical machine.
     """
     from repro.core.machine import DalorexMachine
     from repro.experiments.common import build_kernel
@@ -248,8 +250,4 @@ def build_machine(spec: RunSpec) -> "DalorexMachine":
 
 def execute_spec(spec: RunSpec) -> SimulationResult:
     """Run one spec from scratch and return the simulation result."""
-    if min(int(spec.shards), spec.config.num_tiles) > 1:
-        from repro.runtime.sharding import execute_spec_sharded
-
-        return execute_spec_sharded(spec)
     return build_machine(spec).run(verify=spec.verify)

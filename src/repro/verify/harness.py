@@ -112,36 +112,6 @@ def run_conformance(spec: RunSpec, detailed_trace: bool = False) -> ConformanceR
         if engine in results:
             report.counters[engine] = results[engine].counters.to_dict()
 
-    # Sharded-execution oracle: the analytic run partitioned across
-    # ``spec.shards`` workers must be byte-identical to the serial analytic
-    # run (configurations outside the shardable envelope fall back to the
-    # serial path inside run_sharded, so the check is vacuous-but-true there).
-    if "analytic" in results and min(int(spec.shards), spec.config.num_tiles) > 1:
-        from repro.core.shard_exec import run_sharded
-        from repro.runtime.serialize import result_to_payload
-
-        def _analytic_machine():
-            kernel = build_kernel(
-                spec.app, graph, pagerank_iterations=spec.pagerank_iterations
-            )
-            return DalorexMachine(
-                spec.config.with_overrides(engine="analytic"),
-                kernel,
-                graph,
-                dataset_name=dataset_name,
-            )
-
-        try:
-            sharded = run_sharded(_analytic_machine, spec.shards, compute_energy=False)
-        except InvariantViolation as exc:
-            report.violations.append(f"sharded analytic invariant: {exc}")
-        else:
-            if result_to_payload(sharded) != result_to_payload(results["analytic"]):
-                report.violations.append(
-                    f"sharded analytic run ({spec.shards} shards) is not "
-                    "byte-identical to the serial analytic run"
-                )
-
     # Network oracle: a contention-aware cycle run must reconcile with the
     # zero-contention analytical accounting (never beat the bound, charge
     # the same flits to the same links under dimension-ordered routing).

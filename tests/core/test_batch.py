@@ -234,10 +234,11 @@ class TestBatchedPathGate:
     def test_ruche_and_3d_grids_engage_the_batched_path(self, overrides, small_rmat):
         from repro.apps import BFSKernel
         from repro.core.config import MachineConfig
-        from repro.core.engine_analytic import AnalyticalEngine, batch_decline_reason
+        from repro.core.engine_analytic import AnalyticalEngine
         from repro.core.machine import DalorexMachine
 
         config = MachineConfig(engine="analytic", **overrides)
         machine = DalorexMachine(config, BFSKernel(root=0), small_rmat)
-        assert batch_decline_reason(machine) is None
-        assert AnalyticalEngine(machine)._prepare_batch() is not None
+        engine = AnalyticalEngine(machine)
+        assert engine._prepare_batch() is not None
+        assert engine.batch_decline is None

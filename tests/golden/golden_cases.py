@@ -101,11 +101,21 @@ GOLDEN_CASES: Tuple[GoldenCase, ...] = (
 )
 
 
-def run_case(case: GoldenCase):
-    """Execute one golden case and return its SimulationResult."""
-    from repro.experiments.common import run_configuration
+def run_case(case: GoldenCase, batch_execution: bool = True):
+    """Execute one golden case and return its SimulationResult.
+
+    ``batch_execution=False`` runs an analytic case on the per-invocation
+    scalar path instead of the batched segment path.
+    """
+    from repro.core.machine import DalorexMachine
+    from repro.experiments.common import build_kernel, run_configuration
 
     graph = build_graph(case.graph)
-    return run_configuration(
-        case.config(), case.app, graph, dataset_name=case.graph, verify=True
-    )
+    if batch_execution:
+        return run_configuration(
+            case.config(), case.app, graph, dataset_name=case.graph, verify=True
+        )
+    kernel = build_kernel(case.app, graph)
+    machine = DalorexMachine(case.config(), kernel, graph, dataset_name=case.graph)
+    machine.batch_execution = False
+    return machine.run(verify=True)

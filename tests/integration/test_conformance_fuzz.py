@@ -71,12 +71,9 @@ def conformance_specs(draw) -> RunSpec:
         routing=draw(st.sampled_from(["dimension_ordered", "xy_yx", "adaptive"])),
         queue_depth=draw(st.sampled_from([1, 2, 4])),
     )
-    # Shard dimension: >1 adds the sharded-execution oracle (the analytic
-    # run partitioned across N workers must stay byte-identical to serial).
-    shards = draw(st.sampled_from([1, 2, 3]))
     return RunSpec(
         app=app, dataset=dataset, config=config, scale=scale, seed=seed,
-        pagerank_iterations=3, shards=shards,
+        pagerank_iterations=3,
     )
 
 

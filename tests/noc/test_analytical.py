@@ -190,31 +190,3 @@ class TestRecordBatch:
         assert batched.total_messages == scalar.total_messages
         assert batched.bisection_load() == scalar.bisection_load()
         assert batched.total_flit_millimeters == scalar.total_flit_millimeters
-
-    @pytest.mark.parametrize("chunk_links", [1 << 20, 7], ids=["whole", "chunked"])
-    @pytest.mark.parametrize("detailed", [True, False], ids=["detailed", "aggregate"])
-    @pytest.mark.parametrize("kind,extra", BATCH_TOPOLOGIES)
-    def test_fold_millimeters_replays_record_batch_fold(
-        self, kind, extra, detailed, chunk_links, monkeypatch
-    ):
-        # The shard hub refolds a segment's millimeters from the non-local
-        # messages alone; it must land on record_batch's exact float.
-        monkeypatch.setattr(analytical, "ROUTE_CHUNK_LINKS", chunk_links)
-        topology = make_topology(kind, 7, 6, **extra)
-        rng = np.random.default_rng(9)
-        recorded = LinkLoadModel(topology, detailed=detailed)
-        folded = LinkLoadModel(topology, detailed=detailed)
-        for flits in (2, 1, "mixed"):
-            srcs = rng.integers(0, topology.num_tiles, size=200)
-            dsts = rng.integers(0, topology.num_tiles, size=200)
-            remote = srcs != dsts
-            remote_flits = flits
-            if flits == "mixed":
-                flits = rng.integers(1, 5, size=200)
-                remote_flits = flits[remote]
-            recorded.record_batch(srcs, dsts, flits, 0.37)
-            folded.fold_millimeters(srcs[remote], dsts[remote], remote_flits, 0.37)
-        empty = np.empty(0, dtype=np.int64)
-        folded.fold_millimeters(empty, empty, 3, 0.37)
-        assert folded.total_flit_millimeters == recorded.total_flit_millimeters
-        assert folded.total_flit_millimeters > 0

@@ -1,6 +1,5 @@
 """Queue, lease, ingest and persistence semantics of the Broker (no TCP)."""
 
-import dataclasses
 import json
 
 import pytest
@@ -69,6 +68,18 @@ class TestQueue:
         assert broker.lease("w0")["key"] is not None
         assert broker.lease("w1")["key"] is None
 
+    def test_a_lease_carries_the_whole_spec(self):
+        broker = Broker()
+        spec = make_spec()
+        submit_all(broker, [spec])
+        lease = broker.lease("w0")
+        assert lease["key"] == spec.key()
+        assert lease["spec"] == spec.canonical()
+        assert lease["attempt"] == 1
+        assert set(lease) == {"key", "spec", "attempt", "lease_timeout"}
+        status = broker.status()
+        assert (status["pending"], status["leased"]) == (0, 1)
+
     def test_heartbeat_keeps_a_lease_alive(self):
         clock = FakeClock()
         broker = Broker(lease_timeout=10.0, clock=clock)
@@ -81,6 +92,20 @@ class TestQueue:
         clock.advance(11.0)
         assert broker.lease("w1")["key"] == lease["key"]  # expired and requeued
         assert broker.heartbeat("w0", lease["key"])["active"] is False
+
+    def test_only_the_holder_renews_and_a_silent_holder_expires(self):
+        clock = FakeClock()
+        broker = Broker(lease_timeout=5.0, max_attempts=10, clock=clock)
+        submit_all(broker, [make_spec()])
+        first = broker.lease("w0")
+        clock.advance(3.0)
+        assert broker.heartbeat("w0", first["key"])["active"] is True
+        assert broker.heartbeat("w-imposter", first["key"])["active"] is False
+        clock.advance(6.0)  # the holder went silent past its renewed deadline
+        second = broker.lease("w1")
+        assert (second["key"], second["attempt"]) == (first["key"], 2)
+        assert broker.heartbeat("w0", first["key"])["active"] is False
+        assert broker.stats.expired_leases == 1
 
     def test_expired_lease_requeues_with_attempt_counted(self):
         clock = FakeClock()
@@ -117,67 +142,6 @@ class TestQueue:
         assert broker.fetch([spec.key()])["failed"]  # cap hit
         assert submit_all(broker, [spec])["queued"] == 1
         assert broker.lease("w0")["attempt"] == 1
-
-
-def sharded_spec(shards=2, **kwargs):
-    return dataclasses.replace(make_spec(**kwargs), shards=shards)
-
-
-class TestShardedSpecs:
-    """A sharded spec is one task: one worker leases it whole and runs it
-    on its own shard transport, so lease, expiry and release treat it like
-    any other spec."""
-
-    def test_sharded_spec_is_leased_whole_to_one_worker(self):
-        broker = Broker()
-        spec = sharded_spec(shards=3)
-        submit_all(broker, [spec])
-        lease = broker.lease("w0")
-        assert lease["key"] == spec.key()
-        assert lease["spec"]["shards"] == 3
-        assert lease["attempt"] == 1
-        assert set(lease) == {"key", "spec", "attempt", "lease_timeout"}
-        # Nothing is left for a second worker to join.
-        assert broker.lease("w1")["key"] is None
-        status = broker.status()
-        assert (status["pending"], status["leased"]) == (0, 1)
-
-    def test_silent_worker_loses_a_sharded_spec_at_the_lease_timeout(self):
-        clock = FakeClock()
-        broker = Broker(lease_timeout=5.0, max_attempts=10, clock=clock)
-        submit_all(broker, [sharded_spec()])
-        first = broker.lease("w0")
-        clock.advance(3.0)
-        assert broker.heartbeat("w0", first["key"])["active"] is True
-        assert broker.heartbeat("w-imposter", first["key"])["active"] is False
-        clock.advance(6.0)  # the holder went silent past its renewed deadline
-        second = broker.lease("w1")
-        assert second["key"] == first["key"]
-        assert second["attempt"] == 2
-        assert broker.heartbeat("w0", first["key"])["active"] is False
-        assert broker.stats.expired_leases == 1
-
-    def test_released_sharded_spec_requeues_at_once(self):
-        broker = Broker(lease_timeout=3600.0, max_attempts=10)
-        submit_all(broker, [sharded_spec()])
-        lease = broker.lease("w0")
-        assert broker.release("w-imposter", lease["key"])["requeued"] is False
-        assert broker.status()["leased"] == 1
-        assert broker.release("w0", lease["key"], "shard died")["requeued"]
-        assert broker.status()["pending"] == 1
-        again = broker.lease("w1")
-        assert (again["key"], again["attempt"]) == (lease["key"], 2)
-
-    def test_mixed_queue_leases_in_serial_cost_order(self):
-        # A sharded spec costs what its serial run costs.  wcc on 2x2 tiles
-        # costs 1.6x bfs on 2x2 tiles, so it leases first even at 2 shards.
-        broker = Broker()
-        sharded = sharded_spec(app="wcc")
-        serial = make_spec(app="bfs")
-        assert 1.0 < sharded.predicted_cost() / serial.predicted_cost() < 1.75
-        submit_all(broker, [serial, sharded])
-        assert broker.lease("w0")["key"] == sharded.key()
-        assert broker.lease("w0")["key"] == serial.key()
 
 
 class TestIngest:
@@ -377,6 +341,18 @@ class TestPersistence:
         state = tmp_path / "state.json"
         state.write_text("{broken")
         with pytest.raises(ValueError):
+            Broker(state_path=state)
+
+    def test_journaled_partition_count_is_a_hard_error(self, tmp_path):
+        # A journal written before partitioned execution was removed may
+        # hold a spec with a partition count: the restart fails loudly
+        # instead of resuming it under a key no client waits for.
+        state = tmp_path / "state.json"
+        submit_all(Broker(state_path=state), [make_spec()])
+        journal = json.loads(state.read_text())
+        journal["tasks"][0]["spec"]["shards"] = 2
+        state.write_text(json.dumps(journal))
+        with pytest.raises(ValueError, match="shards"):
             Broker(state_path=state)
 
 

@@ -2,17 +2,14 @@
 
 The acceptance bar: a batch executed by a broker plus two workers is
 byte-identical to serial in-process execution, including through the shared
-result cache, with verified ingest enabled, and for sharded specs.
+result cache and with verified ingest enabled.
 """
 
-import dataclasses
 import json
-import time
 
 import numpy as np
-import pytest
 
-from repro.runtime import ExperimentRunner, ResultCache, execute_to_payload
+from repro.runtime import ExperimentRunner, ResultCache
 from repro.runtime.distributed import Broker, DistributedBackend
 
 from distributed_helpers import fleet, make_spec, make_specs
@@ -86,47 +83,3 @@ class TestEquivalence:
             distributed_runner(server).run_batch(specs)
         assert sum(worker.completed for worker in workers) == len(specs)
         assert all(worker.rejected == 0 for worker in workers)
-
-
-class TestShardedSpecs:
-    @pytest.mark.parametrize("shards", [2, 3])
-    def test_plain_fleet_completes_sharded_spec(self, shards, monkeypatch):
-        # A worker runs a sharded spec on its own shard transport (the
-        # thread fleet shares this process's environment, so inproc here);
-        # the upload is byte-identical to executing the spec locally.
-        monkeypatch.setenv("DALOREX_SHARD_BACKEND", "inproc")
-        spec = dataclasses.replace(make_spec(), shards=shards)
-        key, reference = execute_to_payload(spec)
-        broker = Broker()
-        broker.submit([spec.canonical()])
-        with fleet(broker, num_workers=1) as (_server, workers):
-            deadline = time.monotonic() + 120.0
-            payload = None
-            while payload is None and time.monotonic() < deadline:
-                payload = broker.fetch_payload(key)
-                if payload is None:
-                    time.sleep(0.05)
-        assert payload is not None, "the fleet never completed the sharded spec"
-        assert json.dumps(payload, sort_keys=True) == json.dumps(
-            reference, sort_keys=True
-        )
-        assert workers[0].completed == 1
-
-    def test_mixed_batch_matches_serial_in_input_order(self, monkeypatch):
-        # The broker leases costliest-first (the sharded wcc spec before the
-        # bfs one it follows in the batch); the runner still returns the
-        # results in input order, equal to serial execution.
-        monkeypatch.setenv("DALOREX_SHARD_BACKEND", "inproc")
-        specs = [
-            make_spec(app="bfs"),
-            dataclasses.replace(make_spec(app="wcc"), shards=2),
-            make_spec(app="spmv", width=4),
-        ]
-        serial = ExperimentRunner().run_batch(specs)
-        broker = Broker(verify_ingest=True)
-        with fleet(broker, num_workers=2) as (server, _workers):
-            remote = distributed_runner(server).run_batch(specs)
-        assert json.dumps(summaries(remote), sort_keys=True) == json.dumps(
-            summaries(serial), sort_keys=True
-        )
-        assert broker.stats.completed == len(specs)

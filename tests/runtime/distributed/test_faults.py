@@ -344,9 +344,8 @@ REPO = Path(__file__).resolve().parents[3]
 
 
 def _spawn_worker(address, tag):
-    """A ``dalorex worker`` process on the default (local) shard transport."""
+    """A ``dalorex worker`` process polling the broker at ``address``."""
     env = dict(os.environ)
-    env.pop("DALOREX_SHARD_BACKEND", None)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "worker",
@@ -356,16 +355,13 @@ def _spawn_worker(address, tag):
     )
 
 
-class TestShardedWorkerKill:
-    def test_sigkilled_worker_requeues_its_sharded_spec(self, monkeypatch):
-        """SIGKILL the worker process that runs a sharded spec on its own
-        shard processes: the lease expires, the spec requeues, and a
-        replacement worker finishes it with a byte-identical payload."""
-        monkeypatch.setenv("DALOREX_SHARD_BACKEND", "inproc")  # the reference
+class TestWorkerProcessKill:
+    def test_sigkilled_worker_process_requeues_its_spec(self):
+        """SIGKILL a real ``dalorex worker`` process while it simulates: the
+        lease expires, the spec requeues, and a replacement worker process
+        finishes it with a byte-identical payload."""
         # Big enough (about a second of work) that the kill lands mid-run.
-        spec = dataclasses.replace(
-            make_spec(app="sssp", width=4), shards=2, scale=8.0
-        )
+        spec = dataclasses.replace(make_spec(app="sssp", width=4), scale=8.0)
         key, reference = execute_to_payload(spec)
         broker = Broker(lease_timeout=1.0, max_attempts=5)
         broker.submit([spec.canonical()])

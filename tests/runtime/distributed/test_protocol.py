@@ -1,6 +1,5 @@
 """Framing, addressing and request/response semantics of the wire protocol."""
 
-import dataclasses
 import io
 import socket
 import socketserver
@@ -11,6 +10,7 @@ import pytest
 from repro.runtime import payload_digest
 from repro.runtime.distributed import Broker, BrokerServer
 from repro.runtime.distributed.protocol import (
+    ERR_BAD_REQUEST,
     ERR_UNKNOWN_OP,
     ERR_UNSUPPORTED_PROTOCOL,
     PROTOCOL,
@@ -272,14 +272,14 @@ class TestGangTrafficFromOlderWorkers:
 
     def test_gang_lease_flag_gets_the_whole_spec(self):
         broker = Broker()
-        spec = dataclasses.replace(make_spec(), shards=2)
+        spec = make_spec()
         broker.submit([spec.canonical()])
         with BrokerServer(broker) as server:
             lease = request(
                 server.address, {"op": "lease", "worker": "w-old", "gang": True}
             )
         assert lease["key"] == spec.key()
-        assert lease["spec"]["shards"] == 2
+        assert lease["spec"] == spec.canonical()
         assert "gang" not in lease
         assert broker.status()["leased"] == 1
 
@@ -292,3 +292,24 @@ class TestGangTrafficFromOlderWorkers:
                 request(server.address, message)
         assert excinfo.value.code == ERR_UNKNOWN_OP
         assert broker.fleet_stats()["codes"][ERR_UNKNOWN_OP] == 1
+
+
+class TestSpecsFromOlderClients:
+    """A client built before partitioned execution was removed may still
+    submit a partition count; the broker refuses it instead of running it
+    under a key that client never waits for."""
+
+    def test_a_partition_count_is_a_bad_request_and_queues_nothing(self):
+        broker = Broker()
+        batch = [make_spec(app="sssp").canonical(),
+                 dict(make_spec().canonical(), shards=2)]
+        with pytest.raises(ValueError, match="shards"):
+            broker.submit(batch)
+        with BrokerServer(broker) as server:
+            with pytest.raises(BrokerError, match="shards") as excinfo:
+                request(server.address, {"op": "submit", "specs": batch})
+        assert excinfo.value.code == ERR_BAD_REQUEST
+        assert broker.fleet_stats()["codes"][ERR_BAD_REQUEST] == 1
+        status = broker.status()
+        assert (status["pending"], status["leased"]) == (0, 0)
+        assert broker.lease("w0")["key"] is None

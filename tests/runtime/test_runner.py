@@ -312,6 +312,42 @@ class TestAdaptiveOrdering:
                 scale=1.0).predicted_cost()
         assert _GRAPH_MEMO == before  # arithmetic only, even for huge specs
 
+    @pytest.mark.parametrize(
+        "app,dataset,config",
+        [
+            ("bfs", "rmat16", MachineConfig(width=4, height=4)),
+            ("pagerank", "rmat22", MachineConfig(width=8, height=8, engine="cycle")),
+            ("sssp", "rmat16", MachineConfig(width=2, height=2, engine="cycle",
+                                             network="simulated")),
+            ("wcc", "rmat26", MachineConfig(width=4, height=2, depth=2, noc="torus3d")),
+        ],
+        ids=["bfs-analytic", "pagerank-cycle", "sssp-simulated", "wcc-3d"],
+    )
+    def test_predicted_cost_is_tiles_times_edges_times_factors(self, app, dataset, config):
+        # The broker's and the runner's costliest-first order rests on this
+        # product; pin it so no factor slips in or out unnoticed.
+        from repro.experiments.common import (
+            app_cost_factor,
+            engine_cost_factor,
+            experiment_scale_divisor,
+            network_cost_factor,
+        )
+        from repro.graph.datasets import dataset_spec
+
+        spec = RunSpec(app=app, dataset=dataset, config=config, scale=SCALE,
+                       pagerank_iterations=4)
+        edges = dataset_spec(dataset).stand_in_edges(
+            experiment_scale_divisor(dataset, SCALE)
+        )
+        expected = (
+            float(config.num_tiles)
+            * float(edges)
+            * engine_cost_factor(config.engine)
+            * app_cost_factor(app, 4)
+            * network_cost_factor(config.network, config.engine)
+        )
+        assert spec.predicted_cost() == pytest.approx(expected)
+
     def test_pending_specs_execute_costliest_first(self, monkeypatch):
         import repro.runtime.backends as backends_module
 

@@ -166,62 +166,6 @@ class TestRuntimeFlags:
         assert len(list(cache_dir.glob("*.json"))) == 1
 
 
-class TestShardFlags:
-    """The --shards / --shard-backend flags: byte-identical sharded runs."""
-
-    RUN_ARGS = ["--app", "sssp", "--dataset", "rmat16", "--width", "4",
-                "--scale", "0.05", "--engine", "analytic", "--json"]
-
-    @pytest.fixture(autouse=True)
-    def _restore_shard_backend_env(self, monkeypatch):
-        monkeypatch.delenv("DALOREX_SHARD_BACKEND", raising=False)
-
-    def test_sharded_run_output_identical_to_serial(self, capsys):
-        assert cli.run_command(self.RUN_ARGS) == 0
-        serial = json.loads(capsys.readouterr().out)
-        assert cli.run_command(
-            self.RUN_ARGS + ["--shards", "3", "--shard-backend", "inproc"]
-        ) == 0
-        sharded = json.loads(capsys.readouterr().out)
-        assert sharded == serial
-
-    def test_non_positive_shards_rejected_by_the_parser(self, capsys):
-        with pytest.raises(SystemExit):
-            cli.run_command(self.RUN_ARGS + ["--shards", "0"])
-        capsys.readouterr()
-
-    def test_unknown_shard_backend_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            cli.run_command(self.RUN_ARGS + ["--shards", "2",
-                                             "--shard-backend", "carrier-pigeon"])
-        capsys.readouterr()
-
-    def test_runner_rewrites_specs_with_the_shard_count(self):
-        defaults = dict(jobs=1, cache_dir=None, no_cache=False, backend="auto",
-                        connect=None, shards=4, shard_backend="inproc")
-        runner = cli.runner_from_args(cli.argparse.Namespace(**defaults))
-        assert runner.shards == 4
-        assert os.environ["DALOREX_SHARD_BACKEND"] == "inproc"
-
-    def test_shard_backend_is_refused_for_the_distributed_backend(self):
-        # Fleet workers read their own environment; the client's choice
-        # would silently never reach them.
-        args = dict(jobs=1, cache_dir=None, no_cache=False,
-                    backend="distributed", connect="127.0.0.1:1", shards=2,
-                    shard_backend="inproc")
-        with pytest.raises(SystemExit, match="fleet workers choose"):
-            cli.runner_from_args(cli.argparse.Namespace(**args))
-        assert "DALOREX_SHARD_BACKEND" not in os.environ
-
-    def test_experiments_accept_the_shard_flags(self, capsys):
-        exit_code = cli.experiments_command(
-            ["textstats", "--scale", "0.05",
-             "--shards", "2", "--shard-backend", "inproc"]
-        )
-        assert exit_code == 0
-        assert "Power density" in capsys.readouterr().out
-
-
 class TestDalorexDispatch:
     """The unified `dalorex` entry point routes subcommands (and keeps the
     historical flags-only invocation as an alias for `run`)."""
@@ -243,6 +187,25 @@ class TestDalorexDispatch:
     def test_unknown_subcommand_rejected(self, capsys):
         assert cli.dalorex_command(["frobnicate"]) == 2
         assert "unknown subcommand" in capsys.readouterr().err
+
+    RUN_FLAGS = ["--app", "bfs", "--dataset", "rmat16", "--width", "4",
+                 "--scale", "0.1", "--engine", "analytic", "--json"]
+
+    @pytest.mark.parametrize(
+        "command",
+        [["run"] + RUN_FLAGS, RUN_FLAGS, ["experiments", "textstats", "--scale", "0.05"]],
+        ids=["run", "flags-only-alias", "experiments"],
+    )
+    @pytest.mark.parametrize("flag", [["--shards", "2"], ["--shard-backend", "inproc"]])
+    def test_removed_partitioning_flags_are_parser_errors(self, command, flag, capsys):
+        # Both subcommands that took the runtime flags refuse the removed
+        # ones before running anything.
+        with pytest.raises(SystemExit) as excinfo:
+            cli.dalorex_command(command + flag)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+        assert captured.out == ""
 
     def test_help_lists_subcommands(self, capsys):
         assert cli.dalorex_command([]) == 0

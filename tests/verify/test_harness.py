@@ -102,6 +102,17 @@ class TestReproFiles:
         with pytest.raises(ReproError, match="malformed"):
             load_repro_spec(path)
 
+    def test_partition_count_from_an_older_build_is_refused(self, tmp_path):
+        # A repro file written when runs could be partitioned may carry the
+        # partition count; replaying it serially would run under a key its
+        # writer never saw, so it fails and names the removed field.
+        path = write_repro_spec(make_spec(), tmp_path)
+        data = json.loads(path.read_text())
+        data["spec"]["shards"] = 2
+        path.write_text(json.dumps(data))
+        with pytest.raises(ReproError, match=r"malformed.*\['shards'\]"):
+            load_repro_spec(path)
+
 
 class TestSpecCanonicalRoundTrip:
     def test_from_canonical_inverts_canonical(self):
