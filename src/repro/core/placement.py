@@ -53,10 +53,6 @@ class SpacePlacement(ABC):
     def chunk_length(self, tile: int) -> int:
         """Number of elements owned by ``tile``."""
 
-    def owners(self) -> np.ndarray:
-        """Owner tile of every element (vectorized helper)."""
-        return np.array([self.owner(i) for i in range(self.length)], dtype=np.int64)
-
     def _check_indices(self, indices: np.ndarray) -> None:
         if indices.size and (
             int(indices.min()) < 0 or int(indices.max()) >= self.length

@@ -12,7 +12,7 @@ import math
 
 from repro.energy.technology import DEFAULT_TECHNOLOGY, TechnologyParameters
 
-#: Router+wiring area relative to a mesh, by NoC kind (matches Topology.area_factor).
+#: Router+wiring area relative to a mesh, by NoC kind.
 _NOC_AREA_FACTORS = {
     "mesh": 1.0,
     "torus": 1.5,

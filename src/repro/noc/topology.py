@@ -4,7 +4,9 @@ Routing is dimension-ordered (X then Y, then Z on 3D stacks), matching the
 paper's wormhole network.  A route is the ordered list of tiles a message
 traverses, including source and destination; the directed links used are the
 consecutive pairs of that list.  :meth:`Topology.route_dims` generalizes the
-same per-dimension decomposition to arbitrary dimension orders.
+same per-dimension decomposition to arbitrary dimension orders.  Each kind
+states its routing once, as :meth:`Topology._dimension_steps`; every route,
+distance and slot table derives from it, over any number of dimensions.
 
 Both cycle-engine network models and the analytical link-load model keep
 link state in flat arrays indexed by the ``tile * ports + output port`` slots
@@ -27,7 +29,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, prod
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -156,11 +158,27 @@ class SlotLayout:
 
 
 class Topology(ABC):
-    """Base class for 2D tiled topologies addressed as ``tile = y * width + x``."""
+    """Base class for tiled topologies of any number of dimensions.
+
+    A tile has one coordinate per dimension of :meth:`dimension_sizes`, in
+    routing order, and the first dimension varies fastest: ``tile = y *
+    width + x`` on a 2D grid, ``(z * height + y) * width + x`` on a stack.
+    Each kind supplies its routing rule, :meth:`_dimension_steps`;
+    :meth:`slot_layout` tabulates it, and every scalar route, distance and
+    link count below derives from that table or the batched routes.
+    """
 
     kind = "abstract"
     #: Express-channel skip distance; only ruche topologies set a value.
     ruche_factor: Optional[int] = None
+    #: True when every dimension has wraparound links.
+    wraps = False
+    #: Physical wire length per tile of logical displacement (folded torus = 2).
+    physical_length_factor = 1.0
+    #: Ratio of the hottest link load to the average link load under uniform
+    #: random traffic with dimension-ordered routing; used by the sparse
+    #: link-load model on very large grids.
+    congestion_factor = 1.0
 
     def __init__(self, width: int, height: int) -> None:
         if width < 1 or height < 1:
@@ -169,93 +187,83 @@ class Topology(ABC):
         self.height = height
 
     # -------------------------------------------------------------- addressing
-    @property
-    def num_tiles(self) -> int:
-        return self.width * self.height
-
-    def coords(self, tile: int) -> Tuple[int, int]:
-        """Return ``(x, y)`` coordinates of a tile ID."""
-        if tile < 0 or tile >= self.num_tiles:
-            raise ConfigurationError(f"tile {tile} out of range")
-        return tile % self.width, tile // self.width
-
-    def tile_at(self, x: int, y: int) -> int:
-        """Return the tile ID at coordinates ``(x, y)``."""
-        if not (0 <= x < self.width and 0 <= y < self.height):
-            raise ConfigurationError(f"coordinates ({x}, {y}) out of range")
-        return y * self.width + x
-
-    # -------------------------------------------------------- n-d addressing
     def dimension_sizes(self) -> Tuple[int, ...]:
         """Extent of every dimension, in routing (dimension-order) order."""
         return (self.width, self.height)
 
-    def coords_nd(self, tile: int) -> Tuple[int, ...]:
-        """Tile coordinates as a tuple with one entry per dimension."""
-        return self.coords(tile)
+    def _dimension_link_tiles(self) -> Tuple[float, ...]:
+        """Physical length of a one-tile hop along each dimension, in tile pitches."""
+        return (self.physical_length_factor,) * 2
 
-    def tile_from_nd(self, coords: Tuple[int, ...]) -> int:
-        """Inverse of :meth:`coords_nd`."""
-        return self.tile_at(*coords)
+    @property
+    def num_tiles(self) -> int:
+        return prod(self.dimension_sizes())
+
+    def _check_tiles(self, *tiles: int) -> None:
+        num_tiles = self.num_tiles
+        for tile in tiles:
+            if tile < 0 or tile >= num_tiles:
+                raise ConfigurationError(f"tile {tile} out of range")
+
+    def coords(self, tile: int) -> Tuple[int, ...]:
+        """Return a tile's coordinates, one per dimension: ``(x, y)`` or ``(x, y, z)``."""
+        self._check_tiles(tile)
+        coords = []
+        for size in self.dimension_sizes():
+            tile, coordinate = divmod(tile, size)
+            coords.append(coordinate)
+        return tuple(coords)
+
+    def tile_at(self, *coords: int) -> int:
+        """Return the tile ID at ``coords``, one coordinate per dimension."""
+        sizes = self.dimension_sizes()
+        if len(coords) != len(sizes) or not all(
+            0 <= coordinate < size for coordinate, size in zip(coords, sizes)
+        ):
+            raise ConfigurationError(f"coordinates {coords} out of range")
+        tile = 0
+        for coordinate, size in zip(reversed(coords), reversed(sizes)):
+            tile = tile * size + coordinate
+        return tile
 
     # ----------------------------------------------------------------- routing
     @abstractmethod
-    def next_hop_offsets(self, delta: int, size: int) -> List[int]:
-        """Decompose a 1D displacement into a sequence of per-hop offsets."""
+    def _dimension_steps(self, delta: np.ndarray, size: int) -> Tuple[np.ndarray, ...]:
+        """The routing rule: how every displacement in ``delta`` is covered.
 
-    def route(self, src: int, dst: int) -> List[int]:
-        """Dimension-ordered (X then Y) route from ``src`` to ``dst`` inclusive."""
-        sx, sy = self.coords(src)
-        dx, dy = self.coords(dst)
-        path = [src]
-        x, y = sx, sy
-        for step in self.next_hop_offsets(dx - sx, self.width):
-            x = (x + step) % self.width
-            path.append(self.tile_at(x, y))
-        for step in self.next_hop_offsets(dy - sy, self.height):
-            y = (y + step) % self.height
-            path.append(self.tile_at(x, y))
-        return path
-
-    def route_dims(self, src: int, dst: int, dim_order: Tuple[int, ...]) -> List[int]:
-        """Minimal route visiting dimensions in ``dim_order`` (e.g. Y before X).
-
-        ``route_dims(src, dst, (0, 1))`` reproduces :meth:`route` exactly;
-        ``(1, 0)`` is the Y-first route the oblivious XY/YX routing policy
-        gives odd-numbered messages.
+        Returns ``(sign, express, unit)`` arrays: a displacement takes
+        ``express`` hops of ``sign * ruche_factor`` followed by ``unit``
+        hops of ``sign``.
         """
-        sizes = self.dimension_sizes()
-        cur = list(self.coords_nd(src))
-        target = self.coords_nd(dst)
-        path = [src]
-        for dim in dim_order:
-            for step in self.next_hop_offsets(target[dim] - cur[dim], sizes[dim]):
-                cur[dim] = (cur[dim] + step) % sizes[dim]
-                path.append(self.tile_from_nd(tuple(cur)))
-        return path
 
     def slot_layout(self) -> SlotLayout:
         """The flat (tile, output port) link numbering every network model uses.
 
-        Tabulates :meth:`next_hop_offsets` once per dimension and
-        displacement -- O(width + height) entries -- so a route is walked in
-        closed form: hop ``k`` of a dimension leaves the tile reached so far
-        through the port of that leg's offset.  Built once per topology.
+        Tabulates :meth:`_dimension_steps` once per dimension over every
+        displacement ``1 - size .. size - 1`` -- O(width + height) entries --
+        so a route is walked in closed form: hop ``k`` of a dimension leaves
+        the tile reached so far through the port of that leg's offset.
+        Built once per topology.
         """
         layout = self.__dict__.get("_slot_layout")
         if layout is not None:
             return layout
-        express = self.ruche_factor
-        steps = (1, -1, express, -express) if express else (1, -1)
+        express_step = self.ruche_factor or 0
+        steps = (1, -1, express_step, -express_step) if express_step else (1, -1)
         dimensions, lengths = [], []
         stride = 1
         for dim, (size, link_tiles) in enumerate(
             zip(self.dimension_sizes(), self._dimension_link_tiles())
         ):
-            port = {step: dim * len(steps) + index for index, step in enumerate(steps)}
+            sign, express, unit = (
+                column.tolist()
+                for column in self._dimension_steps(np.arange(1 - size, size), size)
+            )
+            # Port order within a dimension: +1, -1, +R, -R.
+            port = dim * len(steps)
             legs = [
-                tuple((step, port[step]) for step in self.next_hop_offsets(delta, size))
-                for delta in range(1 - size, size)
+                ((s * express_step, port + 2 + (s < 0)),) * e + ((s, port + (s < 0)),) * u
+                for s, e, u in zip(sign, express, unit)
             ]
             dimensions.append((stride, size, legs))
             lengths.extend(link_tiles * abs(step) for step in steps)
@@ -264,50 +272,43 @@ class Topology(ABC):
         self._slot_layout = layout
         return layout
 
+    def route(self, src: int, dst: int) -> List[int]:
+        """Dimension-ordered (X, then Y, then Z) route from ``src`` to ``dst`` inclusive."""
+        return self.route_dims(src, dst, range(len(self.dimension_sizes())))
+
+    def route_dims(self, src: int, dst: int, dim_order: Sequence[int]) -> List[int]:
+        """Minimal route visiting dimensions in ``dim_order`` (e.g. Y before X).
+
+        ``dim_order`` orders every dimension once: ``route_dims(src, dst,
+        (0, 1))`` reproduces :meth:`route` on a 2D grid, and ``(1, 0)`` is
+        the Y-first route the oblivious XY/YX routing policy gives
+        odd-numbered messages.
+        """
+        self._check_tiles(src, dst)
+        layout = self.slot_layout()
+        slots = layout.route(src, dst, [layout.dimensions[dim] for dim in dim_order])
+        return [slot // layout.ports for slot in slots] + [dst]
+
+    def _route_hops(self, src: int, dst: int) -> List[tuple]:
+        """Per dimension, in routing order: the ``(offset, port)`` of every
+        hop of the route from ``src`` to ``dst``."""
+        self._check_tiles(src, dst)
+        return [
+            legs[dst // stride % size - src // stride % size + size - 1]
+            for stride, size, legs in self.slot_layout().dimensions
+        ]
+
     def hop_distance(self, src: int, dst: int) -> int:
-        """Number of router-to-router hops between two tiles (O(1) arithmetic)."""
-        sx, sy = self.coords(src)
-        dx, dy = self.coords(dst)
-        return self._dimension_hops(dx - sx, self.width) + self._dimension_hops(
-            dy - sy, self.height
-        )
-
-    def _dimension_hops(self, delta: int, size: int) -> int:
-        """Hop count along one dimension; subclasses override for O(1) math."""
-        return len(self.next_hop_offsets(delta, size))
-
-    def _dimension_span(self, delta: int, size: int) -> int:
-        """Tile-pitch distance traveled along one dimension (before folding)."""
-        return abs(delta)
+        """Number of router-to-router hops between two tiles."""
+        return sum(map(len, self._route_hops(src, dst)))
 
     def route_span_tiles(self, src: int, dst: int) -> float:
         """Physical wire length (in tile pitches) traveled from ``src`` to ``dst``."""
-        sx, sy = self.coords(src)
-        dx, dy = self.coords(dst)
-        span = self._dimension_span(dx - sx, self.width) + self._dimension_span(
-            dy - sy, self.height
-        )
-        return span * self.physical_length_factor
-
-    #: Physical wire length per tile of logical displacement (folded torus = 2).
-    physical_length_factor = 1.0
-
-    #: Ratio of the hottest link load to the average link load under uniform
-    #: random traffic with dimension-ordered routing; used by the sparse
-    #: link-load model on very large grids.
-    congestion_factor = 1.0
-
-    def num_directed_links(self) -> int:
-        """Total number of directed router-to-router links, in closed form:
-        ``sum(1 for _ in links())`` without enumerating them."""
+        lengths = self.slot_layout().lengths
         return sum(
-            self.num_tiles // size * self._dimension_links(size)
-            for size in self.dimension_sizes()
+            (lengths[port] for hops in self._route_hops(src, dst) for _step, port in hops),
+            0.0,
         )
-
-    def _dimension_links(self, size: int) -> int:
-        """Directed links along one row of ``size`` tiles (wraparound kinds)."""
-        return size * len({step % size for step in self._unit_steps(size)} - {0})
 
     def links_on_route(self, src: int, dst: int) -> List[Link]:
         """Directed links traversed by a message from ``src`` to ``dst``."""
@@ -331,20 +332,8 @@ class Topology(ABC):
 
     # --------------------------------------------------------- batched routing
     # Closed-form routes for arrays of messages: no route walk and no cache.
-    # Every kind supplies one hook, :meth:`_dimension_steps`; hop counts,
-    # spans, link codes and link lengths all derive from it.
-
-    @abstractmethod
-    def _dimension_steps(self, delta: np.ndarray, size: int) -> Tuple[np.ndarray, ...]:
-        """:meth:`next_hop_offsets` of every displacement in ``delta``, as counts.
-
-        Returns ``(sign, express, unit)`` arrays: the offsets are ``express``
-        hops of ``sign * ruche_factor`` followed by ``unit`` hops of ``sign``.
-        """
-
-    def _dimension_link_tiles(self) -> Tuple[float, ...]:
-        """Physical length of a one-tile hop along each dimension, in tile pitches."""
-        return (self.physical_length_factor,) * 2
+    # Hop counts, spans, link codes and link lengths all derive from
+    # :meth:`_dimension_steps`.
 
     def _batch_dimensions(self, srcs: np.ndarray, dsts: np.ndarray) -> Iterator[tuple]:
         """Per dimension, in routing order: ``(stride, size, src coordinate,
@@ -412,10 +401,10 @@ class Topology(ABC):
 
         Returns ``(codes, lengths)``, both message by message in route order:
         ``codes`` concatenates :meth:`links_on_route` as ``link_src *
-        num_tiles + link_dst`` and ``lengths`` holds the
-        :meth:`link_length_tiles` of each of those links.  Batches are
-        charged leg by leg (:meth:`_route_legs`) and never expand their
-        hops this way; the tests use this expansion as a per-link reference.
+        num_tiles + link_dst`` and ``lengths`` holds each of those links'
+        physical length in tile pitches.  Batches are charged leg by leg
+        (:meth:`_route_legs`) and never expand their hops this way; the
+        tests use this expansion as a per-link reference.
         """
         hops, tiles, ports = self._route_legs(srcs, dsts)
         layout = self.slot_layout()
@@ -429,69 +418,63 @@ class Topology(ABC):
         link_src, link_dst = layout.endpoints(hop_tiles * layout.ports + ports)
         return link_src * self.num_tiles + link_dst, length[ports]
 
-    def links(self) -> Iterator[Link]:
-        """All directed links of the topology."""
-        seen = set()
-        for tile in range(self.num_tiles):
-            for neighbor in self.neighbors(tile):
-                link = (tile, neighbor)
-                if link not in seen:
-                    seen.add(link)
-                    yield link
+    # ------------------------------------------------------------------- links
+    def _unit_steps(self, size: int) -> List[int]:
+        """Offsets of the links that leave a router along a dimension of ``size``."""
+        return [step for step in self.slot_layout().steps if abs(step) < size]
 
     def neighbors(self, tile: int) -> List[int]:
         """Tiles directly reachable from ``tile`` over one link."""
-        x, y = self.coords(tile)
-        result = []
-        for step in self._unit_steps(self.width):
-            result.append(self.tile_at((x + step) % self.width, y))
-        for step in self._unit_steps(self.height):
-            result.append(self.tile_at(x, (y + step) % self.height))
-        return sorted(set(result) - {tile})
+        result = set()
+        stride = 1
+        for here, size in zip(self.coords(tile), self.dimension_sizes()):
+            for step in self._unit_steps(size):
+                if self.wraps or 0 <= here + step < size:
+                    result.add(tile + ((here + step) % size - here) * stride)
+            stride *= size
+        return sorted(result - {tile})
 
-    @abstractmethod
-    def _unit_steps(self, size: int) -> List[int]:
-        """Offsets reachable in one hop along one dimension."""
+    def links(self) -> Iterator[Link]:
+        """All directed links of the topology."""
+        for tile in range(self.num_tiles):
+            for neighbor in self.neighbors(tile):
+                yield tile, neighbor
 
-    # -------------------------------------------------------------- properties
-    @abstractmethod
+    def num_directed_links(self) -> int:
+        """Total number of directed router-to-router links, in closed form:
+        ``sum(1 for _ in links())`` without enumerating them."""
+        total = 0
+        for size in self.dimension_sizes():
+            steps = self._unit_steps(size)
+            # Per row of a dimension: one link per distinct wrapped offset
+            # and tile, or every in-range hop of every offset.
+            row = (size * len({step % size for step in steps}) if self.wraps
+                   else sum(size - abs(step) for step in steps))
+            total += self.num_tiles // size * row
+        return total
+
     def bisection_links(self) -> int:
-        """Number of directed links crossing a vertical cut through the middle."""
+        """Number of directed links crossing a vertical cut through the middle.
 
-    @abstractmethod
-    def link_length_tiles(self, src: int, dst: int) -> float:
-        """Physical length of the ``src -> dst`` link, in tile pitches."""
-
-    @property
-    @abstractmethod
-    def area_factor(self) -> float:
-        """Router+wiring area relative to a plain 2D mesh (mesh == 1.0)."""
+        One per row (of every layer) and direction; wraparound doubles it.
+        """
+        return (4 if self.wraps else 2) * (self.num_tiles // self.width)
 
     def average_hop_distance(self, sample: int = 256) -> float:
         """Average hop count over a deterministic sample of tile pairs."""
-        total = 0
-        count = 0
         stride = max(1, self.num_tiles // max(1, int(sample ** 0.5)))
-        for src in range(0, self.num_tiles, stride):
-            for dst in range(0, self.num_tiles, stride):
-                total += self.hop_distance(src, dst)
-                count += 1
-        return total / count if count else 0.0
+        tiles = np.arange(0, self.num_tiles, stride)
+        hops = self.hop_distance_batch(np.repeat(tiles, len(tiles)), np.tile(tiles, len(tiles)))
+        return int(hops.sum()) / len(hops)
 
     def diameter(self) -> int:
         """Maximum hop distance between any two tiles (computed per-dimension)."""
-        worst_x = max(
-            len(self.next_hop_offsets(d, self.width)) for d in range(self.width)
-        )
-        worst_y = max(
-            len(self.next_hop_offsets(d, self.height)) for d in range(self.height)
-        )
-        return worst_x + worst_y
+        return sum(max(map(len, legs)) for _stride, _size, legs in self.slot_layout().dimensions)
 
     # --------------------------------------------------------------- identity
     def signature(self) -> Tuple:
         """Value identity of this topology: kind, grid shape and ruche factor."""
-        return (self.kind, self.width, self.height, self.ruche_factor)
+        return (self.kind, *self.dimension_sizes(), self.ruche_factor)
 
     def same_grid(self, other: "Topology") -> bool:
         """True when ``other`` describes the identical network."""
@@ -499,54 +482,24 @@ class Topology(ABC):
 
     def describe(self) -> str:
         """Short human-readable identity used in error messages."""
-        kind, width, height, ruche = self.signature()
-        suffix = f" (ruche={ruche})" if ruche is not None else ""
-        return f"{kind} {width}x{height}{suffix}"
+        suffix = f" (ruche={self.ruche_factor})" if self.ruche_factor is not None else ""
+        return f"{self.kind} {'x'.join(map(str, self.dimension_sizes()))}{suffix}"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"{type(self).__name__}({self.width}x{self.height})"
+        return f"{type(self).__name__}({'x'.join(map(str, self.dimension_sizes()))})"
 
 
 class _MeshRouting:
     """Per-dimension routing of a mesh: unit hops, no wraparound."""
 
-    def next_hop_offsets(self, delta: int, size: int) -> List[int]:
-        step = 1 if delta > 0 else -1
-        return [step] * abs(delta)
-
-    def _dimension_hops(self, delta: int, size: int) -> int:
-        return abs(delta)
-
     def _dimension_steps(self, delta: np.ndarray, size: int) -> Tuple[np.ndarray, ...]:
         return np.where(delta > 0, 1, -1), np.zeros_like(delta), np.abs(delta)
-
-    def _unit_steps(self, size: int) -> List[int]:
-        return [-1, 1] if size > 1 else []
-
-    def _dimension_links(self, size: int) -> int:
-        return 2 * (size - 1)
 
 
 class _TorusRouting:
     """Per-dimension routing of a torus: unit hops the shorter way round."""
 
-    def next_hop_offsets(self, delta: int, size: int) -> List[int]:
-        if size <= 1 or delta == 0:
-            return []
-        forward = delta % size
-        backward = size - forward
-        if forward <= backward:
-            return [1] * forward
-        return [-1] * backward
-
-    def _dimension_hops(self, delta: int, size: int) -> int:
-        if size <= 1 or delta == 0:
-            return 0
-        forward = delta % size
-        return min(forward, size - forward)
-
-    def _dimension_span(self, delta: int, size: int) -> int:
-        return self._dimension_hops(delta, size)
+    wraps = True
 
     def _dimension_steps(self, delta: np.ndarray, size: int) -> Tuple[np.ndarray, ...]:
         forward = delta % size
@@ -555,38 +508,14 @@ class _TorusRouting:
         return (np.where(ahead, 1, -1), np.zeros_like(delta),
                 np.where(ahead, forward, backward))
 
-    def _unit_steps(self, size: int) -> List[int]:
-        return [-1, 1] if size > 1 else []
-
 
 class Mesh2D(_MeshRouting, Topology):
     """Plain 2D mesh with nearest-neighbour links and no wraparound."""
 
     kind = "mesh"
-    area_factor = 1.0
     physical_length_factor = 1.0
     # Dimension-ordered routing concentrates traffic on the central columns/rows.
     congestion_factor = 2.0
-
-    def neighbors(self, tile: int) -> List[int]:
-        x, y = self.coords(tile)
-        result = []
-        if x > 0:
-            result.append(self.tile_at(x - 1, y))
-        if x + 1 < self.width:
-            result.append(self.tile_at(x + 1, y))
-        if y > 0:
-            result.append(self.tile_at(x, y - 1))
-        if y + 1 < self.height:
-            result.append(self.tile_at(x, y + 1))
-        return result
-
-    def bisection_links(self) -> int:
-        # Directed links crossing the vertical middle cut, both directions.
-        return 2 * self.height
-
-    def link_length_tiles(self, src: int, dst: int) -> float:
-        return 1.0
 
 
 class Torus2D(_TorusRouting, Topology):
@@ -598,17 +527,8 @@ class Torus2D(_TorusRouting, Topology):
     """
 
     kind = "torus"
-    area_factor = 1.5
     physical_length_factor = 2.0
     congestion_factor = 1.25
-
-    def bisection_links(self) -> int:
-        # Wraparound doubles the number of links crossing the middle cut.
-        return 4 * self.height
-
-    def link_length_tiles(self, src: int, dst: int) -> float:
-        # Folded torus layout: every link spans two tile pitches.
-        return 2.0
 
 
 class RucheTorus2D(Torus2D):
@@ -628,60 +548,13 @@ class RucheTorus2D(Torus2D):
             raise ConfigurationError("ruche factor must be at least 2")
         self.ruche_factor = ruche_factor
 
-    def _dimension_hops(self, delta: int, size: int) -> int:
-        if size <= 1 or delta == 0:
-            return 0
-        forward = delta % size
-        distance = min(forward, size - forward)
-        return distance // self.ruche_factor + distance % self.ruche_factor
-
-    def _dimension_span(self, delta: int, size: int) -> int:
-        if size <= 1 or delta == 0:
-            return 0
-        forward = delta % size
-        return min(forward, size - forward)
-
     def _dimension_steps(self, delta: np.ndarray, size: int) -> Tuple[np.ndarray, ...]:
         sign, _express, distance = super()._dimension_steps(delta, size)
         return sign, distance // self.ruche_factor, distance % self.ruche_factor
 
-    @property
-    def area_factor(self) -> float:
-        # The paper reports the ruche-torus NoC uses more than twice the area of
-        # a regular torus (1.2% vs 0.2% of chip area in their configuration).
-        return 1.5 * (1.0 + self.ruche_factor)
-
-    def next_hop_offsets(self, delta: int, size: int) -> List[int]:
-        if size <= 1 or delta == 0:
-            return []
-        forward = delta % size
-        backward = size - forward
-        distance, sign = (forward, 1) if forward <= backward else (backward, -1)
-        hops: List[int] = []
-        remaining = distance
-        while remaining >= self.ruche_factor:
-            hops.append(sign * self.ruche_factor)
-            remaining -= self.ruche_factor
-        hops.extend([sign] * remaining)
-        return hops
-
-    def _unit_steps(self, size: int) -> List[int]:
-        steps = [-1, 1]
-        if size > self.ruche_factor:
-            steps.extend([-self.ruche_factor, self.ruche_factor])
-        return steps
-
     def bisection_links(self) -> int:
         # Express channels crossing the cut add (R - 1) links per row/direction.
         return 4 * self.height + 4 * self.height * (self.ruche_factor - 1)
-
-    def link_length_tiles(self, src: int, dst: int) -> float:
-        sx, sy = self.coords(src)
-        dx, dy = self.coords(dst)
-        span_x = min(abs(dx - sx), self.width - abs(dx - sx))
-        span_y = min(abs(dy - sy), self.height - abs(dy - sy))
-        span = max(span_x, span_y, 1)
-        return 2.0 * span
 
 
 class Topology3D(Topology):
@@ -704,95 +577,11 @@ class Topology3D(Topology):
             raise ConfigurationError("topology depth must be positive")
         self.depth = depth
 
-    # -------------------------------------------------------------- addressing
-    @property
-    def num_tiles(self) -> int:
-        return self.width * self.height * self.depth
-
-    def coords(self, tile: int) -> Tuple[int, int, int]:
-        """Return ``(x, y, z)`` coordinates of a tile ID."""
-        if tile < 0 or tile >= self.num_tiles:
-            raise ConfigurationError(f"tile {tile} out of range")
-        layer = self.width * self.height
-        z, rest = divmod(tile, layer)
-        return rest % self.width, rest // self.width, z
-
-    def tile_at(self, x: int, y: int, z: int = 0) -> int:
-        """Return the tile ID at coordinates ``(x, y, z)``."""
-        if not (0 <= x < self.width and 0 <= y < self.height and 0 <= z < self.depth):
-            raise ConfigurationError(f"coordinates ({x}, {y}, {z}) out of range")
-        return (z * self.height + y) * self.width + x
-
     def dimension_sizes(self) -> Tuple[int, ...]:
         return (self.width, self.height, self.depth)
 
-    # ----------------------------------------------------------------- routing
-    def route(self, src: int, dst: int) -> List[int]:
-        """Dimension-ordered (X, then Y, then Z) route, inclusive."""
-        return self.route_dims(src, dst, (0, 1, 2))
-
-    def hop_distance(self, src: int, dst: int) -> int:
-        src_c = self.coords(src)
-        dst_c = self.coords(dst)
-        return sum(
-            self._dimension_hops(dst_c[dim] - src_c[dim], size)
-            for dim, size in enumerate(self.dimension_sizes())
-        )
-
-    def route_span_tiles(self, src: int, dst: int) -> float:
-        src_c = self.coords(src)
-        dst_c = self.coords(dst)
-        horizontal = sum(
-            self._dimension_span(dst_c[dim] - src_c[dim], size)
-            for dim, size in ((0, self.width), (1, self.height))
-        )
-        vertical = self._dimension_span(dst_c[2] - src_c[2], self.depth)
-        return horizontal * self.physical_length_factor + vertical * self.via_length_tiles
-
-    def neighbors(self, tile: int) -> List[int]:
-        x, y, z = self.coords(tile)
-        result = set()
-        for step in self._unit_steps(self.width):
-            result.add(self.tile_at((x + step) % self.width, y, z))
-        for step in self._unit_steps(self.height):
-            result.add(self.tile_at(x, (y + step) % self.height, z))
-        for step in self._unit_steps(self.depth):
-            result.add(self.tile_at(x, y, (z + step) % self.depth))
-        return sorted(result - {tile})
-
-    def diameter(self) -> int:
-        return sum(
-            max(len(self.next_hop_offsets(d, size)) for d in range(size))
-            for size in self.dimension_sizes()
-        )
-
-    # -------------------------------------------------------------- properties
-    def bisection_links(self) -> int:
-        # The vertical middle cut through X is crossed once per (row, layer)
-        # pair per direction; wraparound (torus) doubles it.
-        per_row = 4 if self.wraps else 2
-        return per_row * self.height * self.depth
-
-    #: True when dimensions have wraparound links (set by subclasses).
-    wraps = False
-
-    def link_length_tiles(self, src: int, dst: int) -> float:
-        if self.coords(src)[2] != self.coords(dst)[2]:
-            return self.via_length_tiles
-        return self.physical_length_factor
-
     def _dimension_link_tiles(self) -> Tuple[float, ...]:
         return (self.physical_length_factor,) * 2 + (self.via_length_tiles,)
-
-    # --------------------------------------------------------------- identity
-    def signature(self) -> Tuple:
-        return (self.kind, self.width, self.height, self.depth, self.ruche_factor)
-
-    def describe(self) -> str:
-        return f"{self.kind} {self.width}x{self.height}x{self.depth}"
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"{type(self).__name__}({self.width}x{self.height}x{self.depth})"
 
 
 class Mesh3D(_MeshRouting, Topology3D):
@@ -800,27 +589,7 @@ class Mesh3D(_MeshRouting, Topology3D):
 
     kind = "mesh3d"
     physical_length_factor = 1.0
-    # One extra router port pair for the vertical dimension.
-    area_factor = 1.2
     congestion_factor = 2.0
-    wraps = False
-
-    def neighbors(self, tile: int) -> List[int]:
-        x, y, z = self.coords(tile)
-        result = []
-        if x > 0:
-            result.append(self.tile_at(x - 1, y, z))
-        if x + 1 < self.width:
-            result.append(self.tile_at(x + 1, y, z))
-        if y > 0:
-            result.append(self.tile_at(x, y - 1, z))
-        if y + 1 < self.height:
-            result.append(self.tile_at(x, y + 1, z))
-        if z > 0:
-            result.append(self.tile_at(x, y, z - 1))
-        if z + 1 < self.depth:
-            result.append(self.tile_at(x, y, z + 1))
-        return result
 
 
 class Torus3D(_TorusRouting, Topology3D):
@@ -833,9 +602,7 @@ class Torus3D(_TorusRouting, Topology3D):
 
     kind = "torus3d"
     physical_length_factor = 2.0
-    area_factor = 1.7
     congestion_factor = 1.25
-    wraps = True
 
 
 _TOPOLOGY_KINDS = {

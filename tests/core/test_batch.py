@@ -25,6 +25,7 @@ from repro.core.placement import (
 )
 from repro.errors import PlacementError
 from repro.noc.topology import make_topology
+from tests.noc import reference_routing
 
 
 class TestSequentialSum:
@@ -221,6 +222,10 @@ class TestHopDistanceBatch:
         batch = topology.hop_distance_batch(srcs, dsts)
         scalar = [topology.hop_distance(int(s), int(d)) for s, d in zip(srcs, dsts)]
         assert batch.tolist() == scalar
+        assert scalar == [
+            len(reference_routing.route(topology, int(s), int(d))) - 1
+            for s, d in zip(srcs, dsts)
+        ]
 
 
 class TestBatchedPathGate:

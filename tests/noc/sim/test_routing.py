@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.noc.sim.routing import ROUTING_KINDS, make_routing
 from repro.noc.topology import make_topology
+from tests.noc import reference_routing
 
 TOPOLOGIES = [
     ("mesh", 4, 4, 1),
@@ -81,7 +82,9 @@ class TestDimensionOrdered:
         policy = make_routing("dimension_ordered", topology)
         for src in range(topology.num_tiles):
             for dst in range(topology.num_tiles):
-                assert route_path(policy, src, dst, 0) == topology.route(src, dst)
+                expected = reference_routing.route(topology, src, dst)
+                assert route_path(policy, src, dst, 0) == expected
+                assert topology.route(src, dst) == expected
 
 
 class TestXYYX:
@@ -91,15 +94,16 @@ class TestXYYX:
         src, dst = 0, topology.tile_at(3, 3)
         x_first = route_path(policy, src, dst, 0)
         y_first = route_path(policy, src, dst, 1)
-        assert x_first == topology.route(src, dst)
-        assert y_first == topology.route_dims(src, dst, (1, 0))
+        assert x_first == reference_routing.route(topology, src, dst)
+        assert y_first == reference_routing.route(topology, src, dst, (1, 0))
+        assert topology.route_dims(src, dst, (1, 0)) == y_first
         assert x_first != y_first  # corner-to-corner: the orders must differ
 
     def test_even_messages_reproduce_dimension_order(self):
         topology = make_topology("torus", 4, 4)
         policy = make_routing("xy_yx", topology)
         for src, dst in pairs(topology, stride=2):
-            assert route_path(policy, src, dst, 2) == topology.route(src, dst)
+            assert route_path(policy, src, dst, 2) == reference_routing.route(topology, src, dst)
 
 
 class TestAdaptive:
@@ -107,7 +111,7 @@ class TestAdaptive:
         topology = make_topology("mesh", 4, 4)
         policy = make_routing("adaptive", topology)
         for src, dst in pairs(topology, stride=2):
-            assert route_path(policy, src, dst, 0) == topology.route(src, dst)
+            assert route_path(policy, src, dst, 0) == reference_routing.route(topology, src, dst)
 
     def test_steers_around_a_busy_link(self):
         topology = make_topology("mesh", 4, 4)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.noc.topology import Mesh3D, Torus3D, make_topology
+from tests.noc import reference_routing
 
 
 class TestAddressing:
@@ -35,6 +36,7 @@ class TestRouting:
         for src in range(0, topology.num_tiles, 2):
             for dst in range(0, topology.num_tiles, 2):
                 path = topology.route(src, dst)
+                assert path == reference_routing.route(topology, src, dst)
                 assert path[0] == src and path[-1] == dst
                 assert len(path) - 1 == topology.hop_distance(src, dst)
                 for a, b in zip(path[:-1], path[1:]):
@@ -63,10 +65,10 @@ class TestRouting:
 class TestLinksAndCuts:
     def test_vertical_links_are_short_vias(self):
         topology = make_topology("torus3d", 3, 3, depth=2)
-        horizontal = topology.link_length_tiles(
+        _slots, (horizontal,) = topology.route_profile(
             topology.tile_at(0, 0, 0), topology.tile_at(1, 0, 0)
         )
-        vertical = topology.link_length_tiles(
+        _slots, (vertical,) = topology.route_profile(
             topology.tile_at(0, 0, 0), topology.tile_at(0, 0, 1)
         )
         assert horizontal == 2.0  # folded torus in-plane

@@ -1,18 +1,21 @@
-"""Property tests: closed-form routes equal the scalar route walk.
+"""Property tests: closed-form routes equal the reference route walk.
 
 ``Topology.route_link_codes`` and its siblings generate a whole batch's
-routes with array arithmetic and no cache.  On small grids of every kind --
-ruche factors 2-4 including widths below ``2R``, 1-wide dimensions, 3D
-depths 1-3 -- every ordered (src, dst) pair must give exactly what the
-per-message functions give: the same links in the same order, the same
-per-link lengths as exact floats, the same hop counts and the same spans.
-On the same grids, ``LinkLoadModel.record_batch`` -- which charges every
-route leg as one interval of the slot layout's cycle order -- must leave
-exactly the per-slot and per-router tallies of a walk over
-``links_on_route``, and ``AnalyticalNetwork.send`` -- which walks routes per
-dimension and keeps one busy-until time per (tile, output port) -- must time
-random message sequences exactly like a walk over ``links_on_route`` with
-one busy-until time per (src, dst) link.
+routes with array arithmetic and no cache, and the per-message routes walk
+the slot layout's leg table; both derive from ``_dimension_steps``.  On
+small grids of every kind -- ruche factors 2-4 including widths below
+``2R``, 1-wide dimensions, 3D depths 1-3 -- every ordered (src, dst) pair
+must give exactly what the greedy per-kind decompositions of
+``tests/noc/reference_routing.py`` give: the same links in the same order
+(in dimension order and in reverse order), the same per-link lengths as
+exact floats, the same hop counts and the same spans.  On the same grids,
+``LinkLoadModel.record_batch`` -- which charges every route leg as one
+interval of the slot layout's cycle order -- must leave exactly the
+per-slot and per-router tallies of a walk over the reference links, and
+``AnalyticalNetwork.send`` -- which walks routes per dimension and keeps
+one busy-until time per (tile, output port) -- must time random message
+sequences exactly like a walk over the reference links with one
+busy-until time per (src, dst) link.
 """
 
 import numpy as np
@@ -21,6 +24,7 @@ import pytest
 from repro.core.network import AnalyticalNetwork
 from repro.noc.analytical import LinkLoadModel
 from repro.noc.topology import make_topology
+from tests.noc import reference_routing
 
 # Every ruche factor meets widths and heights below, at and above 2R; the 3D
 # kinds meet every depth 1-3; every kind meets 1-wide dimensions.
@@ -54,18 +58,27 @@ class TestClosedFormRoutes:
         srcs, dsts = all_pairs(topology)
         num_tiles = topology.num_tiles
         layout = topology.slot_layout()
+        reverse = tuple(reversed(range(len(topology.dimension_sizes()))))
         codes, lengths, hops, spans = [], [], [], []
         for src, dst in zip(srcs.tolist(), dsts.tolist()):
-            links = topology.links_on_route(src, dst)
-            route_lengths = [topology.link_length_tiles(a, b) for a, b in links]
+            links = reference_routing.links_on_route(topology, src, dst)
+            route_lengths = [
+                reference_routing.link_length_tiles(topology, a, b) for a, b in links
+            ]
+            assert topology.links_on_route(src, dst) == links
+            assert topology.route_dims(src, dst, reverse) == reference_routing.route(
+                topology, src, dst, reverse
+            )
             # The scalar reference path's slot walk names the same links.
             slots, slot_lengths = topology.route_profile(src, dst)
             assert [layout.link(slot) for slot in slots] == links
             assert slot_lengths == route_lengths
+            assert topology.hop_distance(src, dst) == len(links)
+            assert topology.route_span_tiles(src, dst) == sum(route_lengths)
             codes.extend(a * num_tiles + b for a, b in links)
             lengths.extend(route_lengths)
-            hops.append(topology.hop_distance(src, dst))
-            spans.append(topology.route_span_tiles(src, dst))
+            hops.append(len(links))
+            spans.append(sum(route_lengths))
         batch_codes, batch_lengths = topology.route_link_codes(srcs, dsts)
         assert batch_codes.tolist() == codes
         assert batch_lengths.tolist() == lengths
@@ -129,7 +142,7 @@ class TestLegAccounting:
             lengths = np.broadcast_to(flits, srcs.shape).tolist()
             for src, dst, length in zip(srcs.tolist(), dsts.tolist(), lengths):
                 scalar.record_message(src, dst, length, 0.37)
-                links = topology.links_on_route(src, dst)
+                links = reference_routing.links_on_route(topology, src, dst)
                 for link in links:
                     slots[link_slot(layout, link, not kind.startswith("mesh"))] += length
                     routers[link[0]] += length
@@ -146,7 +159,7 @@ class TestLegAccounting:
 
 class TupleKeyedNetwork:
     """Reference timing: the link walk ``AnalyticalNetwork`` replaced, one
-    busy-until time per ``(src, dst)`` link of :meth:`links_on_route`."""
+    busy-until time per ``(src, dst)`` link of the reference route."""
 
     def __init__(self, topology):
         self.topology = topology
@@ -154,7 +167,7 @@ class TupleKeyedNetwork:
 
     def send(self, src, dst, flits, now):
         time = now
-        for link in self.topology.links_on_route(src, dst):
+        for link in reference_routing.links_on_route(self.topology, src, dst):
             busy = self.link_free.get(link, 0.0)
             time = (busy if busy > time else time) + flits
             self.link_free[link] = time
@@ -187,7 +200,7 @@ class TestClosedFormNetworkWalk:
         links = set(topology.links())
         assert set(reference.link_free) <= links
         for a, b in sorted(links):
-            if topology.links_on_route(a, b) != [(a, b)]:
+            if reference_routing.links_on_route(topology, a, b) != [(a, b)]:
                 assert (a, b) not in reference.link_free  # no route uses it
                 continue
             assert network.send(a, b, 1, 0.0) == reference.link_free.get((a, b), 0.0) + 1

@@ -4,7 +4,9 @@ dict-and-deque simulator it replaced.
 The reference below is that simulator and its three tile-path routing
 policies, copied verbatim: tuple-keyed ``_link_free``, one ``deque`` of
 credits per link, a per-policy route cache, and ``minimal_next_hops`` (then
-a ``Topology`` method, here a function of the topology).  On every grid of
+a ``Topology`` method, here a function of the topology).  Its routes come
+from the greedy per-kind decompositions of ``tests/noc/reference_routing.py``,
+not from the topology's own routes.  On every grid of
 ``SMALL_GRIDS`` -- every topology kind, ruche factors 2-4, 1-wide
 dimensions, 3D depths 1-3 -- random traces under all three policies, queue
 depths 1-6, 1-4 flits and tied, fractional and negative send times must
@@ -24,6 +26,7 @@ from repro.errors import ConfigurationError
 from repro.noc.sim import simulator as slot_simulator
 from repro.noc.topology import Topology, make_topology
 from repro.telemetry import get_telemetry
+from tests.noc import reference_routing
 from tests.noc.sim.test_simulator import OccupancyRecorder
 from tests.property.test_property_batched_routes import SMALL_GRIDS, grid_id
 
@@ -31,7 +34,9 @@ Link = Tuple[int, int]
 
 
 # --------------------------------------------------------------- reference
-# Verbatim but for ``minimal_next_hops``, which took ``self`` as a method.
+# Verbatim but for ``minimal_next_hops``, which took ``self`` as a method,
+# and the routes and addressing it and the two oblivious policies read,
+# which call the reference routing instead of the topology.
 
 
 def minimal_next_hops(topology: Topology, cur: int, dst: int) -> List[Tuple[int, int]]:
@@ -45,16 +50,16 @@ def minimal_next_hops(topology: Topology, cur: int, dst: int) -> List[Tuple[int,
     honoured by every policy built on this.
     """
     sizes = topology.dimension_sizes()
-    cur_c = topology.coords_nd(cur)
-    dst_c = topology.coords_nd(dst)
+    cur_c = reference_routing.coords(topology, cur)
+    dst_c = reference_routing.coords(topology, dst)
     candidates: List[Tuple[int, int]] = []
     for dim, size in enumerate(sizes):
-        offsets = topology.next_hop_offsets(dst_c[dim] - cur_c[dim], size)
+        offsets = reference_routing.next_hop_offsets(topology, dst_c[dim] - cur_c[dim], size)
         if not offsets:
             continue
         nxt = list(cur_c)
         nxt[dim] = (nxt[dim] + offsets[0]) % size
-        candidates.append((dim, topology.tile_from_nd(tuple(nxt))))
+        candidates.append((dim, reference_routing.tile_at(topology, nxt)))
     return candidates
 
 
@@ -102,7 +107,7 @@ class DimensionOrderedRouting(RoutingPolicy):
         key = (src, dst)
         path = self._cache.get(key)
         if path is None:
-            path = self.topology.route(src, dst)
+            path = reference_routing.route(self.topology, src, dst)
             self._cache[key] = path
         return path
 
@@ -126,7 +131,7 @@ class XYYXObliviousRouting(RoutingPolicy):
 
     def route(self, src: int, dst: int, message_index: int, link_state: LinkState) -> List[int]:
         order = self._orders[message_index % 2]
-        return self.topology.route_dims(src, dst, order)
+        return reference_routing.route(self.topology, src, dst, order)
 
 
 class AdaptiveMinimalRouting(RoutingPolicy):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.noc.topology import make_topology
+from tests.noc import reference_routing
 from tests.property.test_property_batched_routes import SMALL_GRIDS, grid_id
 
 grids = st.tuples(
@@ -23,6 +24,7 @@ class TestRoutingInvariants:
         src = data.draw(st.integers(min_value=0, max_value=topo.num_tiles - 1))
         dst = data.draw(st.integers(min_value=0, max_value=topo.num_tiles - 1))
         route = topo.route(src, dst)
+        assert route == reference_routing.route(topo, src, dst)
         assert route[0] == src
         assert route[-1] == dst
         assert len(route) - 1 == topo.hop_distance(src, dst)
