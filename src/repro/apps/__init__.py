@@ -1,9 +1,4 @@
-"""Dalorex-adapted application kernels (BFS, SSSP, PageRank, WCC, SPMV).
-
-The kernels register themselves in the unified engine/kernel registry
-(:mod:`repro.core.registry`); ``KERNELS`` and :func:`make_kernel` remain as
-the historical aliases over it.
-"""
+"""Dalorex-adapted application kernels (BFS, SSSP, PageRank, WCC, SPMV)."""
 
 from repro.apps.common import FrontierGraphKernel, Kernel
 from repro.apps.bfs import BFSKernel
@@ -11,21 +6,23 @@ from repro.apps.sssp import SSSPKernel
 from repro.apps.pagerank import PageRankKernel
 from repro.apps.wcc import WCCKernel
 from repro.apps.spmv import SPMVKernel
-from repro.core import registry as _registry
-from repro.core.registry import make_kernel  # noqa: F401  (re-export)
 
-#: Registry of kernels by canonical application name (alias of the unified
-#: registry's kernel table; both views stay in sync).
-KERNELS = _registry.KERNELS
+#: Kernel classes by canonical application name.
+KERNELS = {
+    "bfs": BFSKernel,
+    "sssp": SSSPKernel,
+    "pagerank": PageRankKernel,
+    "wcc": WCCKernel,
+    "spmv": SPMVKernel,
+}
 
-for _name, _factory in (
-    ("bfs", BFSKernel),
-    ("sssp", SSSPKernel),
-    ("pagerank", PageRankKernel),
-    ("wcc", WCCKernel),
-    ("spmv", SPMVKernel),
-):
-    _registry.register_kernel(_name, _factory)
+
+def make_kernel(name: str, **kwargs) -> Kernel:
+    """Instantiate the kernel for application ``name`` (``"bfs"``, ...)."""
+    key = name.strip().lower()
+    if key not in KERNELS:
+        raise KeyError(f"unknown application {name!r}; known: {sorted(KERNELS)}")
+    return KERNELS[key](**kwargs)
 
 
 __all__ = [

@@ -86,11 +86,11 @@ class Kernel(ABC):
         invocations and returns a :class:`~repro.core.batch.BatchResult` whose
         array mutations and per-item accounting are bit-equal to running the
         scalar task handler once per item, in item order.  Handlers assume the
-        data-local invariant the scalar path enforces (every built-in kernel
-        routes accesses to the owning tile by construction) and may raise
-        :class:`~repro.core.batch.BatchFallback` -- before mutating anything --
-        to punt a segment back to the scalar path.  The analytical engine only
-        batches when every program task has a handler.
+        data-local invariant the scalar handlers enforce (every built-in
+        kernel routes accesses to the owning tile by construction).  The
+        analytical engine batches only when every program task has a
+        handler; otherwise it runs each segment's items through the scalar
+        handlers.
         """
         return {}
 

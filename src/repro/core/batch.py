@@ -1,11 +1,11 @@
 """Batch execution toolkit: numpy vectorization that is bit-equal to the loops.
 
-The analytical engine's hot path executes task invocations one at a time
-through :class:`~repro.core.context.TaskContext`.  Because the worklist is a
-FIFO and every kernel task emits invocations of exactly one downstream task,
-the worklist always drains in *runs* of same-task invocations -- and a run can
-be executed as one numpy batch, provided the batch reproduces the sequential
-semantics exactly:
+A scalar task handler executes one invocation at a time through
+:class:`~repro.core.context.TaskContext`.  Because the analytical engine's
+worklist is a FIFO and every kernel task emits invocations of exactly one
+downstream task, the worklist always drains in *runs* of same-task
+invocations -- and a run can be executed as one numpy batch, provided the
+batch reproduces the sequential semantics exactly:
 
 * **Integer accounting** (instructions, reads, writes, edges, flits) is
   order-free: vector sums and ``np.add.at`` scatters are exact.
@@ -28,14 +28,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-
-
-class BatchFallback(Exception):
-    """Raised by a batch handler that cannot vectorize one segment exactly.
-
-    The engine catches it and re-executes the segment through the scalar
-    per-invocation path, which is always exact.
-    """
 
 
 # --------------------------------------------------------------- float folds

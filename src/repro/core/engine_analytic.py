@@ -15,6 +15,14 @@ and estimates the epoch's duration as the maximum of three lower bounds:
 Barriered executions sum per-epoch maxima plus a barrier/idle-detection cost,
 which reproduces the paper's observation that synchronization makes every
 epoch as slow as its slowest tile.
+
+Every run takes one epoch loop over a FIFO worklist of
+:class:`~repro.core.batch.Segment` columns.  Every task emits exactly one
+downstream task type, so a FIFO of single invocations always drains in runs
+of same-task invocations; popping a head run, executing it and appending its
+outputs reproduces that FIFO exactly.  A segment executes as one batch
+through the kernel's batch handlers, or -- when :meth:`_prepare_batch`
+declines -- one invocation at a time through the scalar task handlers.
 """
 
 from __future__ import annotations
@@ -25,14 +33,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.batch import (
-    BatchFallback,
-    Segment,
-    segments_from_items,
-    sequential_sum,
-)
+from repro.core.batch import Segment, segments_from_items, sequential_sum
 from repro.core.engine_base import BaseEngine, Seed
-from repro.core.registry import register_engine
 from repro.core.results import SimulationResult
 from repro.errors import SimulationError
 from repro.noc.analytical import LinkLoadModel
@@ -48,19 +50,18 @@ class AnalyticalEngine(BaseEngine):
         average_hops = self.topology.average_hop_distance(sample=64)
 
         self._batch = self._prepare_batch()
-        run_epoch = self._run_epoch_batched if self._batch is not None else self._run_epoch
-        telemetry = self.telemetry
         if self._batch is not None:
             labels = {"mode": "batched"}
         else:
             labels = {"mode": "scalar", "reason": self.batch_decline}
+        telemetry = self.telemetry
 
         while seeds:
             if telemetry.enabled:
                 with telemetry.span("engine.analytic.epoch", **labels):
-                    epoch_cycles = run_epoch(seeds, epoch_index, average_hops)
+                    epoch_cycles = self._run_epoch(seeds, epoch_index, average_hops)
             else:
-                epoch_cycles = run_epoch(seeds, epoch_index, average_hops)
+                epoch_cycles = self._run_epoch(seeds, epoch_index, average_hops)
             total_cycles += epoch_cycles
             self.tracer.epoch_finished(epoch_index, self.counters)
             epoch_index += 1
@@ -78,119 +79,9 @@ class AnalyticalEngine(BaseEngine):
 
     # ------------------------------------------------------------------ epoch
     def _run_epoch(self, seeds: List[Seed], epoch_index: int, average_hops: float) -> float:
-        num_tiles = self.config.num_tiles
-        epoch_busy = np.zeros(num_tiles, dtype=np.float64)
-        epoch_link = LinkLoadModel(self.topology, detailed=self.link_model.detailed)
-        tasks_this_epoch = 0
-        max_generation = 0
-
-        resolved = self.resolve_seeds(seeds)
-        if epoch_index > 0:
-            epoch_busy += self.charge_epoch_seeding(resolved)
-
-        state = self.state
-        counters = self.counters
-        worklist = deque(
-            (tile_id, task, params, 0, False) for tile_id, task, params in resolved
-        )
-        while worklist or self._refill_all_tiles(worklist):
-            tile_id, task, params, generation, remote = worklist.popleft()
-            ctx, cost = self.execute_invocation(tile_id, task, params, remote)
-            self.account_context(ctx)
-            state.pu_busy_cycles[tile_id] += cost
-            state.pu_instructions[tile_id] += ctx.instructions
-            epoch_busy[tile_id] += cost
-            tasks_this_epoch += 1
-            for out_task, out_params, destination in ctx.outgoing:
-                flits = out_task.flits_per_invocation
-                counters.messages += 1
-                counters.flits += flits
-                if destination == tile_id:
-                    counters.local_messages += 1
-                else:
-                    hops = epoch_link.record_message(
-                        tile_id, destination, flits, self.tile_pitch_mm
-                    )
-                    counters.flit_hops += flits * hops
-                    counters.router_traversals += flits * (hops + 1)
-                next_generation = generation + 1
-                if next_generation > max_generation:
-                    max_generation = next_generation
-                worklist.append(
-                    (destination, out_task, out_params, next_generation, destination != tile_id)
-                )
-            self.release_context(ctx)
-
-        self.link_model.merge(epoch_link)
-        compute_bound = float(epoch_busy.max()) if len(epoch_busy) else 0.0
-        return self._epoch_cycles(compute_bound, epoch_link, epoch_busy, tasks_this_epoch,
-                                  max_generation, average_hops)
-
-    def _refill_all_tiles(self, worklist: deque) -> bool:
-        """Barrierless mode: pull parked frontier work once the worklist drains."""
-        if self.machine.barrier_effective:
-            return False
-        items = self.refill_items()
-        worklist.extend(items)
-        return bool(items)
-
-    def refill_items(self) -> list:
-        """Barrierless refill as worklist items, in tile order.
-
-        :meth:`~repro.apps.common.Kernel.refill_tile` draws only from a
-        tile's ``state.frontier`` bucket, so only the tiles whose bucket
-        holds work are visited.
-        """
-        items = []
-        for tile_id in compress(range(self.config.num_tiles), self.state.frontier):
-            for task, params in self.resolve_refill(tile_id):
-                items.append((tile_id, task, params, 0, False))
-        return items
-
-    # ------------------------------------------------------------- batch mode
-    def _prepare_batch(self) -> Optional[dict]:
-        """The batch handler table, or None to run per invocation.
-
-        The one gate of the batched path: the reason it declines is kept in
-        :attr:`batch_decline` (None when batched).  A batched run rebinds the
-        per-tile counters to numpy arrays, so ``np.add.at`` scatters into
-        them; floats stay order-exact because it applies duplicate indices in
-        element order.
-        """
-        machine = self.machine
-        self.batch_decline = None
-        if not getattr(machine, "batch_execution", True):
-            self.batch_decline = "batch execution is disabled on this machine"
-            return None
-        if self.config.allow_remote_access:
-            # Remote-access penalties are per-access scalar state the batch
-            # handlers do not model (the built-in kernels never trip them,
-            # but the scalar path is the one that owns that semantics).
-            self.batch_decline = "allow_remote_access uses scalar-only per-access semantics"
-            return None
-        handlers = self.kernel.batch_handlers(machine)
-        if not handlers or any(task.name not in handlers for task in machine.program.tasks):
-            self.batch_decline = (
-                f"kernel {self.kernel.name!r} lacks batch handlers for every task"
-            )
-            return None
-        state = self.state
-        state.pu_instructions = np.asarray(state.pu_instructions, dtype=np.int64)
-        state.pu_busy_cycles = np.asarray(state.pu_busy_cycles, dtype=np.float64)
-        return handlers
-
-    def _run_epoch_batched(
-        self, seeds: List[Seed], epoch_index: int, average_hops: float
-    ) -> float:
-        """The batched twin of :meth:`_run_epoch`.
-
-        The scalar worklist always drains in runs of same-task invocations
-        (every task emits exactly one downstream task type), and popping a
-        head run, executing it, and appending its concatenated outputs
-        reproduces the scalar deque evolution exactly -- so the worklist
-        holds :class:`Segment` columns instead of items, and each segment
-        executes as one vectorized batch.
-        """
+        """Drain one epoch's segment worklist, executing every segment as a
+        batch or, when the batch gate declined, one invocation at a time."""
+        execute = self._execute_items if self._batch is None else self._execute_batch
         num_tiles = self.config.num_tiles
         epoch_busy = np.zeros(num_tiles, dtype=np.float64)
         epoch_link = LinkLoadModel(self.topology, detailed=self.link_model.detailed)
@@ -212,15 +103,11 @@ class AnalyticalEngine(BaseEngine):
             segment = worklist.popleft()
             if telemetry_on:
                 with telemetry.span("engine.analytic.segment", task=segment.task.name):
-                    children, executed, child_gen = self._execute_segment(
-                        segment, epoch_link, epoch_busy
-                    )
+                    children, child_gen = execute(segment, epoch_link, epoch_busy)
                 telemetry.observe("engine.analytic.segment_size", segment.n)
             else:
-                children, executed, child_gen = self._execute_segment(
-                    segment, epoch_link, epoch_busy
-                )
-            tasks_this_epoch += executed
+                children, child_gen = execute(segment, epoch_link, epoch_busy)
+            tasks_this_epoch += segment.n
             if child_gen > max_generation:
                 max_generation = child_gen
             worklist.extend(children)
@@ -231,23 +118,58 @@ class AnalyticalEngine(BaseEngine):
                                   max_generation, average_hops)
 
     def _refill_segments(self, worklist: deque) -> bool:
-        """Batched twin of :meth:`_refill_all_tiles` (same tile order)."""
+        """Barrierless mode: pull parked frontier work once the worklist drains.
+
+        :meth:`~repro.apps.common.Kernel.refill_tile` draws only from a
+        tile's ``state.frontier`` bucket, so only the tiles whose bucket
+        holds work are visited, in tile order.
+        """
         if self.machine.barrier_effective:
             return False
-        items = self.refill_items()
-        if not items:
-            return False
+        items = [
+            (tile_id, task, params, 0, False)
+            for tile_id in compress(range(self.config.num_tiles), self.state.frontier)
+            for task, params in self.resolve_refill(tile_id)
+        ]
         worklist.extend(segments_from_items(items))
-        return True
+        return bool(items)
 
-    def _execute_segment(self, segment: Segment, epoch_link, epoch_busy):
-        """Execute one same-task run as a batch; returns ``(children, count,
-        max_gen)``."""
-        handler = self._batch[segment.task.name]
-        try:
-            result = handler(segment)
-        except BatchFallback:
-            return self._execute_segment_scalar(segment, epoch_link, epoch_busy)
+    # ------------------------------------------------------------- batch gate
+    def _prepare_batch(self) -> Optional[dict]:
+        """The batch handler table, or None to run per invocation.
+
+        The one gate of the batched path: the reason it declines is kept in
+        :attr:`batch_decline` (None when batched).  A batched run rebinds the
+        per-tile counters to numpy arrays, so ``np.add.at`` scatters into
+        them; floats stay order-exact because it applies duplicate indices in
+        element order.
+        """
+        machine = self.machine
+        self.batch_decline = None
+        if not getattr(machine, "batch_execution", True):
+            self.batch_decline = "batch execution is disabled on this machine"
+            return None
+        if self.config.allow_remote_access:
+            # Remote-access penalties are per-access scalar state the batch
+            # handlers do not model (the built-in kernels never trip them,
+            # but the scalar handlers are the ones that own that semantics).
+            self.batch_decline = "allow_remote_access uses scalar-only per-access semantics"
+            return None
+        handlers = self.kernel.batch_handlers(machine)
+        if not handlers or any(task.name not in handlers for task in machine.program.tasks):
+            self.batch_decline = (
+                f"kernel {self.kernel.name!r} lacks batch handlers for every task"
+            )
+            return None
+        state = self.state
+        state.pu_instructions = np.asarray(state.pu_instructions, dtype=np.int64)
+        state.pu_busy_cycles = np.asarray(state.pu_busy_cycles, dtype=np.float64)
+        return handlers
+
+    # -------------------------------------------------------------- executors
+    def _execute_batch(self, segment: Segment, epoch_link, epoch_busy):
+        """Execute one same-task run as a batch through its kernel handler."""
+        result = self._batch[segment.task.name](segment)
         state = self.state
         counters = self.counters
         config = self.config
@@ -283,50 +205,58 @@ class AnalyticalEngine(BaseEngine):
         np.add.at(state.pu_instructions, tiles, instructions)
         np.add.at(epoch_busy, tiles, cost)
 
-        children: List[Segment] = []
-        max_child_gen = 0
         out_task = None
         out_count = 0
         if result.emits is not None:
             out_task, dests, out_params, counts_per_item = result.emits
             out_count = len(dests)
         self.tracer.record_batch_execution(segment.task, n, out_task, out_count)
-        if out_count:
-            flits = out_task.flits_per_invocation
-            counters.messages += out_count
-            counters.flits += flits * out_count
-            sources = np.repeat(tiles, counts_per_item)
-            remote_out = dests != sources
-            counters.local_messages += int(out_count - remote_out.sum())
-            if remote_out.any():
-                nl_src = sources[remote_out]
-                nl_dst = dests[remote_out]
-                hops = epoch_link.record_batch(
-                    nl_src, nl_dst, flits, self.tile_pitch_mm
-                )
-                counters.flit_hops += int(flits * hops.sum())
-                counters.router_traversals += int(flits * (hops + 1).sum())
-            child_gens = np.repeat(segment.gens + 1, counts_per_item)
-            max_child_gen = int(child_gens.max())
-            children.append(Segment(out_task, dests, out_params, child_gens, remote_out))
-        return children, n, max_child_gen
+        if not out_count:
+            return [], 0
+        flits = out_task.flits_per_invocation
+        counters.messages += out_count
+        counters.flits += flits * out_count
+        sources = np.repeat(tiles, counts_per_item)
+        remote_out = dests != sources
+        counters.local_messages += int(out_count - remote_out.sum())
+        if remote_out.any():
+            self.charge_messages(epoch_link, sources[remote_out], dests[remote_out], flits)
+        child_gens = np.repeat(segment.gens + 1, counts_per_item)
+        return [Segment(out_task, dests, out_params, child_gens, remote_out)], int(child_gens.max())
 
-    def _execute_segment_scalar(self, segment: Segment, epoch_link, epoch_busy):
-        """Per-item fallback: the exact scalar path over one segment's items."""
+    def _execute_items(self, segment: Segment, epoch_link, epoch_busy):
+        """Execute one segment an invocation at a time, through the scalar
+        task handlers, for a run the batch gate declined.
+
+        The segment's non-local messages are logged in send order and
+        charged with one :meth:`~repro.core.engine_base.BaseEngine.charge_messages`
+        call, as the cycle engine charges its drains.
+        """
         state = self.state
         counters = self.counters
-        items_out = []
+        task = segment.task
+        pu_busy_cycles = state.pu_busy_cycles
+        pu_instructions = state.pu_instructions
+        execute_invocation = self.execute_invocation
+        account_context = self.account_context
+        release_context = self.release_context
+        children = []
+        sent_src: List[int] = []
+        sent_dst: List[int] = []
+        sent_flits: List[int] = []
         max_child_gen = 0
-        for index in range(segment.n):
-            tile_id = int(segment.tiles[index])
-            params = tuple(column[index] for column in segment.params)
-            generation = int(segment.gens[index])
-            remote = bool(segment.remote[index])
-            ctx, cost = self.execute_invocation(tile_id, segment.task, params, remote)
-            self.account_context(ctx)
-            state.pu_busy_cycles[tile_id] += cost
-            state.pu_instructions[tile_id] += ctx.instructions
+        for tile_id, params, generation, remote in zip(
+            segment.tiles.tolist(),
+            zip(*(column.tolist() for column in segment.params)),
+            segment.gens.tolist(),
+            segment.remote.tolist(),
+        ):
+            ctx, cost = execute_invocation(tile_id, task, params, remote)
+            account_context(ctx)
+            pu_busy_cycles[tile_id] += cost
+            pu_instructions[tile_id] += ctx.instructions
             epoch_busy[tile_id] += cost
+            child_gen = generation + 1
             for out_task, out_params, destination in ctx.outgoing:
                 flits = out_task.flits_per_invocation
                 counters.messages += 1
@@ -334,20 +264,23 @@ class AnalyticalEngine(BaseEngine):
                 if destination == tile_id:
                     counters.local_messages += 1
                 else:
-                    hops = epoch_link.record_message(
-                        tile_id, destination, flits, self.tile_pitch_mm
-                    )
-                    counters.flit_hops += flits * hops
-                    counters.router_traversals += flits * (hops + 1)
-                next_generation = generation + 1
-                if next_generation > max_child_gen:
-                    max_child_gen = next_generation
-                items_out.append(
-                    (destination, out_task, out_params, next_generation,
-                     destination != tile_id)
+                    sent_src.append(tile_id)
+                    sent_dst.append(destination)
+                    sent_flits.append(flits)
+                if child_gen > max_child_gen:
+                    max_child_gen = child_gen
+                children.append(
+                    (destination, out_task, out_params, child_gen, destination != tile_id)
                 )
-            self.release_context(ctx)
-        return segments_from_items(items_out), segment.n, max_child_gen
+            release_context(ctx)
+        if sent_src:
+            self.charge_messages(
+                epoch_link,
+                np.array(sent_src, dtype=np.int64),
+                np.array(sent_dst, dtype=np.int64),
+                np.array(sent_flits, dtype=np.int64),
+            )
+        return segments_from_items(children), max_child_gen
 
     def _epoch_cycles(
         self,
@@ -364,6 +297,3 @@ class AnalyticalEngine(BaseEngine):
         )
         critical_path = max_generation * (average_task_cost + average_hops)
         return max(compute_bound, network_bound, critical_path, 1.0)
-
-
-register_engine("analytic", AnalyticalEngine)

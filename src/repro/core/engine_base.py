@@ -110,6 +110,24 @@ class BaseEngine:
         counters.cache_hits += ctx.cache_hits
         counters.edges_processed += ctx.edges
 
+    def charge_messages(
+        self, link_model: LinkLoadModel, srcs: np.ndarray, dsts: np.ndarray, flits
+    ) -> None:
+        """Charge non-local messages to ``link_model``, in send order.
+
+        One :meth:`~repro.noc.analytical.LinkLoadModel.record_batch` call,
+        bit-equal to charging the messages one at a time in that order;
+        ``flits`` is one length for every message or an int array aligned
+        with ``srcs``.  Adds the flit-hop and router-traversal counters
+        from its hops (a message passes one more router than it hops).
+        """
+        hops = link_model.record_batch(srcs, dsts, flits, self.tile_pitch_mm)
+        flits = np.broadcast_to(flits, hops.shape)
+        flit_hops = int(flits @ hops)
+        counters = self.counters
+        counters.flit_hops += flit_hops
+        counters.router_traversals += flit_hops + int(flits.sum())
+
     # ------------------------------------------------------------------ seeds
     def resolve_seeds(self, seeds: Sequence[Seed]) -> List[Tuple[int, Task, tuple]]:
         """Map ``(task_name, params)`` seeds to their destination tiles."""

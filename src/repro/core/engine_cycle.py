@@ -44,7 +44,6 @@ import numpy as np
 
 from repro.core.engine_base import BaseEngine, Seed
 from repro.core.network import make_network_model
-from repro.core.registry import register_engine
 from repro.core.results import SimulationResult
 from repro.errors import SimulationError
 
@@ -294,27 +293,16 @@ class CycleEngine(BaseEngine):
         return bool(resolved)
 
     def _fold_traffic(self) -> None:
-        """Charge the logged non-local messages to the link-load model.
-
-        One :meth:`~repro.noc.analytical.LinkLoadModel.record_batch` call in
-        send order, bit-equal to one ``record_message`` per message, then
-        the flit-hop and router-traversal counters from its hops.
-        """
+        """Charge the logged non-local messages to the link-load model with
+        one :meth:`~repro.core.engine_base.BaseEngine.charge_messages` call."""
         if not self._sent_src:
             return
-        flits = np.array(self._sent_flits, dtype=np.int64)
-        hops = self.link_model.record_batch(
+        self.charge_messages(
+            self.link_model,
             np.array(self._sent_src, dtype=np.int64),
             np.array(self._sent_dst, dtype=np.int64),
-            flits,
-            self.tile_pitch_mm,
+            np.array(self._sent_flits, dtype=np.int64),
         )
-        flit_hops = int(flits @ hops)
-        self.counters.flit_hops += flit_hops
-        self.counters.router_traversals += flit_hops + int(flits.sum())
         self._sent_src.clear()
         self._sent_dst.clear()
         self._sent_flits.clear()
-
-
-register_engine("cycle", CycleEngine)

@@ -20,7 +20,6 @@ import numpy as np
 from repro.core.config import MachineConfig
 from repro.core.placement import DataPlacement
 from repro.core.program import EDGE_SPACE, VERTEX_SPACE
-from repro.core.registry import make_engine
 from repro.core.results import SimulationResult
 from repro.core.state import CoreState
 from repro.energy.area import AreaModel
@@ -58,8 +57,9 @@ class DalorexMachine:
         self.link_model = None
         self.barrier_effective = config.barrier or kernel.requires_barrier
         # Batched (vectorized) task execution on engines that support it.
-        # Bit-equal to scalar execution by construction; set False to force
-        # the per-invocation path (the equivalence tests exercise both).
+        # Bit-equal to scalar execution by construction; set False to run
+        # every segment one invocation at a time (the equivalence tests
+        # exercise both).
         self.batch_execution = True
 
         # Topologies are immutable, so machines share one instance per shape.
@@ -190,7 +190,13 @@ class DalorexMachine:
         return result
 
     def _make_engine(self):
-        return make_engine(self.config.engine, self)
+        """The engine ``config.engine`` names (``validate()`` admits no other)."""
+        # Imported here: the engines import repro.verify, which imports this module.
+        from repro.core.engine_analytic import AnalyticalEngine
+        from repro.core.engine_cycle import CycleEngine
+
+        engine_class = AnalyticalEngine if self.config.engine == "analytic" else CycleEngine
+        return engine_class(self)
 
 
 def run_kernel(

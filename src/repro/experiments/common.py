@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.apps import make_kernel
 from repro.apps.common import Kernel
-from repro.core.registry import make_kernel
 from repro.core.config import MachineConfig
 from repro.core.machine import DalorexMachine
 from repro.core.results import SimulationResult

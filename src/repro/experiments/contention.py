@@ -27,6 +27,8 @@ from __future__ import annotations
 import random
 from typing import Dict, Optional, Sequence
 
+import numpy as np
+
 from repro.analysis.report import format_table
 from repro.baselines.ladder import dalorex_full_config
 from repro.noc.analytical import LinkLoadModel
@@ -146,8 +148,11 @@ def synthetic_saturation(
             dst = rng.randrange(topology.num_tiles)
             trace.append((src, dst, flits_per_message, index * interval))
         bound_model = LinkLoadModel(topology)
-        for src, dst, flits, _inject in trace:
-            bound_model.record_message(src, dst, flits)
+        bound_model.record_batch(
+            np.array([src for src, _dst, _flits, _inject in trace], dtype=np.int64),
+            np.array([dst for _src, dst, _flits, _inject in trace], dtype=np.int64),
+            flits_per_message,
+        )
         bound = bound_model.network_bound_cycles()
         for queue_depth in queue_depths:
             simulator = NocSimulator(topology, routing=routing, queue_depth=queue_depth)

@@ -92,124 +92,6 @@ def rmat_graph(
     )
 
 
-def rmat_graph_chunked(
-    scale: int,
-    edge_factor: int = 10,
-    a: float = 0.57,
-    b: float = 0.19,
-    c: float = 0.19,
-    seed: int = 0,
-    weighted: bool = True,
-    max_weight: int = 16,
-    undirected: bool = False,
-    name: Optional[str] = None,
-    chunk_edges: int = 1 << 22,
-) -> CSRGraph:
-    """Memory-lean RMAT generator, graph-identical to :func:`rmat_graph`.
-
-    :func:`rmat_graph` materializes the full ``int64`` edge list plus several
-    same-sized temporaries inside ``CSRGraph.from_edges`` (stacked pairs, dedup
-    keys, sorted copies), peaking near ~10x the final CSR footprint -- which is
-    what caps the single-process graph size.  This variant emits edges in
-    chunks of ``chunk_edges`` and keeps only compact ``int32`` endpoint columns
-    plus one sort permutation, so a larger graph fits in one process's
-    memory budget.
-
-    Determinism is preserved by replaying the *exact* PCG64 stream of
-    :func:`rmat_graph`: each ``Generator.random`` double consumes one uint64,
-    so the quadrant draws for level ``L`` at edge offset ``o`` start at
-    absolute stream position ``L * num_edges + o`` (reachable with
-    ``PCG64.advance``), and the label permutation plus weights replay from
-    position ``scale * num_edges``.  The result is byte-identical CSR arrays
-    for every ``chunk_edges`` value, which the equality tests pin.
-    """
-    _validate_rmat(scale, a, b, c)
-    if chunk_edges < 1:
-        raise GraphError("chunk_edges must be positive")
-    num_vertices = 1 << scale
-    num_edges = num_vertices * edge_factor
-
-    # Tail stream: the serial generator draws scale * num_edges doubles for the
-    # quadrant picks, then the permutation, then the weights.
-    tail_bits = np.random.PCG64(seed)
-    tail_bits.advance(scale * num_edges)
-    tail = np.random.Generator(tail_bits)
-    perm = tail.permutation(num_vertices).astype(np.int32)
-
-    src_parts = []
-    dst_parts = []
-    weight_parts = []
-    for start in range(0, num_edges, chunk_edges):
-        count = min(chunk_edges, num_edges - start)
-        sources = np.zeros(count, dtype=np.int32)
-        dests = np.zeros(count, dtype=np.int32)
-        for level in range(scale):
-            bits = np.random.PCG64(seed)
-            bits.advance(level * num_edges + start)
-            r = np.random.Generator(bits).random(count)
-            go_right = ((r >= a) & (r < a + b)) | (r >= a + b + c)
-            go_down = r >= a + b
-            sources = (sources << 1) | go_down.astype(np.int32)
-            dests = (dests << 1) | go_right.astype(np.int32)
-        sources = perm[sources]
-        dests = perm[dests]
-        # Weights must be drawn for every emitted edge (self loops included)
-        # to keep the tail stream aligned with the serial generator, which
-        # drops loops only after drawing.
-        chunk_weights = _weights(tail, count, weighted, max_weight)
-        keep = sources != dests
-        src_parts.append(sources[keep])
-        dst_parts.append(dests[keep])
-        weight_parts.append(chunk_weights[keep])
-
-    forward_src = np.concatenate(src_parts) if src_parts else np.zeros(0, np.int32)
-    forward_dst = np.concatenate(dst_parts) if dst_parts else np.zeros(0, np.int32)
-    forward_weights = (
-        np.concatenate(weight_parts) if weight_parts else np.zeros(0, np.float64)
-    )
-    del src_parts, dst_parts, weight_parts
-    forward_count = len(forward_src)
-
-    if undirected:
-        all_src = np.concatenate([forward_src, forward_dst])
-        all_dst = np.concatenate([forward_dst, forward_src])
-    else:
-        all_src = forward_src
-        all_dst = forward_dst
-
-    graph_name = name or f"rmat{scale}"
-    if len(all_src) == 0:
-        indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-        return CSRGraph(
-            indptr,
-            np.zeros(0, np.int64),
-            np.zeros(0, np.float64),
-            directed=not undirected,
-            name=graph_name,
-        )
-
-    # Stable sort by (src, dst) leaves duplicates in arrival order, so the
-    # head of each run is the first occurrence -- the same edge (and weight)
-    # from_edges' dedup keeps.
-    order = np.lexsort((all_dst, all_src))
-    sorted_src = all_src[order]
-    sorted_dst = all_dst[order]
-    head = np.empty(len(order), dtype=bool)
-    head[0] = True
-    head[1:] = (sorted_src[1:] != sorted_src[:-1]) | (sorted_dst[1:] != sorted_dst[:-1])
-    kept_arrival = order[head]
-
-    counts = np.bincount(sorted_src[head], minlength=num_vertices)
-    indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    indices = sorted_dst[head].astype(np.int64)
-    # Mirrored arrivals (index >= forward_count) reuse the forward weight.
-    values = forward_weights[kept_arrival % forward_count]
-    return CSRGraph(
-        indptr, indices, values, directed=not undirected, name=graph_name
-    )
-
-
 def uniform_random_graph(
     num_vertices: int,
     num_edges: int,

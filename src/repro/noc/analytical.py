@@ -88,7 +88,9 @@ class LinkLoadModel:
         """Charge one ``flits``-long message from ``src`` to ``dst``.
 
         Returns the hop count of the route (0 for a local, same-tile message).
+        A tile outside the grid raises before anything is counted.
         """
+        self.topology._check_tiles(src, dst)
         self.total_messages += 1
         self.injected_flits[src] += flits
         self.ejected_flits[dst] += flits

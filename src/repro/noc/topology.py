@@ -325,6 +325,7 @@ class Topology(ABC):
         <repro.noc.analytical.LinkLoadModel.record_message>`) reads it;
         batches of messages route as legs (:meth:`_route_legs`).
         """
+        self._check_tiles(src, dst)
         layout = self.slot_layout()
         slots = layout.route(src, dst)
         ports = layout.ports

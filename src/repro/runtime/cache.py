@@ -61,9 +61,6 @@ def payload_digest(payload: Dict[str, Any]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-# Backwards-compatible private alias (pre-distributed callers).
-_payload_digest = payload_digest
-
 #: Distinguishes temp files of concurrent writers within one process.
 _TMP_SEQUENCE = itertools.count()
 

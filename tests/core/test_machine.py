@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.apps import BFSKernel, SSSPKernel
+from repro.apps import BFSKernel, SSSPKernel, make_kernel
 from repro.core.config import MachineConfig
 from repro.core.machine import DalorexMachine, run_kernel
-from repro.core.registry import make_kernel
 from repro.errors import ConfigurationError
 from repro.graph.generators import chain_graph, rmat_graph
 

@@ -8,7 +8,7 @@ Four families of checks guard the structure-of-arrays core:
   and on every lone-ready-task state from every round-robin cursor;
 * a drained run leaves every queue empty, every tile's pending count at
   zero and the queue push/pop totals balanced;
-* two back-to-back ``run()`` calls on fresh registry-built machines must
+* two back-to-back ``run()`` calls on fresh machines must
   produce byte-identical payloads (no state leakage through pooled
   contexts or the shared topology caches).
 """
@@ -22,9 +22,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.apps import make_kernel
 from repro.core.config import MachineConfig
 from repro.core.machine import DalorexMachine
-from repro.core.registry import make_engine, make_kernel
 from repro.core.state import OCCUPANCY, ROUND_ROBIN, CoreState
 from repro.errors import ConfigurationError
 from repro.graph.generators import rmat_graph
@@ -389,7 +389,7 @@ def _run_payload(app, engine, barrier, graph):
 
 
 class TestEngineStateReuse:
-    """Fresh registry-built engines share no state across runs."""
+    """Fresh engines share no state across runs."""
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -403,7 +403,7 @@ class TestEngineStateReuse:
         second = _run_payload(app, engine, barrier, graph)
         assert first == second
 
-    def test_registry_builds_the_configured_engine(self, small_rmat):
+    def test_machine_builds_the_configured_engine(self, small_rmat):
         from repro.core.engine_analytic import AnalyticalEngine
         from repro.core.engine_cycle import CycleEngine
 
@@ -415,8 +415,7 @@ class TestEngineStateReuse:
             machine = DalorexMachine(
                 config, make_kernel("spmv"), small_rmat
             )
-            engine = make_engine(engine_name, machine)
-            assert isinstance(engine, engine_cls)
+            assert type(machine._make_engine()) is engine_cls
 
     def test_cycle_run_drains_every_queue_and_pending_count(self, small_rmat):
         config = MachineConfig(width=4, height=4, engine="cycle")

@@ -101,21 +101,27 @@ GOLDEN_CASES: Tuple[GoldenCase, ...] = (
 )
 
 
-def run_case(case: GoldenCase, batch_execution: bool = True):
+def run_case(case: GoldenCase, batch_execution: bool = True, reference: bool = False):
     """Execute one golden case and return its SimulationResult.
 
-    ``batch_execution=False`` runs an analytic case on the per-invocation
-    scalar path instead of the batched segment path.
+    ``batch_execution=False`` runs an analytic case with the batch gate
+    declined, one invocation at a time over the same segments;
+    ``reference=True`` runs it on the per-invocation reference loop
+    (``tests/core/reference_analytic.py``).
     """
     from repro.core.machine import DalorexMachine
     from repro.experiments.common import build_kernel, run_configuration
 
     graph = build_graph(case.graph)
-    if batch_execution:
+    if batch_execution and not reference:
         return run_configuration(
             case.config(), case.app, graph, dataset_name=case.graph, verify=True
         )
     kernel = build_kernel(case.app, graph)
     machine = DalorexMachine(case.config(), kernel, graph, dataset_name=case.graph)
+    if reference:
+        from tests.core.reference_analytic import run_reference
+
+        return run_reference(machine, verify=True)
     machine.batch_execution = False
     return machine.run(verify=True)

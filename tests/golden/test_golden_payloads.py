@@ -91,15 +91,23 @@ def test_golden_payload_replay(case):
     assert not problems, f"{case.name} diverged from golden:\n" + "\n".join(problems)
 
 
-@pytest.mark.parametrize(
-    "case",
-    [case for case in GOLDEN_CASES if case.config().engine == "analytic"],
-    ids=lambda c: c.name,
-)
+ANALYTIC_CASES = [case for case in GOLDEN_CASES if case.config().engine == "analytic"]
+
+
+@pytest.mark.parametrize("case", ANALYTIC_CASES, ids=lambda c: c.name)
 def test_scalar_path_replays_analytic_golden(case):
-    # The batched path claims bit-equality with the per-invocation scalar
-    # path; the goldens pin both to the same frozen bytes.
+    # The batched segments claim bit-equality with per-invocation execution
+    # of the same segments; the goldens pin both to the same frozen bytes.
     golden = result_from_payload(load_golden(case.name))
     fresh = run_case(case, batch_execution=False)
+    problems = compare_results(fresh, golden)
+    assert not problems, f"{case.name} diverged from golden:\n" + "\n".join(problems)
+
+
+@pytest.mark.parametrize("case", ANALYTIC_CASES, ids=lambda c: c.name)
+def test_reference_loop_replays_analytic_golden(case):
+    # ...and so does the per-invocation deque loop both are checked against.
+    golden = result_from_payload(load_golden(case.name))
+    fresh = run_case(case, reference=True)
     problems = compare_results(fresh, golden)
     assert not problems, f"{case.name} diverged from golden:\n" + "\n".join(problems)

@@ -1,8 +1,8 @@
 """Serial conformance: the analytic engine's report is one fixed set of bytes.
 
 Every analytic run takes the one serial engine, but that engine still has
-freedoms that must never show in its report: the batched segment path or
-the per-invocation scalar path, telemetry on or off, and how many route
+freedoms that must never show in its report: segments executed as batches
+or one invocation at a time, telemetry on or off, and how many route
 links a flit-millimeter fold takes at a time.  Each envelope case below runs
 both ways of one freedom and compares the serialized payload bytes, the
 strictest equality the runtime defines; a payload must also survive its own

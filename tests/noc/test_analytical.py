@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.noc import analytical
 from repro.noc.analytical import LinkLoadModel
 from repro.noc.topology import Mesh2D, Torus2D, make_topology
@@ -118,6 +119,23 @@ class TestMergeValidation:
         b.record_message(0, 3, flits=1)
         a.merge(b)
         assert a.total_messages == 2
+
+
+@pytest.mark.parametrize("detailed", [True, False], ids=["detailed", "aggregate"])
+@pytest.mark.parametrize("src,dst", [(-1, 5), (3, 16), (16, 3)])
+def test_out_of_range_tile_raises_before_counting(src, dst, detailed):
+    topo = Mesh2D(4, 4)
+    model = LinkLoadModel(topo, detailed=detailed)
+    with pytest.raises(ConfigurationError, match="out of range"):
+        topo.route_profile(src, dst)
+    with pytest.raises(ConfigurationError, match="out of range"):
+        model.record_message(src, dst, 2)
+    assert model.total_messages == 0
+    assert model.total_flit_hops == 0
+    assert model.total_flit_millimeters == 0.0
+    for tally in (model.slot_flits, model.router_flits, model.injected_flits,
+                  model.ejected_flits):
+        assert not tally.any()
 
 
 class TestAggregateModel:

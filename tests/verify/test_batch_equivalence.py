@@ -1,12 +1,16 @@
-"""Property test: batched analytic execution is bit-equal to scalar execution.
+"""Property test: both analytic executors are bit-equal to the reference loop.
 
-The batched engine path (``machine.batch_execution = True``, the default)
-claims exact equivalence with the per-invocation scalar path -- not "close",
-but identical IEEE floats in every counter, per-tile array, link-load
-accumulator and program output.  This property drives both paths over random
-small graphs, kernels and machine configurations and compares everything
-bitwise, so any future vectorization change that perturbs an accumulation
-order fails loudly here.
+The analytic engine runs every epoch over a worklist of same-task segments.
+A batched run (``machine.batch_execution = True``, the default) executes
+each segment through the kernel's batch handlers; a run the batch gate
+declines executes the same segments one invocation at a time.  Both claim
+exact equivalence with the per-invocation deque loop kept as the tests'
+oracle (``tests/core/reference_analytic.py``) -- not "close", but identical
+IEEE floats in every counter, per-tile array, link-load accumulator and
+program output.  This property drives all three over random small graphs,
+kernels and machine configurations and compares everything bitwise, so any
+future vectorization change that perturbs an accumulation order fails
+loudly here.
 """
 
 import numpy as np
@@ -18,6 +22,7 @@ from repro.apps import BFSKernel, PageRankKernel, SPMVKernel, SSSPKernel, WCCKer
 from repro.core.config import MachineConfig
 from repro.core.machine import DalorexMachine
 from repro.graph.generators import rmat_graph, uniform_random_graph
+from tests.core.reference_analytic import run_reference
 
 COUNTER_FIELDS = (
     "instructions",
@@ -75,34 +80,42 @@ def equivalence_cases(draw):
     return graph, kernel_name, overrides
 
 
-def _run(graph, kernel_name, overrides, batch):
+def _run(graph, kernel_name, overrides, path):
+    """One run on ``path``: ``"batched"``, ``"per-item"`` or ``"reference"``."""
     config = MachineConfig(**overrides)
     machine = DalorexMachine(config, _kernel(kernel_name, graph), graph)
-    machine.batch_execution = batch
-    result = machine.run(compute_energy=False)
-    return machine, result
+    if path == "reference":
+        return machine, run_reference(machine, compute_energy=False)
+    machine.batch_execution = path == "batched"
+    return machine, machine.run(compute_energy=False)
+
+
+def assert_same_run(run, expected):
+    (machine_a, a), (machine_e, e) = run, expected
+    assert a.cycles == e.cycles
+    assert a.epochs == e.epochs
+    for field in COUNTER_FIELDS:
+        value_a = getattr(a.counters, field)
+        value_e = getattr(e.counters, field)
+        assert value_a == value_e, f"counters.{field}: {value_a!r} != {value_e!r}"
+    assert np.array_equal(a.per_tile_busy_cycles, e.per_tile_busy_cycles)
+    assert np.array_equal(a.per_tile_instructions, e.per_tile_instructions)
+    assert np.array_equal(a.per_router_flits, e.per_router_flits)
+    for name in a.outputs:
+        assert np.array_equal(a.outputs[name], e.outputs[name]), name
+    assert np.array_equal(machine_a.link_model.slot_flits, machine_e.link_model.slot_flits)
+    assert (
+        machine_a.link_model.total_flit_millimeters
+        == machine_e.link_model.total_flit_millimeters
+    )
+    assert machine_a.tracer.summary() == machine_e.tracer.summary()
 
 
 def assert_bit_equal(graph, kernel_name, overrides):
-    machine_b, batched = _run(graph, kernel_name, overrides, batch=True)
-    machine_s, scalar = _run(graph, kernel_name, overrides, batch=False)
-    assert batched.cycles == scalar.cycles
-    assert batched.epochs == scalar.epochs
-    for field in COUNTER_FIELDS:
-        value_b = getattr(batched.counters, field)
-        value_s = getattr(scalar.counters, field)
-        assert value_b == value_s, f"counters.{field}: {value_b!r} != {value_s!r}"
-    assert np.array_equal(batched.per_tile_busy_cycles, scalar.per_tile_busy_cycles)
-    assert np.array_equal(batched.per_tile_instructions, scalar.per_tile_instructions)
-    assert np.array_equal(batched.per_router_flits, scalar.per_router_flits)
-    for name in batched.outputs:
-        assert np.array_equal(batched.outputs[name], scalar.outputs[name]), name
-    assert np.array_equal(machine_b.link_model.slot_flits, machine_s.link_model.slot_flits)
-    assert (
-        machine_b.link_model.total_flit_millimeters
-        == machine_s.link_model.total_flit_millimeters
-    )
-    assert machine_b.tracer.summary() == machine_s.tracer.summary()
+    """The batched and the per-item run each equal the reference run."""
+    reference = _run(graph, kernel_name, overrides, "reference")
+    assert_same_run(_run(graph, kernel_name, overrides, "batched"), reference)
+    assert_same_run(_run(graph, kernel_name, overrides, "per-item"), reference)
 
 
 class TestBatchScalarEquivalence:
