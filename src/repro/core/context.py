@@ -15,9 +15,10 @@ once per task, from the same prefix tables the analytic engine's batched path
 indexes with whole arrays of counts.
 
 Contexts are pooled by the engines (one task execution is one :meth:`reset`
-and one :meth:`finish`, not one allocation) and bind the per-machine lookups
-once: ``(values, owner)`` per array and ``(task, owner, num_params, flits)``
-per task name, where ``owner`` is the index space's placement function.
+and one :meth:`finish`, not one allocation) and share the per-machine
+lookups :func:`context_bindings` builds once per engine: ``(values, owner)``
+per array and ``(task, owner, num_params, flits)`` per task name, where
+``owner`` is the index space's placement function.
 """
 
 from __future__ import annotations
@@ -101,6 +102,23 @@ class MemoryTables:
         return None
 
 
+def context_bindings(machine) -> Tuple[dict, dict]:
+    """A machine's ``(arrays, tasks)`` lookups for :class:`TaskContext`:
+    ``(values, owner)`` per array name and ``(task, owner, num_params,
+    flits)`` per task name."""
+    program = machine.program
+    owner_of = {name: space.owner for name, space in machine.placement.spaces.items()}
+    arrays = {
+        name: (machine.arrays[name], owner_of[spec.space])
+        for name, spec in program.arrays.items()
+    }
+    tasks = {
+        t.name: (t, owner_of.get(t.route_space), t.num_params, t.flits_per_invocation)
+        for t in program.tasks
+    }
+    return arrays, tasks
+
+
 class TaskContext:
     """Per-task-execution state: data access, accounting, and task invocation.
 
@@ -137,19 +155,11 @@ class TaskContext:
         tile_id: int = 0,
         task: Task = None,
         tables: Optional[MemoryTables] = None,
+        bindings: Optional[Tuple[dict, dict]] = None,
     ) -> None:
         self._machine = machine
         config = self._config = machine.config
-        program = machine.program
-        owner_of = {name: space.owner for name, space in machine.placement.spaces.items()}
-        self._arrays = {
-            name: (machine.arrays[name], owner_of[spec.space])
-            for name, spec in program.arrays.items()
-        }
-        self._tasks = {
-            t.name: (t, owner_of.get(t.route_space), t.num_params, t.flits_per_invocation)
-            for t in program.tasks
-        }
+        self._arrays, self._tasks = context_bindings(machine) if bindings is None else bindings
         self._tables = MemoryTables(config) if tables is None else tables
         self._allow_remote = config.allow_remote_access
         self._remote_penalty = config.remote_access_penalty_cycles

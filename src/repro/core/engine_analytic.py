@@ -188,7 +188,7 @@ class AnalyticalEngine(BaseEngine):
             cost = np.where(remote, cost + penalty, cost)
             counters.remote_interrupts += int(remote.sum())
 
-        # account_context over the whole segment.
+        # execute_invocation's counter adds over the whole segment.
         counters.instructions += int(instructions.sum())
         counters.tasks_executed += n
         counters.sram_reads += int(reads.sum())
@@ -238,7 +238,6 @@ class AnalyticalEngine(BaseEngine):
         pu_busy_cycles = state.pu_busy_cycles
         pu_instructions = state.pu_instructions
         execute_invocation = self.execute_invocation
-        account_context = self.account_context
         release_context = self.release_context
         children = []
         sent_src: List[int] = []
@@ -252,7 +251,6 @@ class AnalyticalEngine(BaseEngine):
             segment.remote.tolist(),
         ):
             ctx, cost = execute_invocation(tile_id, task, params, remote)
-            account_context(ctx)
             pu_busy_cycles[tile_id] += cost
             pu_instructions[tile_id] += ctx.instructions
             epoch_busy[tile_id] += cost

@@ -11,7 +11,7 @@ All per-tile accounting goes through the machine's columnar
 than per-tile objects, and task contexts are pooled: one execution costs one
 :meth:`~repro.core.context.TaskContext.reset` and one
 :meth:`~repro.core.context.TaskContext.finish`, not an allocation.  Every
-context of one engine shares the engine's
+context of one engine shares the engine's lookup bindings and
 :class:`~repro.core.context.MemoryTables`, which the analytic engine's batched
 path indexes too: one memory-cost definition for every path.
 """
@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.context import MemoryTables, TaskContext
+from repro.core.context import MemoryTables, TaskContext, context_bindings
 from repro.core.results import AggregateCounters, SimulationResult
 from repro.core.task import Task
 from repro.errors import SimulationError
@@ -59,6 +59,8 @@ class BaseEngine:
         self._context_pool: List[TaskContext] = []
         #: Per-access-count memory costs, shared by every context and batch.
         self.memory_tables = MemoryTables(self.config)
+        #: The per-machine lookups every pooled context shares.
+        self.context_bindings = context_bindings(machine)
         self._interrupting = self.config.remote_invocation == "interrupting"
         # Conservation tracing: both engines feed the same spawn/consume hooks,
         # and build_result() runs the always-on checks.  The machine keeps a
@@ -78,30 +80,22 @@ class BaseEngine:
     def execute_invocation(
         self, tile_id: int, task: Task, params: tuple, remote: bool
     ) -> Tuple[TaskContext, float]:
-        """Run one task handler functionally and return its context and cost.
+        """Run one task handler functionally, count it into the machine-wide
+        totals and return its context and cost.
 
         The returned context comes from the engine's pool; pass it back to
         :meth:`release_context` once its ``outgoing`` list has been consumed.
+        The cycle engine's drain loop does the same work inline.
         """
         pool = self._context_pool
-        ctx = pool.pop().reset(tile_id, task) if pool else TaskContext(
-            self.machine, tile_id, task, self.memory_tables
-        )
+        ctx = pool.pop().reset(tile_id, task) if pool else self.new_context(tile_id, task)
         task.handler(ctx, *params)
         cost = ctx.finish()
         self.tracer.record_execution(task, ctx.outgoing)
+        counters = self.counters
         if remote and self._interrupting:
             cost += self.config.interrupt_penalty_cycles
-            self.counters.remote_interrupts += 1
-        return ctx, cost
-
-    def release_context(self, ctx: TaskContext) -> None:
-        """Return a context to the pool for reuse by the next execution."""
-        self._context_pool.append(ctx)
-
-    def account_context(self, ctx: TaskContext) -> None:
-        """Fold one task execution's counters into the machine-wide totals."""
-        counters = self.counters
+            counters.remote_interrupts += 1
         counters.instructions += ctx.instructions
         counters.tasks_executed += 1
         counters.sram_reads += ctx.sram_reads
@@ -109,6 +103,17 @@ class BaseEngine:
         counters.dram_accesses += ctx.dram_accesses
         counters.cache_hits += ctx.cache_hits
         counters.edges_processed += ctx.edges
+        return ctx, cost
+
+    def new_context(self, tile_id: int, task: Task) -> TaskContext:
+        """A context for the pool, sharing the engine's tables and bindings."""
+        return TaskContext(
+            self.machine, tile_id, task, self.memory_tables, self.context_bindings
+        )
+
+    def release_context(self, ctx: TaskContext) -> None:
+        """Return a context to the pool for reuse by the next execution."""
+        self._context_pool.append(ctx)
 
     def charge_messages(
         self, link_model: LinkLoadModel, srcs: np.ndarray, dsts: np.ndarray, flits

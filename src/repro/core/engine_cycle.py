@@ -27,18 +27,18 @@ queue.  Heap entries are ``(time, key, payload)`` tuples where ``key`` packs
 the event kind and a monotonically increasing sequence number into one
 integer (``kind << 60 | seq``), preserving the historical (time, kind, seq)
 ordering -- deliveries before completions before refills at equal
-timestamps.  The drain loop handles deliveries and completions itself and
-starts tasks through one dispatch function; both read the run's state (heap,
-queues, busy and PU columns, context pool, the network's ``send``, counters)
-from locals bound once, and the dispatch function is never stored on the
-engine, so a finished engine is freed without the cyclic collector.
+timestamps.  The drain loop is the only place a task starts: a delivery to
+an idle tile, a completion and a refill fall through to one start block.
+The loop reads the run's state (heap, queues, busy and PU columns, context
+pool, the network's ``send``) from locals bound once per drain, and keeps
+the per-task counter adds in locals written back once per drain.
 """
 
 from __future__ import annotations
 
 import heapq
 from itertools import compress, count
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -86,16 +86,17 @@ class CycleEngine(BaseEngine):
         epoch_index = 0
         time_base = 0.0
         seeds: Optional[List[Seed]] = list(self.kernel.initial_tasks(self.machine.graph))
-        dispatch = self._dispatcher()
 
         while seeds:
             self._inject_seeds(seeds, time_base, charge=epoch_index > 0)
-            self._drain_events(dispatch)
+            self._drain_events()
             if not self.machine.barrier_effective:
                 # Barrierless mode: any work still parked in local frontiers is
-                # pulled as soon as its tile idles (no global synchronization).
-                while self._refill_idle_tiles(self._last_event_time, dispatch):
-                    self._drain_events(dispatch)
+                # pulled as soon as its tile idles (no global synchronization),
+                # until a sweep starts nothing.
+                while self._refill_idle_tiles(self._last_event_time):
+                    if not self._drain_events():
+                        break
             self.tracer.epoch_finished(epoch_index, self.counters)
             epoch_index += 1
             if not self.machine.barrier_effective:
@@ -127,87 +128,65 @@ class CycleEngine(BaseEngine):
                 heap, (time_base, next(sequence), (tile_id, task.task_id, params, False))
             )
 
-    # --------------------------------------------------------------- dispatch
-    def _dispatcher(self) -> Callable[[int, float], None]:
-        """The run's dispatch function: ``dispatch(tile, now)`` for an idle PU.
-
-        It starts the task the tile's TSU selects, or -- on a tile with
-        nothing queued -- schedules a refill in barrierless mode.  The state
-        it reads is bound once here; the caller keeps the function in a
-        local, never on the engine, so no engine -> closure -> engine cycle
-        outlives the run.
-        """
-        state = self.state
-        pending = state.pending
-        select_task = state.select_task
-        pop_invocation = state.pop_invocation
-        busy = state.busy
-        refill_pending = state.refill_pending
-        pu_busy_until = state.pu_busy_until
-        pu_busy_cycles = state.pu_busy_cycles
-        pu_instructions = state.pu_instructions
-        task_table = self.task_table
-        execute_invocation = self.execute_invocation
-        account_context = self.account_context
-        heap = self._heap
-        sequence = self._sequence
-        heappush = heapq.heappush
-        barrierless = not self.machine.barrier_effective
-        refill_delay = self.config.frontier_refill_delay_cycles
-        complete_kind = _COMPLETE << _KIND_SHIFT
-        refill_kind = _REFILL << _KIND_SHIFT
-
-        def dispatch(tile: int, now: float) -> None:
-            if not pending[tile]:
-                # The tile is idle: schedule a low-priority pull from its local
-                # frontier (the paper's T4 draining the bitmap under TSU
-                # control).  The delay models T4's low priority: in-flight
-                # updates get a chance to land before the vertex is
-                # re-explored, preserving work efficiency.
-                if barrierless and not refill_pending[tile]:
-                    refill_pending[tile] = True
-                    heappush(heap, (now + refill_delay, refill_kind | next(sequence), tile))
-                return
-            task_id = select_task(tile)
-            params, remote = pop_invocation(tile, task_id)
-            ctx, cost = execute_invocation(tile, task_table[task_id], params, remote)
-            account_context(ctx)
-            busy_until = pu_busy_until[tile]
-            completion = (busy_until if busy_until > now else now) + cost
-            pu_busy_until[tile] = completion
-            pu_busy_cycles[tile] += cost
-            pu_instructions[tile] += ctx.instructions
-            busy[tile] = True
-            heappush(heap, (completion, complete_kind | next(sequence), (tile, ctx)))
-
-        return dispatch
-
     # ----------------------------------------------------------------- events
-    def _drain_events(self, dispatch: Callable[[int, float], None]) -> None:
-        """Run events until the heap is empty.
+    def _drain_events(self) -> int:
+        """Run events until the heap is empty; return how many tasks started.
 
-        A delivery queues its invocation and dispatches an idle tile.  A
-        completion frees the PU, emits the task's outputs -- local ones
-        straight into the tile's queues, the rest through the network
-        model as deliveries, logged for :meth:`_fold_traffic` -- and
-        dispatches the tile again.  A refill pulls local frontier work.
+        A delivery queues its invocation.  A completion frees the PU and
+        emits the task's outputs -- local ones straight into the tile's
+        queues, the rest through the network model as deliveries, logged
+        for :meth:`_fold_traffic`.  A refill pulls local frontier work into
+        an idle tile's queues.  A delivery to an idle tile, a completion and
+        a successful refill then fall through to the one place a task
+        starts: the tile's TSU picks a queued task (or, on a tile with
+        nothing queued, schedules a refill in barrierless mode), which runs
+        in a pooled context and pushes its completion.
+
+        The per-task counter adds never feed the schedule, so they
+        accumulate in locals and are written back once, after the loop; the
+        float counters keep their start-order additions.  The state is
+        bound in locals once per drain, never on the engine, so a finished
+        engine is freed without the cyclic collector.
         """
         heap = self._heap
         heappop, heappush = heapq.heappop, heapq.heappush
         sequence = self._sequence
         state = self.state
         push_invocation = state.push_invocation
+        select_task = state.select_task
+        queues = state.queues
+        queue_popped = state.queue_popped
+        num_tasks = state.num_tasks
+        round_robin = state.round_robin
+        tsu_cursor = state.tsu_cursor
         pending = state.pending
         busy = state.busy
         refill_pending = state.refill_pending
-        release = self._context_pool.append
+        pu_busy_until = state.pu_busy_until
+        pu_busy_cycles = state.pu_busy_cycles
+        pu_instructions = state.pu_instructions
+        task_table = self.task_table
+        pool = self._context_pool
+        release = pool.append
+        new_context = self.new_context
         send = self.network.send
-        counters = self.counters
         sent_src, sent_dst, sent_flits = self._sent_src, self._sent_dst, self._sent_flits
         fold_messages = TRAFFIC_FOLD_MESSAGES
+        barrierless = not self.machine.barrier_effective
+        refill_delay = self.config.frontier_refill_delay_cycles
+        interrupting = self._interrupting
+        interrupt_penalty = self.config.interrupt_penalty_cycles
+        tracer = self.tracer
+        trace_each = tracer.detailed
+        record_execution = tracer.record_execution
+        counters = self.counters
         complete_kind = _COMPLETE << _KIND_SHIFT
         refill_kind = _REFILL << _KIND_SHIFT
         last = self._last_event_time
+        # Per-drain counter deltas; the floats continue the running totals.
+        tasks = instructions = sram_reads = sram_writes = edges = interrupts = 0
+        messages = flits_sent = local_messages = spawned = 0
+        dram_accesses, cache_hits = counters.dram_accesses, counters.cache_hits
         # Telemetry is observed in plain locals and flushed once after the
         # loop: with observability off the per-event overhead is a single
         # local-bool branch, and either way the event order is untouched.
@@ -216,23 +195,27 @@ class CycleEngine(BaseEngine):
         peak_heap_depth = len(heap)
         while heap:
             time, key, payload = heappop(heap)
+            if telemetry_on:
+                events[key >> _KIND_SHIFT] += 1
+                if len(heap) >= peak_heap_depth:
+                    peak_heap_depth = len(heap) + 1
             if time > last:
                 last = time
             if key < complete_kind:
                 tile, task_id, params, remote = payload
                 push_invocation(tile, task_id, (params, remote))
-                if not busy[tile]:
-                    dispatch(tile, time)
+                if busy[tile]:
+                    continue
             elif key < refill_kind:
                 tile, ctx = payload
                 busy[tile] = False
                 outgoing = ctx.outgoing
-                flits_out = local = 0
+                messages += len(outgoing)
                 for task, params, destination in outgoing:
                     flits = task.flits_per_invocation
-                    flits_out += flits
+                    flits_sent += flits
                     if destination == tile:
-                        local += 1
+                        local_messages += 1
                         push_invocation(tile, task.task_id, (params, False))
                     else:
                         sent_src.append(tile)
@@ -244,23 +227,85 @@ class CycleEngine(BaseEngine):
                             next(sequence),
                             (destination, task.task_id, params, True),
                         ))
-                counters.messages += len(outgoing)
-                counters.flits += flits_out
-                counters.local_messages += local
                 release(ctx)
                 if len(sent_src) >= fold_messages:
                     self._fold_traffic()
-                dispatch(tile, time)
             else:  # refill: low-priority local frontier drain (paper's T4)
                 tile = payload
                 refill_pending[tile] = False
-                if not busy[tile] and not pending[tile] and self._refill_tile(tile):
-                    dispatch(tile, time)
-            if telemetry_on:
-                events[key >> _KIND_SHIFT] += 1
-                if len(heap) > peak_heap_depth:
-                    peak_heap_depth = len(heap)
+                if busy[tile] or pending[tile] or not self._refill_tile(tile):
+                    continue
+
+            # Start the next task on the idle tile.
+            queued = pending[tile]
+            if not queued:
+                # The tile is idle: schedule a low-priority pull from its local
+                # frontier (the paper's T4 draining the bitmap under TSU
+                # control).  The delay models T4's low priority: in-flight
+                # updates get a chance to land before the vertex is
+                # re-explored, preserving work efficiency.
+                if barrierless and not refill_pending[tile]:
+                    refill_pending[tile] = True
+                    heappush(heap, (time + refill_delay, refill_kind | next(sequence), tile))
+                continue
+            base = tile * num_tasks
+            task_id = 0
+            queue = queues[base]
+            while not queue:
+                task_id += 1
+                queue = queues[base + task_id]
+            if len(queue) == queued:
+                # The lone ready task, picked as CoreState.select_task does.
+                if round_robin:
+                    cursor = tsu_cursor[tile]
+                    tsu_cursor[tile] = cursor + (task_id - cursor) % num_tasks + 1
+            else:
+                task_id = select_task(tile)
+                queue = queues[base + task_id]
+            params, remote = queue.popleft()
+            queue_popped[base + task_id] += 1
+            pending[tile] = queued - 1
+            task = task_table[task_id]
+            ctx = pool.pop().reset(tile, task) if pool else new_context(tile, task)
+            task.handler(ctx, *params)
+            cost = ctx.finish()
+            if trace_each:
+                record_execution(task, ctx.outgoing)
+            else:
+                spawned += len(ctx.outgoing)
+            if remote and interrupting:
+                cost += interrupt_penalty
+                interrupts += 1
+            task_instructions = ctx.instructions
+            tasks += 1
+            instructions += task_instructions
+            sram_reads += ctx.sram_reads
+            sram_writes += ctx.sram_writes
+            dram_accesses += ctx.dram_accesses
+            cache_hits += ctx.cache_hits
+            edges += ctx.edges
+            busy_until = pu_busy_until[tile]
+            completion = (busy_until if busy_until > time else time) + cost
+            pu_busy_until[tile] = completion
+            pu_busy_cycles[tile] += cost
+            pu_instructions[tile] += task_instructions
+            busy[tile] = True
+            heappush(heap, (completion, complete_kind | next(sequence), (tile, ctx)))
+
         self._last_event_time = last
+        counters.tasks_executed += tasks
+        counters.instructions += instructions
+        counters.sram_reads += sram_reads
+        counters.sram_writes += sram_writes
+        counters.dram_accesses = dram_accesses
+        counters.cache_hits = cache_hits
+        counters.edges_processed += edges
+        counters.remote_interrupts += interrupts
+        counters.messages += messages
+        counters.flits += flits_sent
+        counters.local_messages += local_messages
+        if not trace_each:
+            tracer.record_executions(tasks, spawned)
         self._fold_traffic()
         if telemetry_on and any(events):
             telemetry = self.telemetry
@@ -268,22 +313,27 @@ class CycleEngine(BaseEngine):
                 telemetry.count("engine.cycle.events", events[kind], kind=name)
             telemetry.gauge("engine.cycle.heap_depth_peak", peak_heap_depth)
             telemetry.observe("engine.cycle.heap_depth", peak_heap_depth)
+        return tasks
 
-    def _refill_idle_tiles(self, now: float, dispatch: Callable[[int, float], None]) -> bool:
-        """Give every idle tile work from its local frontier; True if any refilled.
+    def _refill_idle_tiles(self, now: float) -> bool:
+        """Schedule a refill event at ``now`` for every tile whose local
+        frontier holds work; True if any was scheduled.
 
         :meth:`~repro.apps.common.Kernel.refill_tile` draws only from a
         tile's ``state.frontier`` bucket, so only the tiles whose bucket
-        holds work are visited, in tile order.
+        holds work are visited, in tile order.  The sweep runs on an empty
+        heap, so no tile is busy or has work queued, and the events pop in
+        tile order: each refills and starts its tile before the next one
+        pops, since a started task completes at least one cycle later (every
+        built-in handler accesses memory).
         """
-        state = self.state
-        busy, pending = state.busy, state.pending
-        refilled = False
-        for tile_id in compress(range(self.config.num_tiles), state.frontier):
-            if not busy[tile_id] and not pending[tile_id] and self._refill_tile(tile_id):
-                refilled = True
-                dispatch(tile_id, now)
-        return refilled
+        heap, sequence = self._heap, self._sequence
+        refill_kind = _REFILL << _KIND_SHIFT
+        scheduled = False
+        for tile_id in compress(range(self.config.num_tiles), self.state.frontier):
+            heapq.heappush(heap, (now, refill_kind | next(sequence), tile_id))
+            scheduled = True
+        return scheduled
 
     def _refill_tile(self, tile_id: int) -> bool:
         resolved = self.resolve_refill(tile_id)

@@ -64,6 +64,7 @@ class CoreState:
         self.num_tiles = num_tiles
         self.num_tasks = len(iq_capacities)
         self.scheduling_policy = scheduling_policy
+        self.round_robin = scheduling_policy == ROUND_ROBIN
         self.high_threshold = high_threshold
         #: capacity per task (identical across tiles).
         self.queue_capacity = [iq_capacities[task] for task in range(self.num_tasks)]
@@ -152,12 +153,12 @@ class CoreState:
             # has no rival to rank it against; the round-robin scan from the
             # cursor reaches it after ``(task - cursor) % K`` empty queues
             # and stops one past it.
-            if self.scheduling_policy == ROUND_ROBIN:
+            if self.round_robin:
                 cursor = self.tsu_cursor[tile]
                 self.tsu_cursor[tile] = cursor + (task - cursor) % num_tasks + 1
             return task
         ready = [other for other in range(task, num_tasks) if queues[base + other]]
-        if self.scheduling_policy == ROUND_ROBIN:
+        if self.round_robin:
             return self._select_round_robin(tile, ready)
         return self._select_by_occupancy(tile, ready)
 

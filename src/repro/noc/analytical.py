@@ -133,14 +133,20 @@ class LinkLoadModel:
         associate and ruche or TSV links make the terms unequal: one term per
         hop (:meth:`_fold_legs`), or one per message in the aggregate mode.
         Routes come from the topology as legs, each charged to its slots as
-        one interval (:meth:`_charge_legs`).
+        one interval (:meth:`_charge_legs`).  A tile outside the grid raises
+        :meth:`record_message`'s error before anything is counted.
         """
         topology = self.topology
         num = len(srcs)
+        num_tiles = topology.num_tiles
+        if num and (min(srcs.min(), dsts.min()) < 0
+                    or max(srcs.max(), dsts.max()) >= num_tiles):
+            outside = (srcs < 0) | (srcs >= num_tiles) | (dsts < 0) | (dsts >= num_tiles)
+            first = int(np.argmax(outside))
+            topology._check_tiles(int(srcs[first]), int(dsts[first]))
         self.total_messages += num
         if num == 0:
             return np.zeros(0, dtype=np.int64)
-        num_tiles = topology.num_tiles
         self.injected_flits += _flit_tally(srcs, flits, num_tiles)
         self.ejected_flits += _flit_tally(dsts, flits, num_tiles)
 

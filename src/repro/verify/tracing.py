@@ -14,7 +14,8 @@ their timing models do, the *flow* of tasks must obey a few conservation laws:
   push/pop totals balance.
 
 The :class:`InvariantTracer` is fed by :class:`~repro.core.engine_base.BaseEngine`
-(one hook per spawn/consume site, shared by both engines) and verified once in
+(one hook per spawn/consume site, shared by both engines; the cycle engine
+hands over its consumption totals once per drain) and verified once in
 ``build_result``.  The always-on checks are O(tiles + tasks) integer
 comparisons -- cheap enough to run on every simulation.  With ``detailed=True``
 the tracer additionally records a per-epoch work trace and per-task-name
@@ -93,6 +94,13 @@ class InvariantTracer:
                 self.spawned_by_task[out_task.name] = (
                     self.spawned_by_task.get(out_task.name, 0) + 1
                 )
+
+    def record_executions(self, consumed: int, spawned: int) -> None:
+        """Totals of :meth:`record_execution`: ``consumed`` tasks spawning
+        ``spawned`` messages in all, for an engine that counts them itself
+        (the cycle engine, once per drain, when the tracer is not detailed)."""
+        self.consumed += consumed
+        self.spawned[MESSAGE] += spawned
 
     def record_batch_execution(
         self, task, count: int, out_task=None, out_count: int = 0

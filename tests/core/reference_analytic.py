@@ -45,7 +45,6 @@ class ReferenceAnalyticalEngine(AnalyticalEngine):
         while worklist or self._refill_items(worklist):
             tile_id, task, params, generation, remote = worklist.popleft()
             ctx, cost = self.execute_invocation(tile_id, task, params, remote)
-            self.account_context(ctx)
             state.pu_busy_cycles[tile_id] += cost
             state.pu_instructions[tile_id] += ctx.instructions
             epoch_busy[tile_id] += cost

@@ -16,8 +16,8 @@ import pytest
 from repro.apps import make_kernel
 from repro.core import engine_base, engine_cycle
 from repro.core.config import MachineConfig
+from repro.core.context import TaskContext
 from repro.core.engine_analytic import AnalyticalEngine
-from repro.core.engine_base import BaseEngine
 from repro.core.machine import DalorexMachine
 from repro.core.network import AnalyticalNetwork
 from repro.experiments.common import build_kernel
@@ -76,14 +76,14 @@ def test_link_model_equals_record_message_replay(case, fold, detailed, monkeypat
     spy(monkeypatch, AnalyticalNetwork, "send", sent)
     spy(monkeypatch, NocSimulator, "send", sent)
     spy(monkeypatch, LinkLoadModel, "record_batch", batches)
-    execute = BaseEngine.execute_invocation
+    finish = TaskContext.finish
 
-    def counted_execute(self, tile_id, task, params, remote):
-        ctx, cost = execute(self, tile_id, task, params, remote)
-        fan_outs.append(sum(dst != tile_id for _task, _params, dst in ctx.outgoing))
-        return ctx, cost
+    def counted_finish(self):
+        cost = finish(self)
+        fan_outs.append(sum(dst != self.tile_id for _task, _params, dst in self.outgoing))
+        return cost
 
-    monkeypatch.setattr(BaseEngine, "execute_invocation", counted_execute)
+    monkeypatch.setattr(TaskContext, "finish", counted_finish)
 
     graph = build_graph(case.graph)
     machine = DalorexMachine(case.config(), build_kernel(case.app, graph), graph)

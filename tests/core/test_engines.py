@@ -15,6 +15,7 @@ from repro.core.engine_cycle import CycleEngine
 from repro.core.machine import DalorexMachine
 from repro.core.program import VERTEX_SPACE
 from repro.graph.generators import chain_graph, rmat_graph, star_graph
+from tests.core.reference_cycle import ReferenceCycleEngine
 
 
 def run(engine, graph, kernel_factory, **overrides):
@@ -166,14 +167,15 @@ class TestBarrierlessRefill:
 
 
 class TestCycleBarrierlessRefill:
-    """The cycle engine's refill sweep asks only the tiles whose frontier
-    bucket holds work."""
+    """The cycle engine's refill sweep schedules refills only for the tiles
+    whose frontier bucket holds work, and draining them equals the sweep
+    the oracle engine makes over every tile."""
 
-    def _parked_engine(self, graph, monkeypatch, asked):
+    def _parked_engine(self, graph, monkeypatch, asked, engine_class=CycleEngine):
         config = MachineConfig(width=4, height=4, engine="cycle", frontier_refill_batch=2)
         machine = DalorexMachine(config, BFSKernel(root=0), graph)
         assert not machine.barrier_effective
-        engine = CycleEngine(machine)
+        engine = engine_class(machine)
         resolve = engine.resolve_refill
 
         def counted(tile_id):
@@ -192,9 +194,17 @@ class TestCycleBarrierlessRefill:
     def test_refill_equals_a_sweep_over_every_tile(self, small_rmat, monkeypatch):
         skipped, swept = [], []
         machine, engine = self._parked_engine(small_rmat, monkeypatch, skipped)
-        reference, sweeper = self._parked_engine(small_rmat, monkeypatch, swept)
+        reference, sweeper = self._parked_engine(
+            small_rmat, monkeypatch, swept, ReferenceCycleEngine
+        )
 
-        assert engine._refill_idle_tiles(0.0, engine._dispatcher())
+        assert engine._refill_idle_tiles(0.0)
+        # The sweep only schedules: one refill event at 0.0 per parked tile,
+        # popping in tile order, and no tile is asked yet.
+        assert skipped == []
+        assert [(time, tile) for time, _key, tile in sorted(engine._heap)] == [
+            (0.0, 2), (0.0, 9), (0.0, 14)
+        ]
         # The sweep it replaces: every idle tile is asked, in tile order, and
         # a refilled tile is dispatched at once.
         dispatch = sweeper._dispatcher()
@@ -206,23 +216,23 @@ class TestCycleBarrierlessRefill:
                     state.push_invocation(tile, task.task_id, (params, False))
                 if resolved:
                     dispatch(tile, 0.0)
-
-        assert skipped == [2, 9, 14]
         assert swept == list(range(reference.config.num_tiles))
-        for column in ("queues", "queue_pushed", "queue_popped", "pending", "busy",
+        assert [len(bucket) for bucket in state.frontier if bucket] == [3]
+        assert len(sweeper._heap) == 3  # one started task per refilled tile
+
+        assert engine._drain_events() > 0
+        sweeper._drain_events(dispatch)
+        # The events ask the parked tiles, then every refill the oracle asks.
+        assert skipped == [2, 9, 14] + swept[reference.config.num_tiles:]
+        for column in ("queues", "queue_pushed", "queue_popped", "queue_max_occupancy",
+                       "pending", "busy", "refill_pending", "tsu_cursor",
                        "pu_busy_until", "pu_busy_cycles", "pu_instructions", "frontier"):
             assert getattr(machine.state, column) == getattr(state, column), column
-        assert [len(bucket) for bucket in machine.state.frontier if bucket] == [3]
-
-        def events(heap):
-            return sorted(
-                (time, key, tile, ctx.outgoing) for time, key, (tile, ctx) in heap
-            )
-
-        assert events(engine._heap) == events(sweeper._heap)
-        assert len(engine._heap) == 3  # one started task per refilled tile
+        assert engine._heap == sweeper._heap == []
+        assert engine._last_event_time == sweeper._last_event_time
         assert engine.tracer.summary() == sweeper.tracer.summary()
         assert vars(engine.counters) == vars(sweeper.counters)
+        assert np.array_equal(machine.link_model.slot_flits, reference.link_model.slot_flits)
         for name, values in machine.arrays.items():
             assert np.array_equal(values, reference.arrays[name]), name
 

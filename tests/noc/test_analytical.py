@@ -126,11 +126,18 @@ class TestMergeValidation:
 def test_out_of_range_tile_raises_before_counting(src, dst, detailed):
     topo = Mesh2D(4, 4)
     model = LinkLoadModel(topo, detailed=detailed)
-    with pytest.raises(ConfigurationError, match="out of range"):
+    error = f"tile {src if src in (-1, 16) else dst} out of range"
+    with pytest.raises(ConfigurationError, match=error):
         topo.route_profile(src, dst)
-    with pytest.raises(ConfigurationError, match="out of range"):
+    with pytest.raises(ConfigurationError, match=error):
         model.record_message(src, dst, 2)
+    with pytest.raises(ConfigurationError, match=error):
+        model.record_batch(np.array([src]), np.array([dst]), 2)
+    # In-range messages ahead of the bad one are not counted either.
+    with pytest.raises(ConfigurationError, match=error):
+        model.record_batch(np.array([0, 5, src]), np.array([15, 5, dst]), np.array([1, 2, 3]))
     assert model.total_messages == 0
+    assert model.bisection_load() == 0
     assert model.total_flit_hops == 0
     assert model.total_flit_millimeters == 0.0
     for tally in (model.slot_flits, model.router_flits, model.injected_flits,

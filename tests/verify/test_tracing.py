@@ -5,7 +5,6 @@ import pytest
 
 from repro.apps import make_kernel
 from repro.core.config import MachineConfig
-from repro.core.engine_base import BaseEngine
 from repro.core.engine_cycle import CycleEngine
 from repro.core.machine import DalorexMachine
 from repro.errors import InvariantViolation
@@ -83,16 +82,18 @@ class TestInjectedBugsAreCaught:
     caught by the invariant tracer in (under) one run."""
 
     def test_off_by_one_in_tasks_executed_is_caught(self, monkeypatch):
-        original = BaseEngine.account_context
+        # The cycle engine writes its per-task counts back once per drain.
+        original = CycleEngine._drain_events
         state = {"injected": False}
 
-        def tampered(self, ctx):
-            original(self, ctx)
-            if not state["injected"]:
+        def tampered(self):
+            started = original(self)
+            if not state["injected"] and started:
                 state["injected"] = True
                 self.counters.tasks_executed += 1  # the injected off-by-one
+            return started
 
-        monkeypatch.setattr(BaseEngine, "account_context", tampered)
+        monkeypatch.setattr(CycleEngine, "_drain_events", tampered)
         with pytest.raises(InvariantViolation, match="tasks_executed"):
             run_machine("cycle", app="sssp")
         assert state["injected"]
