@@ -6,7 +6,10 @@ a figure sweep through ``run_all_experiments.py --backend distributed``, and
 asserts the JSON output is byte-identical to the same sweep executed on the
 local process-pool backend.  With ``--kill-one-worker`` an extra worker is
 started and SIGKILLed mid-sweep, proving that lease expiry + requeue finish
-the batch anyway (the byte-equality assertion is unchanged).
+the batch anyway (the byte-equality assertion is unchanged).  With
+``--telemetry`` the workers run with telemetry on, each streaming its own
+JSONL file, and ``dalorex trace`` must print the span table of one of them
+(the byte-equality assertion is unchanged here too).
 
 This is the CI job behind the subsystem's acceptance criterion; run it
 locally with::
@@ -35,19 +38,13 @@ def _env() -> dict:
     return env
 
 
-def _start_broker(
-    work_dir: Path, lease_timeout: float, trace: Path = None, http: bool = False
-) -> tuple:
+def _start_broker(work_dir: Path, lease_timeout: float) -> tuple:
     command = [sys.executable, "-m", "repro.cli", "broker",
                "--port", "0",
                "--cache-dir", str(work_dir / "broker-cache"),
                "--state-file", str(work_dir / "broker-state.json"),
                "--lease-timeout", str(lease_timeout),
                "--verify-ingest"]
-    if trace is not None:
-        command += ["--telemetry-jsonl", str(trace)]
-    if http:
-        command += ["--http-port", "0", "--sample-interval", "0.5"]
     process = subprocess.Popen(
         command, env=_env(), stdout=subprocess.PIPE, text=True,
     )
@@ -56,27 +53,14 @@ def _start_broker(
     if not line.startswith(prefix):
         process.kill()
         raise RuntimeError(f"unexpected broker banner: {line!r}")
-    address = line[len(prefix):]
-    http_address = None
-    if http:
-        line = process.stdout.readline().strip()
-        http_prefix = "gateway listening on "
-        if not line.startswith(http_prefix):
-            process.kill()
-            raise RuntimeError(f"unexpected gateway banner: {line!r}")
-        http_address = line[len(http_prefix):]
-    return process, address, http_address
+    return process, line[len(prefix):]
 
 
-def _start_worker(
-    address: str, tag: str, telemetry: bool = False, trace: Path = None
-) -> subprocess.Popen:
+def _start_worker(address: str, tag: str, trace: Path = None) -> subprocess.Popen:
     env = _env()
-    if telemetry:
-        env["DALOREX_TELEMETRY"] = "1"
     if trace is not None:
-        # Each worker streams its own JSONL: `dalorex trace` merges the
-        # broker's and every worker's file into one cross-process view.
+        # Telemetry on, and each worker streams its own JSONL file.
+        env["DALOREX_TELEMETRY"] = "1"
         env["DALOREX_TELEMETRY_JSONL"] = str(trace)
     command = [sys.executable, "-m", "repro.cli", "worker",
                "--connect", address, "--worker-id", tag,
@@ -115,117 +99,19 @@ def _run_sweep(args, tag: str, work_dir: Path, extra: list) -> bytes:
     return json_path.read_bytes()
 
 
-def _check_telemetry(address: str, worker_tags: list = ()) -> None:
-    """Assert the observability surface is live on a running fleet.
-
-    The ``metrics`` op must return real counters from the sweep that just
-    ran, and ``dalorex fleet top`` must render a frame from them -- this is
-    the acceptance check behind the PR 8 telemetry subsystem.  With the
-    PR 9 aggregation layer, the snapshot is fleet-wide: every worker's
-    piggybacked report must appear as an aggregation source.
-    """
-    from repro.runtime.distributed.protocol import parse_address, request
-
-    response = request(parse_address(address), {"op": "metrics"})
-    assert response.get("telemetry_enabled") is True, \
-        "broker telemetry should be on by default"
-    counters = response["metrics"]["counters"]
-    completed = counters.get("broker.completed", {}).get("", 0)
-    assert completed > 0, f"no completed specs counted: {sorted(counters)}"
-    leases = sum(counters.get("broker.leases", {}).values())
-    assert leases >= completed, f"lease counter lagging: {leases} < {completed}"
-    assert "dalorex_broker_op_seconds_bucket" in response["text"], \
-        "Prometheus exposition is missing op-latency histograms"
-    reported = [
-        name for name in response["metrics"].get("gauges", {})
-        if name.startswith("worker.")
-    ]
-    assert "worker.uploads" in reported, \
-        f"worker self-reports missing from the snapshot: {reported}"
-    print(f"[smoke] metrics op live: {completed} completions, "
-          f"{leases} leases, {len(reported)} worker gauges", flush=True)
-
-    sources = response.get("sources", {})
-    for tag in worker_tags:
-        assert tag in sources, \
-            f"worker {tag!r} missing from the fleet aggregate: {sorted(sources)}"
-    if worker_tags:
-        print(f"[smoke] fleet aggregate merges {len(sources)} worker "
-              f"source(s): {sorted(sources)}", flush=True)
-
-    top = subprocess.run(
-        [sys.executable, "-m", "repro.cli", "fleet", "top",
-         "--connect", address, "--iterations", "1", "--no-clear"],
-        env=_env(), capture_output=True, text=True, timeout=60,
-    )
-    assert top.returncode == 0, f"fleet top failed: {top.stderr}"
-    assert "op latency:" in top.stdout and "queue depth:" in top.stdout, \
-        f"fleet top rendered no dashboard:\n{top.stdout}"
-    assert "signals:" in top.stdout and "history:" in top.stdout, \
-        f"fleet top missing signals/sparkline sections:\n{top.stdout}"
-    print("[smoke] fleet top rendered a live frame", flush=True)
-
-
-def _check_gateway(http_address: str, worker_tags: list) -> None:
-    """Scrape the broker's HTTP observability gateway and validate it.
-
-    ``/healthz`` must answer, and ``/metrics`` must serve structurally
-    valid Prometheus text (checked with scripts/check_prom_text.py) that
-    aggregates every worker's piggybacked report.
-    """
-    import urllib.request
-
-    sys.path.insert(0, str(REPO / "scripts"))
-    from check_prom_text import check_prom_text
-
-    with urllib.request.urlopen(
-        f"http://{http_address}/healthz", timeout=30
-    ) as response:
-        assert response.status == 200, f"/healthz answered {response.status}"
-    with urllib.request.urlopen(
-        f"http://{http_address}/metrics", timeout=30
-    ) as response:
-        assert response.status == 200, f"/metrics answered {response.status}"
-        text = response.read().decode("utf-8")
-    problems = check_prom_text(text)
-    assert not problems, "invalid Prometheus exposition:\n" + "\n".join(problems)
-    assert "dalorex_broker_op_seconds_bucket" in text, \
-        "gateway /metrics missing broker op-latency histograms"
-    for tag in worker_tags:
-        assert f'source="{tag}"' in text, \
-            f"worker {tag!r} absent from the gateway's fleet-wide /metrics"
-    print(f"[smoke] gateway /metrics valid: {len(text.splitlines())} lines, "
-          f"{len(worker_tags)} worker source(s) aggregated", flush=True)
-
-
-def _check_trace_links(trace_files: list) -> None:
-    """Assert the fleet's JSONL streams link into cross-process traces.
-
-    ``dalorex trace broker.jsonl w0.jsonl w1.jsonl`` must group spans per
-    trace id, and at least one trace must contain spans from two or more
-    processes (broker + worker) -- the acceptance criterion for trace
-    propagation.
-    """
-    from repro.telemetry.trace import group_traces, load_many
-
-    paths = [str(path) for path in trace_files]
+def _check_trace_table(trace: Path) -> None:
+    """``dalorex trace`` on one worker's JSONL must print its span table."""
     report = subprocess.run(
-        [sys.executable, "-m", "repro.cli", "trace", *paths],
+        [sys.executable, "-m", "repro.cli", "trace", str(trace)],
         env=_env(), capture_output=True, text=True, timeout=120,
     )
     assert report.returncode == 0, f"dalorex trace failed: {report.stderr}"
-    assert "critical path" in report.stdout, \
-        f"dalorex trace printed no per-trace report:\n{report.stdout}"
-    grouped = group_traces(load_many(paths))
-    assert grouped, "no trace-linked spans in the fleet's JSONL streams"
-    linked = [
-        trace_id for trace_id, spans in grouped.items()
-        if len({span.get("pid") for span in spans}) >= 2
-    ]
-    assert linked, \
-        f"no trace crossed a process boundary ({len(grouped)} traces seen)"
-    print(f"[smoke] {len(grouped)} trace(s) linked, {len(linked)} spanning "
-          f">=2 processes", flush=True)
+    # Header, rule, one row per span name, rule, the "all spans" footer.
+    spans = {line.split()[0] for line in report.stdout.splitlines()[2:-2]}
+    assert {"worker.execute", "runtime.execute"} <= spans, \
+        f"dalorex trace printed no worker span table:\n{report.stdout}"
+    print(f"[smoke] dalorex trace {trace.name}: {len(spans)} span names",
+          flush=True)
 
 
 def main(argv=None) -> int:
@@ -238,39 +124,25 @@ def main(argv=None) -> int:
     parser.add_argument("--kill-one-worker", action="store_true",
                         help="SIGKILL one extra worker mid-sweep")
     parser.add_argument("--telemetry", action="store_true",
-                        help="run the fleet with telemetry on (broker JSONL "
-                             "trace + DALOREX_TELEMETRY=1 workers), assert "
-                             "live counters via the metrics op and 'fleet "
-                             "top', and keep the byte-equality check")
-    parser.add_argument("--trace-out", default=None, metavar="PATH",
-                        help="with --telemetry, copy the broker's JSONL "
-                             "trace here (CI uploads it as an artifact)")
+                        help="run the workers with DALOREX_TELEMETRY=1 and a "
+                             "JSONL sink each, check 'dalorex trace' on one "
+                             "of them, and keep the byte-equality check")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="dalorex-smoke-") as tmp:
         work_dir = Path(tmp)
-        trace = work_dir / "broker-trace.jsonl" if args.telemetry else None
         print(f"[smoke] reference sweep on the process-pool backend", flush=True)
         reference = _run_sweep(args, "process-pool", work_dir, ["--jobs", "2"])
 
-        broker, address, http_address = _start_broker(
-            work_dir, args.lease_timeout, trace=trace, http=args.telemetry
-        )
-        print(f"[smoke] broker up at {address}"
-              + (f", gateway at {http_address}" if http_address else ""),
-              flush=True)
-        worker_tags = [f"smoke-{i}" for i in range(args.workers)]
-        worker_traces = {
-            tag: work_dir / f"worker-{tag}.jsonl" for tag in worker_tags
-        } if args.telemetry else {}
+        broker, address = _start_broker(work_dir, args.lease_timeout)
+        print(f"[smoke] broker up at {address}", flush=True)
+        worker_traces = [
+            work_dir / f"worker-smoke-{i}.jsonl" if args.telemetry else None
+            for i in range(args.workers)
+        ]
         workers = [
-            _start_worker(
-                address,
-                tag,
-                telemetry=args.telemetry,
-                trace=worker_traces.get(tag),
-            )
-            for tag in worker_tags
+            _start_worker(address, f"smoke-{i}", trace=trace)
+            for i, trace in enumerate(worker_traces)
         ]
         victim = _start_worker(address, "smoke-victim") if args.kill_one_worker else None
 
@@ -290,29 +162,15 @@ def main(argv=None) -> int:
                 args, "distributed", work_dir,
                 ["--backend", "distributed", "--connect", address],
             )
-            if args.telemetry:
-                _check_telemetry(address, worker_tags=worker_tags)
-                _check_gateway(http_address, worker_tags=worker_tags)
         finally:
             _stop_fleet(address, broker, workers + ([victim] if victim else []))
 
         if args.telemetry:
-            assert trace.is_file() and trace.stat().st_size > 0, \
-                "broker wrote no telemetry JSONL trace"
-            lines = trace.read_bytes().count(b"\n")
-            print(f"[smoke] broker trace: {lines} JSONL records", flush=True)
-            # Every fleet process has exited and flushed its stream: merge
-            # the broker's and the workers' files and require cross-process
-            # trace linking.
-            _check_trace_links(
-                [trace] + [worker_traces[tag] for tag in worker_tags
-                           if worker_traces[tag].is_file()]
-            )
-            if args.trace_out:
-                out = Path(args.trace_out)
-                out.parent.mkdir(parents=True, exist_ok=True)
-                out.write_bytes(trace.read_bytes())
-                print(f"[smoke] trace copied to {out}", flush=True)
+            # Every worker has exited and flushed its stream; the busiest
+            # one certainly executed specs.
+            written = [trace for trace in worker_traces if trace.is_file()]
+            assert written, "no worker wrote a telemetry JSONL file"
+            _check_trace_table(max(written, key=lambda trace: trace.stat().st_size))
 
         if distributed != reference:
             print("[smoke] FAIL: distributed output differs from process pool")

@@ -17,19 +17,9 @@
   results; pull-based workers on any number of hosts execute them, each
   holding up to ``--capacity N`` concurrent leases (see
   ``docs/DISTRIBUTED.md``).
-* ``dalorex fleet stats`` -- queue depth, active leases, attempts and
-  per-worker completion counts of a running broker.
-* ``dalorex fleet metrics`` / ``dalorex fleet top`` -- the broker's
-  fleet-wide telemetry aggregate (Prometheus text by default) and a
-  refreshing dashboard (``--watch SECS``) with autoscaling signals and
-  ring-buffer sparklines, built on the v3 ``metrics`` op.  The broker can
-  additionally serve the same aggregate over HTTP (``--http-port``:
-  ``/metrics``, ``/healthz``, ``/readyz``, ``/stats.json``).
 * ``dalorex trace FILE...`` -- aggregate one or more telemetry JSONL
-  streams (``DALOREX_TELEMETRY_JSONL``, ``broker --telemetry-jsonl``) into
-  per-span count / total / p50 / p99, and -- when records carry trace ids
-  -- group spans per trace with a cross-process critical path (see
-  ``docs/OBSERVABILITY.md``).
+  streams (``DALOREX_TELEMETRY_JSONL``) into per-span count / total / p50 /
+  p99 / max (see ``docs/OBSERVABILITY.md``).
 
 ``run`` and ``verify`` additionally accept the NoC-simulation knobs
 (``--network analytical|simulated``, ``--routing``, ``--queue-depth``,
@@ -106,11 +96,6 @@ def add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
         "--connect", default=None, metavar="HOST:PORT",
         help="broker address for --backend distributed",
     )
-    parser.add_argument(
-        "--tenant", default=None, metavar="NAME",
-        help="tenant queue to submit under on a multi-tenant broker "
-             "(--backend distributed only; default: the shared queue)",
-    )
 
 
 def runner_from_args(args: argparse.Namespace) -> ExperimentRunner:
@@ -123,7 +108,6 @@ def runner_from_args(args: argparse.Namespace) -> ExperimentRunner:
             getattr(args, "backend", None),
             jobs=args.jobs,
             connect=getattr(args, "connect", None),
-            tenant=getattr(args, "tenant", None),
         )
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
@@ -487,50 +471,12 @@ def broker_command(argv: Optional[List[str]] = None) -> int:
                         help="re-check every uploaded result against the "
                              "conformance reference executor (bounds + output "
                              "oracles), not just its content digest")
-    parser.add_argument("--tenant-quota", type=_positive_int, default=None,
-                        metavar="N",
-                        help="admission control: reject a submit that would "
-                             "leave one tenant with more than N incomplete "
-                             "specs (default: unlimited)")
     parser.add_argument("--max-message-bytes", type=_parse_size,
                         default=MAX_FRAME_BYTES, metavar="SIZE",
                         help="cap on one protocol frame; oversized lines are "
                              "rejected with a typed error (default: 64M; "
                              "large payloads stream via chunked fetch)")
-    parser.add_argument("--http-port", type=int, default=None, metavar="PORT",
-                        help="also serve the observability gateway over HTTP "
-                             "on this port (0 = ephemeral): /metrics "
-                             "(fleet-wide Prometheus text), /healthz, "
-                             "/readyz, /stats.json; binds the same --host")
-    parser.add_argument("--sample-interval", type=float, default=2.0,
-                        metavar="SECONDS",
-                        help="period of the gauge sampler feeding the "
-                             "time-series ring behind 'fleet top' sparklines "
-                             "and the backlog-ETA signal (default: 2)")
-    parser.add_argument("--no-telemetry", action="store_true",
-                        help="serve without the metrics registry; the "
-                             "'metrics' op then answers with an empty "
-                             "snapshot (telemetry is on by default for the "
-                             "broker service -- it observes the queue, never "
-                             "the simulations)")
-    parser.add_argument("--telemetry-jsonl", default=None, metavar="PATH",
-                        help="append span/event records (lease lifecycle, "
-                             "per-op timings) as JSON lines to PATH; read "
-                             "back with 'dalorex trace PATH'")
     args = parser.parse_args(argv)
-
-    # The broker service runs with telemetry on unless told otherwise: its
-    # registry observes queue/protocol activity only, so the simulation
-    # results it brokers are byte-identical either way, and `fleet top` /
-    # the `metrics` op always have live counters to show.
-    import repro.telemetry as telemetry_mod
-
-    if args.no_telemetry:
-        if args.telemetry_jsonl:
-            parser.error("--telemetry-jsonl conflicts with --no-telemetry")
-        registry = telemetry_mod.NULL
-    else:
-        registry = telemetry_mod.configure(enabled=True, jsonl=args.telemetry_jsonl)
 
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
     broker = Broker(
@@ -539,310 +485,24 @@ def broker_command(argv: Optional[List[str]] = None) -> int:
         max_attempts=args.max_attempts,
         verify_ingest=args.verify_ingest,
         state_path=args.state_file,
-        tenant_quota=args.tenant_quota,
-        telemetry=registry,
     )
     server = BrokerServer(
         broker,
         host=args.host,
         port=args.port,
         max_message_bytes=args.max_message_bytes,
-        http_port=args.http_port,
-        sample_interval=args.sample_interval,
     )
     print(f"broker listening on {format_address(server.address)}", flush=True)
-    if server.http_address is not None:
-        print(f"gateway listening on {format_address(server.http_address)}",
-              flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
         server.stop()
-        registry.close()  # flush the JSONL sink before the process exits
     status = broker.status()
     print(f"broker exiting: {status['completed']} completed, "
           f"{status['failed']} failed, {status['pending']} still pending")
     return 0
-
-
-def _format_duration(seconds: float) -> str:
-    """Compact uptime: ``42s``, ``3m42s``, ``2h05m``."""
-    seconds = max(0, int(seconds))
-    if seconds < 60:
-        return f"{seconds}s"
-    if seconds < 3600:
-        return f"{seconds // 60}m{seconds % 60:02d}s"
-    return f"{seconds // 3600}h{(seconds % 3600) // 60:02d}m"
-
-
-def _format_seconds(value: object) -> str:
-    """One latency value with an auto-scaled unit (``850us``, ``1.2ms``)."""
-    if not isinstance(value, (int, float)):
-        return "-"
-    if value < 1e-3:
-        return f"{value * 1e6:.0f}us"
-    if value < 1.0:
-        return f"{value * 1e3:.1f}ms"
-    return f"{value:.2f}s"
-
-
-def _fleet_stats_text(response: dict) -> str:
-    """Render one ``stats`` op response for humans (stats and top share it)."""
-    lines = [
-        f"uptime:         {_format_duration(response.get('uptime_seconds', 0))}",
-        f"queue depth:    {response.get('queue_depth', 0)}",
-        f"completed:      {response.get('completed', 0)}",
-        f"failed:         {response.get('failed', 0)}",
-    ]
-    tenants = response.get("tenants", {})
-    if tenants:
-        lines.append(f"tenants:        {len(tenants)}")
-        for tenant in sorted(tenants):
-            ledger = tenants[tenant]
-            lines.append(f"  {tenant}: queued={ledger.get('queued', 0)} "
-                         f"leased={ledger.get('leased', 0)}")
-    leases = response.get("active_leases", [])
-    lines.append(f"active leases:  {len(leases)}")
-    for lease in leases:
-        lines.append(f"  {lease['key'][:12]}  worker={lease['worker']}  "
-                     f"attempt={lease['attempt']}")
-    per_worker = response.get("per_worker", {})
-    lines.append(f"workers:        {len(per_worker)}")
-    for worker, ledger in per_worker.items():
-        line = (f"  {worker}: completed={ledger.get('completed', 0)} "
-                f"leases={ledger.get('leases', 0)} "
-                f"rejected={ledger.get('rejected', 0)} "
-                f"released={ledger.get('released', 0)}")
-        reported = ledger.get("reported")
-        if reported:
-            line += (f" | reports: uploads={reported.get('uploads', 0)} "
-                     f"errors={reported.get('errors', 0)} "
-                     f"leaked_heartbeats={reported.get('leaked_heartbeats', 0)}")
-        lines.append(line)
-    codes = response.get("codes", {})
-    if codes:
-        lines.append("protocol codes: " + " ".join(
-            f"{code}={codes[code]}" for code in sorted(codes)))
-    return "\n".join(lines)
-
-
-#: Eight block glyphs of the unicode sparkline, shortest to tallest.
-_SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
-
-#: The structured no-telemetry hint that `fleet metrics` and `fleet top`
-#: print instead of a raw error when the broker runs --no-telemetry.
-_NO_TELEMETRY_HINT = (
-    "broker telemetry disabled: it was started with --no-telemetry, so "
-    "there is no fleet aggregate to show; restart it without the flag "
-    "to collect metrics"
-)
-
-
-def _sparkline(values: list, width: int = 32, unicode_blocks: bool = True) -> str:
-    """Render the tail of a numeric series, latest sample rightmost.
-
-    On a terminal this is a block-glyph sparkline with a ``[min..max]``
-    legend; the non-TTY fallback is a plain-number summary so piped or
-    logged frames stay clean ASCII.
-    """
-    tail = [float(v) for v in values if isinstance(v, (int, float))][-width:]
-    if not tail:
-        return "(no samples yet)"
-    lo, hi = min(tail), max(tail)
-    if not unicode_blocks:
-        return f"last={tail[-1]:g} min={lo:g} max={hi:g} n={len(tail)}"
-    if hi <= lo:
-        bar = _SPARK_BLOCKS[0] * len(tail)
-    else:
-        top = len(_SPARK_BLOCKS) - 1
-        bar = "".join(
-            _SPARK_BLOCKS[round((value - lo) / (hi - lo) * top)]
-            for value in tail
-        )
-    return f"{bar} [{lo:g}..{hi:g}] now={tail[-1]:g}"
-
-
-def _fleet_signals_text(stats: dict) -> List[str]:
-    """The autoscaling-signal lines of a ``fleet top`` frame."""
-    signals = stats.get("signals")
-    if not isinstance(signals, dict):
-        return []
-    saturation = signals.get("saturation")
-    rate = signals.get("completion_rate")
-    eta = signals.get("backlog_eta_seconds")
-    parts = [
-        (f"saturation={saturation:.2f}"
-         if isinstance(saturation, (int, float)) else "saturation=-"),
-        f"capacity={signals.get('reported_capacity', 0)}",
-        (f"rate={rate:.2f}/s" if isinstance(rate, (int, float)) else "rate=-"),
-        (f"backlog_eta={_format_duration(eta)}"
-         if isinstance(eta, (int, float)) else "backlog_eta=-"),
-    ]
-    return ["signals:        " + " ".join(parts)]
-
-
-def _fleet_series_text(stats: dict, unicode_blocks: bool) -> List[str]:
-    """Sparkline lines from the broker's sampled time-series ring."""
-    series = stats.get("series")
-    if not isinstance(series, list) or not series:
-        return []
-    lines = ["history:"]
-    for field, title in (
-        ("queue_depth", "queue depth"),
-        ("active_leases", "leases"),
-        ("completed", "completed"),
-    ):
-        values = [sample.get(field) for sample in series
-                  if isinstance(sample, dict)]
-        lines.append(f"  {title:12s} "
-                     f"{_sparkline(values, unicode_blocks=unicode_blocks)}")
-    return lines
-
-
-def _fleet_top_text(stats: dict, metrics: dict, unicode_blocks: bool = True) -> str:
-    """The ``fleet top`` frame: stats view, autoscaling signals, sampled
-    sparklines, plus broker op latencies from the fleet aggregate."""
-    lines = [_fleet_stats_text(stats)]
-    lines.extend(_fleet_signals_text(stats))
-    lines.extend(_fleet_series_text(stats, unicode_blocks))
-    if not metrics.get("telemetry_enabled"):
-        lines.append(f"op latency:     ({_NO_TELEMETRY_HINT})")
-        return "\n".join(lines)
-    op_seconds = metrics.get("metrics", {}).get("histograms", {}).get(
-        "broker.op.seconds", {})
-    lines.append("op latency:")
-    for label in sorted(op_seconds):
-        hist = op_seconds[label]
-        op = label.partition("op=")[2] or "?"
-        lines.append(f"  {op:12s} n={hist.get('count', 0):<7d}"
-                     f" p50={_format_seconds(hist.get('p50')):>8s}"
-                     f" p99={_format_seconds(hist.get('p99')):>8s}"
-                     f" max={_format_seconds(hist.get('max')):>8s}")
-    if not op_seconds:
-        lines.append("  (no requests observed yet)")
-    return "\n".join(lines)
-
-
-def fleet_command(argv: Optional[List[str]] = None) -> int:
-    """Entry point of ``dalorex fleet``: inspect a running broker's fleet.
-
-    * ``stats`` asks for queue depth, active leases (with per-spec attempt
-      counts), per-tenant depths and per-worker ledgers.
-    * ``metrics`` fetches the broker's telemetry snapshot via the v3
-      ``metrics`` op -- Prometheus text exposition by default, the raw
-      snapshot with ``--json``.
-    * ``top`` renders both as a refreshing plain-text dashboard.
-    """
-    import time
-
-    from repro.runtime.distributed import (
-        BrokerError,
-        ProtocolError,
-        parse_address,
-        request,
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="dalorex fleet",
-        description="Inspect a running dalorex broker's fleet state.",
-    )
-    subparsers = parser.add_subparsers(dest="action", required=True)
-    stats = subparsers.add_parser(
-        "stats", help="queue depth, active leases, attempts, per-worker counts"
-    )
-    metrics = subparsers.add_parser(
-        "metrics", help="telemetry snapshot (Prometheus text by default)"
-    )
-    top = subparsers.add_parser(
-        "top", help="refreshing fleet dashboard (stats + broker op latency)"
-    )
-    for sub in (stats, metrics, top):
-        sub.add_argument("--connect", required=True, metavar="HOST:PORT",
-                         help="broker address")
-    stats.add_argument("--json", action="store_true", help="print the raw JSON")
-    metrics.add_argument("--prom", action="store_true",
-                         help="Prometheus text exposition (the default)")
-    metrics.add_argument("--json", action="store_true",
-                         help="print the raw snapshot JSON instead")
-    top.add_argument("--interval", type=float, default=2.0, metavar="SECONDS",
-                     help="refresh period (default: 2)")
-    top.add_argument("--watch", type=float, default=None, metavar="SECONDS",
-                     help="live-dashboard mode: redraw every SECONDS "
-                          "(overrides --interval)")
-    top.add_argument("--iterations", type=_positive_int, default=None, metavar="N",
-                     help="render N frames then exit (default: until Ctrl-C)")
-    top.add_argument("--no-clear", action="store_true",
-                     help="append frames instead of clearing the screen")
-    args = parser.parse_args(argv)
-    if args.action == "metrics" and args.prom and args.json:
-        parser.error("--prom and --json are mutually exclusive")
-
-    address = parse_address(args.connect)
-    try:
-        if args.action == "stats":
-            response = request(address, {"op": "stats"})
-            response.pop("ok", None)
-            response.pop("protocol", None)
-            if args.json:
-                print(json.dumps(response, indent=2, sort_keys=True))
-            else:
-                print(_fleet_stats_text(response))
-            return 0
-
-        if args.action == "metrics":
-            try:
-                response = request(address, {"op": "metrics"})
-            except BrokerError as exc:
-                # A pre-observability broker rejects the op outright; give
-                # the operator a structured pointer, not a raw wire error.
-                print(f"broker at {args.connect} does not serve the "
-                      f"'metrics' op ({exc}); upgrade it or use "
-                      f"'dalorex fleet stats'", file=sys.stderr)
-                return 2
-            if args.json:
-                response.pop("ok", None)
-                response.pop("protocol", None)
-                print(json.dumps(response, indent=2, sort_keys=True))
-            else:
-                sys.stdout.write(response.get("text", ""))
-                if not response.get("telemetry_enabled"):
-                    print(f"# {_NO_TELEMETRY_HINT}", file=sys.stderr)
-            return 0
-
-        # top: loop until interrupted (or for --iterations frames).
-        interval = args.interval if args.watch is None else max(0.1, args.watch)
-        is_tty = sys.stdout.isatty()
-        frames = 0
-        while True:
-            stats_response = request(address, {"op": "stats"})
-            try:
-                metrics_response = request(address, {"op": "metrics"})
-            except BrokerError:
-                # A pre-v3-observability broker: degrade to the stats view.
-                metrics_response = {"telemetry_enabled": False}
-            if not args.no_clear and is_tty:
-                print("\x1b[2J\x1b[H", end="")
-            print(
-                _fleet_top_text(
-                    stats_response, metrics_response, unicode_blocks=is_tty
-                ),
-                flush=True,
-            )
-            frames += 1
-            if args.iterations is not None and frames >= args.iterations:
-                return 0
-            time.sleep(interval)
-    except KeyboardInterrupt:
-        return 0
-    except (OSError, ProtocolError) as exc:
-        # ProtocolError also covers BrokerError: an old (pre-stats) broker
-        # answers ok=false for the unknown op, and a non-dalorex endpoint
-        # fails framing -- both deserve a clean message, not a traceback.
-        print(f"cannot read fleet {args.action} from {args.connect}: {exc}",
-              file=sys.stderr)
-        return 2
 
 
 def worker_command(argv: Optional[List[str]] = None) -> int:
@@ -894,31 +554,19 @@ def worker_command(argv: Optional[List[str]] = None) -> int:
 def trace_command(argv: Optional[List[str]] = None) -> int:
     """Entry point of ``dalorex trace``: aggregate telemetry JSONL files.
 
-    One file behaves exactly as before (per-span aggregate table).  With
-    several files -- one per fleet process, e.g. the broker's stream plus
-    each worker's ``DALOREX_TELEMETRY_JSONL`` -- records are merged, and
-    spans carrying trace ids are additionally grouped per trace with a
-    cross-process critical path, which is how a single submitted spec's
-    journey through client, broker and worker reads as one story.
+    The records of every file are merged into one per-span table (or, with
+    ``--json``, one flat per-span dict).
     """
-    from repro.telemetry.trace import (
-        aggregate_spans,
-        format_trace_report,
-        format_trace_summary,
-        group_traces,
-        load_many,
-    )
+    from repro.telemetry.trace import aggregate_spans, format_trace_report, load_many
 
     parser = argparse.ArgumentParser(
         prog="dalorex trace",
         description="Aggregate the span records of one or more telemetry "
-        "JSONL streams (DALOREX_TELEMETRY_JSONL, broker --telemetry-jsonl) "
-        "into per-span count / total / p50 / p99 / max, grouping "
-        "trace-linked spans across processes.",
+        "JSONL streams (DALOREX_TELEMETRY_JSONL) into per-span count / "
+        "total / p50 / p99 / max.",
     )
     parser.add_argument("files", metavar="FILE", nargs="+",
-                        help="telemetry JSONL file(s); pass the broker's and "
-                             "every worker's stream to link a fleet run")
+                        help="telemetry JSONL file(s), e.g. one per worker")
     parser.add_argument("--json", action="store_true",
                         help="print the aggregates as JSON")
     args = parser.parse_args(argv)
@@ -928,32 +576,11 @@ def trace_command(argv: Optional[List[str]] = None) -> int:
         for path in missing:
             print(f"trace file {path!r} does not exist", file=sys.stderr)
         return 2
-    records = load_many(args.files)
-    aggregates = aggregate_spans(records)
-    grouped = group_traces(records)
+    aggregates = aggregate_spans(load_many(args.files))
     if args.json:
-        if len(args.files) == 1:
-            # Single-file shape is frozen (scripts parse it): the flat
-            # per-span aggregate dict, exactly as previous releases.
-            print(json.dumps(aggregates, indent=2, sort_keys=True))
-        else:
-            from repro.telemetry.trace import summarize_trace
-
-            print(json.dumps(
-                {
-                    "spans": aggregates,
-                    "traces": {
-                        trace_id: summarize_trace(spans)
-                        for trace_id, spans in grouped.items()
-                    },
-                },
-                indent=2, sort_keys=True,
-            ))
+        print(json.dumps(aggregates, indent=2, sort_keys=True))
     else:
         sys.stdout.write(format_trace_report(aggregates))
-        if grouped:
-            sys.stdout.write("\n")
-            sys.stdout.write(format_trace_summary(grouped))
     return 0
 
 
@@ -965,7 +592,6 @@ SUBCOMMANDS = {
     "cache": cache_command,
     "broker": broker_command,
     "worker": worker_command,
-    "fleet": fleet_command,
     "trace": trace_command,
 }
 
@@ -984,7 +610,7 @@ def dalorex_command(argv: Optional[List[str]] = None) -> int:
               file=sys.stderr)
         return 2
     if argv in ([], ["-h"], ["--help"]):
-        print("usage: dalorex {run,experiments,verify,cache,broker,worker,fleet,trace} ...\n"
+        print("usage: dalorex {run,experiments,verify,cache,broker,worker,trace} ...\n"
               "       dalorex --app ... (alias for 'dalorex run')")
         return 0
     return run_command(argv)

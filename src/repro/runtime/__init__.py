@@ -12,7 +12,9 @@ content-hashable description of one run) and hands them to an
   inline, a local ``ProcessPoolExecutor``, or a broker/worker fleet spanning
   machines (:mod:`repro.runtime.distributed`).  Workers rebuild the graph and
   machine from the spec, so nothing unpicklable crosses a process -- or
-  host -- boundary.
+  host -- boundary.  Every backend runs a spec through
+  :func:`~repro.runtime.backends.execute_to_payload`, the one place its
+  execute and serialize spans are observed when telemetry is on.
 
 Results are bit-identical regardless of backend, worker count or cache state
 because every result -- serial, parallel, remote or cached -- passes through

@@ -31,7 +31,7 @@ from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.runtime.serialize import result_to_payload
 from repro.runtime.spec import RunSpec, execute_spec
-from repro.telemetry import TraceContext, get_telemetry
+from repro.telemetry import get_telemetry
 
 
 def execute_to_payload(spec: RunSpec) -> Tuple[str, Dict[str, Any]]:
@@ -41,23 +41,16 @@ def execute_to_payload(spec: RunSpec) -> Tuple[str, Dict[str, Any]]:
     definition of how a spec becomes a payload, whatever the backend.  It is
     also the one place the execute/serialize stage timings are observed --
     every backend (inline, pool worker, fleet worker) routes through here.
-
-    Trace identity: a fleet worker installs the :class:`TraceContext` the
-    client minted at submission before calling in here; local backends have
-    none, so one is minted per spec -- either way every span this execution
-    emits carries one trace id per unit of submitted work.
     """
     telemetry = get_telemetry()
     if not telemetry.enabled:
         return spec.key(), result_to_payload(execute_spec(spec))
     key = spec.key()
-    trace = telemetry.current_trace()
-    with telemetry.trace_scope(TraceContext.mint() if trace is None else None):
-        with telemetry.scope(spec=key[:12], app=spec.app, dataset=spec.dataset):
-            with telemetry.span("runtime.execute", app=spec.app):
-                result = execute_spec(spec)
-            with telemetry.span("runtime.serialize"):
-                payload = result_to_payload(result)
+    with telemetry.scope(spec=key[:12], app=spec.app, dataset=spec.dataset):
+        with telemetry.span("runtime.execute", app=spec.app):
+            result = execute_spec(spec)
+        with telemetry.span("runtime.serialize"):
+            payload = result_to_payload(result)
     return key, payload
 
 
@@ -186,14 +179,12 @@ def resolve_backend(
     name: Optional[str],
     jobs: int = 1,
     connect: Optional[str] = None,
-    tenant: Optional[str] = None,
 ) -> RunnerBackend:
     """Build the backend a ``--backend`` flag describes.
 
     ``None`` (or ``"auto"``) keeps the historical behavior: inline for
     ``jobs=1``, a process pool otherwise.  ``"distributed"`` requires a
-    broker address (``host:port``); ``tenant`` names its fair-share queue
-    on a multi-tenant broker.
+    broker address (``host:port``).
     """
     if name in (None, "auto"):
         name = "inline" if jobs <= 1 else "process"
@@ -209,7 +200,7 @@ def resolve_backend(
         from repro.runtime.distributed.client import DistributedBackend
         from repro.runtime.distributed.protocol import parse_address
 
-        return DistributedBackend(parse_address(connect), tenant=tenant)
+        return DistributedBackend(parse_address(connect))
     raise ValueError(
         f"unknown backend {name!r}; choose from auto, inline, process, distributed"
     )

@@ -5,38 +5,28 @@ execution is transport plus trust management:
 
 * :mod:`~repro.runtime.distributed.protocol` -- JSON-lines-over-TCP framing
   shared by all three roles, speaking ``dalorex-dist/3`` only: gzip
-  payloads, structured error/failure codes, bounded frames, chunked fetch,
-  tenancy;
+  payloads, structured error/failure codes, bounded frames, chunked fetch;
 * :mod:`~repro.runtime.distributed.broker` -- ``dalorex broker``: an asyncio
-  TCP service over a costliest-first, fair-share-per-tenant queue
+  TCP service over one costliest-first queue
   (:meth:`RunSpec.predicted_cost`) with pull leases, heartbeats, crash
-  requeue under an attempt cap, admission control, digest- and
-  oracle-checked ingest, and an optional restart-safe journal;
+  requeue under an attempt cap, digest- and oracle-checked ingest, and an
+  optional restart-safe journal;
 * :mod:`~repro.runtime.distributed.worker` -- ``dalorex worker``: stateless
   pull loops that rebuild graph and machine from the canonical spec and
   run it on the one serial engine;
 * :mod:`~repro.runtime.distributed.client` -- the
   :class:`~repro.runtime.backends.RunnerBackend` that
-  ``--backend distributed`` plugs into any ExperimentRunner call site;
-* :mod:`~repro.runtime.distributed.gateway` -- the broker's optional HTTP
-  observability endpoint (``--http-port``): ``/metrics`` (fleet-wide
-  Prometheus text), ``/healthz``, ``/readyz``, ``/stats.json``.
+  ``--backend distributed`` plugs into any ExperimentRunner call site.
 
-See ``docs/DISTRIBUTED.md`` for topology and failure semantics, and
-``docs/OBSERVABILITY.md`` for trace propagation and fleet aggregation.
+See ``docs/DISTRIBUTED.md`` for topology and failure semantics.  Each
+process reads its own telemetry switch (``DALOREX_TELEMETRY`` /
+``DALOREX_TELEMETRY_JSONL``; see ``docs/OBSERVABILITY.md``).
 """
 
-from repro.runtime.distributed.broker import (
-    AdmissionError,
-    Broker,
-    BrokerServer,
-    BrokerStats,
-)
+from repro.runtime.distributed.broker import Broker, BrokerServer, BrokerStats
 from repro.runtime.distributed.client import DistributedBackend
-from repro.runtime.distributed.gateway import ObservabilityGateway
 from repro.runtime.distributed.protocol import (
     DEFAULT_PORT,
-    DEFAULT_TENANT,
     MAX_FRAME_BYTES,
     PROTOCOL,
     BrokerError,
@@ -48,16 +38,13 @@ from repro.runtime.distributed.protocol import (
 from repro.runtime.distributed.worker import Worker, execute_canonical
 
 __all__ = [
-    "AdmissionError",
     "Broker",
     "BrokerError",
     "BrokerServer",
     "BrokerStats",
     "DEFAULT_PORT",
-    "DEFAULT_TENANT",
     "DistributedBackend",
     "MAX_FRAME_BYTES",
-    "ObservabilityGateway",
     "PROTOCOL",
     "ProtocolError",
     "Worker",

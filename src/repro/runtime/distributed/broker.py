@@ -1,4 +1,4 @@
-"""The broker: a fair-share RunSpec queue with leases and verified ingest.
+"""The broker: a costliest-first RunSpec queue with leases and verified ingest.
 
 One broker serves a whole fleet: clients ``submit`` batches of canonical
 specs and ``fetch`` completed payloads; workers ``lease`` one spec at a time
@@ -9,14 +9,6 @@ is an asyncio TCP front end (``asyncio.start_server``) that keeps hundreds
 of concurrent connections cheap -- one task per connection instead of one
 thread -- while every broker op runs on a worker thread so the lock-guarded
 state machine never stalls the event loop.
-
-Multi-tenancy (see ``docs/DISTRIBUTED.md``): every submit may name a
-``tenant``.  Each tenant owns its own costliest-first heap, and leases
-round-robin across tenants with queued work -- one greedy tenant can no
-longer starve the rest -- while ``tenant_quota`` bounds how many incomplete
-specs a single tenant may have in flight (rejected with the typed
-``tenant-quota-exceeded`` code).  Untagged submits share the ``default``
-tenant, which is one global costliest-first order.
 
 The server speaks ``dalorex-dist/3`` only: a request stamped with any other
 generation (or with none) is refused with the typed ``unsupported-protocol``
@@ -43,6 +35,11 @@ Results are served "first valid upload wins": duplicates (a worker whose
 lease expired but whose upload still arrives) are acknowledged and
 discarded, which is safe because every simulation is deterministic and every
 upload is digest- and oracle-checked.
+
+After a ``shutdown`` op the server keeps answering for
+:data:`SHUTDOWN_GRACE_SECONDS`, and every lease in that window is told to
+exit, so an idle worker stops at its next poll instead of waiting out its
+connect patience.
 """
 
 from __future__ import annotations
@@ -55,18 +52,14 @@ import os
 import socket
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import ReproError
 from repro.runtime.cache import ResultCache, payload_digest
 from repro.runtime.distributed.protocol import (
-    DEFAULT_TENANT,
     ERR_BAD_REQUEST,
     ERR_FRAME_TOO_LARGE,
-    ERR_TENANT_QUOTA,
     ERR_UNKNOWN_KEY,
     ERR_UNKNOWN_OP,
     ERR_UNSUPPORTED_PROTOCOL,
@@ -85,35 +78,19 @@ from repro.runtime.distributed.protocol import (
     encode_message,
 )
 from repro.runtime.spec import RunSpec
-from repro.telemetry import (
-    DEFAULT_TIME_EDGES,
-    FleetAggregate,
-    TimeSeriesRing,
-    TraceContext,
-    get_telemetry,
-    to_prometheus,
-)
+from repro.telemetry import get_telemetry
 
 #: Format tag of the on-disk queue journal (bump on incompatible changes).
-#: v3 adds optional per-task ``tenant`` and a ``failed_codes`` map -- both
-#: additive, so journals travel in either direction across the upgrade.
+#: Readers ignore task fields they do not know, such as the ``tenant`` and
+#: ``trace`` that older brokers journaled.
 STATE_FORMAT = "dalorex-broker-state/1"
 
 #: ``fetch_chunk`` slice size when the requester names none.
 DEFAULT_CHUNK_BYTES = 1024 * 1024
 
-
-class AdmissionError(ReproError):
-    """A submit was refused by admission control (per-tenant quota)."""
-
-    code = ERR_TENANT_QUOTA
-
-    def __init__(self, tenant: str, incomplete: int, fresh: int, quota: int) -> None:
-        super().__init__(
-            f"tenant {tenant!r} would exceed its quota of {quota} queued "
-            f"specs ({incomplete} incomplete + {fresh} new)"
-        )
-        self.tenant = tenant
+#: Seconds the server keeps answering after a ``shutdown`` op, so idle
+#: workers polling at their default 0.5 s hear the shutdown on a lease.
+SHUTDOWN_GRACE_SECONDS = 2.0
 
 
 @dataclass
@@ -127,13 +104,6 @@ class _Task:
     attempts: int = 0
     worker: Optional[str] = None
     deadline: Optional[float] = None
-    tenant: str = DEFAULT_TENANT
-    #: Monotonic time of the current lease grant (telemetry only: the
-    #: lease-lifecycle histogram observes accept-time minus this).
-    leased_at: Optional[float] = None
-    #: Wire-form trace context the client minted at submission (telemetry
-    #: only: echoed on the lease so the worker's spans join the same trace).
-    trace: Optional[Dict[str, str]] = None
 
     @property
     def leased(self) -> bool:
@@ -164,7 +134,6 @@ class BrokerStats:
     rejected: int = 0
     requeues: int = 0
     expired_leases: int = 0
-    admission_rejections: int = 0
 
     def to_dict(self) -> Dict[str, int]:
         return dict(vars(self))
@@ -182,8 +151,6 @@ class Broker:
         verify_ingest: run the reference-executor conformance oracles on
             every upload (structural checks always run).
         state_path: JSON journal for restart-safe queueing (optional).
-        tenant_quota: max incomplete (queued + leased) specs one tenant may
-            hold; ``None`` disables admission control.
     """
 
     def __init__(
@@ -194,59 +161,38 @@ class Broker:
         verify_ingest: bool = False,
         state_path: Optional[os.PathLike] = None,
         clock=time.monotonic,
-        tenant_quota: Optional[int] = None,
-        telemetry=None,
     ) -> None:
         if lease_timeout <= 0:
             raise ValueError(f"lease_timeout must be > 0, got {lease_timeout}")
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-        if tenant_quota is not None and tenant_quota < 1:
-            raise ValueError(f"tenant_quota must be >= 1, got {tenant_quota}")
         self.cache = cache
         self.lease_timeout = float(lease_timeout)
         self.max_attempts = int(max_attempts)
         self.verify_ingest = bool(verify_ingest)
         self.state_path = Path(state_path) if state_path else None
-        self.tenant_quota = tenant_quota
         self.stats = BrokerStats()
         self._clock = clock
-        # Telemetry observes the service, never the queue semantics.  The
-        # broker CLI passes an enabled registry by default (always-on
-        # service observability); embedded brokers inherit the process-wide
-        # default, which is the no-op singleton unless switched on.
-        self.telemetry = telemetry if telemetry is not None else get_telemetry()
+        # Spans and events only (DALOREX_TELEMETRY / _JSONL, like every
+        # other process); telemetry never steers the queue.
+        self.telemetry = get_telemetry()
         self._started = clock()
-        self._started_wall = time.time()
         # Totals of every structured ERR_*/FAIL_*/REJECT_* code this broker
         # emitted or recorded, so rejections are countable, not just logged.
         # FAIL_NEVER_SUBMITTED counts per fetch *response* (the condition is
         # per-poll, not per-spec); everything else counts once per incident.
         self._code_totals: Dict[str, int] = {}
-        # Latest worker-side self-reported stats (piggybacked on lease
-        # requests): worker id -> {completed, leases, leaked_heartbeats, ...}.
-        self._worker_reports: Dict[str, Dict[str, int]] = {}
-        # Fleet-wide telemetry: workers piggyback cumulative registry
-        # snapshots (with a monotonic per-worker seq) on heartbeat/result
-        # messages; the aggregate keeps the latest per source and merges
-        # them with this broker's own registry on demand.  The ring holds
-        # a bounded history of sampled gauges for sparklines and the
-        # rate-derived autoscaling signals.
-        self.aggregate = FleetAggregate()
-        self.ring = TimeSeriesRing()
         self._lock = threading.Lock()
         self._tasks: Dict[str, _Task] = {}
-        # One costliest-first heap per tenant plus a round-robin rotation of
-        # tenants with queued work; the single-tenant case degenerates to
-        # one global costliest-first heap.
-        self._queues: Dict[str, List[Tuple[float, int, str]]] = {}
-        self._rotation: Deque[str] = deque()
+        # Costliest first, submission order among equal costs.  Entries of
+        # tasks that completed, failed or were leased since are skipped.
+        self._queue: List[Tuple[float, int, str]] = []
         self._completed: Dict[str, _Completed] = {}
         self._failed: Dict[str, str] = {}
         self._failed_codes: Dict[str, str] = {}
         # Per-worker activity counters (in-memory only; a restarted broker
         # starts a fresh ledger): worker id -> leases/completed/rejected/
-        # released counts, surfaced by the ``stats`` op for fleet dashboards.
+        # released counts, surfaced by the ``status`` op.
         self._workers: Dict[str, Dict[str, int]] = {}
         # Canonical specs of failed keys (in-memory only): lets a late but
         # valid upload for a given-up spec still be verified and accepted.
@@ -257,68 +203,30 @@ class Broker:
             self._load_state()
 
     # ----------------------------------------------------------------- ops
-    def submit(
-        self,
-        canonicals: List[Dict[str, Any]],
-        tenant: str = DEFAULT_TENANT,
-        traces: Optional[Dict[str, Dict[str, str]]] = None,
-    ) -> Dict[str, Any]:
+    def submit(self, canonicals: List[Dict[str, Any]]) -> Dict[str, Any]:
         """Queue new specs (deduplicated against everything already known).
 
-        All-or-nothing: every spec is validated (and the tenant's quota
-        checked) before any is queued, so a malformed or over-quota batch
-        rejects cleanly -- the client gets the error, and the journal never
-        holds a half-accepted batch.  Over-quota batches raise
-        :class:`AdmissionError` (the ``tenant-quota-exceeded`` code on the
-        wire).
-
-        ``traces`` optionally maps spec keys to wire-form trace contexts:
-        the broker stores each with its task and echoes it on the lease,
-        which is how a worker's spans join the trace the submitting client
-        minted.  Purely observational -- scheduling never reads it.
+        All-or-nothing: every spec is validated before any is queued, so a
+        malformed batch rejects cleanly -- the client gets the error, and
+        the journal never holds a half-accepted batch.
         """
         queued = duplicates = 0
         specs = [RunSpec.from_canonical(canonical) for canonical in canonicals]
         with self._lock:
-            fresh: List[Tuple[str, RunSpec]] = []
-            seen: set = set()
             for spec in specs:
                 key = spec.key()
                 if (
-                    key in seen
-                    or key in self._tasks
+                    key in self._tasks
                     or key in self._completed
                     or (self.cache is not None and key in self.cache)
                 ):
-                    duplicates += 1
+                    duplicates += 1  # a repeat within the batch is queued here
                     continue
-                seen.add(key)
-                fresh.append((key, spec))
-            if self.tenant_quota is not None and fresh:
-                incomplete = sum(
-                    1 for task in self._tasks.values() if task.tenant == tenant
-                )
-                if incomplete + len(fresh) > self.tenant_quota:
-                    self.stats.admission_rejections += 1
-                    self._count_code_locked(ERR_TENANT_QUOTA)
-                    raise AdmissionError(
-                        tenant, incomplete, len(fresh), self.tenant_quota
-                    )
-            for key, spec in fresh:
                 # A resubmitted failure gets a fresh set of attempts.
                 self._failed.pop(key, None)
                 self._failed_codes.pop(key, None)
                 self._failed_specs.pop(key, None)
-                trace = traces.get(key) if traces else None
-                if TraceContext.from_wire(trace) is None:
-                    trace = None  # absent or malformed: queue without one
-                self._enqueue_locked(
-                    key,
-                    spec.canonical(),
-                    _safe_cost(spec),
-                    tenant=tenant,
-                    trace=trace,
-                )
+                self._enqueue_locked(key, spec.canonical(), _safe_cost(spec))
                 queued += 1
             self.stats.submitted += queued
             self.stats.duplicates += duplicates
@@ -326,72 +234,35 @@ class Broker:
                 self._save_state_locked()
         return {"queued": queued, "duplicates": duplicates}
 
-    def lease(
-        self, worker: str, stats: Optional[Dict[str, Any]] = None
-    ) -> Dict[str, Any]:
-        """Hand out the next spec: fair-share across tenants, costliest
-        first within each tenant.
-
-        ``stats`` is the worker's self-reported counter dict (piggybacked on
-        lease requests); the broker keeps the latest report per worker so
-        fleet dashboards can see worker-side health (completed, uploads,
-        leaked heartbeat threads) without a side channel to every worker.
-        """
+    def lease(self, worker: str) -> Dict[str, Any]:
+        """Hand out the costliest queued spec."""
         with self._lock:
-            if stats:
-                self._worker_reports[worker] = {
-                    str(name): int(value)
-                    for name, value in stats.items()
-                    if isinstance(value, (int, float)) and not isinstance(value, bool)
-                }
             if self._shutdown:
                 return {"key": None, "shutdown": True}
             self._requeue_expired_locked()
-            for _ in range(len(self._rotation)):
-                tenant = self._rotation.popleft()
-                queue = self._queues.get(tenant, [])
-                task: Optional[_Task] = None
-                while queue:
-                    _neg_cost, _seq, key = heapq.heappop(queue)
-                    candidate = self._tasks.get(key)
-                    if candidate is None or candidate.leased:
-                        continue  # completed/failed/re-leased since queueing
-                    task = candidate
-                    break
-                if queue:
-                    self._rotation.append(tenant)  # fairness: go to the back
-                else:
-                    self._queues.pop(tenant, None)
-                if task is None:
-                    continue
-                now = self._clock()
+            while self._queue:
+                _neg_cost, _seq, key = heapq.heappop(self._queue)
+                task = self._tasks.get(key)
+                if task is None or task.leased:
+                    continue  # completed/failed/re-leased since queueing
                 task.attempts += 1
                 task.worker = worker
-                task.deadline = now + self.lease_timeout
-                task.leased_at = now
+                task.deadline = self._clock() + self.lease_timeout
                 self.stats.leases += 1
                 self._worker_ledger_locked(worker)["leases"] += 1
-                telemetry = self.telemetry
-                if telemetry.enabled:
-                    telemetry.count("broker.leases", tenant=task.tenant)
-                    telemetry.emit(
-                        "event",
-                        name="lease.granted",
-                        key=task.key[:12],
-                        worker=worker,
-                        tenant=task.tenant,
-                        attempt=task.attempts,
-                        trace=(task.trace or {}).get("trace"),
-                    )
-                lease = {
-                    "key": task.key,
+                self.telemetry.emit(
+                    "event",
+                    name="lease.granted",
+                    key=key[:12],
+                    worker=worker,
+                    attempt=task.attempts,
+                )
+                return {
+                    "key": key,
                     "spec": task.canonical,
                     "attempt": task.attempts,
                     "lease_timeout": self.lease_timeout,
                 }
-                if task.trace is not None:
-                    lease["trace"] = dict(task.trace)
-                return lease
             return {"key": None, "shutdown": False}
 
     def heartbeat(self, worker: str, key: str) -> Dict[str, Any]:
@@ -425,7 +296,6 @@ class Broker:
         digest: str,
         payload: Optional[Dict[str, Any]],
         transport_error: Optional[str] = None,
-        trace: Optional[Dict[str, str]] = None,
     ) -> Dict[str, Any]:
         """Verify and accept one uploaded result (first valid upload wins).
 
@@ -434,11 +304,6 @@ class Broker:
         -- the upload is rejected with that exact reason and the spec
         requeued.  Rejections carry a structured ``code`` next to the
         human-readable ``reason``.
-
-        ``trace`` is the wire-form trace context echoed on the upload
-        envelope: the broker-side verification span joins the same trace as
-        the client submission and the worker execution.  Falls back to the
-        trace stored with the task.
         """
         with self._lock:
             if key in self._completed or (
@@ -448,8 +313,6 @@ class Broker:
             task = self._tasks.get(key)
             if task is not None:
                 canonical = task.canonical
-                if trace is None and task.trace is not None:
-                    trace = dict(task.trace)
                 if task.leased:
                     # A fresh full lease window for the verification below:
                     # the worker stops heartbeating once it starts uploading,
@@ -471,9 +334,7 @@ class Broker:
         # executor, or writing to a slow shared filesystem) must not stall
         # every other worker's lease or heartbeat.
         telemetry = self.telemetry
-        with telemetry.trace_scope(
-            TraceContext.from_wire(trace) if telemetry.enabled else None
-        ), telemetry.scope(spec=key[:12], worker=worker), telemetry.span(
+        with telemetry.scope(spec=key[:12], worker=worker), telemetry.span(
             "broker.ingest"
         ):
             if transport_error is not None:
@@ -515,29 +376,9 @@ class Broker:
             )
             self.stats.completed += 1
             self._worker_ledger_locked(worker)["completed"] += 1
-            telemetry = self.telemetry
-            if telemetry.enabled:
-                telemetry.count("broker.completed")
-                if (
-                    task is not None
-                    and task.worker == worker
-                    and task.leased_at is not None
-                ):
-                    # Lease lifecycle: grant to verified accept, per tenant.
-                    telemetry.observe(
-                        "broker.lease.lifecycle_seconds",
-                        self._clock() - task.leased_at,
-                        edges=DEFAULT_TIME_EDGES,
-                        tenant=task.tenant,
-                    )
-                    telemetry.emit(
-                        "event",
-                        name="lease.completed",
-                        key=key[:12],
-                        worker=worker,
-                        tenant=task.tenant,
-                        trace=(trace or {}).get("trace"),
-                    )
+            self.telemetry.emit(
+                "event", name="lease.completed", key=key[:12], worker=worker
+            )
             self._save_state_locked()
             return {"accepted": True, "duplicate": False}
 
@@ -621,6 +462,8 @@ class Broker:
         return None
 
     def status(self) -> Dict[str, Any]:
+        """Queue counts, counters, structured-code totals and the
+        per-worker ledger (the ``status`` op)."""
         with self._lock:
             self._requeue_expired_locked()
             leased = sum(1 for task in self._tasks.values() if task.leased)
@@ -632,193 +475,12 @@ class Broker:
                 "shutdown": self._shutdown,
                 "uptime_seconds": self._clock() - self._started,
                 "stats": self.stats.to_dict(),
-            }
-
-    def fleet_stats(self) -> Dict[str, Any]:
-        """Fleet-dashboard view (the ``stats`` op): queue depth, active
-        leases with per-spec attempt counts, per-tenant depths, per-worker
-        activity (broker-side ledgers merged with worker self-reports),
-        uptime, and structured-code totals."""
-        with self._lock:
-            self._requeue_expired_locked()
-            leases = [
-                {
-                    "key": task.key,
-                    "worker": task.worker,
-                    "attempt": task.attempts,
-                    "cost": task.cost,
-                }
-                for task in self._tasks.values()
-                if task.leased
-            ]
-            leases.sort(key=lambda lease: lease["key"])
-            attempts = {
-                task.key: task.attempts
-                for task in self._tasks.values()
-                if task.attempts > 0
-            }
-            tenants: Dict[str, Dict[str, int]] = {}
-            for task in self._tasks.values():
-                ledger = tenants.setdefault(
-                    task.tenant, {"queued": 0, "leased": 0}
-                )
-                ledger["leased" if task.leased else "queued"] += 1
-            per_worker: Dict[str, Dict[str, Any]] = {}
-            for worker in sorted(set(self._workers) | set(self._worker_reports)):
-                entry: Dict[str, Any] = dict(
-                    self._workers.get(
-                        worker,
-                        {"leases": 0, "completed": 0, "rejected": 0, "released": 0},
-                    )
-                )
-                report = self._worker_reports.get(worker)
-                if report is not None:
-                    entry["reported"] = dict(report)
-                per_worker[worker] = entry
-            queue_depth = len(self._tasks) - len(leases)
-            reported_capacity = sum(
-                report.get("capacity", 0)
-                for report in self._worker_reports.values()
-            )
-            return {
-                "queue_depth": queue_depth,
-                "active_leases": leases,
-                "attempts": attempts,
-                "tenants": tenants,
-                "per_worker": per_worker,
-                "completed": len(self._completed),
-                "failed": len(self._failed),
-                "counters": self.stats.to_dict(),
-                "uptime_seconds": self._clock() - self._started,
-                "started_unix": self._started_wall,
                 "codes": dict(self._code_totals),
-                "signals": self._signals(queue_depth, len(leases), reported_capacity),
-                "series": self.ring.to_list(),
+                "per_worker": {
+                    worker: dict(ledger)
+                    for worker, ledger in sorted(self._workers.items())
+                },
             }
-
-    def _signals(
-        self, queue_depth: int, active_leases: int, reported_capacity: int
-    ) -> Dict[str, Any]:
-        """Autoscaling signals derived from the queue and the gauge ring.
-
-        * ``saturation``: active leases over the fleet's self-reported
-          capacity -- near 1.0 the fleet is fully busy (scale up if the
-          backlog grows), near 0.0 workers idle (scale down).
-        * ``completion_rate``: accepted results per second across the ring's
-          sampled window.
-        * ``backlog_eta_seconds``: queue depth over that rate -- how long
-          the current backlog takes to drain at the current pace (``None``
-          while the rate is unknown or zero with work still queued).
-        """
-        rate = self.ring.rate("completed")
-        if queue_depth == 0:
-            eta: Optional[float] = 0.0
-        elif rate is not None and rate > 0:
-            eta = queue_depth / rate
-        else:
-            eta = None
-        return {
-            "saturation": (
-                active_leases / reported_capacity if reported_capacity else None
-            ),
-            "reported_capacity": reported_capacity,
-            "completion_rate": rate,
-            "backlog_eta_seconds": eta,
-        }
-
-    def record_worker_telemetry(self, source: str, report: Any) -> bool:
-        """Adopt one worker's piggybacked registry snapshot.
-
-        ``report`` is ``{"seq": n, "counters": ..., "gauges": ...,
-        "histograms": ...}`` -- a *cumulative* snapshot with a monotonic
-        per-worker sequence number, so retried or reordered heartbeats are
-        idempotent no-ops (see :class:`~repro.telemetry.aggregate.FleetAggregate`).
-        Malformed reports are dropped, never an error: telemetry must not
-        take down the op that carried it.
-        """
-        if not isinstance(report, dict):
-            return False
-        seq = report.get("seq")
-        if not isinstance(seq, int) or isinstance(seq, bool):
-            return False
-        snapshot = {
-            family: report.get(family)
-            for family in ("counters", "gauges", "histograms")
-            if isinstance(report.get(family), dict)
-        }
-        if not snapshot:
-            return False
-        return self.aggregate.update(str(source), seq, snapshot)
-
-    def sample_metrics(self) -> None:
-        """Append one gauge sample to the ring (called by the server's
-        sampler task, or by anything else that wants a history point)."""
-        with self._lock:
-            leased = sum(1 for task in self._tasks.values() if task.leased)
-            values: Dict[str, float] = {
-                "queue_depth": float(len(self._tasks) - leased),
-                "active_leases": float(leased),
-                "completed": float(self.stats.completed),
-                "failed": float(len(self._failed)),
-                "uploads": float(self.stats.completed + self.stats.rejected),
-            }
-            for task in self._tasks.values():
-                field = f"tenant.{task.tenant}.depth"
-                values[field] = values.get(field, 0.0) + 1.0
-        self.ring.sample(time.time(), values)
-
-    def observability(self) -> Dict[str, Any]:
-        """Fleet-wide snapshot + Prometheus text (the ``metrics`` op and the
-        HTTP gateway's ``/metrics`` both serve this).
-
-        Queue-depth, per-tenant and per-worker gauges are refreshed from
-        :meth:`fleet_stats` at request time rather than maintained on the
-        lease/ingest hot path -- live whenever someone looks, free when
-        nobody does.  The broker's own registry then merges with every
-        worker's piggybacked snapshot into one fleet-wide view.  With
-        telemetry disabled (and no worker reports) the snapshot is empty and
-        ``telemetry_enabled`` is false, so dashboards degrade instead of
-        erroring.
-        """
-        telemetry = self.telemetry
-        fleet = self.fleet_stats()
-        if telemetry.enabled:
-            telemetry.gauge("broker.queue_depth", fleet["queue_depth"])
-            telemetry.gauge("broker.active_leases", len(fleet["active_leases"]))
-            telemetry.gauge("broker.completed", fleet["completed"])
-            telemetry.gauge("broker.failed", fleet["failed"])
-            telemetry.gauge("broker.uptime_seconds", fleet["uptime_seconds"])
-            signals = fleet["signals"]
-            if signals["saturation"] is not None:
-                telemetry.gauge("broker.fleet.saturation", signals["saturation"])
-            if signals["completion_rate"] is not None:
-                telemetry.gauge(
-                    "broker.fleet.completion_rate", signals["completion_rate"]
-                )
-            if signals["backlog_eta_seconds"] is not None:
-                telemetry.gauge(
-                    "broker.fleet.backlog_eta_seconds",
-                    signals["backlog_eta_seconds"],
-                )
-            for tenant, ledger in fleet["tenants"].items():
-                telemetry.gauge("broker.tenant.queued", ledger["queued"], tenant=tenant)
-                telemetry.gauge("broker.tenant.leased", ledger["leased"], tenant=tenant)
-            for worker, entry in fleet["per_worker"].items():
-                for name, value in entry.get("reported", {}).items():
-                    telemetry.gauge(f"worker.{name}", value, worker=worker)
-        own = telemetry.snapshot()
-        if telemetry.enabled or self.aggregate.sources():
-            snapshot = self.aggregate.merged(base=own if telemetry.enabled else None)
-        else:
-            snapshot = own  # disabled, nothing reported: the empty shape
-        return {
-            "metrics": snapshot,
-            "text": to_prometheus(snapshot),
-            "uptime_seconds": fleet["uptime_seconds"],
-            "telemetry_enabled": telemetry.enabled,
-            "signals": fleet["signals"],
-            "sources": self.aggregate.sources(),
-        }
 
     @property
     def is_shutdown(self) -> bool:
@@ -840,9 +502,6 @@ class Broker:
 
     def _count_code_locked(self, code: str) -> None:
         self._code_totals[code] = self._code_totals.get(code, 0) + 1
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            telemetry.count("broker.codes", code=code)
 
     def _worker_ledger_locked(self, worker: str) -> Dict[str, int]:
         ledger = self._workers.get(worker)
@@ -878,35 +537,16 @@ class Broker:
         return None, None
 
     def _enqueue_locked(
-        self,
-        key: str,
-        canonical: Dict[str, Any],
-        cost: float,
-        attempts: int = 0,
-        tenant: str = DEFAULT_TENANT,
-        trace: Optional[Dict[str, str]] = None,
+        self, key: str, canonical: Dict[str, Any], cost: float, attempts: int = 0
     ) -> None:
         self._seq += 1
-        self._tasks[key] = _Task(
-            key, canonical, cost, self._seq, attempts, tenant=tenant, trace=trace
-        )
-        self._push_queued_locked(tenant, cost, self._seq, key)
-
-    def _push_queued_locked(
-        self, tenant: str, cost: float, seq: int, key: str
-    ) -> None:
-        queue = self._queues.get(tenant)
-        if queue is None:
-            queue = self._queues[tenant] = []
-        if tenant not in self._rotation:
-            self._rotation.append(tenant)
-        heapq.heappush(queue, (-cost, seq, key))
+        self._tasks[key] = _Task(key, canonical, cost, self._seq, attempts)
+        heapq.heappush(self._queue, (-cost, self._seq, key))
 
     def _requeue_locked(self, task: _Task, reason: str) -> bool:
         """Give a leased task back to the queue, or fail it at the cap."""
         task.worker = None
         task.deadline = None
-        task.leased_at = None
         if task.attempts >= self.max_attempts:
             del self._tasks[task.key]
             self._failed[task.key] = (
@@ -917,9 +557,7 @@ class Broker:
             self._count_code_locked(FAIL_GAVE_UP)
             return False
         self.stats.requeues += 1
-        if self.telemetry.enabled:
-            self.telemetry.count("broker.requeues", tenant=task.tenant)
-        self._push_queued_locked(task.tenant, task.cost, task.seq, task.key)
+        heapq.heappush(self._queue, (-task.cost, task.seq, task.key))
         return True
 
     def _requeue_expired_locked(self) -> None:
@@ -935,8 +573,6 @@ class Broker:
             self._requeue_locked(
                 task, f"lease expired (worker {worker} stopped heartbeating)"
             )
-        if expired and self.telemetry.enabled:
-            self.telemetry.count("broker.expired_leases", len(expired))
         if expired:
             # Expiry changes what a restarted broker must re-run; journal it.
             self._save_state_locked()
@@ -953,14 +589,7 @@ class Broker:
         state = {
             "format": STATE_FORMAT,
             "tasks": [
-                {
-                    "spec": task.canonical,
-                    "attempts": task.attempts,
-                    "tenant": task.tenant,
-                    # Additive (absent pre-v3 and for untraced tasks):
-                    # journals travel in either direction across upgrades.
-                    **({"trace": task.trace} if task.trace else {}),
-                }
+                {"spec": task.canonical, "attempts": task.attempts}
                 for task in self._tasks.values()
             ],
             "completed": sorted(self._completed),
@@ -997,16 +626,11 @@ class Broker:
                 # In-flight leases died with the previous broker process:
                 # everything incomplete restarts as queued.  Attempt counts
                 # survive so a crash-looping spec still hits the cap.
-                trace = entry.get("trace")
-                if TraceContext.from_wire(trace) is None:
-                    trace = None
                 self._enqueue_locked(
                     key,
                     spec.canonical(),
                     _safe_cost(spec),
                     attempts=int(entry.get("attempts", 0)),
-                    tenant=str(entry.get("tenant", DEFAULT_TENANT)),
-                    trace=trace,
                 )
             for key in state.get("completed", []):
                 if self.cache is not None and str(key) in self.cache:
@@ -1063,20 +687,13 @@ class BrokerServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_message_bytes: int = MAX_FRAME_BYTES,
-        http_port: Optional[int] = None,
-        sample_interval: float = 2.0,
     ) -> None:
         if max_message_bytes < 1024:
             raise ValueError(
                 f"max_message_bytes must be >= 1024, got {max_message_bytes}"
             )
-        if sample_interval <= 0:
-            raise ValueError(
-                f"sample_interval must be > 0, got {sample_interval}"
-            )
         self.broker = broker
         self.max_message_bytes = int(max_message_bytes)
-        self.sample_interval = float(sample_interval)
         family = socket.AF_INET6 if ":" in host else socket.AF_INET
         # Bind eagerly (SO_REUSEADDR, like the old socketserver front end,
         # so a restarted broker can take over a TIME_WAIT port) and hand the
@@ -1085,14 +702,6 @@ class BrokerServer:
             (host, port), family=family, backlog=128
         )
         self._address = self._socket.getsockname()[:2]
-        # Optional HTTP observability gateway (/metrics, /healthz, /readyz,
-        # /stats.json) on the same event loop; ``http_port=0`` binds an
-        # ephemeral port, ``None`` disables the gateway entirely.
-        self.gateway = None
-        if http_port is not None:
-            from repro.runtime.distributed.gateway import ObservabilityGateway
-
-            self.gateway = ObservabilityGateway(broker, host=host, port=http_port)
         self._thread: Optional[threading.Thread] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_async: Optional[asyncio.Event] = None
@@ -1103,14 +712,10 @@ class BrokerServer:
         host, port = self._address
         return str(host), int(port)
 
-    @property
-    def http_address(self) -> Optional[Tuple[str, int]]:
-        """The gateway's ``(host, port)``, or ``None`` when disabled."""
-        return self.gateway.address if self.gateway is not None else None
-
     # ------------------------------------------------------------ lifecycle
     def serve_forever(self) -> None:
-        """Serve until :meth:`stop` or a ``shutdown`` op (CLI entry point)."""
+        """Serve until :meth:`stop`, or until :data:`SHUTDOWN_GRACE_SECONDS`
+        after a ``shutdown`` op (CLI entry point)."""
         try:
             asyncio.run(self._serve())
         finally:
@@ -1148,19 +753,6 @@ class BrokerServer:
         if sock is not None:
             with contextlib.suppress(OSError):
                 sock.close()
-        if self.gateway is not None:
-            self.gateway.close_socket()
-
-    async def _sample_loop(self) -> None:
-        """Feed the broker's gauge ring at a steady cadence.
-
-        Sampling reads broker state under its lock, so it runs on a worker
-        thread like every other op.  Purely observational: queue semantics
-        never depend on the ring.
-        """
-        while True:
-            await asyncio.to_thread(self.broker.sample_metrics)
-            await asyncio.sleep(self.sample_interval)
 
     async def _serve(self) -> None:
         self._loop = asyncio.get_running_loop()
@@ -1175,18 +767,10 @@ class BrokerServer:
             # never trips the stream limit before our own length check.
             limit=self.max_message_bytes + 2,
         )
-        if self.gateway is not None:
-            await self.gateway.start()
-        sampler = asyncio.ensure_future(self._sample_loop())
         try:
             async with server:
                 await self._stop_async.wait()
         finally:
-            sampler.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await sampler
-            if self.gateway is not None:
-                await self.gateway.aclose()
             self._loop = None
 
     # ----------------------------------------------------------- connection
@@ -1233,9 +817,12 @@ class BrokerServer:
                 except (ConnectionError, OSError):
                     return
                 if message.get("op") == "shutdown" and response["ok"]:
-                    # Stop accepting connections once the response is
-                    # flushed; asyncio.run tears down the open handlers.
-                    self._signal_stop()
+                    # Keep answering through the grace window, so polling
+                    # workers lease a shutdown notice; asyncio.run then
+                    # tears down the open handlers.
+                    asyncio.get_running_loop().call_later(
+                        SHUTDOWN_GRACE_SECONDS, self._signal_stop
+                    )
                     return
         finally:
             with contextlib.suppress(Exception):
@@ -1250,25 +837,7 @@ class BrokerServer:
 
     # ------------------------------------------------------------- dispatch
     def _dispatch(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Route one request, observing per-op counts and latency."""
-        telemetry = self.broker.telemetry
-        if not telemetry.enabled:
-            return self._dispatch_op(message)
-        op = message.get("op")
-        op_label = op if isinstance(op, str) else "?"
-        start = time.perf_counter()
-        try:
-            return self._dispatch_op(message)
-        finally:
-            telemetry.count("broker.ops", op=op_label)
-            telemetry.observe(
-                "broker.op.seconds",
-                time.perf_counter() - start,
-                edges=DEFAULT_TIME_EDGES,
-                op=op_label,
-            )
-
-    def _dispatch_op(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        """Route one request; fields an op does not read are ignored."""
         broker = self.broker
         op = message.get("op")
         if message.get("protocol") != PROTOCOL:
@@ -1283,25 +852,10 @@ class BrokerServer:
             }
         try:
             if op == "submit":
-                traces = message.get("traces")
-                body = broker.submit(
-                    message.get("specs", []),
-                    tenant=str(message.get("tenant") or DEFAULT_TENANT),
-                    traces=traces if isinstance(traces, dict) else None,
-                )
+                body = broker.submit(message.get("specs", []))
             elif op == "lease":
-                reported = message.get("stats")
-                body = broker.lease(
-                    str(message.get("worker", "?")),
-                    stats=reported if isinstance(reported, dict) else None,
-                )
+                body = broker.lease(str(message.get("worker", "?")))
             elif op == "heartbeat":
-                # Workers piggyback cumulative telemetry snapshots here.
-                report = message.get("telemetry")
-                if report is not None:
-                    broker.record_worker_telemetry(
-                        str(message.get("worker", "?")), report
-                    )
                 body = broker.heartbeat(
                     str(message.get("worker", "?")), str(message.get("key", ""))
                 )
@@ -1323,19 +877,12 @@ class BrokerServer:
                         payload = decompress_payload(str(message["payload_gz"]))
                     except ProtocolError as exc:
                         transport_error = str(exc)
-                report = message.get("telemetry")
-                if report is not None:
-                    broker.record_worker_telemetry(
-                        str(message.get("worker", "?")), report
-                    )
-                trace = message.get("trace")
                 body = broker.ingest(
                     str(message.get("worker", "?")),
                     str(message.get("key", "")),
                     str(message.get("sha256", "")),
                     payload,
                     transport_error=transport_error,
-                    trace=trace if isinstance(trace, dict) else None,
                 )
             elif op == "fetch":
                 body = self._dispatch_fetch(message)
@@ -1343,10 +890,6 @@ class BrokerServer:
                 body = self._dispatch_fetch_chunk(message)
             elif op == "status":
                 body = broker.status()
-            elif op == "stats":
-                body = broker.fleet_stats()
-            elif op == "metrics":
-                body = self._dispatch_metrics()
             elif op == "shutdown":
                 body = broker.shutdown()
             else:
@@ -1356,9 +899,6 @@ class BrokerServer:
                     "error": f"unknown op {op!r}",
                     "code": ERR_UNKNOWN_OP,
                 }
-        except AdmissionError as exc:
-            # Already counted at the admission-control site.
-            return {"ok": False, "error": str(exc), "code": exc.code}
         except Exception as exc:
             broker.count_code(ERR_BAD_REQUEST)
             return {"ok": False, "error": f"{op}: {exc}", "code": ERR_BAD_REQUEST}
@@ -1430,16 +970,3 @@ class BrokerServer:
             "total_bytes": len(blob),
             "eof": offset + len(data) >= len(blob),
         }
-
-    def _dispatch_metrics(self) -> Dict[str, Any]:
-        """The ``metrics`` op: fleet-wide snapshot + Prometheus text.
-
-        Delegates to :meth:`Broker.observability`, the same builder behind
-        the HTTP gateway's ``/metrics``: gauges refreshed at request time,
-        the broker's own registry merged with every worker's piggybacked
-        snapshot.  With telemetry disabled the op still succeeds (empty
-        snapshot, ``telemetry_enabled`` false) so dashboards degrade
-        gracefully instead of erroring.
-        """
-        return self.broker.observability()
-

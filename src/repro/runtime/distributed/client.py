@@ -21,8 +21,6 @@ reassembled and decompressed here.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -30,7 +28,6 @@ from repro.errors import SimulationError
 from repro.runtime.backends import RunnerBackend
 from repro.runtime.distributed.protocol import (
     BrokerError,
-    DEFAULT_TENANT,
     FAIL_NEVER_SUBMITTED,
     MAX_FRAME_BYTES,
     ProtocolError,
@@ -39,15 +36,6 @@ from repro.runtime.distributed.protocol import (
     request,
 )
 from repro.runtime.spec import RunSpec
-from repro.telemetry import TraceContext
-
-def _canonical_key(canonical: Dict[str, Any]) -> str:
-    """The spec key the broker will assign this canonical: SHA-256 of its
-    canonical JSON -- the exact :meth:`RunSpec.key` computation, done here
-    without rebuilding the spec so trace contexts can be matched to the
-    canonicals in a submit chunk."""
-    blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 class DistributedBackend(RunnerBackend):
@@ -63,8 +51,6 @@ class DistributedBackend(RunnerBackend):
         patience: seconds of consecutive transport failures tolerated
             before declaring the broker lost.
         submit_chunk: specs per submit message (bounds message size).
-        tenant: queue identity stamped on submits (fair-share scheduling
-            and quotas).
         max_frame_bytes: cap on any single response frame; also announced
             to the broker so oversized payloads arrive chunked.
         clock / sleep: injectable time sources (fake-clock tests).
@@ -79,7 +65,6 @@ class DistributedBackend(RunnerBackend):
         timeout: Optional[float] = None,
         patience: float = 60.0,
         submit_chunk: int = 64,
-        tenant: Optional[str] = None,
         max_frame_bytes: int = MAX_FRAME_BYTES,
         clock=time.monotonic,
         sleep=time.sleep,
@@ -93,14 +78,9 @@ class DistributedBackend(RunnerBackend):
         self.timeout = timeout
         self.patience = float(patience)
         self.submit_chunk = max(1, int(submit_chunk))
-        self.tenant = tenant or DEFAULT_TENANT
         self.max_frame_bytes = int(max_frame_bytes)
         self._clock = clock
         self._sleep_fn = sleep
-        # key -> trace wire form, minted per batch in execute().  Held on
-        # the instance (not threaded through _submit) so the submit call
-        # signature stays stable for callers and tests that wrap it.
-        self._trace_wires: Dict[str, Dict[str, str]] = {}
 
     # ------------------------------------------------------------------ api
     def execute(
@@ -110,14 +90,6 @@ class DistributedBackend(RunnerBackend):
             return
         outstanding: Dict[str, Dict[str, Any]] = {
             spec.key(): spec.canonical() for spec in pending
-        }
-        # One trace id per submitted spec, minted here at the submission
-        # boundary (cold path, so unconditionally -- workers may run with
-        # telemetry on even when this client does not).  The broker stores
-        # each context with its task and echoes it on the lease, which is
-        # what links client, broker and worker spans into one trace.
-        self._trace_wires = {
-            key: TraceContext.mint().to_wire() for key in outstanding
         }
         started = self._clock()
         last_contact = started
@@ -188,20 +160,9 @@ class DistributedBackend(RunnerBackend):
         canonicals: List[Dict[str, Any]],
         started: float,
     ) -> None:
-        """Submit canonical specs, chunked, with their trace contexts.
-
-        The per-chunk ``traces`` map holds the contexts from
-        ``self._trace_wires``, matched by recomputing each canonical's spec
-        key.
-        """
+        """Submit canonical specs, ``submit_chunk`` per message."""
         for start in range(0, len(canonicals), self.submit_chunk):
             chunk = canonicals[start : start + self.submit_chunk]
-            chunk_traces: Dict[str, Dict[str, str]] = {}
-            if self._trace_wires:
-                for canonical in chunk:
-                    key = _canonical_key(canonical)
-                    if key in self._trace_wires:
-                        chunk_traces[key] = self._trace_wires[key]
             deadline = self._clock() + self.patience
             while True:
                 if (
@@ -217,19 +178,12 @@ class DistributedBackend(RunnerBackend):
                         f"{format_address(self.address)}"
                     )
                 try:
-                    message = {
-                        "op": "submit",
-                        "specs": chunk,
-                        "tenant": self.tenant,
-                    }
-                    if chunk_traces:
-                        message["traces"] = chunk_traces
-                    request(self.address, message)
+                    request(self.address, {"op": "submit", "specs": chunk})
                     break
                 except BrokerError as exc:
                     # The broker *rejected* the batch (bad spec version,
-                    # unknown dataset, tenant over quota...): deterministic,
-                    # surface it now instead of burning the patience window.
+                    # unknown dataset...): deterministic, surface it now
+                    # instead of burning the patience window.
                     raise SimulationError(
                         f"broker at {format_address(self.address)} rejected "
                         f"the submitted specs: {exc}"
@@ -300,9 +254,7 @@ class DistributedBackend(RunnerBackend):
                 continue
             if failed_codes.get(key) == FAIL_NEVER_SUBMITTED:
                 # The broker restarted without its journal and forgot the
-                # spec; it is still ours to finish, so hand it back (with
-                # its original trace context: the resubmitted run still
-                # belongs to the same trace).
+                # spec; it is still ours to finish, so hand it back.
                 lost.append(outstanding[key])
             else:
                 fatal[key] = reason

@@ -35,24 +35,12 @@ docs/DISTRIBUTED.md):
 * **chunked fetch**: a fetch answer inlines payloads up to a frame budget
   and announces the rest in a ``chunked`` map, streamed with the
   ``fetch_chunk`` op in bounded base64-gzip slices.
-* **tenancy**: ``submit`` may carry a ``tenant``; the broker schedules
-  fair-share across tenants and can enforce per-tenant quotas
-  (``ERR_TENANT_QUOTA``).
-* **observability**: the ``metrics`` op returns the *fleet-wide* telemetry
-  snapshot (counters / gauges / histograms) plus a Prometheus-style text
-  exposition (see docs/OBSERVABILITY.md); ``lease`` requests may carry a
-  worker ``stats`` self-report the broker republishes to dashboards.
-* **trace propagation** (optional fields): ``submit`` may carry a
-  ``traces`` map (spec key -> ``{"trace": id, "parent": span_id}``); the
-  broker echoes each context as ``trace`` on the matching ``lease`` and
-  accepts it back on the ``result`` envelope, linking client, broker and
-  worker spans into one trace per spec.  Trace fields never enter the
-  result *payload*, so digests and byte-equality are untouched.
-* **telemetry piggyback** (optional field): ``heartbeat`` and ``result``
-  messages may carry a ``telemetry`` report -- the worker's *cumulative*
-  registry snapshot with a monotonic ``seq`` -- which the broker merges
-  into its fleet aggregate (idempotent under retry/duplication: newest seq
-  wins).
+* **ignored fields**: a peer built before the service layer was cut back
+  may still send ``tenant`` or ``traces`` on ``submit``, ``stats`` on
+  ``lease``, ``telemetry`` on ``heartbeat``, or ``trace`` and ``telemetry``
+  on ``result``.  The broker serves such a request as if the field were
+  absent, and answers the deleted ``stats`` and ``metrics`` ops with
+  ``unknown-op``.
 """
 
 from __future__ import annotations
@@ -76,14 +64,10 @@ DEFAULT_PORT = 4573
 #: line is a protocol violation, not a legitimate message.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-#: Queue identity used when a peer names no tenant.
-DEFAULT_TENANT = "default"
-
 # ------------------------------------------------------------------ codes
 #: ``ok: false`` error codes.
 ERR_UNKNOWN_OP = "unknown-op"
 ERR_BAD_REQUEST = "bad-request"
-ERR_TENANT_QUOTA = "tenant-quota-exceeded"
 ERR_FRAME_TOO_LARGE = "frame-too-large"
 ERR_UNKNOWN_KEY = "unknown-key"
 ERR_UNSUPPORTED_PROTOCOL = "unsupported-protocol"
@@ -109,7 +93,7 @@ class BrokerError(ProtocolError):
 
     Unlike transport-level :class:`ProtocolError`/``OSError``, retrying the
     same request will deterministically fail again (bad spec version,
-    unknown op, quota exceeded, ...), so callers should surface it instead
+    unknown op, ...), so callers should surface it instead
     of backing off.  ``code`` carries the broker's structured error code.
     """
 

@@ -9,7 +9,9 @@ the broker requeues it immediately instead of waiting for expiry.
 
 Workers ride out broker restarts: transport errors back off and retry until
 ``connect_patience`` seconds pass without reaching a broker, then the worker
-exits cleanly (a supervisor -- or the CI smoke script -- restarts it).
+exits cleanly (a supervisor -- or the CI smoke script -- restarts it).  A
+broker that shuts down answers leases with ``shutdown`` for a short grace
+window, so an idle worker exits at its next poll.
 
 ``capacity > 1`` runs that many lease/execute/upload loops concurrently in
 one process (``dalorex worker --capacity N``): each loop holds its own lease
@@ -34,7 +36,7 @@ from repro.runtime.distributed.protocol import (
     request,
 )
 from repro.runtime.spec import RunSpec
-from repro.telemetry import TraceContext, get_telemetry
+from repro.telemetry import get_telemetry
 
 def execute_canonical(canonical: Dict[str, Any]) -> Dict[str, Any]:
     """Default executor: canonical spec dict -> result payload."""
@@ -99,21 +101,13 @@ class Worker:
         # releases on a non-accepted outcome, so concurrent loops never
         # overshoot the accepted-results budget).
         self._claimed_runs = 0
-        # Monotonic generation of the telemetry snapshots piggybacked on
-        # heartbeat/result messages: the broker applies a report only when
-        # its seq advances, which makes retried or reordered deliveries
-        # idempotent (see repro.telemetry.aggregate).
-        self._telemetry_seq = 0
 
     def stop(self) -> None:
         """Ask the loop(s) to exit after the current spec (thread-safe)."""
         self._stop.set()
 
     def stats(self) -> Dict[str, int]:
-        """Worker-side counters: piggybacked on every lease request (the
-        broker keeps the latest report per worker and the ``metrics`` op
-        exposes it), and printed by the CLI at exit.  ``leaked_heartbeats``
-        graduates here from a log-only warning to a countable signal."""
+        """Worker-side counters, printed by the CLI at exit."""
         with self._counter_lock:
             return {
                 "completed": self.completed,
@@ -122,7 +116,6 @@ class Worker:
                 "leases": self.leases,
                 "uploads": self.uploads,
                 "leaked_heartbeats": self.leaked_heartbeats,
-                "capacity": self.capacity,
             }
 
     def _count(self, field: str) -> int:
@@ -131,28 +124,6 @@ class Worker:
             value = getattr(self, field) + 1
             setattr(self, field, value)
             return value
-
-    def _telemetry_report(self) -> Optional[Dict[str, Any]]:
-        """Cumulative registry snapshot to piggyback on a broker message.
-
-        ``None`` with telemetry off (the field is simply absent from the
-        wire).  Always the *full* cumulative snapshot, never a delta, with a
-        fresh monotonic ``seq`` -- dropped, duplicated or reordered
-        deliveries all converge on the broker applying the newest one.
-        """
-        telemetry = self.telemetry
-        if not telemetry.enabled:
-            return None
-        with self._counter_lock:
-            self._telemetry_seq += 1
-            seq = self._telemetry_seq
-        snapshot = telemetry.snapshot()
-        return {
-            "seq": seq,
-            "counters": snapshot["counters"],
-            "gauges": snapshot["gauges"],
-            "histograms": snapshot["histograms"],
-        }
 
     def _claim_run_slot(self) -> bool:
         """Reserve one accepted-result slot toward ``max_runs``.
@@ -209,9 +180,7 @@ class Worker:
                 time.sleep(self.poll_interval)
                 continue
             try:
-                # Self-reported stats ride along on every lease request.
-                lease_request = {"op": "lease", "worker": self.worker_id,
-                                 "stats": self.stats()}
+                lease_request = {"op": "lease", "worker": self.worker_id}
                 if self.telemetry.enabled:
                     with self.telemetry.span("worker.lease"):
                         lease = request(self.address, lease_request)
@@ -237,10 +206,7 @@ class Worker:
                 continue
             self._count("leases")
             accepted = self._run_one(
-                key,
-                lease["spec"],
-                float(lease.get("lease_timeout", 60.0)),
-                trace_wire=lease.get("trace"),
+                key, lease["spec"], float(lease.get("lease_timeout", 60.0))
             )
             if not accepted:
                 self._release_run_slot()
@@ -249,21 +215,9 @@ class Worker:
                 break
 
     def _run_one(
-        self,
-        key: str,
-        canonical: Dict[str, Any],
-        lease_timeout: float,
-        trace_wire: Optional[Dict[str, str]] = None,
+        self, key: str, canonical: Dict[str, Any], lease_timeout: float
     ) -> bool:
-        """Execute one leased spec; True when the upload was accepted.
-
-        ``trace_wire`` is the trace context the lease carried (minted by the
-        submitting client, echoed by the broker): installed around execution
-        and upload so this worker's spans -- and everything the executor
-        emits -- join the client's trace, and echoed back on the upload
-        envelope.  It never touches the payload object itself, so payload
-        bytes and digests are identical with tracing on or off.
-        """
+        """Execute one leased spec; True when the upload was accepted."""
         stop_beat = threading.Event()
         beat = threading.Thread(
             target=self._heartbeat_loop,
@@ -272,13 +226,11 @@ class Worker:
         )
         beat.start()
         telemetry = self.telemetry
-        trace = TraceContext.from_wire(trace_wire) if telemetry.enabled else None
         try:
             if telemetry.enabled:
-                with telemetry.trace_scope(trace):
-                    with telemetry.scope(spec=key[:12], worker=self.worker_id):
-                        with telemetry.span("worker.execute"):
-                            payload = self.executor(canonical)
+                with telemetry.scope(spec=key[:12], worker=self.worker_id):
+                    with telemetry.span("worker.execute"):
+                        payload = self.executor(canonical)
             else:
                 payload = self.executor(canonical)
         except Exception as exc:
@@ -301,12 +253,11 @@ class Worker:
                 )
         self._count("uploads")
         if telemetry.enabled:
-            with telemetry.trace_scope(trace):
-                with telemetry.scope(spec=key[:12], worker=self.worker_id):
-                    with telemetry.span("worker.upload"):
-                        response = self._upload(key, payload, trace_wire=trace_wire)
+            with telemetry.scope(spec=key[:12], worker=self.worker_id):
+                with telemetry.span("worker.upload"):
+                    response = self._upload(key, payload)
         else:
-            response = self._upload(key, payload, trace_wire=trace_wire)
+            response = self._upload(key, payload)
         if response is None:
             # The upload never reached the broker; the lease will expire and
             # another worker (or this one, next lease) re-runs the spec.
@@ -325,29 +276,21 @@ class Worker:
         )
         return False
 
-    def _upload(
-        self, key: str, payload: Dict[str, Any], trace_wire=None
-    ) -> Optional[Dict[str, Any]]:
+    def _upload(self, key: str, payload: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         """Send one result as ``payload_gz``; ``None`` on transport failure.
 
         The digest covers the decompressed payload, which is what the broker
-        verifies.  Trace context and the telemetry snapshot ride on the
-        upload *envelope*, never inside the payload -- digests and
-        byte-equality are untouched.
+        verifies.
         """
-        upload = {
-            "op": "result",
-            "worker": self.worker_id,
-            "key": key,
-            "sha256": payload_digest(payload),
-            "payload_gz": compress_payload(payload),
-        }
-        if isinstance(trace_wire, dict):
-            upload["trace"] = trace_wire
-        report = self._telemetry_report()
-        if report is not None:
-            upload["telemetry"] = report
-        return self._send_quietly(upload)
+        return self._send_quietly(
+            {
+                "op": "result",
+                "worker": self.worker_id,
+                "key": key,
+                "sha256": payload_digest(payload),
+                "payload_gz": compress_payload(payload),
+            }
+        )
 
     def _heartbeat_loop(
         self, key: str, lease_timeout: float, stop: threading.Event
@@ -355,14 +298,9 @@ class Worker:
         """Renew the lease at 3x the rate it expires; stop if it was lost."""
         interval = max(0.05, lease_timeout / 3.0)
         while not stop.wait(interval):
-            beat = {"op": "heartbeat", "worker": self.worker_id, "key": key}
-            report = self._telemetry_report()
-            if report is not None:
-                # Piggybacked cumulative snapshot: the broker's fleet
-                # aggregate sees this worker's counters while it is
-                # mid-simulation, not only after an upload.
-                beat["telemetry"] = report
-            response = self._send_quietly(beat)
+            response = self._send_quietly(
+                {"op": "heartbeat", "worker": self.worker_id, "key": key}
+            )
             if response is not None and not response.get("active", False):
                 return  # lease reassigned; the eventual upload still counts once
 

@@ -1,4 +1,4 @@
-"""Unified telemetry: metrics, spans, and fleet-wide introspection.
+"""Unified telemetry: in-process metrics, spans and a JSONL span stream.
 
 The one rule every instrumented site follows::
 
@@ -16,14 +16,14 @@ Activation:
 
 * ``DALOREX_TELEMETRY=1`` -- enable in-process aggregation;
 * ``DALOREX_TELEMETRY_JSONL=<path>`` -- also stream span/event records to
-  ``<path>`` (implies enabled).  Process-pool and fleet workers inherit the
-  environment, so one variable instruments a whole local run.
-* :func:`configure` / :func:`set_telemetry` -- programmatic control (the
-  broker CLI enables telemetry by default this way; tests install scoped
+  ``<path>`` (implies enabled).  Process-pool workers inherit the
+  environment, so one variable instruments a whole local run; the broker
+  and each fleet worker read their own.
+* :func:`set_telemetry` -- programmatic control (tests install scoped
   registries via :func:`telemetry_session`).
 
-See ``docs/OBSERVABILITY.md`` for the metric naming scheme, the exposition
-format, and the ``fleet top`` / ``fleet metrics`` / ``trace`` CLI surface.
+See ``docs/OBSERVABILITY.md`` for the metric naming scheme and the
+``dalorex trace`` span table.
 """
 
 from __future__ import annotations
@@ -33,9 +33,6 @@ import threading
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
-from repro.telemetry.aggregate import FleetAggregate, TimeSeriesRing, merge_snapshots
-from repro.telemetry.context import TraceContext
-from repro.telemetry.exposition import prometheus_name, to_prometheus
 from repro.telemetry.registry import (
     DEFAULT_COUNT_EDGES,
     DEFAULT_TIME_EDGES,
@@ -48,39 +45,26 @@ from repro.telemetry.sink import ENV_JSONL_MAX_BYTES, JsonlSink
 from repro.telemetry.trace import (
     aggregate_spans,
     format_trace_report,
-    format_trace_summary,
-    group_traces,
     load_many,
     load_records,
-    summarize_trace,
 )
 
 __all__ = [
     "DEFAULT_COUNT_EDGES",
     "DEFAULT_TIME_EDGES",
     "ENV_JSONL_MAX_BYTES",
-    "FleetAggregate",
     "Histogram",
     "JsonlSink",
     "NULL",
     "NullTelemetry",
     "Telemetry",
-    "TimeSeriesRing",
-    "TraceContext",
     "aggregate_spans",
-    "configure",
     "format_trace_report",
-    "format_trace_summary",
     "get_telemetry",
-    "group_traces",
     "load_many",
     "load_records",
-    "merge_snapshots",
-    "prometheus_name",
     "set_telemetry",
-    "summarize_trace",
     "telemetry_session",
-    "to_prometheus",
 ]
 
 ENV_ENABLE = "DALOREX_TELEMETRY"
@@ -117,22 +101,12 @@ def set_telemetry(telemetry) -> None:
     """Install ``telemetry`` (a Telemetry or NullTelemetry) process-wide.
 
     Note: code that cached ``get_telemetry()`` at construction time (the
-    engines do, for hot-path speed) keeps its reference; install before
-    building machines, or pass registries explicitly (the broker does).
+    engines, brokers and workers do) keeps its reference; install before
+    building them.
     """
     global _active
     with _lock:
         _active = telemetry if telemetry is not None else NULL
-
-
-def configure(enabled: bool = True, jsonl: Optional[str] = None):
-    """Build, install, and return a registry (``NULL`` when disabled)."""
-    if not enabled and jsonl is None:
-        telemetry = NULL
-    else:
-        telemetry = Telemetry(sink=JsonlSink(path=jsonl) if jsonl else None)
-    set_telemetry(telemetry)
-    return telemetry
 
 
 @contextmanager

@@ -10,8 +10,8 @@ instrumentation free when observability is off:
   cold paths (CLI glue, error handling) may skip the guard entirely.
 
 Metric identity is ``(name, sorted(labels))``.  Names are dotted
-(``broker.op.seconds``); labels must stay low-cardinality (an op name, a
-tenant, an event kind) -- RunSpec keys and other unbounded values belong in
+(``engine.cycle.events``); labels must stay low-cardinality (an app name,
+an event kind) -- RunSpec keys and other unbounded values belong in
 the per-event JSONL context (:meth:`Telemetry.scope`), never in labels.
 
 Histograms use fixed bucket edges chosen at first observation (callers may
@@ -35,8 +35,6 @@ import uuid
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple
 
-from repro.telemetry.context import TraceContext
-
 __all__ = [
     "DEFAULT_COUNT_EDGES",
     "DEFAULT_TIME_EDGES",
@@ -44,7 +42,6 @@ __all__ = [
     "NULL",
     "NullTelemetry",
     "Telemetry",
-    "TraceContext",
 ]
 
 #: Default edges for duration histograms (seconds): 1us .. ~100s, geometric.
@@ -137,12 +134,11 @@ class Histogram:
 
 
 class _ThreadState(threading.local):
-    """Per-thread span nesting stack, correlation context and trace context."""
+    """Per-thread span nesting stack and correlation context."""
 
     def __init__(self):
         self.span_stack = []  # entries: (name, span_id)
         self.context: Dict[str, Any] = {}
-        self.trace: Optional[TraceContext] = None
 
 
 class Telemetry:
@@ -207,15 +203,10 @@ class Telemetry:
 
         Spans nest per thread; each emitted event carries the name of its
         enclosing span (``parent``) for in-process call trees plus a unique
-        ``span_id`` / ``parent_id`` pair.  When a :class:`TraceContext` is
-        installed (:meth:`trace_scope`), top-of-stack spans parent under the
-        context's remote ``parent_id`` and every record carries the trace id,
-        which is what links one run's spans across client/broker/worker
-        processes.
+        ``span_id`` / ``parent_id`` pair.
         """
-        local = self._local
-        stack = local.span_stack
-        parent_name, enclosing_id = stack[-1] if stack else (None, None)
+        stack = self._local.span_stack
+        parent_name, parent_id = stack[-1] if stack else (None, None)
         span_id = f"{self._span_token}-{next(self._span_seq):x}"
         stack.append((name, span_id))
         start = self._clock()
@@ -228,10 +219,6 @@ class Telemetry:
                 f"span.{name}.seconds", duration, edges=DEFAULT_TIME_EDGES, **labels
             )
             if self._sink is not None:
-                trace = local.trace
-                parent_id = enclosing_id
-                if parent_id is None and trace is not None:
-                    parent_id = trace.parent_id
                 self.emit(
                     "span",
                     name=name,
@@ -243,31 +230,8 @@ class Telemetry:
                 )
 
     @contextmanager
-    def trace_scope(self, trace: Optional[TraceContext]) -> Iterator[None]:
-        """Install ``trace`` as this thread's trace context (None = no-op)."""
-        if trace is None:
-            yield
-            return
-        local = self._local
-        previous = local.trace
-        local.trace = trace
-        try:
-            yield
-        finally:
-            local.trace = previous
-
-    def current_trace(self) -> Optional[TraceContext]:
-        """The thread's installed trace context, if any."""
-        return self._local.trace
-
-    def current_span_id(self) -> Optional[str]:
-        """The innermost open span's id on this thread, if any."""
-        stack = self._local.span_stack
-        return stack[-1][1] if stack else None
-
-    @contextmanager
     def scope(self, **context) -> Iterator[None]:
-        """Attach correlation context (spec key, tenant, worker id, ...).
+        """Attach correlation context (spec key, worker id, ...).
 
         Context flows into every JSONL record emitted by this thread while
         the scope is active.  It never labels aggregated metrics -- that is
@@ -289,11 +253,9 @@ class Telemetry:
         if sink is None:
             return
         record: Dict[str, Any] = {"ts": round(time.time(), 6), "kind": kind}
-        local = self._local
-        if local.context:
-            record["ctx"] = dict(local.context)
-        if local.trace is not None and "trace" not in fields:
-            record["trace"] = local.trace.trace_id
+        context = self._local.context
+        if context:
+            record["ctx"] = dict(context)
         for field, value in fields.items():
             if value is not None:
                 record[field] = value
@@ -387,20 +349,11 @@ class NullTelemetry:
     def scope(self, **context):
         return _NULL_CONTEXT
 
-    def trace_scope(self, trace):
-        return _NULL_CONTEXT
-
     def emit(self, kind, **fields):
         pass
 
     def current_context(self):
         return {}
-
-    def current_trace(self):
-        return None
-
-    def current_span_id(self):
-        return None
 
     def snapshot(self):
         return {"counters": {}, "gauges": {}, "histograms": {}, "created": None}

@@ -9,8 +9,8 @@ attributable.
 
 Records are plain JSON objects with at least ``ts`` (unix seconds) and
 ``kind`` (``"span"``, ``"event"``); span records add ``name``, ``dur_s``,
-``parent``, ``span_id``/``parent_id`` and optional ``labels`` / ``ctx`` /
-``trace`` (see :mod:`repro.telemetry.registry`).
+``parent``, ``span_id``/``parent_id`` and optional ``labels`` / ``ctx``
+(see :mod:`repro.telemetry.registry`).
 
 Path-backed sinks may be size-bounded: pass ``max_bytes`` (or set
 ``DALOREX_TELEMETRY_JSONL_MAX_BYTES``) and the sink performs one

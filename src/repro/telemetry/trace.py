@@ -1,33 +1,22 @@
-"""Aggregate and cross-link span reports from telemetry JSONL traces.
+"""Aggregate span reports from telemetry JSONL traces.
 
 ``dalorex trace <file>...`` loads the span records :class:`JsonlSink`
-writers produced (any number of files -- broker, workers, client), groups
-them by span name, and prints count / total / p50 / p99 / max per name.
+writers produced (any number of files, e.g. one per worker), groups them
+by span name, and prints count / total / p50 / p99 / max per name.
 Quantiles here are exact (computed from the individual durations, not
 histogram buckets) because the trace files retain every record.
-
-Records that carry a ``trace`` id (stamped by
-:meth:`Telemetry.trace_scope`) additionally group into **cross-process
-traces**: one tree of spans per submitted unit of work, linked by
-``span_id``/``parent_id`` across every contributing process.  For each
-trace the report derives its wall-clock extent and critical path -- the
-chain of spans that ended last at every level of the tree, i.e. the work
-that actually gated completion.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterable, Iterator, List, Sequence
 
 __all__ = [
     "aggregate_spans",
     "format_trace_report",
-    "format_trace_summary",
-    "group_traces",
     "load_many",
     "load_records",
-    "summarize_trace",
 ]
 
 
@@ -51,7 +40,7 @@ def load_records(path: str) -> Iterator[Dict[str, Any]]:
 
 
 def load_many(paths: Sequence[str]) -> List[Dict[str, Any]]:
-    """All records from every file, in file order (merging a fleet's traces)."""
+    """All records from every file, in file order."""
     records: List[Dict[str, Any]] = []
     for path in paths:
         records.extend(load_records(path))
@@ -113,130 +102,3 @@ def format_trace_report(aggregates: Dict[str, Dict[str, Any]]) -> str:
     lines.append(f"{'all spans':<34} {count:>8} {total:>10.4f}")
     return "\n".join(lines) + "\n"
 
-
-# -- cross-process trace linking --------------------------------------------
-
-
-def group_traces(records: Iterable[Dict[str, Any]]) -> Dict[str, List[Dict[str, Any]]]:
-    """Span records grouped by their ``trace`` id (untraced spans dropped)."""
-    grouped: Dict[str, List[Dict[str, Any]]] = {}
-    for record in records:
-        if record.get("kind") != "span":
-            continue
-        trace_id = record.get("trace")
-        if not isinstance(trace_id, str) or not trace_id:
-            continue
-        if not isinstance(record.get("dur_s"), (int, float)):
-            continue
-        grouped.setdefault(trace_id, []).append(record)
-    return grouped
-
-
-def _span_end(span: Dict[str, Any]) -> float:
-    return float(span.get("ts") or 0.0)
-
-
-def _span_start(span: Dict[str, Any]) -> float:
-    # JSONL records are emitted at span *close*: ts is the end time.
-    return _span_end(span) - float(span.get("dur_s") or 0.0)
-
-
-def summarize_trace(spans: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Tree-link one trace's spans and derive its critical path.
-
-    Returns ``{spans, processes, started, wall_s, critical_path}`` where
-    ``critical_path`` is a list of ``{name, pid, dur_s}`` steps: starting
-    from the latest-ending root, descend at each level into the child span
-    that ended last -- the chain that gated the trace's completion.
-    """
-    by_id: Dict[str, Dict[str, Any]] = {}
-    for span in spans:
-        span_id = span.get("span_id")
-        if isinstance(span_id, str):
-            by_id[span_id] = span
-
-    children: Dict[str, List[Dict[str, Any]]] = {}
-    roots: List[Dict[str, Any]] = []
-    for span in spans:
-        parent_id = span.get("parent_id")
-        if isinstance(parent_id, str) and parent_id in by_id:
-            children.setdefault(parent_id, []).append(span)
-        else:
-            roots.append(span)
-
-    path: List[Dict[str, Any]] = []
-    if roots:
-        node = max(roots, key=_span_end)
-        seen = set()
-        while node is not None:
-            span_id = node.get("span_id")
-            if span_id in seen:  # defensive: malformed ids must not loop
-                break
-            seen.add(span_id)
-            path.append(
-                {
-                    "name": node.get("name"),
-                    "pid": node.get("pid"),
-                    "dur_s": float(node.get("dur_s") or 0.0),
-                }
-            )
-            branches = children.get(span_id) if isinstance(span_id, str) else None
-            node = max(branches, key=_span_end) if branches else None
-
-    starts = [_span_start(span) for span in spans]
-    ends = [_span_end(span) for span in spans]
-    return {
-        "spans": len(spans),
-        "processes": len({span.get("pid") for span in spans if span.get("pid")}),
-        "started": min(starts) if starts else 0.0,
-        "wall_s": (max(ends) - min(starts)) if spans else 0.0,
-        "critical_path": path,
-    }
-
-
-def format_trace_summary(
-    grouped: Dict[str, List[Dict[str, Any]]], limit: int = 10
-) -> str:
-    """Per-trace table + critical-path timelines for the slowest traces."""
-    if not grouped:
-        return "no trace-linked spans found\n"
-    summaries = {
-        trace_id: summarize_trace(spans) for trace_id, spans in grouped.items()
-    }
-    ordered = sorted(
-        summaries.items(), key=lambda item: (-item[1]["wall_s"], item[0])
-    )
-    pids = {
-        span.get("pid")
-        for spans in grouped.values()
-        for span in spans
-        if span.get("pid")
-    }
-    header = f"{'trace':<18} {'spans':>6} {'procs':>6} {'wall_s':>10}  critical path"
-    lines = [
-        f"{len(ordered)} trace(s) across {len(pids)} process(es)",
-        "",
-        header,
-        "-" * len(header),
-    ]
-    for trace_id, summary in ordered[:limit]:
-        path = " > ".join(
-            str(step["name"]) for step in summary["critical_path"]
-        ) or "-"
-        lines.append(
-            f"{trace_id:<18} {summary['spans']:>6} {summary['processes']:>6} "
-            f"{summary['wall_s']:>10.4f}  {path}"
-        )
-    if len(ordered) > limit:
-        lines.append(f"... and {len(ordered) - limit} more trace(s)")
-
-    slowest_id, slowest = ordered[0]
-    if slowest["critical_path"]:
-        lines.append("")
-        lines.append(f"critical path of slowest trace {slowest_id}:")
-        for depth, step in enumerate(slowest["critical_path"]):
-            pid = f" [pid {step['pid']}]" if step.get("pid") else ""
-            lines.append(
-                f"  {'  ' * depth}{step['name']}{pid}  {step['dur_s']:.6f}s"
-            )
-    return "\n".join(lines) + "\n"

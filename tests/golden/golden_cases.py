@@ -1,4 +1,4 @@
-"""The 20 golden payload cases: small, fast, deterministic simulations.
+"""The 21 golden payload cases: small, fast, deterministic simulations.
 
 Each case pins one (app, graph recipe, machine config) point; the golden
 fixture under ``tests/golden/payloads/`` stores the serialized result payload
@@ -11,6 +11,8 @@ golden loader tolerates older payload formats).
 Coverage: both engines, both network models, all five apps, 2D and 3D
 topologies (mesh / torus / ruche / mesh3d / torus3d), both schedulers, both
 invocation styles, barrier and barrierless, and all three memory systems.
+The compute bound sets every epoch's cycles in g01-g12; g21, a chain on a
+wide grid, is the case whose cycles the critical-path bound sets.
 """
 
 from __future__ import annotations
@@ -98,6 +100,8 @@ GOLDEN_CASES: Tuple[GoldenCase, ...] = (
     # Cycle engine, simulated (flit-level) network
     GoldenCase("g19-bfs-cycle-simnet", "bfs", "rmat7", _c(engine="cycle", network="simulated", noc="mesh")),
     GoldenCase("g20-sssp-cycle-simnet-torus", "sssp", "rmat7w", _c(engine="cycle", network="simulated", noc="torus", routing="xy_yx")),
+    # Analytic engine, latency-bound: a chain on a wide grid
+    GoldenCase("g21-bfs-analytic-chain-barrier", "bfs", "chain100w", _c(engine="analytic", width=8, height=8, barrier=True)),
 )
 
 

@@ -2,15 +2,25 @@
 
 The acceptance bar: a batch executed by a broker plus two workers is
 byte-identical to serial in-process execution, including through the shared
-result cache and with verified ingest enabled.
+result cache and with verified ingest enabled.  A ``shutdown`` op then
+stops the whole fleet within the broker's grace window.
 """
 
 import json
+import threading
+import time
 
 import numpy as np
 
 from repro.runtime import ExperimentRunner, ResultCache
-from repro.runtime.distributed import Broker, DistributedBackend
+from repro.runtime.distributed import (
+    Broker,
+    BrokerServer,
+    DistributedBackend,
+    Worker,
+    request,
+)
+from repro.runtime.distributed.broker import SHUTDOWN_GRACE_SECONDS
 
 from distributed_helpers import fleet, make_spec, make_specs
 
@@ -83,3 +93,32 @@ class TestEquivalence:
             distributed_runner(server).run_batch(specs)
         assert sum(worker.completed for worker in workers) == len(specs)
         assert all(worker.rejected == 0 for worker in workers)
+
+
+class TestShutdown:
+    def test_idle_worker_exits_within_the_grace_window(self):
+        server = BrokerServer(Broker())
+        serving = threading.Thread(target=server.serve_forever, daemon=True)
+        serving.start()
+        lines = []
+        worker = Worker(server.address, worker_id="idle", log=lines.append)
+        working = threading.Thread(target=worker.run, daemon=True)
+        working.start()
+        try:
+            time.sleep(0.6)  # the worker is idle, between empty polls
+            request(server.address, {"op": "shutdown"})
+            shut_down = time.monotonic()
+            # The server still answers inside the window, and every lease
+            # there tells its worker to exit.
+            late = request(server.address, {"op": "lease", "worker": "late"})
+            assert (late["key"], late["shutdown"]) == (None, True)
+            working.join(timeout=3.0)
+            assert not working.is_alive(), "idle worker missed the shutdown"
+            assert time.monotonic() - shut_down < 3.0
+            assert "[idle] broker shut down; exiting" in lines
+            serving.join(timeout=SHUTDOWN_GRACE_SECONDS + 1.0)
+            assert not serving.is_alive(), "server outlived its grace window"
+            assert time.monotonic() - shut_down < SHUTDOWN_GRACE_SECONDS + 1.0
+        finally:
+            worker.stop()
+            server.stop()

@@ -388,7 +388,7 @@ class TestWorkerProcessKill:
                 assert payload is not None, "the fleet never recovered"
                 assert payload == reference
                 assert broker.stats.expired_leases >= 1
-                ledgers = broker.fleet_stats()["per_worker"]
+                ledgers = broker.status()["per_worker"]
                 assert ledgers["victim"]["completed"] == 0
                 assert ledgers["replacement"]["completed"] == 1
                 broker.shutdown()

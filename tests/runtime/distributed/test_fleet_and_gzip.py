@@ -1,4 +1,4 @@
-"""PR 4 satellites: the ``stats`` fleet op and gzip payload transport."""
+"""The per-worker ledger of the ``status`` op, and gzip payload transport."""
 
 import time
 
@@ -18,25 +18,25 @@ def wait_until(predicate, timeout=20.0, interval=0.02):
     return False
 
 
-class TestFleetStats:
-    def test_stats_reports_queue_leases_attempts_and_workers(self):
+class TestWorkerLedger:
+    def test_status_reports_queue_leases_and_workers(self):
         broker = Broker()
         specs = make_specs()
         broker.submit([spec.canonical() for spec in specs])
-        stats = broker.fleet_stats()
-        assert stats["queue_depth"] == len(specs)
-        assert stats["active_leases"] == []
-        assert stats["per_worker"] == {}
+        status = broker.status()
+        assert (status["pending"], status["leased"]) == (len(specs), 0)
+        assert status["per_worker"] == {}
+        assert status["uptime_seconds"] >= 0
 
-        lease = broker.lease("w0")
-        stats = broker.fleet_stats()
-        assert stats["queue_depth"] == len(specs) - 1
-        assert len(stats["active_leases"]) == 1
-        active = stats["active_leases"][0]
-        assert active["worker"] == "w0"
-        assert active["attempt"] == 1
-        assert stats["attempts"][lease["key"]] == 1
-        assert stats["per_worker"]["w0"]["leases"] == 1
+        broker.lease("w0")
+        broker.lease("w0")
+        broker.release("w1", broker.lease("w1")["key"])
+        status = broker.status()
+        assert (status["pending"], status["leased"]) == (len(specs) - 2, 2)
+        assert status["per_worker"] == {
+            "w0": {"leases": 2, "completed": 0, "rejected": 0, "released": 0},
+            "w1": {"leases": 1, "completed": 0, "rejected": 0, "released": 1},
+        }
 
     def test_per_worker_completions_accumulate_over_a_real_fleet(self):
         broker = Broker()
@@ -44,13 +44,12 @@ class TestFleetStats:
         with fleet(broker, num_workers=2) as (server, workers):
             broker.submit([spec.canonical() for spec in specs])
             assert wait_until(
-                lambda: broker.fleet_stats()["completed"] == len(specs)
+                lambda: broker.status()["completed"] == len(specs)
             )
-            stats = request(server.address, {"op": "stats"})
-        per_worker = stats["per_worker"]
+            status = request(server.address, {"op": "status"})
+        per_worker = status["per_worker"]
         assert sum(w["completed"] for w in per_worker.values()) == len(specs)
-        assert stats["queue_depth"] == 0
-        assert stats["active_leases"] == []
+        assert (status["pending"], status["leased"]) == (0, 0)
 
     def test_rejected_uploads_are_ledgered(self, real_payload):
         key, payload = real_payload
@@ -59,7 +58,7 @@ class TestFleetStats:
         broker.lease("evil")
         response = broker.ingest("evil", key, "0" * 64, payload)
         assert not response["accepted"]
-        assert broker.fleet_stats()["per_worker"]["evil"]["rejected"] == 1
+        assert broker.status()["per_worker"]["evil"]["rejected"] == 1
 
 
 class TestGzipTransport:

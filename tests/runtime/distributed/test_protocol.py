@@ -1,5 +1,7 @@
 """Framing, addressing and request/response semantics of the wire protocol."""
 
+import base64
+import gzip
 import io
 import socket
 import socketserver
@@ -17,6 +19,7 @@ from repro.runtime.distributed.protocol import (
     BrokerError,
     ProtocolError,
     compress_payload,
+    decompress_payload,
     encode_message,
     format_address,
     parse_address,
@@ -98,6 +101,32 @@ class TestFraming:
             read_message(io.BytesIO(b"A" * 2048), max_bytes=1024)
 
 
+class TestPayloadCodec:
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            "!!! not base64 !!!",
+            base64.b64encode(b"plain bytes, not gzip").decode(),
+            base64.b64encode(gzip.compress(b"{torn json")).decode(),
+            base64.b64encode(gzip.compress(b"[1, 2, 3]")).decode(),
+        ],
+        ids=["not-base64", "not-gzip", "not-json", "not-an-object"],
+    )
+    def test_garbage_blobs_raise_protocol_errors(self, blob):
+        with pytest.raises(ProtocolError):
+            decompress_payload(blob)
+
+    def test_encoding_is_deterministic_and_key_order_free(self):
+        # fetch_chunk slices a fresh recompression on every call, so equal
+        # payloads must always encode to the same bytes.
+        first = compress_payload({"a": 1, "b": {"y": [1, 2], "x": None}})
+        second = compress_payload({"b": {"x": None, "y": [1, 2]}, "a": 1})
+        assert first == second
+        assert gzip.decompress(base64.b64decode(first)) == (
+            b'{"a":1,"b":{"x":null,"y":[1,2]}}'
+        )
+
+
 class TestRequest:
     def test_status_round_trip_against_live_server(self):
         with BrokerServer(Broker()) as server:
@@ -148,6 +177,40 @@ class TestRequest:
             assert request(server.address, {"op": "status"})["ok"] is True
 
 
+    def test_one_connection_carries_several_requests_in_order(self):
+        broker = Broker()
+        lines = (
+            encode_message({"op": "submit", "protocol": PROTOCOL,
+                            "specs": [make_spec().canonical()]})
+            + encode_message({"op": "status", "protocol": PROTOCOL})
+        )
+        with BrokerServer(broker) as server:
+            with socket.create_connection(server.address, timeout=5) as sock:
+                sock.sendall(lines)
+                with sock.makefile("rb") as rfile:
+                    submitted = read_message(rfile)
+                    status = read_message(rfile)
+        assert (submitted["ok"], submitted["queued"]) == (True, 1)
+        assert (status["ok"], status["pending"]) == (True, 1)
+
+    def test_a_peer_that_closes_without_answering_is_a_protocol_error(self):
+        class Hangup(socketserver.StreamRequestHandler):
+            def handle(self):
+                self.rfile.readline()  # read the request, answer nothing
+
+        stub = socketserver.TCPServer(("127.0.0.1", 0), Hangup)
+        thread = threading.Thread(target=stub.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with pytest.raises(ProtocolError, match="closed the connection") as excinfo:
+                request(stub.server_address, {"op": "lease"}, timeout=5.0)
+        finally:
+            stub.shutdown()
+            stub.server_close()
+            thread.join(timeout=5.0)
+        assert not isinstance(excinfo.value, BrokerError)
+
+
 def _raw_exchange(address, message):
     """Send ``message`` exactly as given (no protocol stamp added)."""
     with socket.create_connection(address, timeout=5) as sock:
@@ -181,7 +244,7 @@ class TestOneProtocolGeneration:
             # Refused means not executed: the broker is still serving.
             assert not broker.is_shutdown
             assert request(server.address, {"op": "status"})["ok"] is True
-        assert broker.fleet_stats()["codes"][ERR_UNSUPPORTED_PROTOCOL] == 1
+        assert broker.status()["codes"][ERR_UNSUPPORTED_PROTOCOL] == 1
 
     @pytest.mark.parametrize("stamp", ["dalorex-dist/1", "dalorex-dist/2", None])
     def test_request_rejects_responses_of_other_generations(self, stamp):
@@ -220,7 +283,7 @@ class TestOneProtocolGeneration:
         clock.advance(5.0)  # a renewed lease would get a later deadline
         message = {
             "submit": {"specs": [make_spec(seed=12).canonical()]},
-            "lease": {"worker": "w1", "stats": {"completed": 3}},
+            "lease": {"worker": "w1"},
             "heartbeat": {"worker": "w0", "key": key},
             "release": {"worker": "w0", "key": key, "error": "executor raised"},
             "result": {"worker": "w0", "key": key,
@@ -256,10 +319,9 @@ class _FakeClock:
 
 def _dispatch_state(broker):
     """Everything a dispatched op could move, less the refusal's own tally."""
-    stats = broker.fleet_stats()
+    stats = broker.status()
     stats["codes"].pop(ERR_UNSUPPORTED_PROTOCOL, None)
-    for volatile in ("uptime_seconds", "started_unix", "signals", "series"):
-        del stats[volatile]
+    del stats["uptime_seconds"]
     with broker._lock:
         deadlines = {key: task.deadline for key, task in broker._tasks.items()}
     return stats, deadlines, broker.is_shutdown
@@ -291,7 +353,83 @@ class TestGangTrafficFromOlderWorkers:
             with pytest.raises(BrokerError, match="unknown op") as excinfo:
                 request(server.address, message)
         assert excinfo.value.code == ERR_UNKNOWN_OP
-        assert broker.fleet_stats()["codes"][ERR_UNKNOWN_OP] == 1
+        assert broker.status()["codes"][ERR_UNKNOWN_OP] == 1
+
+
+class TestDeletedFieldsFromOlderPeers:
+    """A client or worker built while the broker still served tenants,
+    trace propagation and fleet metrics speaks ``dalorex-dist/3`` too: the
+    fields those features added are ignored, and their ops are unknown."""
+
+    def test_submit_with_tenant_and_traces_queues_and_completes(
+        self, real_payload
+    ):
+        key, payload = real_payload
+        broker = Broker()
+        trace = {"trace": "t" * 16, "parent": "client-span-1"}
+        with BrokerServer(broker) as server:
+            submitted = request(
+                server.address,
+                {"op": "submit", "specs": [make_spec().canonical()],
+                 "tenant": "alice", "traces": {key: trace}},
+            )
+            assert (submitted["queued"], submitted["duplicates"]) == (1, 0)
+            lease = request(server.address, {"op": "lease", "worker": "w-old"})
+            assert lease["key"] == key
+            assert "trace" not in lease
+            accepted = request(
+                server.address,
+                {"op": "result", "worker": "w-old", "key": key,
+                 "sha256": payload_digest(payload),
+                 "payload_gz": compress_payload(payload), "trace": trace},
+            )
+            assert accepted["accepted"] and not accepted["duplicate"]
+            fetched = request(server.address, {"op": "fetch", "keys": [key]})
+        assert decompress_payload(fetched["results_gz"][key]) == payload
+        assert broker.status()["codes"] == {}
+
+    def test_worker_reports_are_served_normally(self, real_payload):
+        key, payload = real_payload
+        broker = Broker()
+        broker.submit([make_spec().canonical()])
+        report = {"seq": 1, "counters": {"worker.leases": {"": 1}},
+                  "gauges": {}, "histograms": {}}
+        with BrokerServer(broker) as server:
+            lease = request(
+                server.address,
+                {"op": "lease", "worker": "w-old",
+                 "stats": {"completed": 3, "capacity": 2}},
+            )
+            assert lease["key"] == key
+            beat = request(
+                server.address,
+                {"op": "heartbeat", "worker": "w-old", "key": key,
+                 "telemetry": report},
+            )
+            assert beat["active"] is True
+            accepted = request(
+                server.address,
+                {"op": "result", "worker": "w-old", "key": key,
+                 "sha256": payload_digest(payload),
+                 "payload_gz": compress_payload(payload),
+                 "trace": {"trace": "t" * 16}, "telemetry": report},
+            )
+        assert accepted["accepted"] is True
+        status = broker.status()
+        assert status["completed"] == 1
+        assert status["per_worker"]["w-old"] == {
+            "leases": 1, "completed": 1, "rejected": 0, "released": 0,
+        }
+        assert status["codes"] == {}
+
+    @pytest.mark.parametrize("op", ["stats", "metrics"])
+    def test_fleet_introspection_ops_are_unknown(self, op):
+        broker = Broker()
+        with BrokerServer(broker) as server:
+            with pytest.raises(BrokerError, match="unknown op") as excinfo:
+                request(server.address, {"op": op})
+        assert excinfo.value.code == ERR_UNKNOWN_OP
+        assert broker.status()["codes"] == {ERR_UNKNOWN_OP: 1}
 
 
 class TestSpecsFromOlderClients:
@@ -309,7 +447,7 @@ class TestSpecsFromOlderClients:
             with pytest.raises(BrokerError, match="shards") as excinfo:
                 request(server.address, {"op": "submit", "specs": batch})
         assert excinfo.value.code == ERR_BAD_REQUEST
-        assert broker.fleet_stats()["codes"][ERR_BAD_REQUEST] == 1
+        assert broker.status()["codes"][ERR_BAD_REQUEST] == 1
         status = broker.status()
         assert (status["pending"], status["leased"]) == (0, 0)
         assert broker.lease("w0")["key"] is None

@@ -174,6 +174,7 @@ class TestHeartbeatThreadLeak:
         accepted = worker._run_one("k" * 64, {"x": 1}, lease_timeout=0.15)
         assert accepted
         assert worker.leaked_heartbeats == 1
+        assert worker.stats()["leaked_heartbeats"] == 1
         assert any("heartbeat thread" in line for line in lines)
 
     def test_prompt_heartbeat_exit_is_not_flagged(self):
@@ -185,3 +186,7 @@ class TestHeartbeatThreadLeak:
         worker._send_quietly = lambda message: {"accepted": True}
         assert worker._run_one("k" * 64, {"x": 1}, lease_timeout=60.0)
         assert worker.leaked_heartbeats == 0
+        assert worker.stats() == {
+            "completed": 1, "rejected": 0, "errors": 0, "leases": 0,
+            "uploads": 1, "leaked_heartbeats": 0,
+        }

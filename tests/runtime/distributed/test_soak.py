@@ -1,8 +1,8 @@
 """Concurrency soak: ~100 interleaved clients against a 2-worker fleet.
 
 The always-on broker must serve heavy interactive traffic: one hundred
-client threads (spread over eight tenants, a third of them forcing the
-chunked-fetch path with tiny frame budgets) submit overlapping batches and
+client threads (a third of them forcing the chunked-fetch path with tiny
+frame budgets) submit overlapping batches and
 poll for results while hostile peers spray garbage lines, oversized frames
 and malformed ops at the same endpoint.  Every client must end up with
 payloads byte-identical to serial execution, and the broker must stay
@@ -23,7 +23,6 @@ from repro.runtime.distributed import Broker, DistributedBackend
 from distributed_helpers import fleet, make_specs
 
 NUM_CLIENTS = 100
-NUM_TENANTS = 8
 NUM_HOSTILE = 6
 FRAME_CAP = 256 * 1024  # server-side frame cap the hostile peers attack
 
@@ -49,7 +48,6 @@ def test_hundred_concurrent_clients_against_a_two_worker_fleet():
                 address,
                 poll_interval=0.05,
                 timeout=120.0,
-                tenant=f"t{index % NUM_TENANTS}",
                 # A third of the clients force every payload through the
                 # chunked stream; the rest fetch inline.
                 max_frame_bytes=4096 if index % 3 == 0 else 2**20,

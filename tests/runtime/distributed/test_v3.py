@@ -1,15 +1,13 @@
-"""Protocol v3: tenancy, admission control, codes, and chunked fetch."""
+"""Protocol v3: structured codes and chunked fetch."""
 
 import json
 
 import pytest
 
-from repro.errors import SimulationError
 from repro.runtime import ExperimentRunner
 from repro.runtime.backends import execute_to_payload
 from repro.runtime.cache import payload_digest
 from repro.runtime.distributed import (
-    AdmissionError,
     Broker,
     BrokerError,
     BrokerServer,
@@ -18,7 +16,6 @@ from repro.runtime.distributed import (
 )
 from repro.runtime.distributed.protocol import (
     ERR_BAD_REQUEST,
-    ERR_TENANT_QUOTA,
     ERR_UNKNOWN_KEY,
     ERR_UNKNOWN_OP,
     FAIL_GAVE_UP,
@@ -36,117 +33,6 @@ def canonical_bytes(payload):
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
 
 
-class TestFairShare:
-    def test_leases_round_robin_across_tenants(self):
-        """Three specs from a greedy tenant and two from a small one must
-        interleave -- the greedy tenant cannot starve the other."""
-        broker = Broker()
-        greedy = [make_spec(seed=seed) for seed in (1, 2, 3)]
-        modest = [make_spec(seed=seed) for seed in (4, 5)]
-        broker.submit([spec.canonical() for spec in greedy], tenant="greedy")
-        broker.submit([spec.canonical() for spec in modest], tenant="modest")
-        order = []
-        for _ in range(5):
-            lease = broker.lease("w0")
-            stats = broker.fleet_stats()
-            owner = next(
-                l for l in stats["active_leases"] if l["key"] == lease["key"]
-            )
-            assert owner is not None
-            # Recover the tenant of each leased key from the submit sets.
-            greedy_keys = {spec.key() for spec in greedy}
-            order.append("greedy" if lease["key"] in greedy_keys else "modest")
-        assert order == ["greedy", "modest", "greedy", "modest", "greedy"]
-
-    def test_within_a_tenant_costliest_first_is_preserved(self):
-        broker = Broker()
-        small, large = make_spec(width=2), make_spec(width=4)
-        broker.submit([small.canonical(), large.canonical()], tenant="t")
-        assert broker.lease("w0")["key"] == large.key()
-        assert broker.lease("w0")["key"] == small.key()
-
-    def test_single_tenant_order_matches_the_historical_global_heap(self):
-        """Untagged submits land on the default tenant; its ordering must
-        be exactly the old global costliest-first heap."""
-        broker = Broker()
-        specs = sorted(
-            make_specs(), key=lambda spec: spec.predicted_cost(), reverse=True
-        )
-        broker.submit([spec.canonical() for spec in make_specs()])
-        leased = [broker.lease("w0")["key"] for _ in specs]
-        assert leased == [spec.key() for spec in specs]
-
-    def test_fleet_stats_reports_per_tenant_depths(self):
-        broker = Broker()
-        broker.submit([make_spec(seed=1).canonical()], tenant="a")
-        broker.submit([make_spec(seed=2).canonical()], tenant="b")
-        broker.lease("w0")
-        tenants = broker.fleet_stats()["tenants"]
-        assert sum(t["queued"] for t in tenants.values()) == 1
-        assert sum(t["leased"] for t in tenants.values()) == 1
-
-
-class TestAdmissionControl:
-    def test_over_quota_submit_is_rejected_atomically(self):
-        broker = Broker(tenant_quota=2)
-        specs = [make_spec(seed=seed) for seed in (1, 2, 3)]
-        with pytest.raises(AdmissionError):
-            broker.submit([spec.canonical() for spec in specs], tenant="t")
-        # All-or-nothing: nothing from the rejected batch was queued.
-        assert broker.status()["pending"] == 0
-        assert broker.stats.admission_rejections == 1
-
-    def test_quota_is_per_tenant_not_global(self):
-        broker = Broker(tenant_quota=2)
-        broker.submit(
-            [make_spec(seed=seed).canonical() for seed in (1, 2)], tenant="a"
-        )
-        # Tenant "a" is full; tenant "b" still has its own budget.
-        broker.submit(
-            [make_spec(seed=seed).canonical() for seed in (3, 4)], tenant="b"
-        )
-        with pytest.raises(AdmissionError):
-            broker.submit([make_spec(seed=5).canonical()], tenant="a")
-        assert broker.status()["pending"] == 4
-
-    def test_completed_work_frees_quota(self, real_payload):
-        key, payload = real_payload
-        broker = Broker(tenant_quota=1)
-        broker.submit([make_spec().canonical()], tenant="t")
-        with pytest.raises(AdmissionError):
-            broker.submit([make_spec(seed=99).canonical()], tenant="t")
-        broker.lease("w0")
-        broker.ingest("w0", key, payload_digest(payload), payload)
-        broker.submit([make_spec(seed=99).canonical()], tenant="t")
-        assert broker.status()["pending"] == 1
-
-    def test_rejection_carries_the_typed_code_over_the_wire(self):
-        broker = Broker(tenant_quota=1)
-        with BrokerServer(broker) as server:
-            with pytest.raises(BrokerError) as excinfo:
-                request(
-                    server.address,
-                    {
-                        "op": "submit",
-                        "specs": [
-                            make_spec(seed=seed).canonical() for seed in (1, 2)
-                        ],
-                        "tenant": "t",
-                    },
-                )
-        assert excinfo.value.code == ERR_TENANT_QUOTA
-
-    def test_client_surfaces_quota_rejection_as_simulation_error(self):
-        broker = Broker(tenant_quota=1)
-        with BrokerServer(broker) as server:
-            backend = DistributedBackend(
-                server.address, poll_interval=0.01, tenant="t"
-            )
-            specs = [make_spec(seed=seed) for seed in (1, 2)]
-            with pytest.raises(SimulationError, match="quota"):
-                list(backend.execute(specs))
-
-
 class TestFailureCodes:
     def test_give_up_carries_gave_up_code(self):
         broker = Broker(max_attempts=1)
@@ -159,9 +45,11 @@ class TestFailureCodes:
         assert fetched["failed_codes"][spec.key()] == FAIL_GAVE_UP
 
     def test_unknown_key_carries_never_submitted_code(self):
-        fetched = Broker().fetch(["no-such-key"])
+        broker = Broker()
+        fetched = broker.fetch(["no-such-key"])
         assert fetched["failed"]["no-such-key"] == "never submitted to this broker"
         assert fetched["failed_codes"]["no-such-key"] == FAIL_NEVER_SUBMITTED
+        assert broker.status()["codes"] == {FAIL_NEVER_SUBMITTED: 1}
 
     def test_error_responses_carry_codes(self, real_payload):
         key, payload = real_payload

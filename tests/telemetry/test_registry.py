@@ -147,6 +147,20 @@ class TestTelemetryRegistry:
         assert by_name["inner"]["parent"] == "outer"
         assert "parent" not in by_name["outer"]  # None fields are dropped
 
+    def test_span_ids_are_unique_and_parents_link(self):
+        sink = open_memory_sink()
+        t = Telemetry(sink=sink)
+        with t.span("outer"):
+            with t.span("inner"):
+                pass
+        with t.span("outer"):
+            pass
+        lines = [json.loads(line) for line in sink._stream.getvalue().splitlines()]
+        inner, first_outer, second_outer = lines  # emitted as each span closes
+        assert len({record["span_id"] for record in lines}) == 3
+        assert inner["parent_id"] == first_outer["span_id"]
+        assert "parent_id" not in first_outer and "parent_id" not in second_outer
+
     def test_span_aggregates_even_when_the_block_raises(self):
         t = Telemetry()
         with pytest.raises(RuntimeError):

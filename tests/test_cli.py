@@ -207,6 +207,32 @@ class TestDalorexDispatch:
         assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (["run"] + RUN_FLAGS, ["--tenant", "alice"]),
+            (["experiments", "textstats", "--scale", "0.05"], ["--tenant", "alice"]),
+            (["broker", "--port", "0"], ["--tenant-quota", "5"]),
+            (["broker", "--port", "0"], ["--http-port", "0"]),
+            (["broker", "--port", "0"], ["--sample-interval", "1"]),
+            (["broker", "--port", "0"], ["--no-telemetry"]),
+            (["broker", "--port", "0"], ["--telemetry-jsonl", "broker.jsonl"]),
+        ],
+        ids=["run-tenant", "experiments-tenant", "tenant-quota", "http-port",
+             "sample-interval", "no-telemetry", "telemetry-jsonl"],
+    )
+    def test_removed_service_flags_are_parser_errors(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.dalorex_command(command + flag)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+        assert captured.out == ""
+
+    def test_fleet_is_no_longer_a_subcommand(self, capsys):
+        assert cli.dalorex_command(["fleet", "top", "--connect", "x:1"]) == 2
+        assert "unknown subcommand 'fleet'" in capsys.readouterr().err
+
     def test_help_lists_subcommands(self, capsys):
         assert cli.dalorex_command([]) == 0
         out = capsys.readouterr().out
@@ -440,6 +466,60 @@ class TestBrokerWorkerCommands:
                 except subprocess.TimeoutExpired:
                     process.kill()
         assert distributed_out == inline_out
+
+
+class TestWorkerCommand:
+    """``dalorex worker`` against an in-process broker that is shutting down."""
+
+    @pytest.mark.parametrize("quiet", [False, True], ids=["verbose", "quiet"])
+    def test_exits_on_shutdown_and_prints_its_counters(self, capsys, quiet):
+        from repro.runtime.distributed import Broker, BrokerServer, format_address
+
+        broker = Broker()
+        broker.shutdown()  # every lease now answers with the shutdown notice
+        with BrokerServer(broker) as server:
+            argv = ["worker", "--connect", format_address(server.address),
+                    "--worker-id", "w9", "--poll-interval", "0.05"]
+            assert cli.dalorex_command(argv + (["--quiet"] if quiet else [])) == 0
+        lines = capsys.readouterr().out.splitlines()
+        summary = ("worker w9 exiting: 0 completed, 0 rejected, 0 errors "
+                   "(0 leases, 0 uploads, 0 leaked heartbeats)")
+        expected = [summary] if quiet else ["[w9] broker shut down; exiting", summary]
+        assert lines == expected
+
+
+class TestTraceCommand:
+    """``dalorex trace FILE...`` merges every file into one span table."""
+
+    def _write(self, path, spans):
+        path.write_text("".join(
+            json.dumps({"kind": "span", "name": name, "dur_s": dur, "pid": pid})
+            + "\n"
+            for name, dur, pid in spans
+        ) + "torn line\n")
+        return str(path)
+
+    def test_files_merge_into_one_table_and_one_flat_json(self, capsys, tmp_path):
+        first = self._write(tmp_path / "w0.jsonl",
+                            [("worker.execute", 0.5, 1), ("worker.upload", 0.1, 1)])
+        second = self._write(tmp_path / "w1.jsonl", [("worker.execute", 1.5, 2)])
+        assert cli.dalorex_command(["trace", first, second]) == 0
+        table = capsys.readouterr().out
+        assert table.splitlines()[0].split() == [
+            "span", "count", "total_s", "p50_s", "p99_s", "max_s"]
+        assert table.splitlines()[2].split()[:3] == ["worker.execute", "2", "2.0000"]
+        assert "all spans" in table
+        assert cli.dalorex_command(["trace", first, second, "--json"]) == 0
+        merged = json.loads(capsys.readouterr().out)
+        assert set(merged) == {"worker.execute", "worker.upload"}
+        assert merged["worker.execute"]["count"] == 2
+        assert merged["worker.execute"]["max_s"] == 1.5
+        assert cli.dalorex_command(["trace", first, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["worker.execute"]["count"] == 1
+
+    def test_missing_file_is_an_error(self, capsys, tmp_path):
+        assert cli.dalorex_command(["trace", str(tmp_path / "absent.jsonl")]) == 2
+        assert "does not exist" in capsys.readouterr().err
 
 
 class TestExperimentsCommand:
