@@ -4,9 +4,12 @@
 Starts a real ``dalorex broker`` and N ``dalorex worker`` subprocesses, runs
 a figure sweep through ``run_all_experiments.py --backend distributed``, and
 asserts the JSON output is byte-identical to the same sweep executed on the
-local process-pool backend.  With ``--kill-one-worker`` an extra worker is
-started and SIGKILLed mid-sweep, proving that lease expiry + requeue finish
-the batch anyway (the byte-equality assertion is unchanged).  With
+local process-pool backend.  With ``--kill-one-worker`` a lone extra worker
+starts first and is SIGKILLed as soon as the broker's ``status`` ledger shows
+it holding a lease it has not finished; the regular workers start after the
+kill, and the smoke fails unless the broker counted an expired lease, proving
+that lease expiry + requeue finish the batch anyway (the byte-equality
+assertion is unchanged).  With
 ``--telemetry`` the workers run with telemetry on, each streaming its own
 JSONL file, and ``dalorex trace`` must print the span table of one of them
 (the byte-equality assertion is unchanged here too).
@@ -25,11 +28,19 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 RUN_ALL = REPO / "scripts" / "run_all_experiments.py"
+
+#: Victims started, one at a time, until one dies holding a lease.
+KILL_ATTEMPTS = 5
+#: Seconds a killed victim's ledger must keep its unfinished lease before
+#: the kill counts: an upload already sent when the SIGKILL lands is still
+#: verified by the broker and would finish the lease.
+SETTLE_S = 2.0
 
 
 def _env() -> dict:
@@ -66,6 +77,42 @@ def _start_worker(address: str, tag: str, trace: Path = None) -> subprocess.Pope
                "--connect", address, "--worker-id", tag,
                "--poll-interval", "0.1", "--patience", "60"]
     return subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL)
+
+
+def _status(address: str) -> dict:
+    from repro.runtime.distributed.protocol import parse_address, request
+
+    return request(parse_address(address), {"op": "status"})
+
+
+def _unfinished_leases(address: str, tag: str) -> int:
+    """Leases worker ``tag`` took and has not completed, had rejected or
+    released, per the broker's ledger."""
+    ledger = _status(address)["per_worker"].get(tag)
+    if ledger is None:
+        return 0
+    return ledger["leases"] - ledger["completed"] - ledger["rejected"] - ledger["released"]
+
+
+def _kill_a_lease_holder(address: str, workers: list, sweep_over) -> None:
+    """Start lone victims until one is SIGKILLed while it holds a lease it
+    has not finished.  Every process started is appended to ``workers``."""
+    for attempt in range(KILL_ATTEMPTS):
+        tag = f"smoke-victim-{attempt}"
+        victim = _start_worker(address, tag)
+        workers.append(victim)
+        while not _unfinished_leases(address, tag):
+            if sweep_over.is_set() or victim.poll() is not None:
+                victim.kill()
+                return
+            time.sleep(0.02)
+        victim.kill()
+        victim.wait()
+        time.sleep(SETTLE_S)
+        if _unfinished_leases(address, tag):
+            print(f"[smoke] killed {tag} while it held a lease", flush=True)
+            return
+        print(f"[smoke] {tag} finished its lease before the kill; retrying", flush=True)
 
 
 def _stop_fleet(address: str, broker: subprocess.Popen, workers: list) -> None:
@@ -140,30 +187,53 @@ def main(argv=None) -> int:
             work_dir / f"worker-smoke-{i}.jsonl" if args.telemetry else None
             for i in range(args.workers)
         ]
-        workers = [
-            _start_worker(address, f"smoke-{i}", trace=trace)
-            for i, trace in enumerate(worker_traces)
-        ]
-        victim = _start_worker(address, "smoke-victim") if args.kill_one_worker else None
+        workers: list = []
 
+        def _start_regular_workers():
+            workers.extend(
+                _start_worker(address, f"smoke-{i}", trace=trace)
+                for i, trace in enumerate(worker_traces)
+            )
+
+        sweep_over = threading.Event()
+        drill = None
+        if args.kill_one_worker:
+            # The victim runs alone until it is killed holding a lease, so
+            # the sweep can only finish through that lease's expiry.
+            def _drill():
+                try:
+                    _kill_a_lease_holder(address, workers, sweep_over)
+                finally:
+                    _start_regular_workers()
+
+            drill = threading.Thread(target=_drill, daemon=True)
+            drill.start()
+        else:
+            _start_regular_workers()
+
+        expired = 0
         try:
-            if victim is not None:
-                # Let the victim lease something, then kill it mid-run.
-                def _assassinate():
-                    time.sleep(2.0)
-                    victim.kill()
-                    print("[smoke] killed one worker mid-sweep", flush=True)
-
-                import threading
-                threading.Thread(target=_assassinate, daemon=True).start()
-
             print(f"[smoke] distributed sweep via {args.workers} worker(s)", flush=True)
             distributed = _run_sweep(
                 args, "distributed", work_dir,
                 ["--backend", "distributed", "--connect", address],
             )
+            # Stops a drill still waiting for a victim that never leased.
+            sweep_over.set()
+            if drill is not None:
+                drill.join()
+                expired = _status(address)["stats"]["expired_leases"]
         finally:
-            _stop_fleet(address, broker, workers + ([victim] if victim else []))
+            sweep_over.set()
+            if drill is not None:
+                drill.join(timeout=60)
+            _stop_fleet(address, broker, workers)
+
+        if drill is not None:
+            print(f"[smoke] expired leases after the sweep: {expired}", flush=True)
+            if expired < 1:
+                print("[smoke] FAIL: no killed worker held a lease that expired")
+                return 1
 
         if args.telemetry:
             # Every worker has exited and flushed its stream; the busiest

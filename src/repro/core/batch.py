@@ -155,32 +155,36 @@ def split_ranges(
     """Replay ``TaskContext.invoke_range`` splitting for a batch of ranges.
 
     For every item the range is split at data-owner boundaries and then into
-    ``max_range`` chunks, in the exact order the scalar path emits them.
-    Returns ``(dest_tiles, piece_begins, piece_ends, pieces_per_item)``.
+    ``max_range`` chunks, in the exact order the scalar path emits them.  One
+    :meth:`~repro.core.placement.SpacePlacement.owners_of` call over every
+    covered index finds the owner runs (a run ends where the owner changes
+    or the item does), and each run is cut every ``max_range`` indices from
+    its start.  Returns ``(dest_tiles, piece_begins, piece_ends,
+    pieces_per_item)``.
     """
-    dests: List[int] = []
-    piece_begin: List[int] = []
-    piece_end: List[int] = []
-    counts = np.zeros(len(begins), dtype=np.int64)
-    for item, (begin, end) in enumerate(zip(begins.tolist(), ends.tolist())):
-        if begin >= end:
-            continue
-        pieces = 0
-        for tile, sub_begin, sub_end in space_placement.contiguous_ranges(begin, end):
-            cursor = sub_begin
-            while cursor < sub_end:
-                chunk_end = min(sub_end, cursor + max_range)
-                dests.append(tile)
-                piece_begin.append(cursor)
-                piece_end.append(chunk_end)
-                cursor = chunk_end
-                pieces += 1
-        counts[item] = pieces
+    begins = np.asarray(begins, dtype=np.int64)
+    lengths = np.maximum(np.asarray(ends, dtype=np.int64) - begins, 0)
+    flat, _ = concat_ranges(begins, begins + lengths)
+    owners = space_placement.owners_of(flat)
+    total = len(flat)
+    item_ends = np.cumsum(lengths)
+    run_start = np.zeros(total, dtype=bool)
+    run_start[(item_ends - lengths)[lengths > 0]] = True
+    run_start[1:] |= owners[1:] != owners[:-1]
+    runs = np.flatnonzero(run_start)
+    run_ends = np.append(runs[1:], total)
+    run_pieces = -(-(run_ends - runs) // max_range)
+    piece_run = np.repeat(np.arange(len(runs)), run_pieces)
+    first_piece = np.cumsum(run_pieces) - run_pieces
+    starts = runs[piece_run] + max_range * (np.arange(len(piece_run)) - first_piece[piece_run])
+    stops = np.minimum(starts + max_range, run_ends[piece_run])
+    piece_begin = flat[starts]
+    run_item = np.searchsorted(item_ends, runs, side="right")
     return (
-        np.asarray(dests, dtype=np.int64),
-        np.asarray(piece_begin, dtype=np.int64),
-        np.asarray(piece_end, dtype=np.int64),
-        counts,
+        owners[starts],
+        piece_begin,
+        piece_begin + (stops - starts),
+        np.bincount(run_item[piece_run], minlength=len(begins)),
     )
 
 

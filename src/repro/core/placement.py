@@ -94,17 +94,9 @@ class SpacePlacement(ABC):
         ranges.append((current_owner, range_start, end))
         return ranges
 
+    @abstractmethod
     def per_tile_counts(self) -> np.ndarray:
-        """Element count per tile."""
-        return np.array([self.chunk_length(t) for t in range(self.num_tiles)], dtype=np.int64)
-
-    def balance_ratio(self) -> float:
-        """Max-to-mean element count across tiles (1.0 means perfectly balanced)."""
-        counts = self.per_tile_counts()
-        mean = counts.mean() if len(counts) else 0.0
-        if mean == 0:
-            return 1.0
-        return float(counts.max() / mean)
+        """Element count per tile: :meth:`chunk_length` of every tile."""
 
 
 class BlockPlacement(SpacePlacement):
@@ -150,6 +142,10 @@ class BlockPlacement(SpacePlacement):
         self._check_indices(indices)
         return np.minimum(indices // self.chunk_size, self.num_tiles - 1)
 
+    def per_tile_counts(self) -> np.ndarray:
+        starts = np.arange(self.num_tiles, dtype=np.int64) * self.chunk_size
+        return np.clip(self.length - starts, 0, self.chunk_size)
+
 
 class InterleavedPlacement(SpacePlacement):
     """Low-order-bit placement: element ``i`` lives on tile ``i % num_tiles``."""
@@ -176,6 +172,10 @@ class InterleavedPlacement(SpacePlacement):
         self._check_indices(indices)
         return indices % self.num_tiles
 
+    def per_tile_counts(self) -> np.ndarray:
+        base, extra = divmod(self.length, self.num_tiles)
+        return base + (np.arange(self.num_tiles, dtype=np.int64) < extra)
+
 
 class OwnerMapPlacement(SpacePlacement):
     """Placement defined by an explicit per-element owner array."""
@@ -186,13 +186,7 @@ class OwnerMapPlacement(SpacePlacement):
         if len(owner_array) and (owner_array.min() < 0 or owner_array.max() >= num_tiles):
             raise PlacementError("owner map references a tile out of range")
         self.owner_map = owner_array
-        self._counts = np.bincount(owner_array, minlength=num_tiles) if len(owner_array) else np.zeros(num_tiles, dtype=np.int64)
-        # Local index = rank of the element among elements with the same owner.
-        self._local = np.zeros(len(owner_array), dtype=np.int64)
-        next_local = np.zeros(num_tiles, dtype=np.int64)
-        for i, tile in enumerate(owner_array):
-            self._local[i] = next_local[tile]
-            next_local[tile] += 1
+        self._counts = np.bincount(owner_array, minlength=num_tiles)
 
     def owner(self, index: int) -> int:
         if not 0 <= index < self.length:
@@ -200,8 +194,9 @@ class OwnerMapPlacement(SpacePlacement):
         return int(self.owner_map[index])
 
     def local_index(self, index: int) -> int:
+        """Rank of the element among the elements with the same owner."""
         self._check_index(index)
-        return int(self._local[index])
+        return int(np.count_nonzero(self.owner_map[:index] == self.owner_map[index]))
 
     def chunk_length(self, tile: int) -> int:
         if tile < 0 or tile >= self.num_tiles:
@@ -212,6 +207,9 @@ class OwnerMapPlacement(SpacePlacement):
         indices = np.asarray(indices, dtype=np.int64)
         self._check_indices(indices)
         return self.owner_map[indices]
+
+    def per_tile_counts(self) -> np.ndarray:
+        return self._counts.copy()
 
 
 POLICY_NAMES = ("block", "interleave", "row")
@@ -277,10 +275,3 @@ class DataPlacement:
 
     def contiguous_ranges(self, space: str, begin: int, end: int) -> List[Range]:
         return self.space(space).contiguous_ranges(begin, end)
-
-    def per_tile_entries(self, space_entry_counts: Dict[str, int]) -> np.ndarray:
-        """Total array entries per tile given how many arrays live in each space."""
-        totals = np.zeros(self.num_tiles, dtype=np.int64)
-        for space_name, array_count in space_entry_counts.items():
-            totals += array_count * self.space(space_name).per_tile_counts()
-        return totals

@@ -8,8 +8,9 @@ per-tile state: flat parallel arrays indexed by tile id (and, for queues, by
 * PU occupancy and accounting (``pu_busy_until``, ``pu_busy_cycles``,
   ``pu_instructions``), which the result's utilization and heatmaps read;
 * task input queues (one deque of ``(params, remote)`` invocations per
-  tile x task) with the push/pop/high-water statistics the invariant tracer
-  checks, and a per-tile count of pending invocations;
+  tile x task, created on the queue's first push) with the
+  push/pop/high-water statistics the invariant tracer checks, and a
+  per-tile count of pending invocations;
 * the TSU's round-robin cursors;
 * per-tile local frontier buckets (the paper's T3 -> T4 hand-off);
 * the NoC interface port state shared with the flit-level simulator
@@ -23,13 +24,17 @@ against an object-shaped task scheduling unit kept in the tests as an oracle.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from repro.errors import ConfigurationError
 
 #: Scheduling policies understood by :meth:`CoreState.select_task`.
 ROUND_ROBIN = "round_robin"
 OCCUPANCY = "occupancy"
+
+#: The slot of a queue never pushed: empty and shared, so a machine holds a
+#: deque only where work was queued (the analytic engine never queues).
+NEVER_PUSHED = ()
 
 
 class CoreState:
@@ -70,9 +75,10 @@ class CoreState:
         self.queue_capacity = [iq_capacities[task] for task in range(self.num_tasks)]
 
         slots = num_tiles * self.num_tasks
-        # Task input queues: deques of ``(params, remote)`` invocations, with
-        # the push/pop totals and high-water marks the invariant tracer checks.
-        self.queues: List[deque] = [deque() for _ in range(slots)]
+        # Task input queues: deques of ``(params, remote)`` invocations, each
+        # created on its first push, with the push/pop totals and high-water
+        # marks the invariant tracer checks.
+        self.queues: List[Union[deque, tuple]] = [NEVER_PUSHED] * slots
         self.queue_pushed = [0] * slots
         self.queue_popped = [0] * slots
         self.queue_max_occupancy = [0] * slots
@@ -110,6 +116,8 @@ class CoreState:
         """
         qi = tile * self.num_tasks + task_id
         queue = self.queues[qi]
+        if queue is NEVER_PUSHED:
+            queue = self.queues[qi] = deque()
         queue.append(item)
         self.queue_pushed[qi] += 1
         self.pending[tile] += 1
@@ -118,9 +126,13 @@ class CoreState:
             self.queue_max_occupancy[qi] = occupancy
 
     def pop_invocation(self, tile: int, task_id: int):
-        """Pop the oldest pending invocation of ``(tile, task)``."""
+        """Pop the oldest pending invocation of ``(tile, task)``; an empty
+        queue raises :class:`IndexError` and counts nothing."""
         qi = tile * self.num_tasks + task_id
-        item = self.queues[qi].popleft()
+        queue = self.queues[qi]
+        if not queue:
+            raise IndexError("pop from an empty deque")
+        item = queue.popleft()
         self.queue_popped[qi] += 1
         self.pending[tile] -= 1
         return item

@@ -3,13 +3,14 @@
 The paper validates its simulator against sequential x86 executions; we do the
 same by checking every Dalorex simulation output against these functions.  All
 algorithms operate on :class:`~repro.graph.csr.CSRGraph` and use plain
-single-threaded Python/numpy.
+single-threaded numpy: the traversals are level-synchronous frontier loops,
+each level one array pass.  ``tests/graph/reference_loops.py`` keeps the
+per-vertex deque BFS, Dijkstra and per-component WCC they replaced, and the
+tests require bit-equal results.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
 from typing import Optional
 
 import numpy as np
@@ -21,47 +22,68 @@ from repro.graph.csr import CSRGraph
 UNREACHED = np.iinfo(np.int64).max
 
 
+def _out_edges(indptr: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """CSR offsets of the out-edges of ``vertices``, vertex by vertex."""
+    begins = indptr[vertices]
+    counts = indptr[vertices + 1] - begins
+    shifts = begins - (np.cumsum(counts) - counts)
+    return np.repeat(shifts, counts) + np.arange(int(counts.sum()), dtype=np.int64)
+
+
 def bfs_levels(graph: CSRGraph, root: int) -> np.ndarray:
     """Breadth-first search: number of hops from ``root`` to every vertex.
 
+    Level-synchronous: each level's frontier expands in one array pass.
     Unreachable vertices get :data:`UNREACHED`.
     """
     if root < 0 or root >= graph.num_vertices:
         raise GraphError(f"root {root} out of range")
     levels = np.full(graph.num_vertices, UNREACHED, dtype=np.int64)
     levels[root] = 0
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        next_level = levels[v] + 1
-        begin, end = graph.edge_range(v)
-        for neighbor in graph.indices[begin:end]:
-            if levels[neighbor] == UNREACHED:
-                levels[neighbor] = next_level
-                queue.append(int(neighbor))
+    frontier = np.array([root], dtype=np.int64)
+    level = 0
+    while len(frontier):
+        level += 1
+        neighbors = graph.indices[_out_edges(graph.indptr, frontier)]
+        # Sort-based dedup: np.unique's hash table grows the process heap.
+        fresh = np.sort(neighbors[levels[neighbors] == UNREACHED])
+        frontier = fresh[np.flatnonzero(np.diff(fresh, prepend=-1))]
+        levels[frontier] = level
     return levels
 
 
 def sssp_distances(graph: CSRGraph, root: int) -> np.ndarray:
-    """Dijkstra single-source shortest paths with non-negative edge weights."""
+    """Single-source shortest paths with non-negative edge weights.
+
+    Level-synchronous relaxation: every vertex whose distance dropped in one
+    round relaxes its out-edges in the next, and each target keeps its
+    smallest improving candidate.  IEEE addition is monotone and a
+    non-negative weight never lowers a sum, so the fixpoint is the minimum
+    over paths of the left-to-right sum of their weights: Dijkstra's
+    distances, bit for bit.
+    """
     if root < 0 or root >= graph.num_vertices:
         raise GraphError(f"root {root} out of range")
     if graph.num_edges and graph.values.min() < 0:
         raise GraphError("sssp requires non-negative edge weights")
     dist = np.full(graph.num_vertices, np.inf, dtype=np.float64)
     dist[root] = 0.0
-    heap = [(0.0, root)]
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d > dist[v]:
-            continue
-        begin, end = graph.edge_range(v)
-        for offset in range(begin, end):
-            u = int(graph.indices[offset])
-            candidate = d + graph.values[offset]
-            if candidate < dist[u]:
-                dist[u] = candidate
-                heapq.heappush(heap, (candidate, u))
+    frontier = np.array([root], dtype=np.int64)
+    degrees = graph.degrees()
+    while len(frontier):
+        edges = _out_edges(graph.indptr, frontier)
+        candidates = np.repeat(dist[frontier], degrees[frontier]) + graph.values[edges]
+        targets = graph.indices[edges]
+        better = candidates < dist[targets]
+        targets = targets[better]
+        candidates = candidates[better]
+        order = np.argsort(targets, kind="stable")
+        targets = targets[order]
+        candidates = candidates[order]
+        firsts = np.flatnonzero(np.diff(targets, prepend=-1))
+        frontier = targets[firsts]
+        if len(frontier):
+            dist[frontier] = np.minimum.reduceat(candidates, firsts)
     return dist
 
 
@@ -100,26 +122,36 @@ def wcc_labels(graph: CSRGraph) -> np.ndarray:
 
     Each vertex's label is the minimum vertex ID in its weakly connected
     component (the same convergence point as the paper's coloring approach).
+    Level-synchronous: every vertex whose label dropped in one round offers
+    it to its neighbours in the next, and labels pointer-jump
+    (``labels[labels]``) after each round, so a long path converges in few
+    rounds.  A label is always a vertex of the same component with an ID no
+    larger, so the fixpoint -- equal labels across every edge -- is each
+    component's minimum ID.
     """
     undirected = graph if graph.is_symmetric() else graph.to_undirected()
+    indptr, indices = undirected.indptr, undirected.indices
+    degrees = undirected.degrees()
     labels = np.arange(graph.num_vertices, dtype=np.int64)
-    visited = np.zeros(graph.num_vertices, dtype=bool)
-    for start in range(graph.num_vertices):
-        if visited[start]:
-            continue
-        component = [start]
-        visited[start] = True
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            begin, end = undirected.edge_range(v)
-            for neighbor in undirected.indices[begin:end]:
-                if not visited[neighbor]:
-                    visited[neighbor] = True
-                    component.append(int(neighbor))
-                    queue.append(int(neighbor))
-        label = min(component)
-        labels[component] = label
+    frontier = labels[degrees > 0]
+    while len(frontier):
+        before = labels.copy()
+        targets = indices[_out_edges(indptr, frontier)]
+        offers = np.repeat(labels[frontier], degrees[frontier])
+        better = offers < labels[targets]
+        targets = targets[better]
+        offers = offers[better]
+        order = np.argsort(targets, kind="stable")
+        targets = targets[order]
+        offers = offers[order]
+        firsts = np.flatnonzero(np.diff(targets, prepend=-1))
+        if len(firsts):
+            labels[targets[firsts]] = np.minimum.reduceat(offers, firsts)
+        jumped = labels[labels]
+        while not np.array_equal(jumped, labels):
+            labels = jumped
+            jumped = labels[labels]
+        frontier = np.flatnonzero(labels != before)
     return labels
 
 

@@ -324,6 +324,9 @@ class Broker:
                 # like any other -- a valid late result beats a failure.
                 canonical = self._failed_specs[key]
             else:
+                self.stats.rejected += 1
+                self._worker_ledger_locked(worker)["rejected"] += 1
+                self._count_code_locked(REJECT_UNKNOWN_KEY)
                 return {
                     "accepted": False,
                     "reason": f"unknown spec key {key}",

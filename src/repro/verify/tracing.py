@@ -24,6 +24,7 @@ spawn/consume histograms for diagnosing a violation.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import InvariantViolation
@@ -144,19 +145,26 @@ class InvariantTracer:
     # ----------------------------------------------------------------- verify
     def record_queue_stats(self, state) -> None:
         """Per-tile input-queue occupancy high-water marks (max over tasks),
-        read from the :class:`~repro.core.state.CoreState` queue columns."""
+        read from the :class:`~repro.core.state.CoreState` queue columns.
+
+        Only a pushed queue can have a nonzero mark, so only the queues that
+        exist are read: a run that queued nothing visits no slot.
+        """
         num_tasks = state.num_tasks
         marks = state.queue_max_occupancy
-        self.queue_high_water = {
-            tile: max(marks[tile * num_tasks : (tile + 1) * num_tasks], default=0)
-            for tile in range(state.num_tiles)
-        }
+        high_water = dict.fromkeys(range(state.num_tiles), 0)
+        for slot in compress(range(len(marks)), state.queue_pushed):
+            tile = slot // num_tasks
+            if marks[slot] > high_water[tile]:
+                high_water[tile] = marks[slot]
+        self.queue_high_water = high_water
 
     def verify(self, counters, state) -> None:
         """Run the always-on conservation checks; raises :class:`InvariantViolation`.
 
         Idempotent per run: engines call this once from ``build_result``; the
-        queue-balance checks are flat sums over the ``state`` queue columns.
+        queue-balance checks are flat sums over the ``state`` queue columns,
+        and the parked-work check reads the queues that were ever pushed.
         """
         total = self.total_spawned
         if self.consumed != total:
@@ -179,7 +187,7 @@ class InvariantTracer:
                 f"local_messages={counters.local_messages} exceeds "
                 f"messages={counters.messages}"
             )
-        pending = sum(len(queue) for queue in state.queues)
+        pending = sum(map(len, compress(state.queues, state.queue_pushed)))
         pushed = sum(state.queue_pushed)
         popped = sum(state.queue_popped)
         if pending:

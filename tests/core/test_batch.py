@@ -7,6 +7,7 @@ tests pin each claim against the loop it replaces, on adversarial inputs
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.batch import (
     concat_ranges,
@@ -25,6 +26,7 @@ from repro.core.placement import (
 )
 from repro.errors import PlacementError
 from repro.noc.topology import make_topology
+from tests.core import reference_loops
 from tests.noc import reference_routing
 
 
@@ -80,29 +82,60 @@ class TestConcatRanges:
         assert counts.tolist() == [0, 0]
 
 
+@st.composite
+def range_batches(draw):
+    """A placement (block, interleave or row over a random owner map), a
+    batch of ranges and a ``max_range``.  Ranges may be empty or inverted,
+    span many tiles, and the space may be shorter than the tile count."""
+    num_tiles = draw(st.integers(min_value=1, max_value=40))
+    length = draw(st.integers(min_value=1, max_value=120))
+    policy = draw(st.sampled_from(["block", "interleave", "row"]))
+    owner_map = None
+    if policy == "row":
+        owner_map = draw(st.lists(st.integers(0, num_tiles - 1),
+                                  min_size=length, max_size=length))
+        if draw(st.booleans()):  # sorted, as a row placement of block vertices
+            owner_map.sort()
+    space = make_space_placement(policy, length, num_tiles, owner_map=owner_map)
+    bounds = st.integers(min_value=0, max_value=length)
+    items = draw(st.lists(st.tuples(bounds, bounds), max_size=12))
+    begins = np.array([b for b, _ in items], dtype=np.int64)
+    ends = np.array([e for _, e in items], dtype=np.int64)
+    max_range = draw(st.one_of(st.just(1), st.integers(2, 8), st.just(1024)))
+    return space, begins, ends, max_range
+
+
 class TestSplitRanges:
     @pytest.mark.parametrize("policy", ["block", "interleave"])
     def test_matches_scalar_invoke_range_order(self, policy):
         space = make_space_placement(policy, 97, 6)
         begins = np.array([0, 90, 13, 4, 50])
         ends = np.array([97, 90, 14, 40, 55])
-        max_range = 7
-        dests, piece_begin, piece_end, counts = split_ranges(space, begins, ends, max_range)
-        expected = []
-        per_item = []
-        for begin, end in zip(begins.tolist(), ends.tolist()):
-            pieces = 0
-            if begin < end:
-                for tile, sub_begin, sub_end in space.contiguous_ranges(begin, end):
-                    cursor = sub_begin
-                    while cursor < sub_end:
-                        chunk = min(sub_end, cursor + max_range)
-                        expected.append((tile, cursor, chunk))
-                        cursor = chunk
-                        pieces += 1
-            per_item.append(pieces)
-        assert list(zip(dests.tolist(), piece_begin.tolist(), piece_end.tolist())) == expected
-        assert counts.tolist() == per_item
+        got = split_ranges(space, begins, ends, 7)
+        expected = reference_loops.split_ranges(space, begins, ends, 7)
+        for got_column, expected_column in zip(got, expected):
+            assert got_column.dtype == expected_column.dtype == np.int64
+            assert np.array_equal(got_column, expected_column)
+
+    @settings(max_examples=300, deadline=None)
+    @given(range_batches())
+    def test_equals_the_per_item_loop(self, batch):
+        space, begins, ends, max_range = batch
+        got = split_ranges(space, begins, ends, max_range)
+        expected = reference_loops.split_ranges(space, begins, ends, max_range)
+        for got_column, expected_column in zip(got, expected):
+            assert got_column.dtype == expected_column.dtype == np.int64
+            assert np.array_equal(got_column, expected_column)
+
+    def test_range_over_every_tile_with_unit_pieces(self):
+        # Fewer elements than tiles: every element is its own block chunk.
+        space = make_space_placement("block", 5, 16)
+        dests, piece_begin, piece_end, counts = split_ranges(
+            space, np.array([0, 3]), np.array([5, 3]), 1)
+        assert dests.tolist() == [0, 1, 2, 3, 4]
+        assert piece_begin.tolist() == [0, 1, 2, 3, 4]
+        assert piece_end.tolist() == [1, 2, 3, 4, 5]
+        assert counts.tolist() == [5, 0]
 
 
 class TestRelaxMin:

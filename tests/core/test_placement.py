@@ -11,6 +11,7 @@ from repro.core.placement import (
     make_space_placement,
 )
 from repro.errors import PlacementError
+from tests.core import reference_loops
 
 
 class TestBlockPlacement:
@@ -61,7 +62,7 @@ class TestInterleavedPlacement:
         placement = InterleavedPlacement(1000, 7)
         counts = placement.per_tile_counts()
         assert counts.max() - counts.min() <= 1
-        assert placement.balance_ratio() <= 1.01
+        assert counts.max() / counts.mean() <= 1.01
 
     def test_contiguous_ranges_are_single_elements(self):
         placement = InterleavedPlacement(16, 4)
@@ -121,7 +122,8 @@ class TestFactoryAndDataPlacement:
         placement = DataPlacement(2)
         placement.add_space("vertex", 10, "interleave")
         placement.add_space("edge", 20, "block")
-        totals = placement.per_tile_entries({"vertex": 2, "edge": 1})
+        totals = (2 * placement.space("vertex").per_tile_counts()
+                  + placement.space("edge").per_tile_counts())
         assert totals.sum() == 2 * 10 + 20
         assert len(totals) == 2
 
@@ -135,3 +137,39 @@ class TestFactoryAndDataPlacement:
         inter_owners = {inter.owner(int(i)) for i in hot}
         assert block_owners == {0}
         assert len(inter_owners) == 8
+
+
+class TestPerTileCounts:
+    """The closed-form per_tile_counts equals one chunk_length per tile."""
+
+    @pytest.mark.parametrize("length,num_tiles", [
+        (0, 1), (0, 7),                 # empty space
+        (1, 16), (5, 16), (15, 16),     # fewer elements than tiles
+        (16, 16), (64, 16),             # divisible
+        (17, 16), (103, 8), (1000, 7),  # not divisible
+        (35149, 16384),                 # a 128x128 edge space
+    ])
+    @pytest.mark.parametrize("policy", ["block", "interleave", "row"])
+    def test_equals_the_chunk_length_loop(self, policy, length, num_tiles):
+        owner_map = None
+        if policy == "row":
+            owner_map = np.random.default_rng(length).integers(0, num_tiles, size=length)
+        placement = make_space_placement(policy, length, num_tiles, owner_map=owner_map)
+        counts = placement.per_tile_counts()
+        expected = reference_loops.per_tile_counts(placement)
+        assert counts.dtype == expected.dtype == np.int64
+        assert np.array_equal(counts, expected)
+        assert counts.sum() == length
+
+    def test_owner_map_counts_are_a_copy(self):
+        placement = OwnerMapPlacement([1, 0, 1, 1], 2)
+        placement.per_tile_counts()[1] = 0
+        assert placement.per_tile_counts().tolist() == [1, 3]
+
+    def test_owner_map_local_index_on_a_long_map(self):
+        owners = np.random.default_rng(3).integers(0, 5, size=200)
+        placement = OwnerMapPlacement(owners, 5)
+        seen = [0] * 5
+        for index, tile in enumerate(owners.tolist()):
+            assert placement.local_index(index) == seen[tile]
+            seen[tile] += 1

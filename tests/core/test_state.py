@@ -10,11 +10,14 @@ Four families of checks guard the structure-of-arrays core:
   zero and the queue push/pop totals balanced;
 * two back-to-back ``run()`` calls on fresh machines must
   produce byte-identical payloads (no state leakage through pooled
-  contexts or the shared topology caches).
+  contexts or the shared topology caches);
+* a queue exists only once something was pushed to it, so an analytic
+  run on a 16,384-tile machine holds no deque and its build stays small.
 """
 
 import functools
 import json
+import tracemalloc
 from collections import deque
 from typing import Dict, Sequence
 
@@ -513,3 +516,58 @@ class TestColumnsAfterRun:
         for until, busy in zip(state.pu_busy_until, state.pu_busy_cycles):
             assert busy <= until + 1e-9
             assert until <= cycles + 1e-9
+
+
+#: Traced bytes one 128x128 machine build may allocate.  A deque per tile x
+#: task made it about 52 MB; without them it is about 5 MB.
+BUILD_BYTES_128X128 = 16 * 2**20
+
+
+def _machine_128x128(app="bfs"):
+    graph = rmat_graph(8, edge_factor=4, seed=3)
+    kwargs = {"root": graph.highest_degree_vertex()} if app in ("bfs", "sssp") else {}
+    config = MachineConfig(width=128, height=128, engine="analytic")
+    return DalorexMachine(config, make_kernel(app, **kwargs), graph)
+
+
+class TestQueuesCreatedOnFirstPush:
+    def test_fresh_state_holds_no_deque(self):
+        state = CoreState(3, {0: 4, 1: 8})
+        assert not any(isinstance(queue, deque) for queue in state.queues)
+
+    def test_a_push_creates_only_its_queue(self):
+        state = CoreState(2, {0: 4, 1: 4})
+        state.push_invocation(1, 0, "a")
+        assert [isinstance(queue, deque) for queue in state.queues] == [
+            False, False, True, False]
+        assert state.pop_invocation(1, 0) == "a"
+        with pytest.raises(IndexError):
+            state.pop_invocation(1, 0)  # drained, not never-pushed
+        assert state.queue_popped == [0, 0, 1, 0]
+        assert state.pending == [0, 0]
+
+    @pytest.mark.parametrize("app", ["bfs", "pagerank"])
+    def test_analytic_run_on_a_128x128_machine_holds_no_deque(self, app):
+        machine = _machine_128x128(app)
+        result = machine.run(verify=True)
+        assert result.verified is True
+        state = machine.state
+        assert len(state.queues) == 128 * 128 * state.num_tasks
+        assert not any(isinstance(queue, deque) for queue in state.queues)
+        assert machine.tracer.queue_high_water == dict.fromkeys(range(128 * 128), 0)
+
+    def test_building_a_128x128_machine_stays_under_the_bound(self):
+        _machine_128x128()  # the shared topology is cached, as in a sweep
+        tracemalloc.start()
+        try:
+            machine = _machine_128x128()
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert machine.state.num_tiles == 128 * 128
+        assert peak < BUILD_BYTES_128X128
+
+    def test_cycle_run_holds_a_deque_exactly_where_it_pushed(self, finished_cycle):
+        state = finished_cycle.state
+        assert [isinstance(queue, deque) for queue in state.queues] == [
+            pushed > 0 for pushed in state.queue_pushed]

@@ -1,7 +1,13 @@
-"""Unit tests for the sequential reference algorithms."""
+"""Unit tests for the sequential reference algorithms.
+
+``TestAgainstPerVertexLoops`` requires the level-synchronous BFS, SSSP and
+WCC to return the same bits as the per-vertex loops in
+``tests/graph/reference_loops.py``.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
@@ -15,6 +21,7 @@ from repro.graph.reference import (
     sssp_distances,
     wcc_labels,
 )
+from tests.graph import reference_loops
 
 
 class TestBFS:
@@ -141,3 +148,70 @@ class TestSPMV:
     def test_vector_length_checked(self):
         with pytest.raises(GraphError):
             spmv(chain_graph(4), np.ones(3))
+
+
+@st.composite
+def multigraphs(draw):
+    """Graphs with self-loops, duplicate edges, zero weights, distance ties
+    (weights from a small grid whose sums coincide) and, often, vertices
+    no edge reaches."""
+    num_vertices = draw(st.integers(min_value=1, max_value=40))
+    vertex = st.integers(0, num_vertices - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=4 * num_vertices))
+    weight = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.5, 1.0, 1e-17, 3.0])
+    weights = draw(st.lists(weight, min_size=len(edges), max_size=len(edges)))
+    graph = CSRGraph.from_edges(num_vertices, edges, weights, directed=draw(st.booleans()),
+                                dedup=False, remove_self_loops=False)
+    return graph, draw(vertex)
+
+
+def assert_same_bits(got, expected):
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+class TestAgainstPerVertexLoops:
+    @settings(max_examples=200, deadline=None)
+    @given(multigraphs())
+    def test_bfs_equals_the_deque_loop(self, case):
+        graph, root = case
+        assert_same_bits(bfs_levels(graph, root), reference_loops.bfs_levels(graph, root))
+
+    @settings(max_examples=200, deadline=None)
+    @given(multigraphs())
+    def test_sssp_equals_dijkstra(self, case):
+        graph, root = case
+        assert_same_bits(sssp_distances(graph, root),
+                         reference_loops.sssp_distances(graph, root))
+
+    @settings(max_examples=200, deadline=None)
+    @given(multigraphs())
+    def test_wcc_equals_the_per_component_loop(self, case):
+        graph, _root = case
+        assert_same_bits(wcc_labels(graph), reference_loops.wcc_labels(graph))
+
+    @pytest.mark.parametrize("graph", [
+        chain_graph(200),
+        CSRGraph.from_edges(200, [(i + 1, i) for i in range(199)]),  # reversed ids
+        grid_graph(12, 12),
+        star_graph(30),
+        rmat_graph(9, edge_factor=6, seed=5),
+        rmat_graph(9, edge_factor=6, seed=5, weighted=False),  # every distance ties
+        CSRGraph.from_edges(5, []),
+    ], ids=["chain", "reversed-chain", "grid", "star", "rmat", "rmat-unit", "no-edges"])
+    def test_structured_graphs(self, graph):
+        root = graph.highest_degree_vertex()
+        assert_same_bits(bfs_levels(graph, root), reference_loops.bfs_levels(graph, root))
+        assert_same_bits(sssp_distances(graph, root),
+                         reference_loops.sssp_distances(graph, root))
+        assert_same_bits(wcc_labels(graph), reference_loops.wcc_labels(graph))
+
+    def test_zero_weight_cycle_and_ties(self):
+        # 0 -> 1 -> 2 -> 1 with zero weights; 3 reached by two paths of equal
+        # length; 4 unreachable.
+        graph = CSRGraph.from_edges(
+            5, [(0, 1), (1, 2), (2, 1), (1, 3), (0, 3), (3, 3), (0, 1)],
+            [0.0, 0.0, 0.0, 0.3, 0.3, 0.0, 0.5], dedup=False, remove_self_loops=False)
+        dist = sssp_distances(graph, 0)
+        assert_same_bits(dist, reference_loops.sssp_distances(graph, 0))
+        assert dist.tolist() == [0.0, 0.0, 0.0, 0.3, np.inf]

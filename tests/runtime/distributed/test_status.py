@@ -20,6 +20,7 @@ from repro.runtime.distributed.protocol import (
     REJECT_DIGEST_MISMATCH,
     REJECT_INGEST,
     REJECT_TRANSPORT,
+    REJECT_UNKNOWN_KEY,
     encode_message,
     read_message,
 )
@@ -158,6 +159,20 @@ class TestRejectionCodes:
         assert status["per_worker"]["w0"] == dict(EMPTY_LEDGER, leases=1, rejected=1)
         assert (status["pending"], status["leased"]) == (1, 0)
         assert status["stats"]["rejected"] == status["stats"]["requeues"] == 1
+
+    def test_upload_of_a_never_queued_key_is_counted_and_ledgered(self, real_payload):
+        # Nothing was queued, so nothing requeues; the rejection still
+        # counts like every other one.
+        key, payload = real_payload
+        broker = Broker()
+        response = broker.ingest("w0", key, payload_digest(payload), payload)
+        assert (response["accepted"], response["code"]) == (False, REJECT_UNKNOWN_KEY)
+        status = broker.status()
+        assert status["codes"] == {REJECT_UNKNOWN_KEY: 1}
+        assert status["per_worker"]["w0"] == dict(EMPTY_LEDGER, rejected=1)
+        assert (status["pending"], status["leased"]) == (0, 0)
+        assert status["stats"]["rejected"] == 1
+        assert status["stats"]["requeues"] == 0
 
 
 class TestFailureCodeTotals:

@@ -7,6 +7,8 @@ from repro.apps import make_kernel
 from repro.core.config import MachineConfig
 from repro.core.engine_cycle import CycleEngine
 from repro.core.machine import DalorexMachine
+from repro.core.results import AggregateCounters
+from repro.core.state import CoreState
 from repro.errors import InvariantViolation
 from repro.graph.generators import rmat_graph
 from repro.verify.tracing import InvariantTracer
@@ -138,3 +140,45 @@ class TestTracerUnit:
         assert summary["consumed"] == 0
         assert summary["spawned"] == {"seed": 0, "message": 0, "refill": 0}
         assert summary["detailed"] is True
+
+
+class TestQueueChecks:
+    """The queue checks read only the queues that were pushed, and still
+    catch parked work, a push/pop imbalance and every high-water mark."""
+
+    @staticmethod
+    def _state():
+        state = CoreState(3, {0: 4, 1: 4})
+        for item in range(3):
+            state.push_invocation(2, 1, item)
+        state.push_invocation(0, 0, "x")
+        for task in (1, 1, 1):
+            state.pop_invocation(2, task)
+        return state
+
+    def test_high_water_marks_are_the_max_over_tasks(self):
+        state = self._state()
+        tracer = InvariantTracer()
+        tracer.record_queue_stats(state)
+        assert tracer.queue_high_water == {0: 1, 1: 0, 2: 3}
+        marks = state.queue_max_occupancy
+        assert tracer.queue_high_water == {
+            tile: max(marks[2 * tile: 2 * tile + 2]) for tile in range(3)}
+
+    def test_parked_work_is_caught(self):
+        with pytest.raises(InvariantViolation, match="1 invocations still parked"):
+            InvariantTracer().verify(AggregateCounters(), self._state())
+
+    def test_push_pop_imbalance_is_caught(self):
+        state = self._state()
+        state.pop_invocation(0, 0)
+        state.queue_popped[5] += 1
+        with pytest.raises(InvariantViolation, match="4 pushed, 5 popped"):
+            InvariantTracer().verify(AggregateCounters(), state)
+
+    def test_drained_queues_pass(self):
+        state = self._state()
+        state.pop_invocation(0, 0)
+        tracer = InvariantTracer()
+        tracer.verify(AggregateCounters(), state)
+        assert tracer.summary()["verified"] is True
