@@ -6,10 +6,10 @@ a figure sweep through ``run_all_experiments.py --backend distributed``, and
 asserts the JSON output is byte-identical to the same sweep executed on the
 local process-pool backend.  With ``--kill-one-worker`` a lone extra worker
 starts first and is SIGKILLed as soon as the broker's ``status`` ledger shows
-it holding a lease it has not finished; the regular workers start after the
-kill, and the smoke fails unless the broker counted an expired lease, proving
-that lease expiry + requeue finish the batch anyway (the byte-equality
-assertion is unchanged).  With
+it holding a lease it has not finished; the regular workers start once that
+lease has expired, and the smoke fails unless the broker counted an expired
+lease, proving that lease expiry + requeue finish the batch anyway (the
+byte-equality assertion is unchanged).  With
 ``--telemetry`` the workers run with telemetry on, each streaming its own
 JSONL file, and ``dalorex trace`` must print the span table of one of them
 (the byte-equality assertion is unchanged here too).
@@ -28,7 +28,6 @@ import signal
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 from pathlib import Path
 
@@ -37,10 +36,6 @@ RUN_ALL = REPO / "scripts" / "run_all_experiments.py"
 
 #: Victims started, one at a time, until one dies holding a lease.
 KILL_ATTEMPTS = 5
-#: Seconds a killed victim's ledger must keep its unfinished lease before
-#: the kill counts: an upload already sent when the SIGKILL lands is still
-#: verified by the broker and would finish the lease.
-SETTLE_S = 2.0
 
 
 def _env() -> dict:
@@ -85,31 +80,39 @@ def _status(address: str) -> dict:
     return request(parse_address(address), {"op": "status"})
 
 
-def _unfinished_leases(address: str, tag: str) -> int:
+def _unfinished_leases(status: dict, tag: str) -> int:
     """Leases worker ``tag`` took and has not completed, had rejected or
-    released, per the broker's ledger."""
-    ledger = _status(address)["per_worker"].get(tag)
+    released, per the broker's ``status`` ledger."""
+    ledger = status["per_worker"].get(tag)
     if ledger is None:
         return 0
     return ledger["leases"] - ledger["completed"] - ledger["rejected"] - ledger["released"]
 
 
-def _kill_a_lease_holder(address: str, workers: list, sweep_over) -> None:
-    """Start lone victims until one is SIGKILLed while it holds a lease it
-    has not finished.  Every process started is appended to ``workers``."""
+def _kill_a_lease_holder(address: str, workers: list, sweep: subprocess.Popen) -> None:
+    """Start lone victims until one is SIGKILLed holding a lease that then
+    expires.  Every process started is appended to ``workers``; the drill
+    stops early once the sweep has exited."""
     for attempt in range(KILL_ATTEMPTS):
         tag = f"smoke-victim-{attempt}"
         victim = _start_worker(address, tag)
         workers.append(victim)
-        while not _unfinished_leases(address, tag):
-            if sweep_over.is_set() or victim.poll() is not None:
+        while not _unfinished_leases(_status(address), tag):
+            if sweep.poll() is not None or victim.poll() is not None:
                 victim.kill()
                 return
             time.sleep(0.02)
         victim.kill()
         victim.wait()
-        time.sleep(SETTLE_S)
-        if _unfinished_leases(address, tag):
+        # An upload sent before the SIGKILL may still finish the lease, so
+        # wait until the lease has either expired or been finished.
+        status = _status(address)
+        while not status["stats"]["expired_leases"] and _unfinished_leases(status, tag):
+            if sweep.poll() is not None:
+                return
+            time.sleep(0.1)
+            status = _status(address)
+        if status["stats"]["expired_leases"]:
             print(f"[smoke] killed {tag} while it held a lease", flush=True)
             return
         print(f"[smoke] {tag} finished its lease before the kill; retrying", flush=True)
@@ -134,16 +137,12 @@ def _stop_fleet(address: str, broker: subprocess.Popen, workers: list) -> None:
         broker.kill()
 
 
-def _run_sweep(args, tag: str, work_dir: Path, extra: list) -> bytes:
-    json_path = work_dir / f"{tag}.json"
-    subprocess.run(
-        [sys.executable, str(RUN_ALL),
-         "--scale", str(args.scale), "--figures", *args.figures,
-         "--json", str(json_path), "--output", str(work_dir / f"{tag}.txt")]
-        + extra,
-        env=_env(), check=True, stdout=subprocess.DEVNULL,
-    )
-    return json_path.read_bytes()
+def _sweep_command(args, tag: str, work_dir: Path, extra: list) -> list:
+    """``run_all_experiments.py`` writing ``<tag>.json`` into ``work_dir``."""
+    return [sys.executable, str(RUN_ALL),
+            "--scale", str(args.scale), "--figures", *args.figures,
+            "--json", str(work_dir / f"{tag}.json"),
+            "--output", str(work_dir / f"{tag}.txt")] + extra
 
 
 def _check_trace_table(trace: Path) -> None:
@@ -179,7 +178,11 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="dalorex-smoke-") as tmp:
         work_dir = Path(tmp)
         print(f"[smoke] reference sweep on the process-pool backend", flush=True)
-        reference = _run_sweep(args, "process-pool", work_dir, ["--jobs", "2"])
+        subprocess.run(
+            _sweep_command(args, "process-pool", work_dir, ["--jobs", "2"]),
+            env=_env(), check=True, stdout=subprocess.DEVNULL,
+        )
+        reference = (work_dir / "process-pool.json").read_bytes()
 
         broker, address = _start_broker(work_dir, args.lease_timeout)
         print(f"[smoke] broker up at {address}", flush=True)
@@ -188,48 +191,32 @@ def main(argv=None) -> int:
             for i in range(args.workers)
         ]
         workers: list = []
-
-        def _start_regular_workers():
+        print(f"[smoke] distributed sweep via {args.workers} worker(s)", flush=True)
+        sweep = subprocess.Popen(
+            _sweep_command(args, "distributed", work_dir,
+                           ["--backend", "distributed", "--connect", address]),
+            env=_env(), stdout=subprocess.DEVNULL,
+        )
+        try:
+            if args.kill_one_worker:
+                # The victim runs alone until it is killed holding a lease,
+                # so the sweep can only finish through that lease's expiry.
+                _kill_a_lease_holder(address, workers, sweep)
             workers.extend(
                 _start_worker(address, f"smoke-{i}", trace=trace)
                 for i, trace in enumerate(worker_traces)
             )
-
-        sweep_over = threading.Event()
-        drill = None
-        if args.kill_one_worker:
-            # The victim runs alone until it is killed holding a lease, so
-            # the sweep can only finish through that lease's expiry.
-            def _drill():
-                try:
-                    _kill_a_lease_holder(address, workers, sweep_over)
-                finally:
-                    _start_regular_workers()
-
-            drill = threading.Thread(target=_drill, daemon=True)
-            drill.start()
-        else:
-            _start_regular_workers()
-
-        expired = 0
-        try:
-            print(f"[smoke] distributed sweep via {args.workers} worker(s)", flush=True)
-            distributed = _run_sweep(
-                args, "distributed", work_dir,
-                ["--backend", "distributed", "--connect", address],
-            )
-            # Stops a drill still waiting for a victim that never leased.
-            sweep_over.set()
-            if drill is not None:
-                drill.join()
-                expired = _status(address)["stats"]["expired_leases"]
+            if sweep.wait() != 0:
+                raise subprocess.CalledProcessError(sweep.returncode, sweep.args)
+            distributed = (work_dir / "distributed.json").read_bytes()
+            expired = _status(address)["stats"]["expired_leases"]
         finally:
-            sweep_over.set()
-            if drill is not None:
-                drill.join(timeout=60)
+            if sweep.poll() is None:
+                sweep.kill()
+                sweep.wait()
             _stop_fleet(address, broker, workers)
 
-        if drill is not None:
+        if args.kill_one_worker:
             print(f"[smoke] expired leases after the sweep: {expired}", flush=True)
             if expired < 1:
                 print("[smoke] FAIL: no killed worker held a lease that expired")

@@ -17,15 +17,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.batch import (
-    BatchResult,
-    concat_ranges,
-    first_occurrences,
-    relax_min,
-    split_ranges,
-)
+from repro.core.batch import BatchResult, first_occurrences, relax_min, split_ranges
 from repro.core.program import DalorexProgram
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, concat_ranges
 
 Seed = Tuple[str, tuple]
 

@@ -14,9 +14,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.apps.common import Kernel, Seed, all_vertex_seeds
-from repro.core.batch import BatchResult, concat_ranges, split_ranges
+from repro.core.batch import BatchResult, split_ranges
 from repro.core.program import DalorexProgram, EDGE_SPACE, VERTEX_SPACE
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, concat_ranges
 from repro.graph.reference import pagerank
 
 

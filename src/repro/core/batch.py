@@ -29,6 +29,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.graph.csr import concat_ranges
+
 
 # --------------------------------------------------------------- float folds
 def sequential_sum(initial: float, terms: np.ndarray) -> float:
@@ -131,24 +133,6 @@ def segments_from_items(items: Sequence[Tuple]) -> List[Segment]:
 
 
 # -------------------------------------------------------------- range helpers
-def concat_ranges(begins: np.ndarray, ends: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Concatenate ``[begins[i], ends[i])`` index ranges in item order.
-
-    Returns the flat index array plus the per-item counts, matching the edge
-    order of the scalar ``for edge in range(begin, end)`` loops.
-    """
-    begins = np.asarray(begins, dtype=np.int64)
-    ends = np.asarray(ends, dtype=np.int64)
-    counts = ends - begins
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), counts
-    starts = np.repeat(begins, counts)
-    bases = np.repeat(np.cumsum(counts) - counts, counts)
-    flat = starts + (np.arange(total, dtype=np.int64) - bases)
-    return flat, counts
-
-
 def split_ranges(
     space_placement, begins: np.ndarray, ends: np.ndarray, max_range: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -18,7 +18,6 @@ path indexes too: one memory-cost definition for every path.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -136,43 +135,18 @@ class BaseEngine:
 
     # ------------------------------------------------------------------ seeds
     def resolve_seeds(self, seeds: Sequence[Seed]) -> List[Tuple[int, Task, tuple]]:
-        """Map ``(task_name, params)`` seeds to their destination tiles.
-
-        Seeds are checked in order (task name, arity, routing index in range)
-        and the first bad one raises what the scalar
-        :meth:`~repro.core.placement.DataPlacement.owner` path would; the
-        owners then come from one ``owners_of`` call per route space.
-        """
-        placement = self.placement
-        task_named = self.program.task
-        lengths = {name: space.length for name, space in placement.spaces.items()}
-        tasks: List[Task] = []
-        params_list: List[tuple] = []
-        indices: List[int] = []
+        """Map ``(task_name, params)`` seeds to their destination tiles."""
+        resolved = []
         for task_name, params in seeds:
-            task = task_named(task_name)
+            task = self.program.task(task_name)
             params = tuple(params)
             if len(params) != task.num_params:
                 raise SimulationError(
                     f"seed for task {task_name!r} has {len(params)} parameters, "
                     f"expected {task.num_params}"
                 )
-            index = int(params[0])
-            if not 0 <= index < lengths.get(task.route_space, 0):
-                placement.owner(task.route_space, index)  # raises the scalar error
-            tasks.append(task)
-            params_list.append(params)
-            indices.append(index)
-        indices = np.array(indices, dtype=np.int64)
-        spaces = {task.route_space for task in tasks}
-        if len(spaces) == 1:
-            owners = placement.space(spaces.pop()).owners_of(indices)
-        else:
-            owners = np.empty(len(indices), dtype=np.int64)
-            for space in spaces:
-                mask = np.array([task.route_space == space for task in tasks])
-                owners[mask] = placement.space(space).owners_of(indices[mask])
-        resolved = list(zip(owners.tolist(), tasks, params_list))
+            destination = self.placement.owner(task.route_space, int(params[0]))
+            resolved.append((destination, task, params))
         self.tracer.record_seeds(resolved)
         return resolved
 
@@ -198,19 +172,14 @@ class BaseEngine:
         Returns the per-tile cycles charged so the caller can add them to the
         epoch's compute time.
         """
+        per_tile = np.zeros(self.config.num_tiles, dtype=np.float64)
         cost = self.config.epoch_seed_instructions
-        tiles = np.fromiter(
-            map(itemgetter(0), resolved_seeds), dtype=np.int64, count=len(resolved_seeds)
-        )
-        charged = np.bincount(tiles, minlength=self.config.num_tiles) * cost
-        self.counters.instructions += cost * len(tiles)
         pu_instructions = self.state.pu_instructions
-        if isinstance(pu_instructions, np.ndarray):
-            pu_instructions += charged
-        else:
-            for tile in np.flatnonzero(charged).tolist():
-                pu_instructions[tile] += int(charged[tile])
-        return charged.astype(np.float64)
+        for tile_id, _task, _params in resolved_seeds:
+            per_tile[tile_id] += cost
+            self.counters.instructions += cost
+            pu_instructions[tile_id] += cost
+        return per_tile
 
     def next_epoch_seeds(self, epoch_index: int) -> Optional[List[Seed]]:
         """Ask the kernel for the next epoch's work (barrier mode only)."""

@@ -15,6 +15,22 @@ import numpy as np
 from repro.errors import GraphError
 
 
+def concat_ranges(begins: np.ndarray, ends: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Concatenate ``[begins[i], ends[i])`` index ranges in item order.
+
+    Returns the flat index array plus the per-item counts, matching the edge
+    order of the scalar ``for edge in range(begin, end)`` loops; with CSR
+    row pointers as the bounds, the flat array lists the rows' edge offsets.
+    """
+    begins = np.asarray(begins, dtype=np.int64)
+    counts = np.asarray(ends, dtype=np.int64) - begins
+    # Item i's j-th index is begins[i] + j: its flat position minus the
+    # count of indices before item i, plus begins[i].
+    shifts = begins - (np.cumsum(counts) - counts)
+    flat = np.repeat(shifts, counts) + np.arange(int(counts.sum()), dtype=np.int64)
+    return flat, counts
+
+
 class CSRGraph:
     """A directed (or symmetrized) graph in Compressed Sparse Row format.
 

@@ -16,18 +16,10 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, concat_ranges
 
 #: Sentinel distance/level for unreachable vertices.
 UNREACHED = np.iinfo(np.int64).max
-
-
-def _out_edges(indptr: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """CSR offsets of the out-edges of ``vertices``, vertex by vertex."""
-    begins = indptr[vertices]
-    counts = indptr[vertices + 1] - begins
-    shifts = begins - (np.cumsum(counts) - counts)
-    return np.repeat(shifts, counts) + np.arange(int(counts.sum()), dtype=np.int64)
 
 
 def bfs_levels(graph: CSRGraph, root: int) -> np.ndarray:
@@ -44,7 +36,8 @@ def bfs_levels(graph: CSRGraph, root: int) -> np.ndarray:
     level = 0
     while len(frontier):
         level += 1
-        neighbors = graph.indices[_out_edges(graph.indptr, frontier)]
+        edges, _ = concat_ranges(graph.indptr[frontier], graph.indptr[frontier + 1])
+        neighbors = graph.indices[edges]
         # Sort-based dedup: np.unique's hash table grows the process heap.
         fresh = np.sort(neighbors[levels[neighbors] == UNREACHED])
         frontier = fresh[np.flatnonzero(np.diff(fresh, prepend=-1))]
@@ -69,10 +62,9 @@ def sssp_distances(graph: CSRGraph, root: int) -> np.ndarray:
     dist = np.full(graph.num_vertices, np.inf, dtype=np.float64)
     dist[root] = 0.0
     frontier = np.array([root], dtype=np.int64)
-    degrees = graph.degrees()
     while len(frontier):
-        edges = _out_edges(graph.indptr, frontier)
-        candidates = np.repeat(dist[frontier], degrees[frontier]) + graph.values[edges]
+        edges, degrees = concat_ranges(graph.indptr[frontier], graph.indptr[frontier + 1])
+        candidates = np.repeat(dist[frontier], degrees) + graph.values[edges]
         targets = graph.indices[edges]
         better = candidates < dist[targets]
         targets = targets[better]
@@ -130,14 +122,14 @@ def wcc_labels(graph: CSRGraph) -> np.ndarray:
     component's minimum ID.
     """
     undirected = graph if graph.is_symmetric() else graph.to_undirected()
-    indptr, indices = undirected.indptr, undirected.indices
-    degrees = undirected.degrees()
+    indptr = undirected.indptr
     labels = np.arange(graph.num_vertices, dtype=np.int64)
-    frontier = labels[degrees > 0]
+    frontier = np.flatnonzero(undirected.degrees())
     while len(frontier):
         before = labels.copy()
-        targets = indices[_out_edges(indptr, frontier)]
-        offers = np.repeat(labels[frontier], degrees[frontier])
+        edges, degrees = concat_ranges(indptr[frontier], indptr[frontier + 1])
+        targets = undirected.indices[edges]
+        offers = np.repeat(labels[frontier], degrees)
         better = offers < labels[targets]
         targets = targets[better]
         offers = offers[better]

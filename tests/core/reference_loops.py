@@ -1,17 +1,12 @@
-"""Per-item placement and seeding loops, kept as test oracles.
+"""Per-item placement loops, kept as test oracles.
 
-``split_ranges`` finds owner runs with array arithmetic over ``owners_of``,
-``SpacePlacement.per_tile_counts`` is closed form per placement,
-``BaseEngine.resolve_seeds`` makes one ``owners_of`` call per route space
-and ``BaseEngine.charge_epoch_seeding`` is one ``bincount``.  This module
-keeps the loops those replaced: per item over ``contiguous_ranges``, per
-tile over ``chunk_length``, and per seed.  The tests require bit-equal
-results, and the same exception for the same first bad seed.
+``split_ranges`` finds owner runs with array arithmetic over ``owners_of``
+and ``SpacePlacement.per_tile_counts`` is closed form per placement.  This
+module keeps the loops those replaced: per item over ``contiguous_ranges``
+and per tile over ``chunk_length``.  The tests require bit-equal results.
 """
 
 import numpy as np
-
-from repro.errors import SimulationError
 
 
 def split_ranges(space_placement, begins, ends, max_range):
@@ -48,31 +43,3 @@ def per_tile_counts(space_placement):
         dtype=np.int64,
     )
 
-
-def resolve_seeds(engine, seeds):
-    """Map ``(task_name, params)`` seeds to tiles, one ``owner`` call per
-    seed (without the tracer hook)."""
-    resolved = []
-    for task_name, params in seeds:
-        task = engine.program.task(task_name)
-        params = tuple(params)
-        if len(params) != task.num_params:
-            raise SimulationError(
-                f"seed for task {task_name!r} has {len(params)} parameters, "
-                f"expected {task.num_params}"
-            )
-        destination = engine.placement.owner(task.route_space, int(params[0]))
-        resolved.append((destination, task, params))
-    return resolved
-
-
-def charge_epoch_seeding(engine, resolved_seeds):
-    """Charge the epoch-seeding cost one seed at a time."""
-    per_tile = np.zeros(engine.config.num_tiles, dtype=np.float64)
-    cost = engine.config.epoch_seed_instructions
-    pu_instructions = engine.state.pu_instructions
-    for tile_id, _task, _params in resolved_seeds:
-        per_tile[tile_id] += cost
-        engine.counters.instructions += cost
-        pu_instructions[tile_id] += cost
-    return per_tile

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.batch import (
-    concat_ranges,
     first_occurrences,
     relax_min,
     repeated_add_prefix,
@@ -25,6 +24,7 @@ from repro.core.placement import (
     make_space_placement,
 )
 from repro.errors import PlacementError
+from repro.graph.csr import concat_ranges
 from repro.noc.topology import make_topology
 from tests.core import reference_loops
 from tests.noc import reference_routing

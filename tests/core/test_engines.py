@@ -15,7 +15,6 @@ from repro.core.engine_cycle import CycleEngine
 from repro.core.machine import DalorexMachine
 from repro.core.program import VERTEX_SPACE
 from repro.graph.generators import chain_graph, rmat_graph, star_graph
-from tests.core import reference_loops
 from tests.core.reference_cycle import ReferenceCycleEngine
 
 
@@ -47,78 +46,6 @@ class TestEngineAgreement:
         cycle = run("cycle", small_rmat, lambda: BFSKernel(root=root), barrier=True)
         ratio = cycle.cycles / analytic.cycles
         assert 0.2 < ratio < 5.0
-
-
-def _seeding_engine(**overrides):
-    """An unstarted analytic BFS engine on a 4x4 grid."""
-    graph = rmat_graph(6, edge_factor=4, seed=2)
-    config = MachineConfig(width=4, height=4, engine="analytic", **overrides)
-    return DalorexMachine(config, BFSKernel(root=0), graph)._make_engine()
-
-
-class TestSeeding:
-    """resolve_seeds and charge_epoch_seeding against their per-seed loops."""
-
-    @pytest.mark.parametrize("placement", [
-        {}, {"vertex_placement": "block"},
-        {"vertex_placement": "block", "edge_placement": "row"},
-        {"vertex_placement": "interleave", "edge_placement": "row"},
-    ], ids=["default", "block", "row-of-block", "row-of-interleave"])
-    def test_mixed_space_seeds_resolve_like_the_per_seed_loop(self, placement):
-        engine = _seeding_engine(**placement)
-        graph = engine.machine.graph
-        vertex_seeds = [("T1_explore", (vertex,)) for vertex in range(0, graph.num_vertices, 3)]
-        edge_seeds = [("T2_expand", (begin, begin + 1, 7))
-                      for begin in range(0, graph.num_edges, 5)]
-        seeds = [seed for pair in zip(vertex_seeds, edge_seeds) for seed in pair]
-        seeds.append(("T1_explore", [np.int64(graph.num_vertices - 1)]))
-        resolved = engine.resolve_seeds(seeds)
-        assert resolved == reference_loops.resolve_seeds(engine, seeds)
-        assert {type(tile) for tile, _task, _params in resolved} == {int}
-        assert engine.tracer.spawned["seed"] == len(seeds)
-
-    def test_single_space_and_empty_seed_lists(self):
-        engine = _seeding_engine()
-        seeds = [("T1_explore", (vertex,)) for vertex in range(64)]
-        assert engine.resolve_seeds(seeds) == reference_loops.resolve_seeds(engine, seeds)
-        assert engine.resolve_seeds([]) == []
-
-    @pytest.mark.parametrize("seeds", [
-        [("T1_explore", (0,)), ("T1_explore", (10**6,)), ("T1_explore", (0, 1))],
-        [("T1_explore", (0,)), ("T1_explore", (0, 1)), ("T1_explore", (10**6,))],
-        [("T1_explore", (-1,)), ("T0_missing", (0,))],
-        [("T1_explore", (3,)), ("T0_missing", (0,)), ("T1_explore", (-1,))],
-        [("T1_explore", (3,)), ("T2_expand", (10**6, 10**6 + 1, 0))],
-        [("T2_expand", (0, 1, 0)), ("T1_explore", (64,))],
-    ], ids=["range-before-arity", "arity-before-range", "range-before-name",
-            "name-before-range", "edge-space-range", "vertex-space-range"])
-    def test_first_bad_seed_raises_what_the_loop_raises(self, seeds):
-        engine = _seeding_engine()
-        with pytest.raises(Exception) as expected:
-            reference_loops.resolve_seeds(engine, seeds)
-        with pytest.raises(type(expected.value)) as got:
-            engine.resolve_seeds(seeds)
-        assert str(got.value) == str(expected.value)
-        assert engine.tracer.spawned["seed"] == 0
-
-    @pytest.mark.parametrize("batched", [False, True], ids=["list-columns", "array-columns"])
-    def test_epoch_charge_equals_the_per_seed_loop(self, batched):
-        seeds = [("T1_explore", (vertex % 64,)) for vertex in range(0, 300, 7)]
-        engines, charged = [], []
-        for charge in (AnalyticalEngine.charge_epoch_seeding,
-                       reference_loops.charge_epoch_seeding):
-            engine = _seeding_engine(epoch_seed_instructions=5)
-            if batched:
-                assert engine._prepare_batch() is not None  # numpy PU columns
-            engine.state.pu_instructions[3] += 11
-            charged.append(charge(engine, reference_loops.resolve_seeds(engine, seeds)))
-            engines.append(engine)
-        assert charged[0].dtype == charged[1].dtype == np.float64
-        assert np.array_equal(charged[0], charged[1])
-        assert engines[0].counters.instructions == engines[1].counters.instructions
-        columns = [engine.state.pu_instructions for engine in engines]
-        assert type(columns[0]) is type(columns[1])
-        assert list(columns[0]) == list(columns[1])
 
 
 class TestAnalyticalEngineBounds:
