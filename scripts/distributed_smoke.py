@@ -10,9 +10,9 @@ it holding a lease it has not finished; the regular workers start once that
 lease has expired, and the smoke fails unless the broker counted an expired
 lease, proving that lease expiry + requeue finish the batch anyway (the
 byte-equality assertion is unchanged).  With
-``--telemetry`` the workers run with telemetry on, each streaming its own
-JSONL file, and ``dalorex trace`` must print the span table of one of them
-(the byte-equality assertion is unchanged here too).
+``--telemetry`` each worker runs with ``DALOREX_TELEMETRY_JSONL`` naming its
+own trace file, and ``dalorex trace`` must print the span table of one of
+them (the byte-equality assertion is unchanged here too).
 
 This is the CI job behind the subsystem's acceptance criterion; run it
 locally with::
@@ -65,8 +65,7 @@ def _start_broker(work_dir: Path, lease_timeout: float) -> tuple:
 def _start_worker(address: str, tag: str, trace: Path = None) -> subprocess.Popen:
     env = _env()
     if trace is not None:
-        # Telemetry on, and each worker streams its own JSONL file.
-        env["DALOREX_TELEMETRY"] = "1"
+        # Each worker streams its spans to its own JSONL file.
         env["DALOREX_TELEMETRY_JSONL"] = str(trace)
     command = [sys.executable, "-m", "repro.cli", "worker",
                "--connect", address, "--worker-id", tag,
@@ -170,9 +169,9 @@ def main(argv=None) -> int:
     parser.add_argument("--kill-one-worker", action="store_true",
                         help="SIGKILL one extra worker mid-sweep")
     parser.add_argument("--telemetry", action="store_true",
-                        help="run the workers with DALOREX_TELEMETRY=1 and a "
-                             "JSONL sink each, check 'dalorex trace' on one "
-                             "of them, and keep the byte-equality check")
+                        help="set DALOREX_TELEMETRY_JSONL to one trace file "
+                             "per worker, check 'dalorex trace' on one of "
+                             "them, and keep the byte-equality check")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="dalorex-smoke-") as tmp:

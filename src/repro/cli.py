@@ -17,8 +17,9 @@
   results; pull-based workers on any number of hosts execute them, each
   holding up to ``--capacity N`` concurrent leases (see
   ``docs/DISTRIBUTED.md``).
-* ``dalorex trace FILE...`` -- aggregate one or more telemetry JSONL
-  streams (``DALOREX_TELEMETRY_JSONL``) into per-span count / total / p50 /
+* ``dalorex trace FILE...`` -- aggregate the span records of one or more
+  telemetry JSONL files (each written by a process run with
+  ``DALOREX_TELEMETRY_JSONL=FILE``) into per-span count / total / p50 /
   p99 / max (see ``docs/OBSERVABILITY.md``).
 
 ``run`` and ``verify`` additionally accept the NoC-simulation knobs

@@ -54,13 +54,9 @@ class AnalyticalEngine(BaseEngine):
             labels = {"mode": "batched"}
         else:
             labels = {"mode": "scalar", "reason": self.batch_decline}
-        telemetry = self.telemetry
 
         while seeds:
-            if telemetry.enabled:
-                with telemetry.span("engine.analytic.epoch", **labels):
-                    epoch_cycles = self._run_epoch(seeds, epoch_index, average_hops)
-            else:
+            with self.telemetry.span("engine.analytic.epoch", **labels):
                 epoch_cycles = self._run_epoch(seeds, epoch_index, average_hops)
             total_cycles += epoch_cycles
             self.tracer.epoch_finished(epoch_index, self.counters)
@@ -97,15 +93,10 @@ class AnalyticalEngine(BaseEngine):
                 [(tile, task, params, 0, False) for tile, task, params in resolved]
             )
         )
-        telemetry = self.telemetry
-        telemetry_on = telemetry.enabled
+        span = self.telemetry.span
         while worklist or self._refill_segments(worklist):
             segment = worklist.popleft()
-            if telemetry_on:
-                with telemetry.span("engine.analytic.segment", task=segment.task.name):
-                    children, child_gen = execute(segment, epoch_link, epoch_busy)
-                telemetry.observe("engine.analytic.segment_size", segment.n)
-            else:
+            with span("engine.analytic.segment", task=segment.task.name):
                 children, child_gen = execute(segment, epoch_link, epoch_busy)
             tasks_this_epoch += segment.n
             if child_gen > max_generation:

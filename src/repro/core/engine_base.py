@@ -68,8 +68,8 @@ class BaseEngine:
         self.tracer = InvariantTracer(detailed=getattr(machine, "detailed_trace", False))
         machine.tracer = self.tracer
         # Telemetry observes, never influences: simulation outputs are
-        # byte-identical with it enabled or disabled (the registry is the
-        # shared no-op singleton unless observability was switched on).
+        # byte-identical with and without a trace file (without one, this
+        # is the shared no-op NULL).
         self.telemetry = get_telemetry()
         # The link-load model is likewise published so the network
         # conformance oracle can compare it against the simulated network's

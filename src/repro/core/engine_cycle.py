@@ -187,18 +187,8 @@ class CycleEngine(BaseEngine):
         tasks = instructions = sram_reads = sram_writes = edges = interrupts = 0
         messages = flits_sent = local_messages = spawned = 0
         dram_accesses, cache_hits = counters.dram_accesses, counters.cache_hits
-        # Telemetry is observed in plain locals and flushed once after the
-        # loop: with observability off the per-event overhead is a single
-        # local-bool branch, and either way the event order is untouched.
-        telemetry_on = self.telemetry.enabled
-        events = [0, 0, 0]
-        peak_heap_depth = len(heap)
         while heap:
             time, key, payload = heappop(heap)
-            if telemetry_on:
-                events[key >> _KIND_SHIFT] += 1
-                if len(heap) >= peak_heap_depth:
-                    peak_heap_depth = len(heap) + 1
             if time > last:
                 last = time
             if key < complete_kind:
@@ -307,12 +297,6 @@ class CycleEngine(BaseEngine):
         if not trace_each:
             tracer.record_executions(tasks, spawned)
         self._fold_traffic()
-        if telemetry_on and any(events):
-            telemetry = self.telemetry
-            for kind, name in enumerate(("deliver", "complete", "refill")):
-                telemetry.count("engine.cycle.events", events[kind], kind=name)
-            telemetry.gauge("engine.cycle.heap_depth_peak", peak_heap_depth)
-            telemetry.observe("engine.cycle.heap_depth", peak_heap_depth)
         return tasks
 
     def _refill_idle_tiles(self, now: float) -> bool:

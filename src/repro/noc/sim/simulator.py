@@ -51,13 +51,8 @@ from typing import Dict, Tuple
 
 from repro.noc.sim.routing import RoutingPolicy, make_routing
 from repro.noc.topology import Topology
-from repro.telemetry import get_telemetry
 
 Link = Tuple[int, int]
-
-#: Telemetry sampling stride: queue occupancy / latency are observed on every
-#: Nth message so the instrumented hot path stays cheap on large traces.
-_SAMPLE_STRIDE = 64
 
 
 class NocSimulator:
@@ -99,7 +94,6 @@ class NocSimulator:
         else:
             self._inject_free = [0.0] * topology.num_tiles
             self._eject_free = [0.0] * topology.num_tiles
-        self.telemetry = get_telemetry()
         self._clear_links()
 
     def _clear_links(self) -> None:
@@ -141,18 +135,6 @@ class NocSimulator:
         depth = self.queue_depth
         credits = self._credits
         heads = self._credit_heads
-        telemetry = self.telemetry
-        sampled = telemetry.enabled and message_index % _SAMPLE_STRIDE == 0
-        if sampled:
-            # Occupancy of every buffer along this route when the message
-            # arrives: charged flits not yet released by ``now``.  Sampled,
-            # because per-message histograms would dominate the flit loop on
-            # saturation traces.
-            for slot in route:
-                ring = credits[slot * depth:(slot + 1) * depth]
-                telemetry.observe(
-                    "noc.sim.queue_occupancy", sum(release > now for release in ring)
-                )
         inject_free = self._inject_free
         eject_free = self._eject_free
         for _flit in range(flits):
@@ -197,11 +179,6 @@ class NocSimulator:
         self.latency_sum += eject - now
         if eject > self.last_delivery:
             self.last_delivery = eject
-        if telemetry.enabled:
-            telemetry.count("noc.sim.messages")
-            telemetry.count("noc.sim.flits", flits)
-            if sampled:
-                telemetry.observe("noc.sim.latency_cycles", eject - now)
         return eject
 
     @property

@@ -14,7 +14,8 @@ content-hashable description of one run) and hands them to an
   machine from the spec, so nothing unpicklable crosses a process -- or
   host -- boundary.  Every backend runs a spec through
   :func:`~repro.runtime.backends.execute_to_payload`, the one place its
-  execute and serialize spans are observed when telemetry is on.
+  ``runtime.execute`` and ``runtime.serialize`` spans are written when
+  ``DALOREX_TELEMETRY_JSONL`` names a trace file.
 
 Results are bit-identical regardless of backend, worker count or cache state
 because every result -- serial, parallel, remote or cached -- passes through

@@ -39,12 +39,10 @@ def execute_to_payload(spec: RunSpec) -> Tuple[str, Dict[str, Any]]:
 
     This is what worker processes (and remote workers) run; it is the single
     definition of how a spec becomes a payload, whatever the backend.  It is
-    also the one place the execute/serialize stage timings are observed --
-    every backend (inline, pool worker, fleet worker) routes through here.
+    also the one place the execute/serialize spans are written -- every
+    backend (inline, pool worker, fleet worker) routes through here.
     """
     telemetry = get_telemetry()
-    if not telemetry.enabled:
-        return spec.key(), result_to_payload(execute_spec(spec))
     key = spec.key()
     with telemetry.scope(spec=key[:12], app=spec.app, dataset=spec.dataset):
         with telemetry.span("runtime.execute", app=spec.app):

@@ -38,8 +38,6 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.telemetry import get_telemetry
-
 #: Eviction orders understood by :meth:`ResultCache.prune`.
 PRUNE_POLICIES = ("fifo", "lru")
 
@@ -100,30 +98,21 @@ class ResultCache:
         time in ``mtime`` is untouched), which is what the LRU prune policy
         orders by.
         """
-        telemetry = get_telemetry()
         path = self.path_for(key)
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 wrapper = json.load(handle)
         except FileNotFoundError:
-            if telemetry.enabled:
-                telemetry.count("runtime.cache.misses", reason="cold")
             return None  # ordinary cold miss: nothing to evict
         except OSError:
             # Transient I/O trouble (EMFILE, EIO, ...) says nothing about the
             # entry itself -- miss without destroying a valid result.
-            if telemetry.enabled:
-                telemetry.count("runtime.cache.misses", reason="io")
             return None
         except ValueError:
             self._evict(path)  # unparseable JSON: the entry is corrupt
-            if telemetry.enabled:
-                telemetry.count("runtime.cache.misses", reason="corrupt")
             return None
         if not isinstance(wrapper, dict):
             self._evict(path)
-            if telemetry.enabled:
-                telemetry.count("runtime.cache.misses", reason="corrupt")
             return None
         payload = wrapper.get("payload")
         if (
@@ -132,12 +121,8 @@ class ResultCache:
             or wrapper.get("sha256") != payload_digest(payload)
         ):
             self._evict(path)
-            if telemetry.enabled:
-                telemetry.count("runtime.cache.misses", reason="corrupt")
             return None
         self._bump_access_time(path)
-        if telemetry.enabled:
-            telemetry.count("runtime.cache.hits")
         return payload
 
     def _bump_access_time(self, path: Path) -> None:
@@ -185,9 +170,6 @@ class ResultCache:
             if self.load(key) is not None:
                 return path  # a concurrent writer won the race with a valid twin
             raise
-        telemetry = get_telemetry()
-        if telemetry.enabled:
-            telemetry.count("runtime.cache.stores")
         return path
 
     def _evict(self, path: Path) -> None:

@@ -19,8 +19,8 @@ execution is transport plus trust management:
   ``--backend distributed`` plugs into any ExperimentRunner call site.
 
 See ``docs/DISTRIBUTED.md`` for topology and failure semantics.  Each
-process reads its own telemetry switch (``DALOREX_TELEMETRY`` /
-``DALOREX_TELEMETRY_JSONL``; see ``docs/OBSERVABILITY.md``).
+process reads its own telemetry switch, ``DALOREX_TELEMETRY_JSONL``, and
+writes its spans and events to that file (see ``docs/OBSERVABILITY.md``).
 """
 
 from repro.runtime.distributed.broker import Broker, BrokerServer, BrokerStats

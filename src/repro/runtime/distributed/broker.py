@@ -173,8 +173,8 @@ class Broker:
         self.state_path = Path(state_path) if state_path else None
         self.stats = BrokerStats()
         self._clock = clock
-        # Spans and events only (DALOREX_TELEMETRY / _JSONL, like every
-        # other process); telemetry never steers the queue.
+        # Spans and events to DALOREX_TELEMETRY_JSONL, like every other
+        # process; telemetry never steers the queue.
         self.telemetry = get_telemetry()
         self._started = clock()
         # Totals of every structured ERR_*/FAIL_*/REJECT_* code this broker

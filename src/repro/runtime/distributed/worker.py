@@ -181,10 +181,7 @@ class Worker:
                 continue
             try:
                 lease_request = {"op": "lease", "worker": self.worker_id}
-                if self.telemetry.enabled:
-                    with self.telemetry.span("worker.lease"):
-                        lease = request(self.address, lease_request)
-                else:
+                with self.telemetry.span("worker.lease"):
                     lease = request(self.address, lease_request)
             except (OSError, ProtocolError) as exc:
                 self._release_run_slot()
@@ -227,12 +224,9 @@ class Worker:
         beat.start()
         telemetry = self.telemetry
         try:
-            if telemetry.enabled:
-                with telemetry.scope(spec=key[:12], worker=self.worker_id):
-                    with telemetry.span("worker.execute"):
-                        payload = self.executor(canonical)
-            else:
-                payload = self.executor(canonical)
+            with telemetry.scope(spec=key[:12], worker=self.worker_id):
+                with telemetry.span("worker.execute"):
+                    payload = self.executor(canonical)
         except Exception as exc:
             self._count("errors")
             self._log(f"[{self.worker_id}] {key[:12]} failed: {exc}")
@@ -252,12 +246,9 @@ class Worker:
                     "leaving it to finish in the background"
                 )
         self._count("uploads")
-        if telemetry.enabled:
-            with telemetry.scope(spec=key[:12], worker=self.worker_id):
-                with telemetry.span("worker.upload"):
-                    response = self._upload(key, payload)
-        else:
-            response = self._upload(key, payload)
+        with telemetry.scope(spec=key[:12], worker=self.worker_id):
+            with telemetry.span("worker.upload"):
+                response = self._upload(key, payload)
         if response is None:
             # The upload never reached the broker; the lease will expire and
             # another worker (or this one, next lease) re-runs the spec.

@@ -31,7 +31,6 @@ from repro.runtime.backends import RunnerBackend, resolve_backend
 from repro.runtime.cache import ResultCache
 from repro.runtime.serialize import PAYLOAD_FORMAT, result_from_payload
 from repro.runtime.spec import RunSpec
-from repro.telemetry import get_telemetry
 
 
 def _predicted_cost(spec: RunSpec) -> float:
@@ -152,7 +151,6 @@ class ExperimentRunner:
         returned ``SimulationResult`` is still a distinct object, since some
         callers mutate results in place).
         """
-        telemetry = get_telemetry()
         keys = [spec.key() for spec in specs]
         unique: Dict[str, RunSpec] = {}
         for key, spec in zip(keys, specs):
@@ -166,8 +164,6 @@ class ExperimentRunner:
                 if payload is not None:
                     payloads[key] = payload
             self.stats.deduplicated += len(payloads)
-            if telemetry.enabled and payloads:
-                telemetry.count("runtime.memo.hits", len(payloads))
         if self.cache is not None and not self.refresh:
             for key in unique:
                 payload = self.cache.load(key)
@@ -178,11 +174,6 @@ class ExperimentRunner:
                     self.stats.cache_hits += 1
 
         pending = [spec for key, spec in unique.items() if key not in payloads]
-        if telemetry.enabled:
-            telemetry.count("runtime.specs", len(specs))
-            if len(specs) > len(unique):
-                telemetry.count("runtime.deduplicated", len(specs) - len(unique))
-            telemetry.count("runtime.pending", len(pending))
         # Adaptive ordering: start the predicted-slowest points first so the
         # parallel tail shrinks (a cheap point never straggles behind the big
         # one that was submitted last).  Results still return in input order,

@@ -1,29 +1,21 @@
-"""Unified telemetry: in-process metrics, spans and a JSONL span stream.
+"""Telemetry: span and event records, streamed to one JSONL file.
 
-The one rule every instrumented site follows::
+``DALOREX_TELEMETRY_JSONL=<path>`` is the one switch.  Set, each process
+appends one JSON record per closed span or emitted event to ``<path>``, and
+``dalorex trace`` reads those files back.  Process-pool workers inherit the
+environment, so one variable instruments a whole local run; the broker and
+each fleet worker read their own.  Unset (the default), :func:`get_telemetry`
+returns the shared :data:`NULL`, and an instrumented site costs one call
+that returns a shared no-op context::
 
-    telemetry = get_telemetry()
-    if telemetry.enabled:
-        telemetry.count("engine.cycle.events", kind="deliver")
+    with telemetry.span("engine.analytic.epoch", mode="batched"):
+        ...
 
-Disabled (the default), :func:`get_telemetry` returns the shared
-:data:`~repro.telemetry.registry.NULL` singleton and the guard costs one
-attribute check.  Telemetry NEVER influences simulation behavior -- outputs
-are byte-identical with it on, off, or streaming to a JSONL sink, and the
-determinism suite (``tests/telemetry/test_determinism.py``) enforces that.
-
-Activation:
-
-* ``DALOREX_TELEMETRY=1`` -- enable in-process aggregation;
-* ``DALOREX_TELEMETRY_JSONL=<path>`` -- also stream span/event records to
-  ``<path>`` (implies enabled).  Process-pool workers inherit the
-  environment, so one variable instruments a whole local run; the broker
-  and each fleet worker read their own.
-* :func:`set_telemetry` -- programmatic control (tests install scoped
-  registries via :func:`telemetry_session`).
-
-See ``docs/OBSERVABILITY.md`` for the metric naming scheme and the
-``dalorex trace`` span table.
+Telemetry NEVER influences simulation behavior -- outputs are byte-identical
+with and without a sink, and the determinism suite
+(``tests/telemetry/test_determinism.py``) enforces that.  Tests install
+telemetry with :func:`telemetry_session`.  See ``docs/OBSERVABILITY.md``
+for the record fields and the span inventory.
 """
 
 from __future__ import annotations
@@ -31,17 +23,10 @@ from __future__ import annotations
 import os
 import threading
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Iterator
 
-from repro.telemetry.registry import (
-    DEFAULT_COUNT_EDGES,
-    DEFAULT_TIME_EDGES,
-    NULL,
-    Histogram,
-    NullTelemetry,
-    Telemetry,
-)
-from repro.telemetry.sink import ENV_JSONL_MAX_BYTES, JsonlSink
+from repro.telemetry.sink import JsonlSink
+from repro.telemetry.spans import NULL, NullTelemetry, Telemetry
 from repro.telemetry.trace import (
     aggregate_spans,
     format_trace_report,
@@ -50,10 +35,6 @@ from repro.telemetry.trace import (
 )
 
 __all__ = [
-    "DEFAULT_COUNT_EDGES",
-    "DEFAULT_TIME_EDGES",
-    "ENV_JSONL_MAX_BYTES",
-    "Histogram",
     "JsonlSink",
     "NULL",
     "NullTelemetry",
@@ -63,30 +44,22 @@ __all__ = [
     "get_telemetry",
     "load_many",
     "load_records",
-    "set_telemetry",
     "telemetry_session",
 ]
 
-ENV_ENABLE = "DALOREX_TELEMETRY"
 ENV_JSONL = "DALOREX_TELEMETRY_JSONL"
-
-_TRUTHY = {"1", "true", "yes", "on"}
 
 _lock = threading.Lock()
 _active = None  # None = not yet configured; resolved lazily from the env.
 
 
 def _from_env():
-    jsonl = os.environ.get(ENV_JSONL, "").strip() or None
-    enabled = os.environ.get(ENV_ENABLE, "").strip().lower() in _TRUTHY
-    if jsonl is None and not enabled:
-        return NULL
-    sink = JsonlSink(path=jsonl) if jsonl else None
-    return Telemetry(sink=sink)
+    path = os.environ.get(ENV_JSONL, "").strip()
+    return Telemetry(JsonlSink(path=path)) if path else NULL
 
 
 def get_telemetry():
-    """The process-wide registry (lazily resolved from the environment)."""
+    """The process-wide telemetry (lazily resolved from the environment)."""
     global _active
     telemetry = _active
     if telemetry is None:
@@ -97,23 +70,14 @@ def get_telemetry():
     return telemetry
 
 
-def set_telemetry(telemetry) -> None:
-    """Install ``telemetry`` (a Telemetry or NullTelemetry) process-wide.
-
-    Note: code that cached ``get_telemetry()`` at construction time (the
-    engines, brokers and workers do) keeps its reference; install before
-    building them.
-    """
-    global _active
-    with _lock:
-        _active = telemetry if telemetry is not None else NULL
-
-
 @contextmanager
-def telemetry_session(telemetry=None, jsonl: Optional[str] = None) -> Iterator:
-    """Scoped registry install for tests; restores the previous one."""
-    if telemetry is None:
-        telemetry = Telemetry(sink=JsonlSink(path=jsonl) if jsonl else None)
+def telemetry_session(telemetry) -> Iterator:
+    """Install ``telemetry`` (a Telemetry or NullTelemetry) for the block,
+    then restore the previous one and close this one.
+
+    Code that cached ``get_telemetry()`` at construction time (the engines,
+    brokers and workers do) keeps its reference; build it inside the block.
+    """
     global _active
     with _lock:
         previous = _active

@@ -3,13 +3,14 @@
 ``dalorex trace <file>...`` loads the span records :class:`JsonlSink`
 writers produced (any number of files, e.g. one per worker), groups them
 by span name, and prints count / total / p50 / p99 / max per name.
-Quantiles here are exact (computed from the individual durations, not
-histogram buckets) because the trace files retain every record.
+Quantiles are exact nearest-rank values of the individual durations,
+since the trace files retain every record.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Dict, Iterable, Iterator, List, Sequence
 
 __all__ = [
@@ -24,9 +25,11 @@ def load_records(path: str) -> Iterator[Dict[str, Any]]:
     """Yield JSONL records from ``path``, skipping malformed lines.
 
     Tolerating torn or garbage lines matters: multiple processes append to
-    the same trace and a crash can truncate the final line.
+    the same trace and a crash can truncate the final line.  Bytes that are
+    not UTF-8 decode to replacement characters, so their line fails to
+    parse and is skipped like any other.
     """
-    with open(path, "r", encoding="utf-8") as stream:
+    with open(path, "r", encoding="utf-8", errors="replace") as stream:
         for line in stream:
             line = line.strip()
             if not line:
@@ -48,9 +51,9 @@ def load_many(paths: Sequence[str]) -> List[Dict[str, Any]]:
 
 
 def _exact_quantile(ordered: List[float], q: float) -> float:
-    """Nearest-rank quantile of a pre-sorted non-empty list."""
-    index = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-    return ordered[index]
+    """Nearest-rank quantile of a pre-sorted non-empty list: the smallest
+    value with at least ``q * n`` of the ``n`` values at or below it."""
+    return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
 
 
 def aggregate_spans(records: Iterable[Dict[str, Any]]) -> Dict[str, Dict[str, Any]]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+import json
 import os
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import HealthCheck, settings
 
 from repro.core.config import MachineConfig
 from repro.graph.generators import chain_graph, grid_graph, rmat_graph, star_graph
+from repro.telemetry import JsonlSink, Telemetry, telemetry_session
 
 # Hypothesis profiles: "ci" (the default) is fully deterministic --
 # derandomize pins the example sequence so CI failures reproduce locally and
@@ -78,3 +81,25 @@ def cycle_config():
 @pytest.fixture()
 def analytic_config():
     return make_config(engine="analytic")
+
+
+class MemoryTrace:
+    """Telemetry whose JSONL records land in memory instead of a file."""
+
+    def __init__(self):
+        self.stream = io.StringIO()
+        self.telemetry = Telemetry(JsonlSink(stream=self.stream))
+
+    def records(self, name=None):
+        """Every record written so far, or those of span/event ``name``."""
+        records = [json.loads(line) for line in self.stream.getvalue().splitlines()]
+        return [r for r in records if name is None or r.get("name") == name]
+
+
+@pytest.fixture()
+def memory_trace():
+    """A :class:`MemoryTrace`, installed as the process telemetry for the
+    test (build engines, runners and workers inside the test)."""
+    trace = MemoryTrace()
+    with telemetry_session(trace.telemetry):
+        yield trace

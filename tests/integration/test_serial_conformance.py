@@ -2,11 +2,11 @@
 
 Every analytic run takes the one serial engine, but that engine still has
 freedoms that must never show in its report: segments executed as batches
-or one invocation at a time, telemetry on or off, and how many route
-links a flit-millimeter fold takes at a time.  Each envelope case below runs
-both ways of one freedom and compares the serialized payload bytes, the
-strictest equality the runtime defines; a payload must also survive its own
-decode/encode round trip byte for byte.
+or one invocation at a time, with or without a telemetry sink, and how
+many route links a flit-millimeter fold takes at a time.  Each envelope case
+below runs both ways of one freedom and compares the serialized payload
+bytes, the strictest equality the runtime defines; a payload must also
+survive its own decode/encode round trip byte for byte.
 """
 
 import json
@@ -20,7 +20,7 @@ from repro.experiments.common import build_kernel
 from repro.graph.generators import rmat_graph, uniform_random_graph
 from repro.noc import analytical
 from repro.runtime.serialize import result_from_payload, result_to_payload
-from repro.telemetry import NULL, Telemetry, telemetry_session
+from repro.telemetry import NULL, telemetry_session
 
 
 @pytest.fixture(scope="module")
@@ -80,16 +80,13 @@ class TestEnvelopeByteIdentity:
         batched = run_bytes(app, small_graph, overrides, batch=True)
         assert run_bytes(app, small_graph, overrides, batch=False) == batched
 
-    def test_report_is_byte_identical_with_telemetry_on(self, case, small_graph):
+    def test_report_is_byte_identical_with_telemetry_on(self, case, small_graph, memory_trace):
         app, overrides = case
         with telemetry_session(NULL):
             base = run_bytes(app, small_graph, overrides)
-        with telemetry_session(Telemetry()) as telemetry:
-            observed = run_bytes(app, small_graph, overrides)
-            histograms = telemetry.snapshot()["histograms"]
-        assert observed == base
-        spans = histograms["span.engine.analytic.epoch.seconds"]
-        assert set(spans) == {"mode=batched"}
+        assert run_bytes(app, small_graph, overrides) == base
+        epochs = memory_trace.records("engine.analytic.epoch")
+        assert epochs and all(r["labels"] == {"mode": "batched"} for r in epochs)
 
     def test_chunked_millimeter_fold_is_byte_identical(self, case, small_graph, monkeypatch):
         # ROUTE_CHUNK_LINKS bounds the memory of one fold; a fold cut into
@@ -116,7 +113,7 @@ class TestBatchGate:
         [("disabled", "disabled"), ("remote_access", "allow_remote_access"),
          ("no_handlers", "lacks batch handlers")],
     )
-    def test_decline_reason_names_the_gate(self, decline, expect, tiny_graph):
+    def test_decline_reason_names_the_gate(self, decline, expect, tiny_graph, memory_trace):
         overrides = dict(width=4, height=4)
         if decline == "remote_access":
             overrides["allow_remote_access"] = True
@@ -128,7 +125,8 @@ class TestBatchGate:
         engine = AnalyticalEngine(machine)
         assert engine._prepare_batch() is None
         assert expect in engine.batch_decline
-        with telemetry_session(Telemetry()) as telemetry:
-            assert machine.run(verify=True).verified is True
-            spans = telemetry.snapshot()["histograms"]["span.engine.analytic.epoch.seconds"]
-        assert set(spans) == {f"mode=scalar,reason={engine.batch_decline}"}
+        assert machine.run(verify=True).verified is True
+        epochs = memory_trace.records("engine.analytic.epoch")
+        assert epochs and all(
+            r["labels"] == {"mode": "scalar", "reason": engine.batch_decline} for r in epochs
+        )

@@ -7,7 +7,6 @@ import pytest
 
 from repro.noc.analytical import LinkLoadModel
 from repro.noc.sim import NocSimulator
-from repro.noc.sim.simulator import _SAMPLE_STRIDE
 from repro.noc.topology import make_topology
 
 
@@ -135,47 +134,3 @@ class TestDeterminismAndAccounting:
         assert stats["messages"] == sim.total_messages
         assert stats["last_delivery"] == sim.last_delivery
 
-
-
-class OccupancyRecorder:
-    """Telemetry stub: the ``noc.sim.queue_occupancy`` samples of each
-    sampled message (a message's samples end with its latency sample)."""
-
-    enabled = True
-
-    def __init__(self):
-        self.messages = []
-        self._pending = []
-
-    def count(self, name, value=1, **labels):
-        pass
-
-    def observe(self, name, value, edges=None, **labels):
-        if name == "noc.sim.queue_occupancy":
-            self._pending.append(value)
-        elif name == "noc.sim.latency_cycles":
-            self.messages.append(self._pending)
-            self._pending = []
-
-
-class TestQueueOccupancyTelemetry:
-    """A sampled message observes, per buffer on its route, the flits still
-    held there when it arrives -- before it charges its own."""
-
-    def sampled(self, trace, queue_depth=4):
-        sim = NocSimulator(make_topology("mesh", 4, 1), queue_depth=queue_depth)
-        sim.telemetry = recorder = OccupancyRecorder()
-        replay(sim, trace)
-        return recorder.messages
-
-    def test_idle_network_samples_empty_buffers(self):
-        # Message 0 meets an empty network; message 64, the next sampled
-        # one, arrives long after every earlier flit has drained.
-        trace = [(0, 3, 2, float(index)) for index in range(_SAMPLE_STRIDE)]
-        trace.append((0, 3, 2, 1e6))
-        assert self.sampled(trace) == [[0, 0, 0], [0, 0, 0]]
-
-    def test_saturating_trace_fills_every_buffer(self):
-        trace = [(0, 3, 2, 0.0)] * (_SAMPLE_STRIDE + 1)
-        assert self.sampled(trace) == [[0, 0, 0], [4, 4, 4]]
-        assert self.sampled(trace, queue_depth=2) == [[0, 0, 0], [2, 2, 2]]

@@ -2,18 +2,17 @@
 dict-and-deque simulator it replaced.
 
 The reference below is that simulator and its three tile-path routing
-policies, copied verbatim: tuple-keyed ``_link_free``, one ``deque`` of
-credits per link, a per-policy route cache, and ``minimal_next_hops`` (then
-a ``Topology`` method, here a function of the topology).  Its routes come
+policies, copied verbatim but for its telemetry: tuple-keyed
+``_link_free``, one ``deque`` of credits per link, a per-policy route
+cache, and ``minimal_next_hops`` (then a ``Topology`` method, here a
+function of the topology).  Its routes come
 from the greedy per-kind decompositions of ``tests/noc/reference_routing.py``,
 not from the topology's own routes.  On every grid of
 ``SMALL_GRIDS`` -- every topology kind, ruche factors 2-4, 1-wide
 dimensions, 3D depths 1-3 -- random traces under all three policies, queue
 depths 1-6, 1-4 flits and tied, fractional and negative send times must
 give the same arrival for every message, the same ``link_flits``,
-``stats()`` and injection/ejection port times.  The sampled
-``noc.sim.queue_occupancy`` of every message must count the reference's
-credits still unreleased at its send time along the route it takes.
+``stats()`` and injection/ejection port times.
 """
 
 from collections import deque
@@ -25,9 +24,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.noc.sim import simulator as slot_simulator
 from repro.noc.topology import Topology, make_topology
-from repro.telemetry import get_telemetry
 from tests.noc import reference_routing
-from tests.noc.sim.test_simulator import OccupancyRecorder
 from tests.property.test_property_batched_routes import SMALL_GRIDS, grid_id
 
 Link = Tuple[int, int]
@@ -179,11 +176,6 @@ def make_routing(kind: str, topology: Topology) -> RoutingPolicy:
     return _ROUTING_CLASSES[key](topology)
 
 
-#: Telemetry sampling stride: queue occupancy / latency are observed on every
-#: Nth message so the instrumented hot path stays cheap on large traces.
-_SAMPLE_STRIDE = 64
-
-
 class NocSimulator:
     """Incremental flit-level simulation of one topology's network state.
 
@@ -236,7 +228,6 @@ class NocSimulator:
         self.total_flit_hops = 0
         self.latency_sum = 0.0
         self.last_delivery = 0.0
-        self.telemetry = get_telemetry()
 
     # ------------------------------------------------------------------- send
     def send(self, src: int, dst: int, flits: int, now: float) -> float:
@@ -290,20 +281,6 @@ class NocSimulator:
         self.latency_sum += arrival - now
         if arrival > self.last_delivery:
             self.last_delivery = arrival
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            telemetry.count("noc.sim.messages")
-            telemetry.count("noc.sim.flits", flits)
-            if message_index % _SAMPLE_STRIDE == 0:
-                # Occupancy of every buffer along this route, plus latency:
-                # sampled, because per-message histograms would dominate the
-                # flit loop on saturation traces.
-                for link in links:
-                    credit = self._credits.get(link)
-                    telemetry.observe(
-                        "noc.sim.queue_occupancy", len(credit) if credit else 0
-                    )
-                telemetry.observe("noc.sim.latency_cycles", arrival - now)
         return arrival
 
     # ------------------------------------------------------------------ stats
@@ -365,39 +342,19 @@ def random_trace(topology, rng, count):
     return list(zip(srcs, dsts, flits, times))
 
 
-def reference_occupancy(reference, src, dst, now):
-    """Credits of the reference still unreleased at ``now``, per link of the
-    route its next message from ``src`` to ``dst`` will take."""
-    path = reference.policy.route(
-        src, dst, reference.total_messages,
-        lambda link: reference._link_free.get(link, 0.0),
-    )
-    return [
-        sum(release > now for release in reference._credits.get(link, ()))
-        for link in zip(path[:-1], path[1:])
-    ]
-
-
 @pytest.mark.parametrize("routing", ROUTING_KINDS)
 @pytest.mark.parametrize("grid", SMALL_GRIDS, ids=grid_id)
-def test_slot_simulator_equals_dict_and_deque_reference(grid, routing, monkeypatch):
-    # Sample telemetry on every message, not every 64th.
-    monkeypatch.setattr(slot_simulator, "_SAMPLE_STRIDE", 1)
+def test_slot_simulator_equals_dict_and_deque_reference(grid, routing):
     kind, width, height, extra = grid
     topology = make_topology(kind, width, height, **extra)
     rng = np.random.default_rng([SMALL_GRIDS.index(grid), ROUTING_KINDS.index(routing)])
     for queue_depth in range(1, 7):
         simulator = slot_simulator.NocSimulator(topology, routing, queue_depth)
-        simulator.telemetry = recorder = OccupancyRecorder()
         reference = NocSimulator(topology, routing, queue_depth)
-        occupancy = []
         for src, dst, flits, now in random_trace(topology, rng, 150):
-            if src != dst:
-                occupancy.append(reference_occupancy(reference, src, dst, now))
             expected = reference.send(src, dst, flits, now)
             assert simulator.send(src, dst, flits, now) == expected
         assert simulator.link_flits == reference.link_flits
         assert simulator.stats() == reference.stats()
         assert simulator._inject_free == reference._inject_free
         assert simulator._eject_free == reference._eject_free
-        assert recorder.messages == occupancy

@@ -23,13 +23,13 @@ def _span(name, dur, parent=None):
 class TestLoadRecords:
     def test_skips_malformed_and_blank_lines(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        path.write_text(
-            json.dumps(_span("ok", 0.5)) + "\n"
-            + "\n"
-            + "{torn line\n"
-            + '"not-an-object"\n'
-            + json.dumps(_span("ok", 1.5)) + "\n",
-            encoding="utf-8",
+        path.write_bytes(
+            (json.dumps(_span("ok", 0.5)) + "\n"
+             + "\n"
+             + "{torn line\n"
+             + '"not-an-object"\n').encode("utf-8")
+            + b"\xff\xfe garbage\n"
+            + (json.dumps(_span("ok", 1.5)) + "\n").encode("utf-8")
         )
         records = list(load_records(str(path)))
         assert len(records) == 2
