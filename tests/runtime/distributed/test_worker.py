@@ -162,3 +162,40 @@ class TestSpans:
         assert (granted["key"], granted["worker"], granted["attempt"]) == (key[:12], "w0", 1)
         assert ingest["ctx"] == {"spec": key[:12], "worker": "w0"}
         assert (completed["key"], completed["worker"]) == (key[:12], "w0")
+
+    def test_a_served_run_writes_lease_execute_and_upload_spans(self, real_payload, memory_trace):
+        key, payload = real_payload
+        broker = Broker()
+        broker.submit([make_spec().canonical()])
+        with BrokerServer(broker) as server:
+            worker = Worker(server.address, worker_id="w0", poll_interval=0.02,
+                            max_runs=1, executor=lambda canonical: payload)
+            assert worker.run() == 1
+        leases = memory_trace.records("worker.lease")
+        assert len(leases) == worker.stats()["leases"] == 1
+        assert "ctx" not in leases[0]  # a lease precedes knowing the spec
+        for name in ("worker.execute", "worker.upload"):
+            (span,) = memory_trace.records(name)
+            assert span["ctx"] == {"spec": key[:12], "worker": "w0"}
+
+    def test_a_failing_executor_still_writes_its_execute_span(self, memory_trace):
+        def explode(canonical):
+            raise RuntimeError("boom")
+
+        worker = offline_worker(executor=explode, log=lambda line: None)
+        worker._send_quietly = lambda message: {"requeued": True}
+        assert worker._run_one(KEY, {"x": 1}, lease_timeout=60.0) is False
+        assert [r["name"] for r in memory_trace.records()] == ["worker.execute"]
+
+    def test_a_rejected_upload_writes_an_ingest_span_and_no_completion(
+        self, real_payload, memory_trace
+    ):
+        key, payload = real_payload
+        broker = Broker()
+        broker.submit([make_spec().canonical()])
+        broker.lease("w0")
+        assert broker.ingest("w0", key, "0" * 64, payload)["accepted"] is False
+        assert [(r["kind"], r["name"]) for r in memory_trace.records()] == [
+            ("event", "lease.granted"),
+            ("span", "broker.ingest"),
+        ]

@@ -86,6 +86,60 @@ class TestTelemetry:
         # The other thread's span must NOT inherit this thread's parent.
         assert "parent" not in child
 
+    def test_records_are_written_as_spans_close(self, memory_trace):
+        telemetry = memory_trace.telemetry
+        with telemetry.span("outer"):
+            with telemetry.span("first"):
+                pass
+            with telemetry.span("second"):
+                with telemetry.span("leaf"):
+                    pass
+        written = [(r["name"], r.get("parent")) for r in memory_trace.records()]
+        assert written == [
+            ("first", "outer"), ("leaf", "second"), ("second", "outer"), ("outer", None),
+        ]
+
+    def test_span_records_carry_the_scope_context(self, memory_trace):
+        telemetry = memory_trace.telemetry
+        with telemetry.scope(spec="abc"):
+            with telemetry.span("inside", app="bfs"):
+                pass
+        with telemetry.span("outside"):
+            pass
+        inside, outside = memory_trace.records()
+        assert (inside["ctx"], inside["labels"]) == ({"spec": "abc"}, {"app": "bfs"})
+        assert "ctx" not in outside
+
+    def test_scope_context_is_thread_local(self, memory_trace):
+        telemetry = memory_trace.telemetry
+
+        def worker():
+            telemetry.emit("event", name="other-thread")
+
+        with telemetry.scope(spec="main"):
+            thread = threading.Thread(target=worker)
+            thread.start()
+            thread.join()
+        (record,) = memory_trace.records("other-thread")
+        assert "ctx" not in record
+
+    def test_scope_is_restored_when_its_block_raises(self, memory_trace):
+        telemetry = memory_trace.telemetry
+        with pytest.raises(RuntimeError):
+            with telemetry.scope(spec="abc"):
+                raise RuntimeError("boom")
+        telemetry.emit("event", name="after")
+        (record,) = memory_trace.records("after")
+        assert "ctx" not in record
+
+    def test_close_closes_the_sink(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        telemetry = Telemetry(JsonlSink(path=str(path)))
+        telemetry.emit("event", name="kept")
+        telemetry.close()
+        telemetry.emit("event", name="dropped")
+        assert [json.loads(line)["name"] for line in path.read_text().splitlines()] == ["kept"]
+
 
 class TestNullTelemetry:
     def test_noop_api(self):
@@ -116,6 +170,26 @@ class TestActivation:
         monkeypatch.setattr(mod, "_active", None)
         assert get_telemetry() is NULL
 
+    @pytest.mark.parametrize("value", ["", "   "], ids=["empty", "blank"])
+    def test_a_blank_jsonl_env_stays_null(self, monkeypatch, value):
+        import repro.telemetry as mod
+
+        monkeypatch.setenv("DALOREX_TELEMETRY_JSONL", value)
+        monkeypatch.setattr(mod, "_active", None)
+        assert get_telemetry() is NULL
+
+    def test_the_environment_is_read_once_per_process(self, monkeypatch, tmp_path):
+        # Resolved once, the telemetry stays put; a pool worker forked later
+        # inherits it rather than re-reading the variable.
+        import repro.telemetry as mod
+
+        monkeypatch.delenv("DALOREX_TELEMETRY_JSONL", raising=False)
+        monkeypatch.setattr(mod, "_active", None)
+        assert get_telemetry() is NULL
+        monkeypatch.setenv("DALOREX_TELEMETRY_JSONL", str(tmp_path / "late.jsonl"))
+        assert get_telemetry() is NULL
+        assert not (tmp_path / "late.jsonl").exists()
+
     def test_jsonl_env_writes_records_to_that_file(self, monkeypatch, tmp_path):
         import repro.telemetry as mod
 
@@ -138,3 +212,14 @@ class TestActivation:
             assert t is installed
             assert get_telemetry() is installed
         assert get_telemetry() is before
+
+    def test_telemetry_session_restores_and_closes_when_the_block_raises(self):
+        before = get_telemetry()
+        stream = io.StringIO()
+        installed = Telemetry(JsonlSink(stream=stream))
+        with pytest.raises(RuntimeError):
+            with telemetry_session(installed):
+                raise RuntimeError("boom")
+        assert get_telemetry() is before
+        installed.emit("event", name="after-close")
+        assert stream.getvalue() == ""

@@ -521,6 +521,15 @@ class TestTraceCommand:
         assert cli.dalorex_command(["trace", str(tmp_path / "absent.jsonl")]) == 2
         assert "does not exist" in capsys.readouterr().err
 
+    def test_a_trace_without_spans_is_not_an_error(self, capsys, tmp_path):
+        # A run with no span sites (e.g. the cycle engine alone) still traces.
+        path = tmp_path / "events.jsonl"
+        path.write_text(json.dumps({"kind": "event", "name": "lease.granted"}) + "\n")
+        assert cli.dalorex_command(["trace", str(path)]) == 0
+        assert capsys.readouterr().out == "no span records found\n"
+        assert cli.dalorex_command(["trace", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {}
+
 
 class TestExperimentsCommand:
     def test_textstats_only(self, capsys, tmp_path):
