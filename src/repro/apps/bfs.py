@@ -8,7 +8,7 @@ entered the local frontier (barrierless mode only).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -67,8 +67,8 @@ class BFSKernel(FrontierGraphKernel):
             "edge_dst": graph.indices.astype(np.int64),
         }
 
-    def initial_tasks(self, graph: CSRGraph) -> List[Seed]:
-        return [("T1_explore", (self.root,))]
+    def initial_tasks(self, graph: CSRGraph) -> Seed:
+        return "T1_explore", (np.array([self.root], dtype=np.int64),)
 
     # ------------------------------------------------------------------ tasks
     def _t1_explore(self, ctx, vertex: int) -> None:

@@ -8,20 +8,23 @@ A kernel packages everything the machine needs to run one application:
 * the initial work (e.g. the BFS root, or one task per vertex for SPMV),
 * the per-epoch reseeding hook used when running with global barriers,
 * a sequential reference used to validate the simulated output.
+
+Work reaches the engines as :data:`~repro.core.batch.Seed` batches: one
+``(task_name, columns)`` pair per call, holding one int64 array per task
+parameter and one entry per invocation, in invocation order.  Every built-in
+kernel seeds one task at a time.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.batch import BatchResult, first_occurrences, relax_min, split_ranges
+from repro.core.batch import BatchResult, Seed, first_occurrences, relax_min, split_ranges
 from repro.core.program import DalorexProgram
 from repro.graph.csr import CSRGraph, concat_ranges
-
-Seed = Tuple[str, tuple]
 
 
 class Kernel(ABC):
@@ -42,8 +45,8 @@ class Kernel(ABC):
         """Initial contents of every declared array (keyed by array name)."""
 
     @abstractmethod
-    def initial_tasks(self, graph: CSRGraph) -> List[Seed]:
-        """Work items seeded before the first epoch, as ``(task_name, params)``."""
+    def initial_tasks(self, graph: CSRGraph) -> Seed:
+        """The batch seeded before the first epoch, as ``(task_name, columns)``."""
 
     def prepare_graph(self, graph: CSRGraph) -> CSRGraph:
         """Optionally transform the input graph (e.g. symmetrize it for WCC)."""
@@ -54,16 +57,18 @@ class Kernel(ABC):
         return {}
 
     # -------------------------------------------------------------- execution
-    def next_epoch(self, machine, epoch_index: int) -> Optional[List[Seed]]:
-        """Work for the next barriered epoch, or ``None``/empty when converged.
+    def next_epoch(self, machine, epoch_index: int) -> Optional[Seed]:
+        """The next barriered epoch's batch, or ``None`` (or an empty batch)
+        when converged.
 
         Only called when the machine runs with global barriers.  The default is
         a single-epoch program.
         """
         return None
 
-    def refill_tile(self, machine, tile_id: int, budget: int) -> List[Seed]:
-        """Work a tile can pull from its local frontier when it would otherwise idle.
+    def refill_tile(self, machine, tile_id: int, budget: int) -> Optional[Seed]:
+        """The batch a tile can pull from its local frontier when it would
+        otherwise idle, or ``None`` when it has none.
 
         Only called in barrierless mode.  Refill draws only from the tile's
         local frontier bucket, ``machine.state.frontier[tile_id]``, so a
@@ -71,7 +76,7 @@ class Kernel(ABC):
         engine does not ask it.  The default is no local refill
         (single-pass programs such as SPMV).
         """
-        return []
+        return None
 
     def batch_handlers(self, machine) -> Dict[str, object]:
         """Vectorized batch handlers, keyed by task name (``{}`` = scalar only).
@@ -118,10 +123,11 @@ class FrontierGraphKernel(Kernel):
       also pushed onto the tile's local frontier queue;
     * in barrierless mode the TSU drains the local queue through the
       re-exploration task (T4) only when the tile has no other pending work
-      (:meth:`refill_tile`), which is what keeps asynchronous execution
-      work-efficient in the paper;
+      (:meth:`refill_tile`, up to ``budget`` vertices as one T4 batch), which
+      is what keeps asynchronous execution work-efficient in the paper;
     * in barrier mode :meth:`next_epoch` sweeps the flags into the next epoch's
-      seeds (the global frontier swap).
+      seeds (the global frontier swap): one T1 batch of the flagged vertices
+      in vertex order.
     """
 
     #: Name of the exploration task that re-processes a frontier vertex.
@@ -154,21 +160,21 @@ class FrontierGraphKernel(Kernel):
         if not ctx.barrier:
             ctx.frontier_bucket().append(int(vertex))
 
-    def refill_tile(self, machine, tile_id: int, budget: int) -> List[Seed]:
+    def refill_tile(self, machine, tile_id: int, budget: int) -> Optional[Seed]:
         queue = machine.state.frontier[tile_id]
         if not queue:
-            return []
-        vertices = queue[:budget]
+            return None
+        vertices = np.array(queue[:budget], dtype=np.int64)
         del queue[:budget]
-        return [(self.refrontier_task, (vertex,)) for vertex in vertices]
+        return self.refrontier_task, (vertices,)
 
-    def next_epoch(self, machine, epoch_index: int) -> Optional[List[Seed]]:
+    def next_epoch(self, machine, epoch_index: int) -> Optional[Seed]:
         frontier = machine.arrays[self.frontier_array]
         vertices = np.nonzero(frontier)[0]
         if len(vertices) == 0:
             return None
         frontier[vertices] = 0
-        return [(self.explore_task, (int(vertex),)) for vertex in vertices]
+        return self.explore_task, (vertices,)
 
     # ------------------------------------------------------------- batch mode
     def batch_t1_values(self, values: np.ndarray) -> np.ndarray:
@@ -248,8 +254,8 @@ class FrontierGraphKernel(Kernel):
                 flags[verts[marks]] = 1
                 if not machine.barrier_effective:
                     frontier = machine.state.frontier
-                    for item in np.flatnonzero(marks).tolist():
-                        frontier[int(segment.tiles[item])].append(int(verts[item]))
+                    for tile, vertex in zip(segment.tiles[marks].tolist(), verts[marks].tolist()):
+                        frontier[tile].append(vertex)
             return BatchResult(reads, writes, extra)
 
         def run_t4(segment) -> BatchResult:
@@ -275,6 +281,7 @@ class FrontierGraphKernel(Kernel):
         }
 
 
-def all_vertex_seeds(task_name: str, graph: CSRGraph) -> List[Seed]:
-    """One seed invocation of ``task_name`` per vertex (used by PR, WCC, SPMV)."""
-    return [(task_name, (vertex,)) for vertex in range(graph.num_vertices)]
+def all_vertex_seeds(task_name: str, graph: CSRGraph) -> Seed:
+    """One seed invocation of ``task_name`` per vertex, in vertex order (used
+    by PR, WCC, SPMV)."""
+    return task_name, (np.arange(graph.num_vertices, dtype=np.int64),)

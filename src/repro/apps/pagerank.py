@@ -9,7 +9,7 @@ contributions into the next rank vector.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -63,7 +63,7 @@ class PageRankKernel(Kernel):
             "edge_dst": graph.indices.astype(np.int64),
         }
 
-    def initial_tasks(self, graph: CSRGraph) -> List[Seed]:
+    def initial_tasks(self, graph: CSRGraph) -> Seed:
         return all_vertex_seeds("T1_push", graph)
 
     # ------------------------------------------------------------------ tasks
@@ -156,7 +156,7 @@ class PageRankKernel(Kernel):
         return {"T1_push": run_t1, "T2_fan": run_t2, "T3_accumulate": run_t3}
 
     # ------------------------------------------------------------------ epochs
-    def next_epoch(self, machine, epoch_index: int) -> Optional[List[Seed]]:
+    def next_epoch(self, machine, epoch_index: int) -> Optional[Seed]:
         rank = machine.arrays["rank"]
         next_rank = machine.arrays["next_rank"]
         degrees = machine.arrays["row_degree"]

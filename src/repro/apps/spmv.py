@@ -11,7 +11,7 @@ execution model generalizes beyond graph analytics.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -75,7 +75,7 @@ class SPMVKernel(Kernel):
             "edge_val": graph.values.astype(np.float64),
         }
 
-    def initial_tasks(self, graph: CSRGraph) -> List[Seed]:
+    def initial_tasks(self, graph: CSRGraph) -> Seed:
         return all_vertex_seeds("T1_row", graph)
 
     # ------------------------------------------------------------------ tasks

@@ -8,7 +8,7 @@ vertices from the local frontier.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -71,8 +71,8 @@ class SSSPKernel(FrontierGraphKernel):
             "edge_weight": graph.values.astype(np.float64),
         }
 
-    def initial_tasks(self, graph: CSRGraph) -> List[Seed]:
-        return [("T1_explore", (self.root,))]
+    def initial_tasks(self, graph: CSRGraph) -> Seed:
+        return "T1_explore", (np.array([self.root], dtype=np.int64),)
 
     # ------------------------------------------------------------------ tasks
     def _t1_explore(self, ctx, vertex: int) -> None:

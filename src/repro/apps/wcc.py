@@ -10,7 +10,7 @@ which is why the paper reports it benefits most from barrierless execution.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -67,7 +67,7 @@ class WCCKernel(FrontierGraphKernel):
             "edge_dst": graph.indices.astype(np.int64),
         }
 
-    def initial_tasks(self, graph: CSRGraph) -> List[Seed]:
+    def initial_tasks(self, graph: CSRGraph) -> Seed:
         return all_vertex_seeds("T1_explore", graph)
 
     # ------------------------------------------------------------------ tasks

@@ -20,16 +20,22 @@ batch reproduces the sequential semantics exactly:
 
 The :class:`Segment` / :class:`BatchResult` containers are the contract
 between the engine (which owns accounting and message traffic) and the kernel
-batch handlers (which own array semantics and emissions).
+batch handlers (which own array semantics and emissions); a :data:`Seed`
+batch is the contract between a kernel's seeding hooks and the engines.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.graph.csr import concat_ranges
+
+#: A batch of seed invocations of one task: ``(task_name, columns)``, with
+#: one array per task parameter (int64 for every built-in kernel) and one
+#: entry per invocation, in invocation order.
+Seed = Tuple[str, Tuple[np.ndarray, ...]]
 
 
 # --------------------------------------------------------------- float folds
@@ -82,6 +88,13 @@ class Segment:
         self.gens = gens
         self.remote = remote
         self.n = len(tiles)
+
+
+def seed_segment(task, tiles: np.ndarray, params: Tuple[np.ndarray, ...]) -> Segment:
+    """The segment of seeded or refilled invocations bound for ``tiles``:
+    generation 0, none arrived remotely."""
+    n = len(tiles)
+    return Segment(task, tiles, params, np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool))
 
 
 class BatchResult:
@@ -173,6 +186,26 @@ def split_ranges(
 
 
 # ------------------------------------------------------------------ relaxation
+def stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for an integer array.
+
+    Sorts the distinct keys ``(key - min) * n + position`` instead: with no
+    ties every sort gives the stable order, and numpy's default sort is
+    several times faster than its stable one on int64.  Falls back to the
+    stable sort when those keys would overflow int64.
+    """
+    n = len(keys)
+    if n == 0:
+        return np.zeros(0, dtype=np.intp)
+    low = int(keys.min())
+    if (int(keys.max()) - low + 1) > np.iinfo(np.int64).max // n:
+        return np.argsort(keys, kind="stable")
+    distinct = np.subtract(keys, low, dtype=np.int64)
+    distinct *= n
+    distinct += np.arange(n, dtype=np.int64)
+    return np.argsort(distinct)
+
+
 def relax_min(
     values: np.ndarray, vertices: np.ndarray, news: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -184,49 +217,75 @@ def relax_min(
             if news[i] < values[vertices[i]]:
                 values[vertices[i]] = news[i]
 
-    Returns ``(improved, first_improving)`` boolean arrays in the original
-    item order: ``improved[i]`` is the loop's comparison outcome at step ``i``
-    (against the value *including* earlier intra-batch updates), and
+    for NaN-free ``values`` and ``news``.  Returns ``(improved,
+    first_improving)`` boolean arrays in the original item order:
+    ``improved[i]`` is the loop's comparison outcome at step ``i`` (against
+    the value *including* earlier intra-batch updates), and
     ``first_improving[i]`` marks the item that made its vertex's first
     improvement of the batch (the item whose ``mark_frontier`` can observe an
     unset flag).
+
+    Item ``i`` improves when ``news[i]`` is below its vertex's value before
+    the batch and below every earlier news of that vertex (a segmented
+    exclusive prefix minimum, :func:`_below_earlier`).  Each improvement is
+    below the one before, so a vertex ends at its last improving news.
     """
     n = len(vertices)
     improved = np.zeros(n, dtype=bool)
     first = np.zeros(n, dtype=bool)
     if n == 0:
         return improved, first
-    order = np.argsort(vertices, kind="stable")
+    # Stable: each vertex's group keeps item order.
+    order = stable_argsort(vertices)
     v_sorted = vertices[order]
     new_sorted = news[order]
     group_start = np.ones(n, dtype=bool)
-    group_start[1:] = v_sorted[1:] != v_sorted[:-1]
+    np.not_equal(v_sorted[1:], v_sorted[:-1], out=group_start[1:])
     imp_sorted = new_sorted < values[v_sorted]
     starts = np.flatnonzero(group_start)
     sizes = np.diff(np.append(starts, n))
-    multi = sizes > 1
-    if multi.any():
-        # Duplicate vertices: each later item compares against the running
-        # minimum of its group's earlier improvements, exactly as the loop.
-        for start, size in zip(starts[multi].tolist(), sizes[multi].tolist()):
-            current = values[v_sorted[start]]
-            for j in range(start, start + size):
-                if new_sorted[j] < current:
-                    imp_sorted[j] = True
-                    current = new_sorted[j]
-                else:
-                    imp_sorted[j] = False
-    # np.minimum.at applies duplicates in element order; the final value per
-    # vertex is the minimum of its improving news, identical to the loop.
-    np.minimum.at(values, v_sorted[imp_sorted], new_sorted[imp_sorted])
-    improved[order] = imp_sorted
-    # First improving item of each group: improving with no earlier improving
-    # item in the same group.
-    imp_int = imp_sorted.astype(np.int64)
-    cum = np.cumsum(imp_int)
-    group_base = np.repeat(cum[starts] - imp_int[starts], sizes)
-    first[order] = imp_sorted & ((cum - imp_int - group_base) == 0)
+    duplicated = np.flatnonzero(np.repeat(sizes > 1, sizes))
+    if len(duplicated):
+        imp_sorted[duplicated] &= _below_earlier(
+            new_sorted[duplicated], group_start[duplicated]
+        )
+    improving = np.flatnonzero(imp_sorted)
+    touched = v_sorted[improving]
+    first_of = np.ones(len(improving), dtype=bool)
+    np.not_equal(touched[1:], touched[:-1], out=first_of[1:])
+    last_of = np.ones(len(improving), dtype=bool)
+    last_of[:-1] = first_of[1:]
+    # One write per vertex, so no duplicate index leaves the order open.
+    values[touched[last_of]] = new_sorted[improving[last_of]]
+    improved[order[improving]] = True
+    first[order[improving[first_of]]] = True
     return improved, first
+
+
+def _below_earlier(news: np.ndarray, group_start: np.ndarray) -> np.ndarray:
+    """Per item: is ``news`` strictly below every earlier item of its group?
+
+    Groups are runs that begin where ``group_start`` is set; a group's first
+    item has no earlier item, so it is below.  The news become dense ranks
+    (equal values, ``-0.0`` and ``0.0`` included, share a rank, so ``<``
+    on ranks is ``<`` on values), each group's ranks are offset below every
+    earlier group's, and one ``np.minimum.accumulate`` then runs each
+    group's minimum from its own first item.
+    """
+    n = len(news)
+    order = np.argsort(news)
+    ranked = news[order]
+    dense = np.zeros(n, dtype=np.int64)
+    np.cumsum(ranked[1:] != ranked[:-1], out=dense[1:])
+    del ranked
+    key = np.cumsum(group_start, dtype=np.int64)
+    np.subtract(key[-1], key, out=key)
+    key *= dense[-1] + 1
+    key[order] += dense
+    running = np.minimum.accumulate(key)
+    below = np.ones(n, dtype=bool)
+    np.less(key[1:], running[:-1], out=below[1:])
+    return below
 
 
 def first_occurrences(indices: np.ndarray) -> np.ndarray:
@@ -235,7 +294,7 @@ def first_occurrences(indices: np.ndarray) -> np.ndarray:
     mask = np.zeros(n, dtype=bool)
     if n == 0:
         return mask
-    order = np.argsort(indices, kind="stable")
+    order = stable_argsort(indices)
     sorted_vals = indices[order]
     is_first = np.ones(n, dtype=bool)
     is_first[1:] = sorted_vals[1:] != sorted_vals[:-1]

@@ -33,8 +33,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.batch import Segment, segments_from_items, sequential_sum
-from repro.core.engine_base import BaseEngine, Seed
+from repro.core.batch import Seed, Segment, seed_segment, segments_from_items, sequential_sum
+from repro.core.engine_base import BaseEngine
 from repro.core.results import SimulationResult
 from repro.errors import SimulationError
 from repro.noc.analytical import LinkLoadModel
@@ -46,7 +46,7 @@ class AnalyticalEngine(BaseEngine):
     def run(self) -> SimulationResult:
         total_cycles = 0.0
         epoch_index = 0
-        seeds: Optional[List[Seed]] = list(self.kernel.initial_tasks(self.machine.graph))
+        seeds = self.initial_seeds()
         average_hops = self.topology.average_hop_distance(sample=64)
 
         self._batch = self._prepare_batch()
@@ -74,7 +74,7 @@ class AnalyticalEngine(BaseEngine):
         return self.build_result(max(total_cycles, 1.0), epochs=epoch_index)
 
     # ------------------------------------------------------------------ epoch
-    def _run_epoch(self, seeds: List[Seed], epoch_index: int, average_hops: float) -> float:
+    def _run_epoch(self, seeds: Seed, epoch_index: int, average_hops: float) -> float:
         """Drain one epoch's segment worklist, executing every segment as a
         batch or, when the batch gate declined, one invocation at a time."""
         execute = self._execute_items if self._batch is None else self._execute_batch
@@ -84,15 +84,11 @@ class AnalyticalEngine(BaseEngine):
         tasks_this_epoch = 0
         max_generation = 0
 
-        resolved = self.resolve_seeds(seeds)
+        task, tiles, columns = self.resolve_seeds(seeds)
         if epoch_index > 0:
-            epoch_busy += self.charge_epoch_seeding(resolved)
+            epoch_busy += self.charge_epoch_seeding(tiles)
 
-        worklist = deque(
-            segments_from_items(
-                [(tile, task, params, 0, False) for tile, task, params in resolved]
-            )
-        )
+        worklist = deque([seed_segment(task, tiles, columns)])
         span = self.telemetry.span
         while worklist or self._refill_segments(worklist):
             segment = worklist.popleft()
@@ -113,17 +109,27 @@ class AnalyticalEngine(BaseEngine):
 
         :meth:`~repro.apps.common.Kernel.refill_tile` draws only from a
         tile's ``state.frontier`` bucket, so only the tiles whose bucket
-        holds work are visited, in tile order.
+        holds work are visited, in tile order.  Their batches join into one
+        segment per run of same-task batches: for the built-in kernels, one
+        T4 segment.
         """
         if self.machine.barrier_effective:
             return False
-        items = [
-            (tile_id, task, params, 0, False)
-            for tile_id in compress(range(self.config.num_tiles), self.state.frontier)
-            for task, params in self.resolve_refill(tile_id)
-        ]
-        worklist.extend(segments_from_items(items))
-        return bool(items)
+        resolve_refill = self.resolve_refill
+        runs = []  # (task, tile ids, column batches) per run of same-task batches
+        for tile_id in compress(range(self.config.num_tiles), self.state.frontier):
+            refill = resolve_refill(tile_id)
+            if refill is None:
+                continue
+            task, columns = refill
+            if not runs or runs[-1][0] is not task:
+                runs.append((task, [], []))
+            runs[-1][1].append(tile_id)
+            runs[-1][2].append(columns)
+        for task, tile_ids, batches in runs:
+            tiles = np.repeat(tile_ids, [len(columns[0]) for columns in batches])
+            worklist.append(seed_segment(task, tiles, tuple(map(np.concatenate, zip(*batches)))))
+        return bool(runs)
 
     # ------------------------------------------------------------- batch gate
     def _prepare_batch(self) -> Optional[dict]:

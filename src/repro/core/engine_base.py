@@ -18,10 +18,11 @@ path indexes too: one memory-cost definition for every path.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.batch import Seed
 from repro.core.context import MemoryTables, TaskContext, context_bindings
 from repro.core.results import AggregateCounters, SimulationResult
 from repro.core.task import Task
@@ -33,8 +34,6 @@ from repro.verify.tracing import InvariantTracer
 #: Above this tile count the analytical engine switches the link-load model to
 #: its aggregate (non-per-link) mode to keep simulation time reasonable.
 DETAILED_LINK_MODEL_MAX_TILES = 2048
-
-Seed = Tuple[str, tuple]
 
 
 class BaseEngine:
@@ -134,59 +133,68 @@ class BaseEngine:
         counters.router_traversals += flit_hops + int(flits.sum())
 
     # ------------------------------------------------------------------ seeds
-    def resolve_seeds(self, seeds: Sequence[Seed]) -> List[Tuple[int, Task, tuple]]:
-        """Map ``(task_name, params)`` seeds to their destination tiles."""
-        resolved = []
-        for task_name, params in seeds:
-            task = self.program.task(task_name)
-            params = tuple(params)
-            if len(params) != task.num_params:
-                raise SimulationError(
-                    f"seed for task {task_name!r} has {len(params)} parameters, "
-                    f"expected {task.num_params}"
-                )
-            destination = self.placement.owner(task.route_space, int(params[0]))
-            resolved.append((destination, task, params))
-        self.tracer.record_seeds(resolved)
-        return resolved
+    def initial_seeds(self) -> Optional[Seed]:
+        """The kernel's first batch, or ``None`` when it seeds nothing."""
+        return _nonempty(self.kernel.initial_tasks(self.machine.graph))
 
-    def resolve_refill(self, tile_id: int) -> List[Tuple[Task, tuple]]:
-        """Pull parked frontier work for one tile (barrierless mode).
+    def next_epoch_seeds(self, epoch_index: int) -> Optional[Seed]:
+        """Ask the kernel for the next epoch's batch (barrier mode only);
+        ``None`` when it has converged."""
+        return _nonempty(self.kernel.next_epoch(self.machine, epoch_index))
+
+    def resolve_seeds(self, seeds: Seed) -> Tuple[Task, np.ndarray, Tuple[np.ndarray, ...]]:
+        """Find every seed's destination tile: ``(task, tiles, columns)``.
+
+        The arity is checked once per batch, and one
+        :meth:`~repro.core.placement.SpacePlacement.owners_of` call over the
+        first column finds the tiles (an index outside the route space raises
+        the ``PlacementError`` a per-seed ``owner`` call would).
+        """
+        task_name, columns = seeds
+        task = self.program.task(task_name)
+        if len(columns) != task.num_params:
+            raise SimulationError(
+                f"seed for task {task_name!r} has {len(columns)} parameters, "
+                f"expected {task.num_params}"
+            )
+        columns = tuple(map(np.asarray, columns))
+        tiles = self.placement.space(task.route_space).owners_of(columns[0])
+        self.tracer.record_seeds(task, len(tiles))
+        return task, tiles, columns
+
+    def resolve_refill(self, tile_id: int) -> Optional[Tuple[Task, Tuple[np.ndarray, ...]]]:
+        """Pull parked frontier work for one tile (barrierless mode):
+        ``(task, columns)``, or ``None`` when the tile has none.
 
         The single refill path shared by both engines, so the invariant tracer
         sees every refill-origin spawn exactly once.
         """
-        seeds = self.kernel.refill_tile(
-            self.machine, tile_id, self.config.frontier_refill_batch
-        )
-        resolved = [
-            (self.program.task(task_name), tuple(params)) for task_name, params in seeds
-        ]
-        if resolved:
-            self.tracer.record_refill(resolved)
-        return resolved
+        seeds = self.kernel.refill_tile(self.machine, tile_id, self.config.frontier_refill_batch)
+        if seeds is None:
+            return None
+        task_name, columns = seeds
+        count = len(columns[0])
+        if not count:
+            return None
+        task = self.program.task(task_name)
+        self.tracer.record_refill(task, count)
+        return task, columns
 
-    def charge_epoch_seeding(self, resolved_seeds: Sequence[Tuple[int, Task, tuple]]) -> np.ndarray:
-        """Charge the per-vertex frontier re-exploration cost (the paper's T4).
+    def charge_epoch_seeding(self, tiles: np.ndarray) -> np.ndarray:
+        """Charge the per-vertex frontier re-exploration cost (the paper's T4)
+        for seeds bound for ``tiles``.
 
         Returns the per-tile cycles charged so the caller can add them to the
-        epoch's compute time.
+        epoch's compute time.  The integer charges are exact in float64, so
+        one ``bincount`` equals charging the seeds one at a time; the tile
+        columns take them as one integer add, list or ndarray alike.
         """
-        per_tile = np.zeros(self.config.num_tiles, dtype=np.float64)
-        cost = self.config.epoch_seed_instructions
+        charged = np.bincount(tiles, minlength=self.config.num_tiles)
+        charged *= self.config.epoch_seed_instructions
+        self.counters.instructions += int(charged.sum())
         pu_instructions = self.state.pu_instructions
-        for tile_id, _task, _params in resolved_seeds:
-            per_tile[tile_id] += cost
-            self.counters.instructions += cost
-            pu_instructions[tile_id] += cost
-        return per_tile
-
-    def next_epoch_seeds(self, epoch_index: int) -> Optional[List[Seed]]:
-        """Ask the kernel for the next epoch's work (barrier mode only)."""
-        seeds = self.kernel.next_epoch(self.machine, epoch_index)
-        if not seeds:
-            return None
-        return list(seeds)
+        pu_instructions[:] = np.add(pu_instructions, charged).tolist()
+        return charged.astype(np.float64)
 
     # ----------------------------------------------------------------- result
     def build_result(self, cycles: float, epochs: int) -> SimulationResult:
@@ -223,3 +231,10 @@ class BaseEngine:
 
     def run(self) -> SimulationResult:  # pragma: no cover - overridden
         raise NotImplementedError
+
+
+def _nonempty(seeds: Optional[Seed]) -> Optional[Seed]:
+    """``seeds``, or ``None`` when there is no batch or it holds no invocation."""
+    if seeds is None or (seeds[1] and not len(seeds[1][0])):
+        return None
+    return seeds

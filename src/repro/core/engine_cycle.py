@@ -38,11 +38,12 @@ from __future__ import annotations
 
 import heapq
 from itertools import compress, count
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.core.engine_base import BaseEngine, Seed
+from repro.core.batch import Seed
+from repro.core.engine_base import BaseEngine
 from repro.core.network import make_network_model
 from repro.core.results import SimulationResult
 from repro.errors import SimulationError
@@ -85,7 +86,7 @@ class CycleEngine(BaseEngine):
     def run(self) -> SimulationResult:
         epoch_index = 0
         time_base = 0.0
-        seeds: Optional[List[Seed]] = list(self.kernel.initial_tasks(self.machine.graph))
+        seeds = self.initial_seeds()
 
         while seeds:
             self._inject_seeds(seeds, time_base, charge=epoch_index > 0)
@@ -118,15 +119,16 @@ class CycleEngine(BaseEngine):
         return self.build_result(cycles, epochs=epoch_index)
 
     # ------------------------------------------------------------------ seeds
-    def _inject_seeds(self, seeds: List[Seed], time_base: float, charge: bool) -> None:
-        resolved = self.resolve_seeds(seeds)
+    def _inject_seeds(self, seeds: Seed, time_base: float, charge: bool) -> None:
+        """Deliver one batch at ``time_base``, a delivery per seed in batch
+        order, each carrying its parameters as a tuple of Python scalars."""
+        task, tiles, columns = self.resolve_seeds(seeds)
         if charge:
-            self.charge_epoch_seeding(resolved)
+            self.charge_epoch_seeding(tiles)
         heap, sequence = self._heap, self._sequence
-        for tile_id, task, params in resolved:
-            heapq.heappush(
-                heap, (time_base, next(sequence), (tile_id, task.task_id, params, False))
-            )
+        task_id = task.task_id
+        for tile_id, params in zip(tiles.tolist(), zip(*(column.tolist() for column in columns))):
+            heapq.heappush(heap, (time_base, next(sequence), (tile_id, task_id, params, False)))
 
     # ----------------------------------------------------------------- events
     def _drain_events(self) -> int:
@@ -320,11 +322,14 @@ class CycleEngine(BaseEngine):
         return scheduled
 
     def _refill_tile(self, tile_id: int) -> bool:
-        resolved = self.resolve_refill(tile_id)
+        refill = self.resolve_refill(tile_id)
+        if refill is None:
+            return False
+        task, columns = refill
         push_invocation = self.state.push_invocation
-        for task, params in resolved:
+        for params in zip(*(column.tolist() for column in columns)):
             push_invocation(tile_id, task.task_id, (params, False))
-        return bool(resolved)
+        return True
 
     def _fold_traffic(self) -> None:
         """Charge the logged non-local messages to the link-load model with

@@ -31,6 +31,14 @@ def concat_ranges(begins: np.ndarray, ends: np.ndarray) -> Tuple[np.ndarray, np.
     return flat, counts
 
 
+def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """``keys`` sorted, each value once (a sort, not ``np.unique``'s hash table)."""
+    keys = np.sort(keys)
+    keep = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
 class CSRGraph:
     """A directed (or symmetrized) graph in Compressed Sparse Row format.
 
@@ -142,13 +150,16 @@ class CSRGraph:
 
         Args:
             num_vertices: total vertex count (vertices may be isolated).
-            edges: iterable of ``(src, dst)`` pairs.
+            edges: iterable of ``(src, dst)`` pairs, or an ``(E, 2)`` array
+                (taken as it is, with no per-edge Python work).
             values: optional per-edge weights aligned with ``edges``.
             directed: if ``False``, each edge is mirrored before building.
             dedup: drop duplicate ``(src, dst)`` pairs, keeping the first weight.
             remove_self_loops: drop ``(v, v)`` edges.
         """
-        edge_array = np.asarray(list(edges), dtype=np.int64)
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        edge_array = np.asarray(edges, dtype=np.int64)
         if edge_array.size == 0:
             edge_array = edge_array.reshape(0, 2)
         if edge_array.ndim != 2 or edge_array.shape[1] != 2:
@@ -233,9 +244,18 @@ class CSRGraph:
 
     # ---------------------------------------------------------------- queries
     def is_symmetric(self) -> bool:
-        """True when for every edge (u, v) the edge (v, u) is also present."""
-        forward = set(zip(self.edge_sources().tolist(), self.indices.tolist()))
-        return all((dst, src) in forward for src, dst in forward)
+        """True when for every edge (u, v) the edge (v, u) is also present.
+
+        Weights and duplicate edges do not matter: the graph is symmetric
+        when its set of ``(u, v)`` keys equals the set of reversed keys,
+        compared as two sorted, deduplicated arrays.
+        """
+        sources = self.edge_sources()
+        n = self.num_vertices
+        return bool(np.array_equal(
+            _sorted_distinct(sources * n + self.indices),
+            _sorted_distinct(self.indices * n + sources),
+        ))
 
     def has_edge(self, src: int, dst: int) -> bool:
         begin, end = self.edge_range(src)

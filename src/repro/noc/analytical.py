@@ -133,7 +133,9 @@ class LinkLoadModel:
         associate and ruche or TSV links make the terms unequal: one term per
         hop (:meth:`_fold_legs`), or one per message in the aggregate mode.
         Routes come from the topology as legs, each charged to its slots as
-        one interval (:meth:`_charge_legs`).  A tile outside the grid raises
+        one interval (:meth:`_charge_legs`); the aggregate mode takes every
+        message's hops and span from one gathering pass over the topology's
+        per-dimension tables.  A tile outside the grid raises
         :meth:`record_message`'s error before anything is counted.
         """
         topology = self.topology
@@ -166,15 +168,12 @@ class LinkLoadModel:
             self._charge_legs(leg_hops, tiles, ports, leg_flits)
             self.router_flits += _flit_tally(nl_dst, flits, num_tiles)
         else:
-            nl_hops = topology.hop_distance_batch(nl_src, nl_dst)
+            nl_hops, spans = topology.route_hops_and_spans(nl_src, nl_dst)
             self.total_flit_millimeters = _sequential_sum(
-                self.total_flit_millimeters,
-                flits * topology.route_span_tiles_batch(nl_src, nl_dst) * tile_pitch_mm,
+                self.total_flit_millimeters, flits * spans * tile_pitch_mm
             )
-            middle = topology.width // 2
-            crossing = ((nl_src % topology.width) < middle) != (
-                (nl_dst % topology.width) < middle
-            )
+            west = topology._dimension_tables[0].coords < topology.width // 2
+            crossing = west[nl_src] != west[nl_dst]
             self._bisection_flits += int((flits * crossing).sum())
         hops[nonlocal_mask] = nl_hops
         self.total_flit_hops += int((flits * nl_hops).sum())

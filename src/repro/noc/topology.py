@@ -6,7 +6,8 @@ traverses, including source and destination; the directed links used are the
 consecutive pairs of that list.  :meth:`Topology.route_dims` generalizes the
 same per-dimension decomposition to arbitrary dimension orders.  Each kind
 states its routing once, as :meth:`Topology._dimension_steps`; every route,
-distance and slot table derives from it, over any number of dimensions.
+distance and slot table derives from its tabulation over every displacement
+(:attr:`Topology._dimension_tables`), over any number of dimensions.
 
 Both cycle-engine network models and the analytical link-load model keep
 link state in flat arrays indexed by the ``tile * ports + output port`` slots
@@ -30,13 +31,33 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, prod
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 
 Link = Tuple[int, int]
+
+
+class DimensionTable(NamedTuple):
+    """One dimension's routing, tabulated once per topology.
+
+    ``coords`` holds every tile's coordinate along the dimension; the other
+    arrays are indexed by displacement ``delta + size - 1`` for every
+    ``delta`` in ``1 - size .. size - 1``: the :meth:`Topology._dimension_steps`
+    decomposition ``(sign, express, unit)``, its hop count and its span in
+    tile pitches.
+    """
+
+    stride: int
+    size: int
+    coords: np.ndarray
+    sign: np.ndarray
+    express: np.ndarray
+    unit: np.ndarray
+    hops: np.ndarray
+    span: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -164,8 +185,9 @@ class Topology(ABC):
     routing order, and the first dimension varies fastest: ``tile = y *
     width + x`` on a 2D grid, ``(z * height + y) * width + x`` on a stack.
     Each kind supplies its routing rule, :meth:`_dimension_steps`;
-    :meth:`slot_layout` tabulates it, and every scalar route, distance and
-    link count below derives from that table or the batched routes.
+    :attr:`_dimension_tables` tabulates it, :meth:`slot_layout` turns that
+    table into per-hop legs, and every scalar route, distance and link count
+    below derives from those tables or the batched routes.
     """
 
     kind = "abstract"
@@ -236,11 +258,32 @@ class Topology(ABC):
         hops of ``sign``.
         """
 
-    def slot_layout(self) -> SlotLayout:
-        """The flat (tile, output port) link numbering every network model uses.
+    @cached_property
+    def _dimension_tables(self) -> Tuple[DimensionTable, ...]:
+        """Per dimension, in routing order: its :class:`DimensionTable`.
 
         Tabulates :meth:`_dimension_steps` once per dimension over every
         displacement ``1 - size .. size - 1`` -- O(width + height) entries --
+        plus one coordinate per tile, so a batch of messages routes by
+        gathering, with no division per message.  Built once per topology.
+        """
+        tiles = np.arange(self.num_tiles, dtype=np.int64)
+        express_tiles = self.ruche_factor or 1
+        tables = []
+        stride = 1
+        for size, link_tiles in zip(self.dimension_sizes(), self._dimension_link_tiles()):
+            sign, express, unit = self._dimension_steps(np.arange(1 - size, size), size)
+            tables.append(DimensionTable(
+                stride, size, tiles // stride % size, sign, express, unit,
+                express + unit, (express * express_tiles + unit) * link_tiles,
+            ))
+            stride *= size
+        return tuple(tables)
+
+    def slot_layout(self) -> SlotLayout:
+        """The flat (tile, output port) link numbering every network model uses.
+
+        Turns :attr:`_dimension_tables` into one leg list per displacement,
         so a route is walked in closed form: hop ``k`` of a dimension leaves
         the tile reached so far through the port of that leg's offset.
         Built once per topology.
@@ -251,23 +294,19 @@ class Topology(ABC):
         express_step = self.ruche_factor or 0
         steps = (1, -1, express_step, -express_step) if express_step else (1, -1)
         dimensions, lengths = [], []
-        stride = 1
-        for dim, (size, link_tiles) in enumerate(
-            zip(self.dimension_sizes(), self._dimension_link_tiles())
+        for dim, (table, link_tiles) in enumerate(
+            zip(self._dimension_tables, self._dimension_link_tiles())
         ):
-            sign, express, unit = (
-                column.tolist()
-                for column in self._dimension_steps(np.arange(1 - size, size), size)
-            )
             # Port order within a dimension: +1, -1, +R, -R.
             port = dim * len(steps)
             legs = [
                 ((s * express_step, port + 2 + (s < 0)),) * e + ((s, port + (s < 0)),) * u
-                for s, e, u in zip(sign, express, unit)
+                for s, e, u in zip(
+                    table.sign.tolist(), table.express.tolist(), table.unit.tolist()
+                )
             ]
-            dimensions.append((stride, size, legs))
+            dimensions.append((table.stride, table.size, legs))
             lengths.extend(link_tiles * abs(step) for step in steps)
-            stride *= size
         layout = SlotLayout(len(steps) * len(dimensions), steps, tuple(dimensions), tuple(lengths))
         self._slot_layout = layout
         return layout
@@ -333,38 +372,38 @@ class Topology(ABC):
 
     # --------------------------------------------------------- batched routing
     # Closed-form routes for arrays of messages: no route walk and no cache.
-    # Hop counts, spans, link codes and link lengths all derive from
-    # :meth:`_dimension_steps`.
+    # Hop counts, spans, link codes and link lengths all gather from
+    # :attr:`_dimension_tables`.
 
     def _batch_dimensions(self, srcs: np.ndarray, dsts: np.ndarray) -> Iterator[tuple]:
-        """Per dimension, in routing order: ``(stride, size, src coordinate,
-        sign, express, unit)``, the last four with one entry per message."""
+        """Per dimension, in routing order: ``(table, src coordinate, dst
+        coordinate, displacement index)``, the last three with one entry per
+        message, gathered from the dimension's :class:`DimensionTable`."""
         srcs = np.asarray(srcs, dtype=np.int64)
         dsts = np.asarray(dsts, dtype=np.int64)
-        stride = 1
-        for size in self.dimension_sizes():
-            src_c = srcs // stride % size
-            yield (stride, size, src_c) + self._dimension_steps(
-                dsts // stride % size - src_c, size
-            )
-            stride *= size
+        for table in self._dimension_tables:
+            src_c = table.coords[srcs]
+            dst_c = table.coords[dsts]
+            yield table, src_c, dst_c, dst_c - src_c + (table.size - 1)
+
+    def route_hops_and_spans(
+        self, srcs: np.ndarray, dsts: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(hop_distance_batch, route_span_tiles_batch)`` in one pass."""
+        hops = np.zeros(len(srcs), dtype=np.int64)
+        span = np.zeros(len(srcs), dtype=np.float64)
+        for table, _src_c, _dst_c, index in self._batch_dimensions(srcs, dsts):
+            hops += table.hops[index]
+            span += table.span[index]
+        return hops, span
 
     def hop_distance_batch(self, srcs: np.ndarray, dsts: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`hop_distance`."""
-        hops = np.zeros(len(srcs), dtype=np.int64)
-        for *_, express, unit in self._batch_dimensions(srcs, dsts):
-            hops += express + unit
-        return hops
+        return self.route_hops_and_spans(srcs, dsts)[0]
 
     def route_span_tiles_batch(self, srcs: np.ndarray, dsts: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`route_span_tiles`."""
-        express_tiles = self.ruche_factor or 1
-        span = np.zeros(len(srcs), dtype=np.float64)
-        for (*_, express, unit), link_tiles in zip(
-            self._batch_dimensions(srcs, dsts), self._dimension_link_tiles()
-        ):
-            span += (express * express_tiles + unit) * link_tiles
-        return span
+        return self.route_hops_and_spans(srcs, dsts)[1]
 
     def _route_legs(self, srcs: np.ndarray, dsts: np.ndarray) -> Tuple[np.ndarray, ...]:
         """A batch's routes as legs: runs of hops through one output port.
@@ -380,19 +419,20 @@ class Topology(ABC):
         express_step = self.ruche_factor
         per_dimension = 4 if express_step else 2
         tile = np.asarray(srcs, dtype=np.int64)
-        dsts = np.asarray(dsts, dtype=np.int64)
         legs = []
-        for dim, (stride, size, src_c, sign, express, unit) in enumerate(
-            self._batch_dimensions(tile, dsts)
-        ):
+        for dim, (table, src_c, dst_c, index) in enumerate(self._batch_dimensions(tile, dsts)):
+            stride = table.stride
+            sign = table.sign[index]
+            # The tile reached so far still has the source's coordinate here.
             base = tile - src_c * stride
             # Port order within a dimension: +1, -1, +R, -R.
             port = dim * per_dimension + (sign < 0)
             if express_step:
+                express = table.express[index]
                 legs.append((express, tile, port + 2))
-                tile = base + (src_c + express * sign * express_step) % size * stride
-            legs.append((unit, tile, port))
-            tile = base + dsts // stride % size * stride
+                tile = base + (src_c + express * sign * express_step) % table.size * stride
+            legs.append((table.unit[index], tile, port))
+            tile = base + dst_c * stride
         return tuple(np.stack(column, axis=1).reshape(-1) for column in zip(*legs))
 
     def route_link_codes(

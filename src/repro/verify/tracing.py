@@ -71,19 +71,17 @@ class InvariantTracer:
     def total_spawned(self) -> int:
         return sum(self.spawned.values())
 
-    def record_seeds(self, resolved: Sequence) -> None:
-        """One spawn per resolved ``(tile, task, params)`` seed."""
-        self.spawned[SEED] += len(resolved)
-        if self.detailed:
-            for _tile, task, _params in resolved:
-                self.spawned_by_task[task.name] = self.spawned_by_task.get(task.name, 0) + 1
+    def record_seeds(self, task, count: int) -> None:
+        """``count`` spawns of ``task``, one per seed of a batch."""
+        self.spawned[SEED] += count
+        if self.detailed and count:
+            self.spawned_by_task[task.name] = self.spawned_by_task.get(task.name, 0) + count
 
-    def record_refill(self, resolved: Sequence) -> None:
-        """One spawn per ``(task, params)`` pulled from a local frontier."""
-        self.spawned[REFILL] += len(resolved)
-        if self.detailed:
-            for task, _params in resolved:
-                self.spawned_by_task[task.name] = self.spawned_by_task.get(task.name, 0) + 1
+    def record_refill(self, task, count: int) -> None:
+        """``count`` spawns of ``task`` pulled from a local frontier."""
+        self.spawned[REFILL] += count
+        if self.detailed and count:
+            self.spawned_by_task[task.name] = self.spawned_by_task.get(task.name, 0) + count
 
     def record_execution(self, task, outgoing: Sequence) -> None:
         """One task consumed; every entry of its ``ctx.outgoing`` spawned."""

@@ -51,26 +51,29 @@ class TestRefillTile:
         vertices = [v for v in range(16) if machine.placement.owner("vertex", v) == tile][:4]
         for vertex in vertices:
             machine.kernel.mark_frontier(relax_context(machine, vertex), vertex)
-        first = machine.kernel.refill_tile(machine, tile, budget=2)
-        assert [params[0] for _, params in first] == vertices[:2]
-        second = machine.kernel.refill_tile(machine, tile, budget=10)
-        assert [params[0] for _, params in second] == vertices[2:]
-        assert machine.kernel.refill_tile(machine, tile, budget=10) == []
+        task, (first,) = machine.kernel.refill_tile(machine, tile, budget=2)
+        assert task == "T4_refrontier"
+        assert first.dtype == np.int64 and first.tolist() == vertices[:2]
+        _task, (second,) = machine.kernel.refill_tile(machine, tile, budget=10)
+        assert second.tolist() == vertices[2:]
+        assert machine.kernel.refill_tile(machine, tile, budget=10) is None
 
     def test_refill_uses_refrontier_task(self):
         machine = make_machine(barrier=False)
         ctx = relax_context(machine, 3)
         machine.kernel.mark_frontier(ctx, 3)
-        seeds = machine.kernel.refill_tile(machine, ctx.tile_id, budget=8)
-        assert seeds == [("T4_refrontier", (3,))]
+        task, columns = machine.kernel.refill_tile(machine, ctx.tile_id, budget=8)
+        assert task == "T4_refrontier"
+        assert [column.tolist() for column in columns] == [[3]]
 
 
 class TestNextEpoch:
     def test_next_epoch_sweeps_and_clears_flags(self):
         machine = make_machine(barrier=True)
         machine.arrays["in_frontier"][[2, 7, 11]] = 1
-        seeds = machine.kernel.next_epoch(machine, 1)
-        assert sorted(params[0] for _, params in seeds) == [2, 7, 11]
+        task, (vertices,) = machine.kernel.next_epoch(machine, 1)
+        assert task == "T1_explore"
+        assert vertices.dtype == np.int64 and vertices.tolist() == [2, 7, 11]
         assert machine.arrays["in_frontier"].sum() == 0
         assert machine.kernel.next_epoch(machine, 2) is None
 

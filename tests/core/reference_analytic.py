@@ -5,8 +5,10 @@ segments, executed as batches or one invocation at a time, and charges each
 segment's messages to the link-load model with one ``record_batch`` call.
 This module keeps the loop the segments replaced: a FIFO deque of single
 invocations, each executed through ``execute_invocation``, each non-local
-message charged with its own ``LinkLoadModel.record_message`` call.  The
-tests compare both production executors against it, bit for bit.
+message charged with its own ``LinkLoadModel.record_message`` call, and the
+epoch's seeds resolved, charged and refilled one ``(task_name, params)``
+tuple at a time (``reference_loops.PerSeedSeeding``).  The tests compare
+both production executors against it, bit for bit.
 """
 
 from collections import deque
@@ -16,9 +18,10 @@ import numpy as np
 
 from repro.core.engine_analytic import AnalyticalEngine
 from repro.noc.analytical import LinkLoadModel
+from tests.core.reference_loops import PerSeedSeeding, seed_tuples
 
 
-class ReferenceAnalyticalEngine(AnalyticalEngine):
+class ReferenceAnalyticalEngine(PerSeedSeeding, AnalyticalEngine):
     """``AnalyticalEngine`` with the per-invocation deque epoch loop."""
 
     def _prepare_batch(self):
@@ -33,7 +36,7 @@ class ReferenceAnalyticalEngine(AnalyticalEngine):
         tasks_this_epoch = 0
         max_generation = 0
 
-        resolved = self.resolve_seeds(seeds)
+        resolved = self.resolve_seeds(seed_tuples(seeds))
         if epoch_index > 0:
             epoch_busy += self.charge_epoch_seeding(resolved)
 

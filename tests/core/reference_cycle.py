@@ -6,31 +6,34 @@ scheduling refill events.  This module keeps the core that replaced: every
 task starts through a ``dispatch(tile, now)`` closure built once per run,
 runs through ``execute_invocation`` and is counted by ``account_context``
 one task at a time, and the barrierless sweep refills and dispatches each
-idle tile directly.  The methods are the ones the production engine
-replaced, less their telemetry.  The tests compare the production engine
-against it, bit for bit.
+idle tile directly.  Seeds and refills are resolved, charged and pushed
+one ``(task_name, params)`` tuple at a time
+(``reference_loops.PerSeedSeeding``).  The methods are the ones the
+production engine replaced, less their telemetry.  The tests compare the
+production engine against it, bit for bit.
 """
 
 import heapq
 from itertools import compress
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Tuple
 
 from repro.core import engine_cycle
 from repro.core.context import TaskContext
-from repro.core.engine_base import Seed
 from repro.core.engine_cycle import _COMPLETE, _KIND_SHIFT, _REFILL, CycleEngine
 from repro.core.results import SimulationResult
 from repro.core.task import Task
 from repro.errors import SimulationError
+from tests.core.reference_loops import PerSeedSeeding, seed_tuples
 
 
-class ReferenceCycleEngine(CycleEngine):
-    """``CycleEngine`` with the dispatch closure and per-task accounting."""
+class ReferenceCycleEngine(PerSeedSeeding, CycleEngine):
+    """``CycleEngine`` with the dispatch closure, per-task accounting and
+    per-seed seeding."""
 
     def run(self) -> SimulationResult:
         epoch_index = 0
         time_base = 0.0
-        seeds: Optional[List[Seed]] = list(self.kernel.initial_tasks(self.machine.graph))
+        seeds = seed_tuples(self.kernel.initial_tasks(self.machine.graph))
         dispatch = self._dispatcher()
 
         while seeds:
@@ -50,7 +53,7 @@ class ReferenceCycleEngine(CycleEngine):
                     f"exceeded max_epochs={self.config.max_epochs}; "
                     "the kernel is not converging"
                 )
-            seeds = self.next_epoch_seeds(epoch_index)
+            seeds = seed_tuples(self.kernel.next_epoch(self.machine, epoch_index))
             if seeds:
                 time_base = (
                     self._last_event_time
@@ -60,6 +63,24 @@ class ReferenceCycleEngine(CycleEngine):
 
         cycles = max(self._last_event_time, 1.0)
         return self.build_result(cycles, epochs=epoch_index)
+
+    # ------------------------------------------------------------------ seeds
+    def _inject_seeds(self, seeds, time_base: float, charge: bool) -> None:
+        resolved = self.resolve_seeds(seeds)
+        if charge:
+            self.charge_epoch_seeding(resolved)
+        heap, sequence = self._heap, self._sequence
+        for tile_id, task, params in resolved:
+            heapq.heappush(
+                heap, (time_base, next(sequence), (tile_id, task.task_id, params, False))
+            )
+
+    def _refill_tile(self, tile_id: int) -> bool:
+        resolved = self.resolve_refill(tile_id)
+        push_invocation = self.state.push_invocation
+        for task, params in resolved:
+            push_invocation(tile_id, task.task_id, (params, False))
+        return bool(resolved)
 
     # -------------------------------------------------------------- execution
     def execute_invocation(

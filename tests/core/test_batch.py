@@ -16,6 +16,7 @@ from repro.core.batch import (
     segments_from_items,
     sequential_sum,
     split_ranges,
+    stable_argsort,
 )
 from repro.core.placement import (
     BlockPlacement,
@@ -181,6 +182,87 @@ class TestRelaxMin:
         values = np.array([1.0])
         improved, first = relax_min(values, np.empty(0, dtype=np.int64), np.empty(0))
         assert len(improved) == 0 and len(first) == 0
+
+
+#: Float news and values with ties, signed zeros and infinities.
+FLOAT_VALUES = st.sampled_from([-np.inf, -2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0, np.inf])
+
+
+@st.composite
+def relax_batches(draw):
+    """``(values, vertices, news)``: int64 or float64, any duplicate pattern."""
+    num_vertices = draw(st.integers(min_value=1, max_value=12))
+    n = draw(st.integers(min_value=0, max_value=60))
+    vertices = np.array(
+        draw(st.lists(st.integers(0, num_vertices - 1), min_size=n, max_size=n)),
+        dtype=np.int64,
+    )
+    if draw(st.booleans()):
+        element, dtype = st.integers(-4, 6), np.int64
+    else:
+        element, dtype = FLOAT_VALUES, np.float64
+    values = np.array(draw(st.lists(element, min_size=num_vertices, max_size=num_vertices)),
+                      dtype=dtype)
+    news = np.array(draw(st.lists(element, min_size=n, max_size=n)), dtype=dtype)
+    return values, vertices, news
+
+
+class TestRelaxMinAgainstTheLoop:
+    """``relax_min`` against the per-group loop it replaced
+    (``reference_loops.relax_min``): the same ``improved`` and ``first``
+    masks and the same bytes in ``values``."""
+
+    def assert_same(self, values, vertices, news):
+        expected_values = values.copy()
+        expected = reference_loops.relax_min(expected_values, vertices, news)
+        got = relax_min(values, vertices, news)
+        assert values.tobytes() == expected_values.tobytes()
+        for got_mask, expected_mask in zip(got, expected):
+            assert got_mask.dtype == bool
+            assert np.array_equal(got_mask, expected_mask)
+
+    @settings(max_examples=400, deadline=None)
+    @given(relax_batches())
+    def test_equals_the_loop(self, batch):
+        self.assert_same(*batch)
+
+    def test_signed_zeros_tie(self):
+        # -0.0 < 0.0 is false both ways: the first zero stays, bit for bit.
+        values = np.array([0.0, -0.0, np.inf])
+        vertices = np.array([0, 1, 2, 2, 2], dtype=np.int64)
+        news = np.array([-0.0, 0.0, -0.0, 0.0, -1.0])
+        self.assert_same(values, vertices, news)
+        assert np.signbit(values).tolist() == [False, True, True]
+
+    def test_hub_group(self):
+        rng = np.random.default_rng(3)
+        vertices = np.zeros(10_000, dtype=np.int64)
+        vertices[rng.integers(0, 10_000, size=50)] = 1
+        self.assert_same(np.array([np.inf, 5.0]), vertices, rng.uniform(0, 100, size=10_000))
+        self.assert_same(np.array([9_000, 9_000], dtype=np.int64), vertices,
+                         rng.integers(0, 10_000, size=10_000))
+
+    def test_all_singletons(self):
+        rng = np.random.default_rng(4)
+        vertices = rng.permutation(500).astype(np.int64)
+        self.assert_same(rng.uniform(0, 10, size=500), vertices, rng.uniform(0, 10, size=500))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_empty_batch(self, dtype):
+        self.assert_same(np.arange(3, dtype=dtype), np.empty(0, dtype=np.int64),
+                         np.empty(0, dtype=dtype))
+
+
+class TestStableArgsort:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-50, 50), max_size=80))
+    def test_equals_the_stable_sort(self, keys):
+        keys = np.array(keys, dtype=np.int64)
+        assert np.array_equal(stable_argsort(keys), np.argsort(keys, kind="stable"))
+
+    def test_keys_too_wide_for_distinct_keys(self):
+        keys = np.array([2**62, -(2**62), 2**62, 0, -(2**62)], dtype=np.int64)
+        assert stable_argsort(keys).tolist() == [1, 4, 3, 0, 2]
 
 
 class TestFirstOccurrences:

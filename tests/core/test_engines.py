@@ -15,6 +15,7 @@ from repro.core.engine_cycle import CycleEngine
 from repro.core.machine import DalorexMachine
 from repro.core.program import VERTEX_SPACE
 from repro.graph.generators import chain_graph, rmat_graph, star_graph
+from tests.core.reference_analytic import ReferenceAnalyticalEngine
 from tests.core.reference_cycle import ReferenceCycleEngine
 
 
@@ -116,13 +117,15 @@ class TestCycleEngineBehaviour:
 
 
 class TestBarrierlessRefill:
-    """The analytic engine asks only the tiles whose frontier bucket holds work."""
+    """The analytic engine asks only the tiles whose frontier bucket holds
+    work, and joins their batches into the segments a per-vertex sweep of
+    the oracle engine over every tile builds."""
 
-    def _parked_engine(self, graph, monkeypatch, asked):
+    def _parked_engine(self, graph, monkeypatch, asked, engine_class=AnalyticalEngine):
         config = MachineConfig(width=4, height=4, engine="analytic", frontier_refill_batch=2)
         machine = DalorexMachine(config, BFSKernel(root=0), graph)
         assert not machine.barrier_effective
-        engine = AnalyticalEngine(machine)
+        engine = engine_class(machine)
         resolve = engine.resolve_refill
 
         def counted(tile_id):
@@ -141,7 +144,9 @@ class TestBarrierlessRefill:
     def test_refill_equals_a_sweep_over_every_tile(self, small_rmat, monkeypatch):
         skipped, swept = [], []
         machine, engine = self._parked_engine(small_rmat, monkeypatch, skipped)
-        reference, sweeper = self._parked_engine(small_rmat, monkeypatch, swept)
+        reference, sweeper = self._parked_engine(
+            small_rmat, monkeypatch, swept, ReferenceAnalyticalEngine
+        )
 
         worklist = deque()
         assert engine._refill_segments(worklist)

@@ -1,10 +1,12 @@
 """Per-vertex reference traversals, kept as test oracles.
 
 ``repro.graph.reference`` computes BFS levels, SSSP distances and WCC
-labels with level-synchronous numpy frontier loops.  This module keeps the
-loops those replaced -- a deque BFS, Dijkstra with a binary heap, and one
-deque BFS per weakly connected component -- verbatim.  The tests require
-the production functions to return bit-identical arrays.
+labels with level-synchronous numpy frontier loops, and
+``CSRGraph.is_symmetric`` compares sorted edge keys.  This module keeps the
+code those replaced -- a deque BFS, Dijkstra with a binary heap, one deque
+BFS per weakly connected component, and a Python set of every edge --
+verbatim.  The tests require the production functions to return
+bit-identical results.
 """
 
 import heapq
@@ -81,3 +83,9 @@ def wcc_labels(graph: CSRGraph) -> np.ndarray:
         label = min(component)
         labels[component] = label
     return labels
+
+
+def is_symmetric(graph: CSRGraph) -> bool:
+    """Set-based symmetry test: every edge (u, v) has its (v, u)."""
+    forward = set(zip(graph.edge_sources().tolist(), graph.indices.tolist()))
+    return all((dst, src) in forward for src, dst in forward)

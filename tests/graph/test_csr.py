@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import chain_graph, rmat_graph
+from tests.graph import reference_loops
 
 
 def build_triangle():
@@ -144,3 +146,86 @@ class TestTransforms:
     def test_equality(self):
         assert build_triangle() == build_triangle()
         assert not (build_triangle() == chain_graph(3))
+
+
+@st.composite
+def raw_graphs(draw):
+    """A CSR graph built directly from its arrays: self-loops, duplicate
+    edges and, when its edges are mirrored, mirror weights drawn apart from
+    the originals."""
+    num_vertices = draw(st.integers(min_value=0, max_value=12))
+    edges = []
+    if num_vertices:
+        vertex = st.integers(0, num_vertices - 1)
+        edges = draw(st.lists(st.tuples(vertex, vertex), max_size=40))
+        if draw(st.booleans()):
+            edges += [(dst, src) for src, dst in edges]
+        if edges and draw(st.booleans()):
+            edges += draw(st.lists(st.sampled_from(edges), max_size=6))  # duplicates
+    edges.sort(key=lambda edge: edge[0])
+    weights = draw(st.lists(st.floats(0.5, 9.0), min_size=len(edges), max_size=len(edges)))
+    counts = np.bincount([src for src, _dst in edges], minlength=num_vertices)
+    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+    indices = np.array([dst for _src, dst in edges], dtype=np.int64)
+    return CSRGraph(indptr, indices, weights)
+
+
+class TestIsSymmetric:
+    @settings(max_examples=300, deadline=None)
+    @given(raw_graphs())
+    def test_equals_the_edge_set_test(self, graph):
+        assert graph.is_symmetric() == reference_loops.is_symmetric(graph)
+
+    @pytest.mark.parametrize(
+        "edges, symmetric",
+        [
+            ([], True),
+            ([(1, 1), (2, 2)], True),  # self-loops only
+            ([(0, 1), (0, 1), (1, 0)], True),  # a duplicate edge
+            ([(0, 1), (0, 1), (1, 2)], False),
+            ([(0, 2), (2, 0), (1, 2)], False),
+        ],
+    )
+    def test_small_cases(self, edges, symmetric):
+        graph = CSRGraph.from_edges(3, edges, dedup=False, remove_self_loops=False)
+        assert graph.is_symmetric() is symmetric
+        assert reference_loops.is_symmetric(graph) is symmetric
+
+    def test_empty_graph(self):
+        assert CSRGraph.from_edges(0, []).is_symmetric() is True
+
+    def test_weights_do_not_matter(self):
+        graph = CSRGraph.from_edges(2, [(0, 1), (1, 0)], [1.0, 7.0])
+        assert graph.is_symmetric() is True
+
+
+class TestFromEdgesArray:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=10).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=30),
+            )
+        ),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_array_and_tuple_list_give_the_same_graph(
+        self, graph_edges, directed, dedup, remove_self_loops
+    ):
+        num_vertices, edges = graph_edges
+        weights = np.arange(len(edges), dtype=np.float64) + 0.5
+        options = dict(directed=directed, dedup=dedup, remove_self_loops=remove_self_loops)
+        from_list = CSRGraph.from_edges(num_vertices, edges, weights, **options)
+        array = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        from_array = CSRGraph.from_edges(num_vertices, array, weights, **options)
+        for name in ("indptr", "indices", "values"):
+            got, want = getattr(from_array, name), getattr(from_list, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert array.tolist() == [list(edge) for edge in edges]  # input left as it was
+
+    def test_rejects_a_malformed_array(self):
+        with pytest.raises(GraphError):
+            CSRGraph.from_edges(3, np.zeros((2, 3), dtype=np.int64))

@@ -106,6 +106,64 @@ class TestClosedFormRoutes:
         assert topology.route_span_tiles_batch(empty, empty).size == 0
 
 
+#: Grids for the table-gathered routes: every kind, odd and even widths,
+#: ruche factors 2 and 3, and stacks up to 8x8x2.
+TABLE_GRIDS = [
+    ("mesh", 5, 3, {}), ("mesh", 8, 8, {}),
+    ("torus", 5, 3, {}), ("torus", 8, 8, {}),
+    ("torus_ruche", 7, 5, {"ruche_factor": 2}), ("torus_ruche", 8, 8, {"ruche_factor": 2}),
+    ("torus_ruche", 7, 6, {"ruche_factor": 3}), ("torus_ruche", 8, 5, {"ruche_factor": 3}),
+    ("mesh3d", 3, 2, {"depth": 2}), ("mesh3d", 8, 8, {"depth": 2}),
+    ("torus3d", 3, 3, {"depth": 2}), ("torus3d", 8, 8, {"depth": 2}),
+]
+
+
+class TestTableRoutes:
+    """The batched routes gather from ``Topology._dimension_tables``; on
+    every ordered pair they must equal the per-message ``SlotLayout.route``,
+    ``hop_distance`` and ``route_span_tiles``."""
+
+    @pytest.mark.parametrize("grid", TABLE_GRIDS, ids=grid_id)
+    def test_legs_hops_and_spans_equal_the_per_message_routes(self, grid):
+        kind, width, height, extra = grid
+        topology = make_topology(kind, width, height, **extra)
+        layout = topology.slot_layout()
+        step, stride, size, _length = (column.tolist() for column in layout.port_table())
+        srcs, dsts = all_pairs(topology)
+        hops, tiles, ports = topology._route_legs(srcs, dsts)
+        legs_per_message = len(hops) // len(srcs)
+        assert len(hops) == legs_per_message * len(srcs)
+        leg_slots = []
+        for count, tile, port in zip(hops.tolist(), tiles.tolist(), ports.tolist()):
+            slots = []
+            for _hop in range(count):
+                slots.append(tile * layout.ports + port)
+                here = tile // stride[port] % size[port]
+                tile += ((here + step[port]) % size[port] - here) * stride[port]
+            leg_slots.append(slots)
+        batch_hops = topology.hop_distance_batch(srcs, dsts)
+        batch_spans = topology.route_span_tiles_batch(srcs, dsts)
+        for message, (src, dst) in enumerate(zip(srcs.tolist(), dsts.tolist())):
+            legs = leg_slots[message * legs_per_message:(message + 1) * legs_per_message]
+            assert [slot for leg in legs for slot in leg] == layout.route(src, dst)
+            assert batch_hops[message] == topology.hop_distance(src, dst)
+            assert batch_spans[message] == topology.route_span_tiles(src, dst)
+        hops_once, spans_once = topology.route_hops_and_spans(srcs, dsts)
+        assert hops_once.dtype == np.int64 and np.array_equal(hops_once, batch_hops)
+        assert spans_once.dtype == np.float64
+        assert spans_once.tobytes() == batch_spans.tobytes()
+
+    @pytest.mark.parametrize("grid", TABLE_GRIDS, ids=grid_id)
+    def test_coordinate_tables_equal_coords(self, grid):
+        kind, width, height, extra = grid
+        topology = make_topology(kind, width, height, **extra)
+        for dim, table in enumerate(topology._dimension_tables):
+            assert table.coords.tolist() == [
+                topology.coords(tile)[dim] for tile in range(topology.num_tiles)
+            ]
+            assert len(table.sign) == len(table.hops) == len(table.span) == 2 * table.size - 1
+
+
 def link_slot(layout, link, wraps):
     """The slot a dimension-ordered route charges ``link`` to, found from
     the layout's port data alone: the link's dimension, and the port of
