@@ -136,13 +136,11 @@ def main(argv=None, timer=time.perf_counter, workload=_calibration_workload) -> 
     # switch of docs/OBSERVABILITY.md).  Refusing to run with telemetry
     # enabled keeps a stray environment variable from either masking a real
     # regression or charging instrumentation overhead to the engines.
-    enabled = os.environ.get("DALOREX_TELEMETRY", "").strip().lower()
-    if enabled in ("1", "true", "yes", "on") or \
-            os.environ.get("DALOREX_TELEMETRY_JSONL", "").strip():
+    if os.environ.get("DALOREX_TELEMETRY_JSONL", "").strip():
         print("error: the bench gate must measure the disabled-telemetry "
-              "path; unset DALOREX_TELEMETRY / DALOREX_TELEMETRY_JSONL "
-              "(benchmarks with telemetry on are not comparable to the "
-              "committed baseline)", file=sys.stderr)
+              "path; unset DALOREX_TELEMETRY_JSONL (benchmarks with "
+              "telemetry on are not comparable to the committed baseline)",
+              file=sys.stderr)
         return 2
 
     with open(args.bench_json, "r", encoding="utf-8") as handle:

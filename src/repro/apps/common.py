@@ -79,17 +79,19 @@ class Kernel(ABC):
         return None
 
     def batch_handlers(self, machine) -> Dict[str, object]:
-        """Vectorized batch handlers, keyed by task name (``{}`` = scalar only).
+        """Vectorized batch handlers, keyed by task name (``{}``: none).
 
-        A handler receives a :class:`~repro.core.batch.Segment` of same-task
-        invocations and returns a :class:`~repro.core.batch.BatchResult` whose
-        array mutations and per-item accounting are bit-equal to running the
-        scalar task handler once per item, in item order.  Handlers assume the
-        data-local invariant the scalar handlers enforce (every built-in
-        kernel routes accesses to the owning tile by construction).  The
-        analytical engine batches only when every program task has a
-        handler; otherwise it runs each segment's items through the scalar
-        handlers.
+        The analytical engine requires a handler for every program task and
+        raises :class:`~repro.errors.ConfigurationError` before any task runs
+        when one is missing; a kernel with scalar handlers only runs on the
+        cycle engine.  A handler receives a
+        :class:`~repro.core.batch.Segment` of same-task invocations and
+        returns a :class:`~repro.core.batch.BatchResult` whose array
+        mutations and per-item accounting are bit-equal to running the
+        scalar task handler once per item, in item order.  Each handler
+        emits invocations of one downstream task type and touches only
+        data local to the tile each item runs on (every built-in kernel
+        routes accesses to the owning tile by construction).
         """
         return {}
 
@@ -141,7 +143,8 @@ class FrontierGraphKernel(Kernel):
     #: Name of the per-vertex frontier flag array.
     frontier_array: str = "in_frontier"
     #: Name of the per-vertex value array T3 relaxes (set by subclasses to
-    #: enable batched execution; ``None`` keeps the kernel scalar-only).
+    #: enable batched execution; ``None`` leaves the kernel without batch
+    #: handlers, so it runs on the cycle engine only).
     batch_value_array: Optional[str] = None
     #: Scratchpad reads T2 performs per edge (SSSP also reads the weight).
     batch_t2_edge_reads: int = 1

@@ -1,11 +1,11 @@
 """Batch execution toolkit: numpy vectorization that is bit-equal to the loops.
 
 A scalar task handler executes one invocation at a time through
-:class:`~repro.core.context.TaskContext`.  Because the analytical engine's
-worklist is a FIFO and every kernel task emits invocations of exactly one
-downstream task, the worklist always drains in *runs* of same-task
-invocations -- and a run can be executed as one numpy batch, provided the
-batch reproduces the sequential semantics exactly:
+:class:`~repro.core.context.TaskContext`, as the cycle engine runs it.
+Because the analytical engine's worklist is a FIFO and every kernel task
+emits invocations of exactly one downstream task, the worklist always drains
+in *runs* of same-task invocations -- and the analytic engine executes every
+run as one numpy batch, which reproduces the sequential semantics exactly:
 
 * **Integer accounting** (instructions, reads, writes, edges, flits) is
   order-free: vector sums and ``np.add.at`` scatters are exact.
@@ -26,7 +26,7 @@ batch is the contract between a kernel's seeding hooks and the engines.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -115,34 +115,6 @@ class BatchResult:
         self.extra = extra
         self.edges = edges
         self.emits = emits
-
-
-def segments_from_items(items: Sequence[Tuple]) -> List[Segment]:
-    """Group ``(tile, task, params, gen, remote)`` items into same-task runs.
-
-    Consecutive items sharing a task become one :class:`Segment`; run
-    boundaries are semantically invisible (every batch replays sequential
-    semantics), so the grouping only has to preserve item order.
-    """
-    segments: List[Segment] = []
-    start = 0
-    total = len(items)
-    while start < total:
-        task = items[start][1]
-        end = start + 1
-        while end < total and items[end][1] is task:
-            end += 1
-        run = items[start:end]
-        tiles = np.fromiter((item[0] for item in run), dtype=np.int64, count=len(run))
-        params = tuple(
-            np.asarray([item[2][position] for item in run])
-            for position in range(task.num_params)
-        )
-        gens = np.fromiter((item[3] for item in run), dtype=np.int64, count=len(run))
-        remote = np.fromiter((item[4] for item in run), dtype=bool, count=len(run))
-        segments.append(Segment(task, tiles, params, gens, remote))
-        start = end
-    return segments
 
 
 # -------------------------------------------------------------- range helpers

@@ -20,23 +20,24 @@ Every run takes one epoch loop over a FIFO worklist of
 :class:`~repro.core.batch.Segment` columns.  Every task emits exactly one
 downstream task type, so a FIFO of single invocations always drains in runs
 of same-task invocations; popping a head run, executing it and appending its
-outputs reproduces that FIFO exactly.  A segment executes as one batch
-through the kernel's batch handlers, or -- when :meth:`_prepare_batch`
-declines -- one invocation at a time through the scalar task handlers.
+outputs reproduces that FIFO exactly.  Every segment executes as one batch
+through the kernel's batch handlers: a kernel without a handler for each of
+its tasks is refused before any task runs (it runs on the cycle engine,
+which executes the scalar task handlers).  The per-invocation loop the
+batches replay is kept as a test oracle, not as a second path.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import compress
-from typing import List, Optional
 
 import numpy as np
 
-from repro.core.batch import Seed, Segment, seed_segment, segments_from_items, sequential_sum
+from repro.core.batch import Seed, Segment, seed_segment, sequential_sum
 from repro.core.engine_base import BaseEngine
 from repro.core.results import SimulationResult
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.noc.analytical import LinkLoadModel
 
 
@@ -44,19 +45,14 @@ class AnalyticalEngine(BaseEngine):
     """Fast engine for large grids and scaling sweeps."""
 
     def run(self) -> SimulationResult:
+        self._batch = self._prepare_batch()
         total_cycles = 0.0
         epoch_index = 0
         seeds = self.initial_seeds()
         average_hops = self.topology.average_hop_distance(sample=64)
 
-        self._batch = self._prepare_batch()
-        if self._batch is not None:
-            labels = {"mode": "batched"}
-        else:
-            labels = {"mode": "scalar", "reason": self.batch_decline}
-
         while seeds:
-            with self.telemetry.span("engine.analytic.epoch", **labels):
+            with self.telemetry.span("engine.analytic.epoch"):
                 epoch_cycles = self._run_epoch(seeds, epoch_index, average_hops)
             total_cycles += epoch_cycles
             self.tracer.epoch_finished(epoch_index, self.counters)
@@ -76,8 +72,7 @@ class AnalyticalEngine(BaseEngine):
     # ------------------------------------------------------------------ epoch
     def _run_epoch(self, seeds: Seed, epoch_index: int, average_hops: float) -> float:
         """Drain one epoch's segment worklist, executing every segment as a
-        batch or, when the batch gate declined, one invocation at a time."""
-        execute = self._execute_items if self._batch is None else self._execute_batch
+        batch."""
         num_tiles = self.config.num_tiles
         epoch_busy = np.zeros(num_tiles, dtype=np.float64)
         epoch_link = LinkLoadModel(self.topology, detailed=self.link_model.detailed)
@@ -93,7 +88,7 @@ class AnalyticalEngine(BaseEngine):
         while worklist or self._refill_segments(worklist):
             segment = worklist.popleft()
             with span("engine.analytic.segment", task=segment.task.name):
-                children, child_gen = execute(segment, epoch_link, epoch_busy)
+                children, child_gen = self._execute_batch(segment, epoch_link, epoch_busy)
             tasks_this_epoch += segment.n
             if child_gen > max_generation:
                 max_generation = child_gen
@@ -131,39 +126,32 @@ class AnalyticalEngine(BaseEngine):
             worklist.append(seed_segment(task, tiles, tuple(map(np.concatenate, zip(*batches)))))
         return bool(runs)
 
-    # ------------------------------------------------------------- batch gate
-    def _prepare_batch(self) -> Optional[dict]:
-        """The batch handler table, or None to run per invocation.
+    # --------------------------------------------------------- batch handlers
+    def _prepare_batch(self) -> dict:
+        """The kernel's batch handler table, one handler per program task.
 
-        The one gate of the batched path: the reason it declines is kept in
-        :attr:`batch_decline` (None when batched).  A batched run rebinds the
-        per-tile counters to numpy arrays, so ``np.add.at`` scatters into
-        them; floats stay order-exact because it applies duplicate indices in
-        element order.
+        A kernel that lacks a handler for any task raises
+        :class:`~repro.errors.ConfigurationError` naming the kernel and every
+        such task; the engine has no per-invocation path to fall back to.
+        The per-tile counters are rebound to numpy arrays, so ``np.add.at``
+        scatters into them; floats stay order-exact because it applies
+        duplicate indices in element order.
         """
-        machine = self.machine
-        self.batch_decline = None
-        if not getattr(machine, "batch_execution", True):
-            self.batch_decline = "batch execution is disabled on this machine"
-            return None
-        if self.config.allow_remote_access:
-            # Remote-access penalties are per-access scalar state the batch
-            # handlers do not model (the built-in kernels never trip them,
-            # but the scalar handlers are the ones that own that semantics).
-            self.batch_decline = "allow_remote_access uses scalar-only per-access semantics"
-            return None
-        handlers = self.kernel.batch_handlers(machine)
-        if not handlers or any(task.name not in handlers for task in machine.program.tasks):
-            self.batch_decline = (
-                f"kernel {self.kernel.name!r} lacks batch handlers for every task"
+        handlers = self.kernel.batch_handlers(self.machine)
+        missing = [task.name for task in self.program.tasks if task.name not in handlers]
+        if missing:
+            raise ConfigurationError(
+                f"kernel {self.kernel.name!r} has no batch handler for task(s) "
+                f"{', '.join(map(repr, missing))}: the analytic engine runs every "
+                "task through its kernel's batch handlers; run scalar-only "
+                "kernels with engine='cycle'"
             )
-            return None
         state = self.state
         state.pu_instructions = np.asarray(state.pu_instructions, dtype=np.int64)
         state.pu_busy_cycles = np.asarray(state.pu_busy_cycles, dtype=np.float64)
         return handlers
 
-    # -------------------------------------------------------------- executors
+    # --------------------------------------------------------------- executor
     def _execute_batch(self, segment: Segment, epoch_link, epoch_busy):
         """Execute one same-task run as a batch through its kernel handler."""
         result = self._batch[segment.task.name](segment)
@@ -185,7 +173,7 @@ class AnalyticalEngine(BaseEngine):
             cost = np.where(remote, cost + penalty, cost)
             counters.remote_interrupts += int(remote.sum())
 
-        # execute_invocation's counter adds over the whole segment.
+        # The per-task counter adds, over the whole segment.
         counters.instructions += int(instructions.sum())
         counters.tasks_executed += n
         counters.sram_reads += int(reads.sum())
@@ -207,7 +195,7 @@ class AnalyticalEngine(BaseEngine):
         if result.emits is not None:
             out_task, dests, out_params, counts_per_item = result.emits
             out_count = len(dests)
-        self.tracer.record_batch_execution(segment.task, n, out_task, out_count)
+        self.tracer.record_segment(segment.task, n, out_task, out_count)
         if not out_count:
             return [], 0
         flits = out_task.flits_per_invocation
@@ -220,62 +208,6 @@ class AnalyticalEngine(BaseEngine):
             self.charge_messages(epoch_link, sources[remote_out], dests[remote_out], flits)
         child_gens = np.repeat(segment.gens + 1, counts_per_item)
         return [Segment(out_task, dests, out_params, child_gens, remote_out)], int(child_gens.max())
-
-    def _execute_items(self, segment: Segment, epoch_link, epoch_busy):
-        """Execute one segment an invocation at a time, through the scalar
-        task handlers, for a run the batch gate declined.
-
-        The segment's non-local messages are logged in send order and
-        charged with one :meth:`~repro.core.engine_base.BaseEngine.charge_messages`
-        call, as the cycle engine charges its drains.
-        """
-        state = self.state
-        counters = self.counters
-        task = segment.task
-        pu_busy_cycles = state.pu_busy_cycles
-        pu_instructions = state.pu_instructions
-        execute_invocation = self.execute_invocation
-        release_context = self.release_context
-        children = []
-        sent_src: List[int] = []
-        sent_dst: List[int] = []
-        sent_flits: List[int] = []
-        max_child_gen = 0
-        for tile_id, params, generation, remote in zip(
-            segment.tiles.tolist(),
-            zip(*(column.tolist() for column in segment.params)),
-            segment.gens.tolist(),
-            segment.remote.tolist(),
-        ):
-            ctx, cost = execute_invocation(tile_id, task, params, remote)
-            pu_busy_cycles[tile_id] += cost
-            pu_instructions[tile_id] += ctx.instructions
-            epoch_busy[tile_id] += cost
-            child_gen = generation + 1
-            for out_task, out_params, destination in ctx.outgoing:
-                flits = out_task.flits_per_invocation
-                counters.messages += 1
-                counters.flits += flits
-                if destination == tile_id:
-                    counters.local_messages += 1
-                else:
-                    sent_src.append(tile_id)
-                    sent_dst.append(destination)
-                    sent_flits.append(flits)
-                if child_gen > max_child_gen:
-                    max_child_gen = child_gen
-                children.append(
-                    (destination, out_task, out_params, child_gen, destination != tile_id)
-                )
-            release_context(ctx)
-        if sent_src:
-            self.charge_messages(
-                epoch_link,
-                np.array(sent_src, dtype=np.int64),
-                np.array(sent_dst, dtype=np.int64),
-                np.array(sent_flits, dtype=np.int64),
-            )
-        return segments_from_items(children), max_child_gen
 
     def _epoch_cycles(
         self,

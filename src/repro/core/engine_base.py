@@ -2,28 +2,28 @@
 
 Both engines execute the same task programs functionally (so algorithm outputs
 are identical and can be validated against the sequential references); they
-differ only in how cycles are attributed.  This base class owns the functional
-execution of one task, the traffic/energy accounting, epoch seeding and the
+differ only in how tasks run and how cycles are attributed.  The analytic
+engine runs every task through its kernel's batch handlers; the cycle engine
+runs the scalar task handlers, one pooled
+:class:`~repro.core.context.TaskContext` per execution.  This base class owns
+what both share: the traffic/energy accounting, epoch seeding and the
 assembly of the :class:`~repro.core.results.SimulationResult`.
 
 All per-tile accounting goes through the machine's columnar
 :class:`~repro.core.state.CoreState` (flat arrays indexed by tile id) rather
-than per-tile objects, and task contexts are pooled: one execution costs one
-:meth:`~repro.core.context.TaskContext.reset` and one
-:meth:`~repro.core.context.TaskContext.finish`, not an allocation.  Every
-context of one engine shares the engine's lookup bindings and
-:class:`~repro.core.context.MemoryTables`, which the analytic engine's batched
-path indexes too: one memory-cost definition for every path.
+than per-tile objects, and one :class:`~repro.core.context.MemoryTables`
+prices every access count for both engines: one memory-cost definition for
+every path.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.core.batch import Seed
-from repro.core.context import MemoryTables, TaskContext, context_bindings
+from repro.core.context import MemoryTables
 from repro.core.results import AggregateCounters, SimulationResult
 from repro.core.task import Task
 from repro.errors import SimulationError
@@ -37,7 +37,7 @@ DETAILED_LINK_MODEL_MAX_TILES = 2048
 
 
 class BaseEngine:
-    """Functional task execution, accounting and result assembly."""
+    """Accounting, seeding and result assembly shared by both engines."""
 
     def __init__(self, machine) -> None:
         self.machine = machine
@@ -48,19 +48,11 @@ class BaseEngine:
         self.state = machine.state
         self.kernel = machine.kernel
         self.counters = AggregateCounters()
-        # Kernel dispatch table: task_id -> Task, indexed on every dispatch.
-        self.task_table = self.program.dispatch_table()
         detailed = machine.config.num_tiles <= DETAILED_LINK_MODEL_MAX_TILES
         self.link_model = LinkLoadModel(self.topology, detailed=detailed)
         self.tile_pitch_mm = machine.tile_pitch_mm
-        # Pool of reusable task contexts (one live context per in-flight
-        # task execution; the cycle engine holds one per busy tile).
-        self._context_pool: List[TaskContext] = []
         #: Per-access-count memory costs, shared by every context and batch.
         self.memory_tables = MemoryTables(self.config)
-        #: The per-machine lookups every pooled context shares.
-        self.context_bindings = context_bindings(machine)
-        self._interrupting = self.config.remote_invocation == "interrupting"
         # Conservation tracing: both engines feed the same spawn/consume hooks,
         # and build_result() runs the always-on checks.  The machine keeps a
         # reference so callers can inspect the trace after run() returns.
@@ -75,45 +67,7 @@ class BaseEngine:
         # per-link accounting after run() returns.
         machine.link_model = self.link_model
 
-    # -------------------------------------------------------------- execution
-    def execute_invocation(
-        self, tile_id: int, task: Task, params: tuple, remote: bool
-    ) -> Tuple[TaskContext, float]:
-        """Run one task handler functionally, count it into the machine-wide
-        totals and return its context and cost.
-
-        The returned context comes from the engine's pool; pass it back to
-        :meth:`release_context` once its ``outgoing`` list has been consumed.
-        The cycle engine's drain loop does the same work inline.
-        """
-        pool = self._context_pool
-        ctx = pool.pop().reset(tile_id, task) if pool else self.new_context(tile_id, task)
-        task.handler(ctx, *params)
-        cost = ctx.finish()
-        self.tracer.record_execution(task, ctx.outgoing)
-        counters = self.counters
-        if remote and self._interrupting:
-            cost += self.config.interrupt_penalty_cycles
-            counters.remote_interrupts += 1
-        counters.instructions += ctx.instructions
-        counters.tasks_executed += 1
-        counters.sram_reads += ctx.sram_reads
-        counters.sram_writes += ctx.sram_writes
-        counters.dram_accesses += ctx.dram_accesses
-        counters.cache_hits += ctx.cache_hits
-        counters.edges_processed += ctx.edges
-        return ctx, cost
-
-    def new_context(self, tile_id: int, task: Task) -> TaskContext:
-        """A context for the pool, sharing the engine's tables and bindings."""
-        return TaskContext(
-            self.machine, tile_id, task, self.memory_tables, self.context_bindings
-        )
-
-    def release_context(self, ctx: TaskContext) -> None:
-        """Return a context to the pool for reuse by the next execution."""
-        self._context_pool.append(ctx)
-
+    # --------------------------------------------------------------- messages
     def charge_messages(
         self, link_model: LinkLoadModel, srcs: np.ndarray, dsts: np.ndarray, flits
     ) -> None:

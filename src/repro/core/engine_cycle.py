@@ -43,9 +43,11 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.core.batch import Seed
+from repro.core.context import TaskContext, context_bindings
 from repro.core.engine_base import BaseEngine
 from repro.core.network import make_network_model
 from repro.core.results import SimulationResult
+from repro.core.task import Task
 from repro.errors import SimulationError
 
 # Event kinds, ordered so deliveries at a timestamp happen before completions.
@@ -67,6 +69,13 @@ class CycleEngine(BaseEngine):
 
     def __init__(self, machine) -> None:
         super().__init__(machine)
+        # Kernel dispatch table: task_id -> Task, indexed on every dispatch.
+        self.task_table = self.program.dispatch_table()
+        # Pool of reusable task contexts (the engine holds one per busy tile).
+        self._context_pool: List[TaskContext] = []
+        #: The per-machine lookups every pooled context shares.
+        self.context_bindings = context_bindings(machine)
+        self._interrupting = self.config.remote_invocation == "interrupting"
         self._heap: List[Tuple[float, int, object]] = []
         self._sequence = count(1)
         # Message timing is delegated to the configured network model
@@ -117,6 +126,12 @@ class CycleEngine(BaseEngine):
 
         cycles = max(self._last_event_time, 1.0)
         return self.build_result(cycles, epochs=epoch_index)
+
+    def new_context(self, tile_id: int, task: Task) -> TaskContext:
+        """A context for the pool, sharing the engine's tables and bindings."""
+        return TaskContext(
+            self.machine, tile_id, task, self.memory_tables, self.context_bindings
+        )
 
     # ------------------------------------------------------------------ seeds
     def _inject_seeds(self, seeds: Seed, time_base: float, charge: bool) -> None:

@@ -56,11 +56,6 @@ class DalorexMachine:
         self.network = None
         self.link_model = None
         self.barrier_effective = config.barrier or kernel.requires_barrier
-        # Batched (vectorized) task execution on engines that support it.
-        # Bit-equal to scalar execution by construction; set False to run
-        # every segment one invocation at a time (the equivalence tests
-        # exercise both).
-        self.batch_execution = True
 
         # Topologies are immutable, so machines share one instance per shape.
         self.topology = cached_topology(

@@ -8,7 +8,7 @@ each fleet worker read their own.  Unset (the default), :func:`get_telemetry`
 returns the shared :data:`NULL`, and an instrumented site costs one call
 that returns a shared no-op context::
 
-    with telemetry.span("engine.analytic.epoch", mode="batched"):
+    with telemetry.span("engine.analytic.segment", task="T3_relax"):
         ...
 
 Telemetry NEVER influences simulation behavior -- outputs are byte-identical

@@ -101,13 +101,13 @@ class InvariantTracer:
         self.consumed += consumed
         self.spawned[MESSAGE] += spawned
 
-    def record_batch_execution(
+    def record_segment(
         self, task, count: int, out_task=None, out_count: int = 0
     ) -> None:
         """Batched :meth:`record_execution`: ``count`` same-task consumptions
         spawning ``out_count`` messages, all of task ``out_task``.
 
-        The batched engine path executes whole same-task segments; every
+        The analytic engine executes whole same-task segments; every
         kernel task emits exactly one downstream task type, so one
         (task, out_task) pair per segment preserves the detailed histograms.
         """

@@ -1,22 +1,26 @@
 """Reference analytic engine: the per-invocation deque loop, kept as a test oracle.
 
 ``AnalyticalEngine`` drains every epoch over a worklist of same-task
-segments, executed as batches or one invocation at a time, and charges each
-segment's messages to the link-load model with one ``record_batch`` call.
-This module keeps the loop the segments replaced: a FIFO deque of single
-invocations, each executed through ``execute_invocation``, each non-local
+segments, each executed as one batch through the kernel's batch handlers,
+and charges each segment's messages to the link-load model with one
+``record_batch`` call.  This module keeps the loop the segments replaced: a
+FIFO deque of single invocations, each executed through the scalar task
+handler in a pooled ``TaskContext`` (``execute_invocation``), each non-local
 message charged with its own ``LinkLoadModel.record_message`` call, and the
 epoch's seeds resolved, charged and refilled one ``(task_name, params)``
-tuple at a time (``reference_loops.PerSeedSeeding``).  The tests compare
-both production executors against it, bit for bit.
+tuple at a time (``reference_loops.PerSeedSeeding``).  The tests compare the
+production engine against it, bit for bit.
 """
 
 from collections import deque
 from itertools import compress
+from typing import Tuple
 
 import numpy as np
 
+from repro.core.context import TaskContext, context_bindings
 from repro.core.engine_analytic import AnalyticalEngine
+from repro.core.task import Task
 from repro.noc.analytical import LinkLoadModel
 from tests.core.reference_loops import PerSeedSeeding, seed_tuples
 
@@ -24,10 +28,44 @@ from tests.core.reference_loops import PerSeedSeeding, seed_tuples
 class ReferenceAnalyticalEngine(PerSeedSeeding, AnalyticalEngine):
     """``AnalyticalEngine`` with the per-invocation deque epoch loop."""
 
+    def __init__(self, machine) -> None:
+        super().__init__(machine)
+        self._context_pool = []
+        self._bindings = context_bindings(machine)
+
     def _prepare_batch(self):
         # No batch handlers: the per-tile counters stay Python lists.
-        self.batch_decline = "per-invocation reference loop"
         return None
+
+    def execute_invocation(
+        self, tile_id: int, task: Task, params: tuple, remote: bool
+    ) -> Tuple[TaskContext, float]:
+        """Run one task handler functionally, count it into the machine-wide
+        totals and return its context and cost; pass the context back to
+        :meth:`release_context` once its ``outgoing`` list is consumed."""
+        pool = self._context_pool
+        ctx = pool.pop().reset(tile_id, task) if pool else TaskContext(
+            self.machine, tile_id, task, self.memory_tables, self._bindings
+        )
+        task.handler(ctx, *params)
+        cost = ctx.finish()
+        self.tracer.record_execution(task, ctx.outgoing)
+        counters = self.counters
+        if remote and self.config.remote_invocation == "interrupting":
+            cost += self.config.interrupt_penalty_cycles
+            counters.remote_interrupts += 1
+        counters.instructions += ctx.instructions
+        counters.tasks_executed += 1
+        counters.sram_reads += ctx.sram_reads
+        counters.sram_writes += ctx.sram_writes
+        counters.dram_accesses += ctx.dram_accesses
+        counters.cache_hits += ctx.cache_hits
+        counters.edges_processed += ctx.edges
+        return ctx, cost
+
+    def release_context(self, ctx: TaskContext) -> None:
+        """Return a context to the pool for reuse by the next execution."""
+        self._context_pool.append(ctx)
 
     def _run_epoch(self, seeds, epoch_index, average_hops):
         num_tiles = self.config.num_tiles

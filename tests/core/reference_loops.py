@@ -8,12 +8,17 @@ one ``(task_name, columns)`` batch, resolved with one ``owners_of`` call and
 charged with one ``bincount``.  This module keeps the loops those replaced:
 per item over ``contiguous_ranges``, per tile over ``chunk_length``, per
 duplicate-vertex group item by item, and per seed over ``(task_name,
-params)`` tuples (:class:`PerSeedSeeding`).  The tests require bit-equal
-results.
+params)`` tuples (:class:`PerSeedSeeding`), plus the grouping of single
+invocations into same-task segments (:func:`segments_from_items`).  The
+tests require bit-equal results.
 """
+
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
+from repro.core.batch import Segment
 from repro.errors import SimulationError
 
 
@@ -92,6 +97,22 @@ def relax_min(values, vertices, news):
     group_base = np.repeat(cum[starts] - imp_int[starts], sizes)
     first[order] = imp_sorted & ((cum - imp_int - group_base) == 0)
     return improved, first
+
+
+def segments_from_items(items):
+    """Group ``(tile, task, params, gen, remote)`` items into same-task
+    ``Segment`` runs, in item order."""
+    segments = []
+    for task, run in groupby(items, key=itemgetter(1)):
+        tiles, _tasks, params, gens, remote = zip(*run)
+        segments.append(Segment(
+            task,
+            np.array(tiles, dtype=np.int64),
+            tuple(np.asarray(column) for column in zip(*params)),
+            np.array(gens, dtype=np.int64),
+            np.array(remote, dtype=bool),
+        ))
+    return segments
 
 
 def seed_tuples(seeds):

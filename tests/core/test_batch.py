@@ -13,7 +13,6 @@ from repro.core.batch import (
     first_occurrences,
     relax_min,
     repeated_add_prefix,
-    segments_from_items,
     sequential_sum,
     split_ranges,
     stable_argsort,
@@ -276,29 +275,6 @@ class TestFirstOccurrences:
         assert first_occurrences(indices).tolist() == expected
 
 
-class TestSegmentsFromItems:
-    def test_groups_consecutive_same_task_runs(self):
-        class FakeTask:
-            def __init__(self, name, num_params):
-                self.name = name
-                self.num_params = num_params
-
-        t_a, t_b = FakeTask("A", 1), FakeTask("B", 2)
-        items = [
-            (0, t_a, (1,), 0, False),
-            (3, t_a, (2,), 0, True),
-            (1, t_b, (5, 6), 1, False),
-            (2, t_a, (9,), 2, False),
-        ]
-        segments = segments_from_items(items)
-        assert [s.task.name for s in segments] == ["A", "B", "A"]
-        assert segments[0].tiles.tolist() == [0, 3]
-        assert segments[0].params[0].tolist() == [1, 2]
-        assert segments[0].remote.tolist() == [False, True]
-        assert segments[1].params[1].tolist() == [6]
-        assert segments[2].gens.tolist() == [2]
-
-
 class TestOwnersOf:
     @pytest.mark.parametrize(
         "placement",
@@ -359,6 +335,6 @@ class TestBatchedPathGate:
 
         config = MachineConfig(engine="analytic", **overrides)
         machine = DalorexMachine(config, BFSKernel(root=0), small_rmat)
-        engine = AnalyticalEngine(machine)
-        assert engine._prepare_batch() is not None
-        assert engine.batch_decline is None
+        handlers = AnalyticalEngine(machine)._prepare_batch()
+        assert set(handlers) == {task.name for task in machine.program.tasks}
+        assert machine.run(verify=True).verified is True

@@ -3,7 +3,7 @@
 Both engines charge their non-local messages to the link-load model in bulk
 (``LinkLoadModel.record_batch`` over a send-order log) instead of one
 ``record_message`` call per message: the cycle engine once per drain, the
-analytic engine's per-item executor once per segment.  After a run, the
+analytic engine once per segment.  After a run, the
 model must be exactly what ``record_message`` builds message by message --
 a replay of the sent messages in send order for the cycle engine, the
 per-invocation reference loop for the analytic engine -- every field, the
@@ -17,7 +17,6 @@ from repro.apps import make_kernel
 from repro.core import engine_base, engine_cycle
 from repro.core.config import MachineConfig
 from repro.core.context import TaskContext
-from repro.core.engine_analytic import AnalyticalEngine
 from repro.core.machine import DalorexMachine
 from repro.core.network import AnalyticalNetwork
 from repro.experiments.common import build_kernel
@@ -114,12 +113,11 @@ def test_link_model_equals_record_message_replay(case, fold, detailed, monkeypat
 
 @pytest.mark.parametrize("detailed", [True, False], ids=["detailed", "aggregate"])
 @pytest.mark.parametrize("case", ANALYTIC_CASES, ids=lambda case: case.name)
-def test_per_item_link_model_equals_reference_loop(case, detailed, monkeypatch):
+def test_batched_link_model_equals_reference_loop(case, detailed, monkeypatch):
     if not detailed:
         monkeypatch.setattr(engine_base, "DETAILED_LINK_MODEL_MAX_TILES", 0)
     graph = build_graph(case.graph)
     machine = DalorexMachine(case.config(), build_kernel(case.app, graph), graph)
-    machine.batch_execution = False
     batches = []
     spy(monkeypatch, LinkLoadModel, "record_batch", batches)
     result = machine.run(compute_energy=False)
@@ -140,34 +138,26 @@ def test_per_item_link_model_equals_reference_loop(case, detailed, monkeypatch):
 
 
 #: The runs that must not charge per message: the cycle engine on both
-#: network models, and the analytic engine batched and on two declined gates.
+#: network models, and the analytic engine with and without remote access.
 NO_PER_MESSAGE_RUNS = {
-    "analytical": (dict(engine="cycle", network="analytical"), True),
-    "simulated": (dict(engine="cycle", network="simulated"), True),
-    "analytic-batched": (dict(engine="analytic"), True),
-    "analytic-batch-disabled": (dict(engine="analytic"), False),
-    "analytic-remote-access": (dict(engine="analytic", allow_remote_access=True), True),
+    "analytical": dict(engine="cycle", network="analytical"),
+    "simulated": dict(engine="cycle", network="simulated"),
+    "analytic-batched": dict(engine="analytic"),
+    "analytic-remote-access": dict(engine="analytic", allow_remote_access=True),
 }
 
 
-@pytest.mark.parametrize("overrides,batch_execution", list(NO_PER_MESSAGE_RUNS.values()),
+@pytest.mark.parametrize("overrides", list(NO_PER_MESSAGE_RUNS.values()),
                          ids=list(NO_PER_MESSAGE_RUNS))
-def test_cycle_engine_makes_no_per_message_route_or_accounting_calls(
-    overrides, batch_execution, monkeypatch
-):
-    calls, per_item = [], []
+def test_cycle_engine_makes_no_per_message_route_or_accounting_calls(overrides, monkeypatch):
+    calls = []
     spy(monkeypatch, LinkLoadModel, "record_message", calls)
     spy(monkeypatch, Topology, "route_profile", calls)
-    spy(monkeypatch, AnalyticalEngine, "_execute_items", per_item)
     graph = rmat_graph(7, edge_factor=6, seed=3)
     config = MachineConfig(width=4, height=4, **overrides)
     machine = DalorexMachine(config, make_kernel("pagerank", num_iterations=2), graph)
-    machine.batch_execution = batch_execution
     result = machine.run(compute_energy=False)
     if config.engine == "cycle":
         assert machine.network.kind == config.network
-    else:
-        declined = not batch_execution or config.allow_remote_access
-        assert bool(per_item) is declined
     assert result.counters.flit_hops > 0
     assert calls == []

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.apps import BFSKernel, SSSPKernel, SPMVKernel
-from repro.core.batch import segments_from_items
 from repro.core.config import MachineConfig
 from repro.core.engine_analytic import AnalyticalEngine
 from repro.core.engine_cycle import CycleEngine
@@ -17,6 +16,7 @@ from repro.core.program import VERTEX_SPACE
 from repro.graph.generators import chain_graph, rmat_graph, star_graph
 from tests.core.reference_analytic import ReferenceAnalyticalEngine
 from tests.core.reference_cycle import ReferenceCycleEngine
+from tests.core.reference_loops import segments_from_items
 
 
 def run(engine, graph, kernel_factory, **overrides):

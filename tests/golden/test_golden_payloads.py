@@ -95,18 +95,9 @@ ANALYTIC_CASES = [case for case in GOLDEN_CASES if case.config().engine == "anal
 
 
 @pytest.mark.parametrize("case", ANALYTIC_CASES, ids=lambda c: c.name)
-def test_scalar_path_replays_analytic_golden(case):
-    # The batched segments claim bit-equality with per-invocation execution
-    # of the same segments; the goldens pin both to the same frozen bytes.
-    golden = result_from_payload(load_golden(case.name))
-    fresh = run_case(case, batch_execution=False)
-    problems = compare_results(fresh, golden)
-    assert not problems, f"{case.name} diverged from golden:\n" + "\n".join(problems)
-
-
-@pytest.mark.parametrize("case", ANALYTIC_CASES, ids=lambda c: c.name)
 def test_reference_loop_replays_analytic_golden(case):
-    # ...and so does the per-invocation deque loop both are checked against.
+    # The batched segments claim bit-equality with the per-invocation deque
+    # loop they replaced; the goldens pin both to the same frozen bytes.
     golden = result_from_payload(load_golden(case.name))
     fresh = run_case(case, reference=True)
     problems = compare_results(fresh, golden)

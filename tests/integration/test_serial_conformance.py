@@ -1,12 +1,13 @@
 """Serial conformance: the analytic engine's report is one fixed set of bytes.
 
-Every analytic run takes the one serial engine, but that engine still has
-freedoms that must never show in its report: segments executed as batches
-or one invocation at a time, with or without a telemetry sink, and how
-many route links a flit-millimeter fold takes at a time.  Each envelope case
-below runs both ways of one freedom and compares the serialized payload
-bytes, the strictest equality the runtime defines; a payload must also
-survive its own decode/encode round trip byte for byte.
+Every analytic run takes the one serial engine and runs every segment
+through its kernel's batch handlers, but that engine still has freedoms
+that must never show in its report: with or without a telemetry sink, and
+how many route links a flit-millimeter fold takes at a time.  Each envelope
+case below runs both ways of one freedom and compares the serialized
+payload bytes, the strictest equality the runtime defines; a payload must
+also survive its own decode/encode round trip byte for byte.  A kernel the
+batch handlers do not cover is refused, not run some other way.
 """
 
 import json
@@ -14,13 +15,14 @@ import json
 import pytest
 
 from repro.core.config import MachineConfig
-from repro.core.engine_analytic import AnalyticalEngine
 from repro.core.machine import DalorexMachine
+from repro.errors import ConfigurationError
 from repro.experiments.common import build_kernel
 from repro.graph.generators import rmat_graph, uniform_random_graph
 from repro.noc import analytical
 from repro.runtime.serialize import result_from_payload, result_to_payload
 from repro.telemetry import NULL, telemetry_session
+from tests.core.reference_analytic import run_reference
 
 
 @pytest.fixture(scope="module")
@@ -54,8 +56,8 @@ def case_id(case):
     return "-".join([app] + [f"{key}={value}" for key, value in overrides.items()])
 
 
-def build_machine(app, graph, overrides):
-    config = MachineConfig(engine="analytic", **overrides).validate()
+def build_machine(app, graph, overrides, engine="analytic"):
+    config = MachineConfig(engine=engine, **overrides).validate()
     return DalorexMachine(config, build_kernel(app, graph), graph, dataset_name="test")
 
 
@@ -65,28 +67,19 @@ def payload_bytes(result) -> bytes:
     ).encode("utf-8")
 
 
-def run_bytes(app, graph, overrides, batch=True) -> bytes:
-    machine = build_machine(app, graph, overrides)
-    machine.batch_execution = batch
-    return payload_bytes(machine.run(verify=True))
+def run_bytes(app, graph, overrides) -> bytes:
+    return payload_bytes(build_machine(app, graph, overrides).run(verify=True))
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 class TestEnvelopeByteIdentity:
-    def test_scalar_path_report_is_byte_identical(self, case, small_graph):
-        app, overrides = case
-        machine = build_machine(app, small_graph, overrides)
-        assert AnalyticalEngine(machine)._prepare_batch() is not None
-        batched = run_bytes(app, small_graph, overrides, batch=True)
-        assert run_bytes(app, small_graph, overrides, batch=False) == batched
-
     def test_report_is_byte_identical_with_telemetry_on(self, case, small_graph, memory_trace):
         app, overrides = case
         with telemetry_session(NULL):
             base = run_bytes(app, small_graph, overrides)
         assert run_bytes(app, small_graph, overrides) == base
         epochs = memory_trace.records("engine.analytic.epoch")
-        assert epochs and all(r["labels"] == {"mode": "batched"} for r in epochs)
+        assert epochs and all("labels" not in r for r in epochs)
 
     def test_chunked_millimeter_fold_is_byte_identical(self, case, small_graph, monkeypatch):
         # ROUTE_CHUNK_LINKS bounds the memory of one fold; a fold cut into
@@ -105,28 +98,55 @@ class TestEnvelopeByteIdentity:
         assert payload_bytes(decoded) == payload
 
 
-class TestBatchGate:
-    """A run the batched path declines names the gate, and still verifies."""
+@pytest.mark.parametrize("barrier", [False, True], ids=["barrierless", "barrier"])
+@pytest.mark.parametrize("app", ["bfs", "sssp", "wcc", "pagerank", "spmv"])
+def test_remote_access_flag_changes_no_byte(app, barrier, small_graph):
+    # The batch handlers touch only local data, so allowing remote access
+    # leaves the batched run equal to the per-invocation scalar loop.
+    overrides = dict(width=4, height=4, barrier=barrier, allow_remote_access=True)
+    batched = run_bytes(app, small_graph, overrides)
+    machine = build_machine(app, small_graph, overrides)
+    assert payload_bytes(run_reference(machine, verify=True)) == batched
 
-    @pytest.mark.parametrize(
-        "decline,expect",
-        [("disabled", "disabled"), ("remote_access", "allow_remote_access"),
-         ("no_handlers", "lacks batch handlers")],
-    )
-    def test_decline_reason_names_the_gate(self, decline, expect, tiny_graph, memory_trace):
-        overrides = dict(width=4, height=4)
-        if decline == "remote_access":
-            overrides["allow_remote_access"] = True
-        machine = build_machine("bfs", tiny_graph, overrides)
-        if decline == "disabled":
-            machine.batch_execution = False
-        if decline == "no_handlers":
-            machine.kernel.batch_handlers = lambda machine: {}
-        engine = AnalyticalEngine(machine)
-        assert engine._prepare_batch() is None
-        assert expect in engine.batch_decline
+
+#: Handler tables that leave tasks out, with the tasks a bfs kernel misses:
+#: no handler at all, and no handler for T3 alone.
+PARTIAL_HANDLERS = {
+    "no-handlers": (
+        lambda handlers: {},
+        ["T1_explore", "T2_expand", "T3_relax", "T4_refrontier"],
+    ),
+    "one-task-without-handler": (
+        lambda handlers: {name: h for name, h in handlers.items() if name != "T3_relax"},
+        ["T3_relax"],
+    ),
+}
+
+
+@pytest.mark.parametrize("partial", list(PARTIAL_HANDLERS), ids=list(PARTIAL_HANDLERS))
+class TestMissingBatchHandlers:
+    """A kernel without a batch handler for every task is refused by the
+    analytic engine before any task runs, and still runs on the cycle
+    engine, which executes the scalar task handlers."""
+
+    @staticmethod
+    def partial_machine(partial, graph, engine):
+        machine = build_machine("bfs", graph, dict(width=4, height=4), engine=engine)
+        keep, _missing = PARTIAL_HANDLERS[partial]
+        handlers = machine.kernel.batch_handlers
+        machine.kernel.batch_handlers = lambda machine: keep(handlers(machine))
+        return machine
+
+    def test_analytic_engine_refuses_before_any_task_runs(self, partial, tiny_graph):
+        machine = self.partial_machine(partial, tiny_graph, "analytic")
+        with pytest.raises(ConfigurationError) as refusal:
+            machine.run(verify=True)
+        message = str(refusal.value)
+        assert "kernel 'bfs'" in message
+        named = [task.name for task in machine.program.tasks if repr(task.name) in message]
+        assert named == PARTIAL_HANDLERS[partial][1]
+        assert machine.tracer.consumed == 0
+
+    def test_cycle_engine_runs_the_same_kernel(self, partial, tiny_graph):
+        machine = self.partial_machine(partial, tiny_graph, "cycle")
         assert machine.run(verify=True).verified is True
-        epochs = memory_trace.records("engine.analytic.epoch")
-        assert epochs and all(
-            r["labels"] == {"mode": "scalar", "reason": engine.batch_decline} for r in epochs
-        )

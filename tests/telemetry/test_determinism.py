@@ -48,32 +48,11 @@ def test_analytic_engine_writes_epoch_and_segment_spans(memory_trace):
     run_case(case)
     epochs = memory_trace.records("engine.analytic.epoch")
     segments = memory_trace.records("engine.analytic.segment")
-    assert epochs and all(r["labels"] == {"mode": "batched"} for r in epochs)
+    assert epochs and all("labels" not in r for r in epochs)
     assert segments
     for record in segments:
         assert record["parent"] == "engine.analytic.epoch"
         assert set(record["labels"]) == {"task"}
-
-
-def test_scalar_epochs_carry_the_batch_decline_reason(small_rmat, memory_trace):
-    from repro.apps import BFSKernel
-    from repro.core.config import MachineConfig
-    from repro.core.machine import DalorexMachine
-
-    def epoch_span_labels(**overrides):
-        config = MachineConfig(width=4, height=4, engine="analytic", **overrides)
-        seen = len(memory_trace.records("engine.analytic.epoch"))
-        DalorexMachine(config, BFSKernel(root=0), small_rmat).run(compute_energy=False)
-        return {
-            tuple(sorted(r["labels"].items()))
-            for r in memory_trace.records("engine.analytic.epoch")[seen:]
-        }
-
-    assert epoch_span_labels(noc="torus_ruche") == {(("mode", "batched"),)}
-    assert epoch_span_labels(allow_remote_access=True) == {(
-        ("mode", "scalar"),
-        ("reason", "allow_remote_access uses scalar-only per-access semantics"),
-    )}
 
 
 def test_fig6_report_identical_with_telemetry(tmp_path):

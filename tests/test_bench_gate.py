@@ -103,29 +103,31 @@ def test_gate_still_catches_real_regressions(tmp_path):
     assert code == 1
 
 
-def test_gate_refuses_to_run_with_telemetry_enabled(tmp_path, monkeypatch, capsys):
-    # The gate certifies the telemetry-off hot path; a stray
-    # DALOREX_TELEMETRY in the job environment must fail loudly rather
-    # than benchmark the instrumented build against the baseline.
+def test_gate_ignores_the_retired_telemetry_switch(tmp_path, monkeypatch):
+    # Nothing reads DALOREX_TELEMETRY since telemetry became one JSONL
+    # switch, so the variable alone must not block the gate.
     baseline, bench = _write_gate_files(tmp_path)
     monkeypatch.setenv("DALOREX_TELEMETRY", "1")
+    monkeypatch.delenv("DALOREX_TELEMETRY_JSONL", raising=False)
     code = gate.main(
         ["--bench-json", str(bench), "--baseline", str(baseline)],
         timer=FakeTimer([0.1] * 20), workload=_noop,
     )
-    assert code == 2
-    assert "disabled-telemetry" in capsys.readouterr().err
+    assert code == 0
 
 
-def test_gate_refuses_a_jsonl_sink_too(tmp_path, monkeypatch):
+def test_gate_refuses_a_jsonl_sink_too(tmp_path, monkeypatch, capsys):
+    # The gate certifies the telemetry-off hot path; a JSONL sink in the
+    # job environment must fail loudly rather than benchmark the
+    # instrumented run against the baseline.
     baseline, bench = _write_gate_files(tmp_path)
-    monkeypatch.delenv("DALOREX_TELEMETRY", raising=False)
     monkeypatch.setenv("DALOREX_TELEMETRY_JSONL", str(tmp_path / "t.jsonl"))
     code = gate.main(
         ["--bench-json", str(bench), "--baseline", str(baseline)],
         timer=FakeTimer([0.1] * 20), workload=_noop,
     )
     assert code == 2
+    assert "disabled-telemetry" in capsys.readouterr().err
 
 
 def test_update_baseline_keeps_format(tmp_path):

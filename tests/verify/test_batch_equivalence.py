@@ -1,13 +1,11 @@
-"""Property test: both analytic executors are bit-equal to the reference loop.
+"""Property test: the analytic engine is bit-equal to the reference loop.
 
-The analytic engine runs every epoch over a worklist of same-task segments.
-A batched run (``machine.batch_execution = True``, the default) executes
-each segment through the kernel's batch handlers; a run the batch gate
-declines executes the same segments one invocation at a time.  Both claim
+The analytic engine runs every epoch over a worklist of same-task segments
+and executes each segment through the kernel's batch handlers.  It claims
 exact equivalence with the per-invocation deque loop kept as the tests'
 oracle (``tests/core/reference_analytic.py``) -- not "close", but identical
 IEEE floats in every counter, per-tile array, link-load accumulator and
-program output.  This property drives all three over random small graphs,
+program output.  This property drives both over random small graphs,
 kernels and machine configurations and compares everything bitwise, so any
 future vectorization change that perturbs an accumulation order fails
 loudly here.
@@ -80,13 +78,12 @@ def equivalence_cases(draw):
     return graph, kernel_name, overrides
 
 
-def _run(graph, kernel_name, overrides, path):
-    """One run on ``path``: ``"batched"``, ``"per-item"`` or ``"reference"``."""
+def _run(graph, kernel_name, overrides, reference=False):
+    """One run, on the reference loop when ``reference`` is set."""
     config = MachineConfig(**overrides)
     machine = DalorexMachine(config, _kernel(kernel_name, graph), graph)
-    if path == "reference":
+    if reference:
         return machine, run_reference(machine, compute_energy=False)
-    machine.batch_execution = path == "batched"
     return machine, machine.run(compute_energy=False)
 
 
@@ -112,10 +109,9 @@ def assert_same_run(run, expected):
 
 
 def assert_bit_equal(graph, kernel_name, overrides):
-    """The batched and the per-item run each equal the reference run."""
-    reference = _run(graph, kernel_name, overrides, "reference")
-    assert_same_run(_run(graph, kernel_name, overrides, "batched"), reference)
-    assert_same_run(_run(graph, kernel_name, overrides, "per-item"), reference)
+    """The batched run equals the reference run."""
+    reference = _run(graph, kernel_name, overrides, reference=True)
+    assert_same_run(_run(graph, kernel_name, overrides), reference)
 
 
 class TestBatchScalarEquivalence:
@@ -135,9 +131,6 @@ class TestBatchScalarEquivalence:
     def test_ruche_and_3d_topologies_take_batched_path(self, overrides, small_rmat):
         config = MachineConfig(engine="analytic", **overrides)
         machine = DalorexMachine(config, SSSPKernel(root=0), small_rmat)
-        from repro.core.engine_analytic import AnalyticalEngine
-
-        assert AnalyticalEngine(machine)._prepare_batch() is not None
         assert machine.run(verify=True).verified is True
         assert_bit_equal(small_rmat, "sssp", dict(engine="analytic", **overrides))
 
@@ -146,12 +139,5 @@ class TestBatchScalarEquivalence:
         machine = DalorexMachine(config, BFSKernel(root=0), small_rmat)
         from repro.core.engine_analytic import AnalyticalEngine
 
-        assert AnalyticalEngine(machine)._prepare_batch() is not None
-
-    def test_opt_out_flag_forces_scalar_path(self, small_rmat):
-        config = MachineConfig(width=8, height=8, engine="analytic")
-        machine = DalorexMachine(config, BFSKernel(root=0), small_rmat)
-        machine.batch_execution = False
-        from repro.core.engine_analytic import AnalyticalEngine
-
-        assert AnalyticalEngine(machine)._prepare_batch() is None
+        handlers = AnalyticalEngine(machine)._prepare_batch()
+        assert set(handlers) == {task.name for task in machine.program.tasks}
