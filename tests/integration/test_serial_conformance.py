@@ -5,9 +5,12 @@ through its kernel's batch handlers, but that engine still has freedoms
 that must never show in its report: with or without a telemetry sink, and
 how many route links a flit-millimeter fold takes at a time.  Each envelope
 case below runs both ways of one freedom and compares the serialized
-payload bytes, the strictest equality the runtime defines; a payload must
-also survive its own decode/encode round trip byte for byte.  A kernel the
-batch handlers do not cover is refused, not run some other way.
+payload bytes, the strictest equality the runtime defines; the batched
+report must also equal the per-invocation reference loop's, and a payload
+must survive its own decode/encode round trip byte for byte.  Allowing
+remote access changes no byte on either engine, because every built-in
+handler touches only local data.  A kernel the batch handlers do not cover
+is refused, not run some other way.
 """
 
 import json
@@ -73,6 +76,14 @@ def run_bytes(app, graph, overrides) -> bytes:
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 class TestEnvelopeByteIdentity:
+    def test_reference_loop_report_is_byte_identical(self, case, small_graph):
+        # The reference loop runs the scalar task handlers one invocation at
+        # a time; the batched run must write its bytes on every case.
+        app, overrides = case
+        machine = build_machine(app, small_graph, overrides)
+        reference = payload_bytes(run_reference(machine, verify=True))
+        assert run_bytes(app, small_graph, overrides) == reference
+
     def test_report_is_byte_identical_with_telemetry_on(self, case, small_graph, memory_trace):
         app, overrides = case
         with telemetry_session(NULL):
@@ -98,15 +109,35 @@ class TestEnvelopeByteIdentity:
         assert payload_bytes(decoded) == payload
 
 
+APPS = ["bfs", "sssp", "wcc", "pagerank", "spmv"]
+
+#: Remote access allowed, at a penalty other than the default 40 cycles.
+REMOTE_ACCESS = dict(allow_remote_access=True, remote_access_penalty_cycles=97)
+
+
 @pytest.mark.parametrize("barrier", [False, True], ids=["barrierless", "barrier"])
-@pytest.mark.parametrize("app", ["bfs", "sssp", "wcc", "pagerank", "spmv"])
+@pytest.mark.parametrize("app", APPS)
 def test_remote_access_flag_changes_no_byte(app, barrier, small_graph):
     # The batch handlers touch only local data, so allowing remote access
-    # leaves the batched run equal to the per-invocation scalar loop.
-    overrides = dict(width=4, height=4, barrier=barrier, allow_remote_access=True)
-    batched = run_bytes(app, small_graph, overrides)
-    machine = build_machine(app, small_graph, overrides)
-    assert payload_bytes(run_reference(machine, verify=True)) == batched
+    # leaves the batched run equal to the run with the flag off and to the
+    # per-invocation scalar loop.
+    overrides = dict(width=4, height=4, barrier=barrier)
+    base = run_bytes(app, small_graph, overrides)
+    remote = dict(overrides, **REMOTE_ACCESS)
+    assert run_bytes(app, small_graph, remote) == base
+    machine = build_machine(app, small_graph, remote)
+    assert payload_bytes(run_reference(machine, verify=True)) == base
+
+
+@pytest.mark.parametrize("barrier", [False, True], ids=["barrierless", "barrier"])
+@pytest.mark.parametrize("app", APPS)
+def test_remote_access_flag_changes_no_cycle_engine_byte(app, barrier, small_graph):
+    # The scalar handlers the cycle engine runs touch only local data too,
+    # so no task pays the remote-access penalty.
+    overrides = dict(width=4, height=4, barrier=barrier)
+    base = build_machine(app, small_graph, overrides, engine="cycle").run(verify=True)
+    remote = build_machine(app, small_graph, dict(overrides, **REMOTE_ACCESS), engine="cycle")
+    assert payload_bytes(remote.run(verify=True)) == payload_bytes(base)
 
 
 #: Handler tables that leave tasks out, with the tasks a bfs kernel misses:
@@ -150,3 +181,21 @@ class TestMissingBatchHandlers:
     def test_cycle_engine_runs_the_same_kernel(self, partial, tiny_graph):
         machine = self.partial_machine(partial, tiny_graph, "cycle")
         assert machine.run(verify=True).verified is True
+
+
+@pytest.mark.parametrize("app", APPS)
+def test_analytic_engine_refuses_a_kernel_missing_its_last_task_handler(app, small_graph):
+    # The last task of each built-in program runs only downstream of the
+    # seeded one; a check of the seeded task alone would let the run start.
+    machine = build_machine(app, small_graph, dict(width=4, height=4))
+    last = machine.program.tasks[-1].name
+    handlers = machine.kernel.batch_handlers
+    machine.kernel.batch_handlers = lambda machine: {
+        name: handler for name, handler in handlers(machine).items() if name != last
+    }
+    with pytest.raises(ConfigurationError) as refusal:
+        machine.run(verify=True)
+    message = str(refusal.value)
+    assert f"kernel {app!r}" in message
+    assert [task.name for task in machine.program.tasks if repr(task.name) in message] == [last]
+    assert machine.tracer.consumed == 0
