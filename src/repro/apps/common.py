@@ -13,6 +13,10 @@ Work reaches the engines as :data:`~repro.core.batch.Seed` batches: one
 ``(task_name, columns)`` pair per call, holding one int64 array per task
 parameter and one entry per invocation, in invocation order.  Every built-in
 kernel seeds one task at a time.
+
+BFS, SSSP and WCC are one frontier program, :class:`FrontierGraphKernel`,
+whose scalar and batch handlers both read three per-kernel declarations;
+PageRank and SPMV define their own programs.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.batch import BatchResult, Seed, first_occurrences, relax_min, split_ranges
-from repro.core.program import DalorexProgram
+from repro.core.program import DalorexProgram, EDGE_SPACE, VERTEX_SPACE
 from repro.graph.csr import CSRGraph, concat_ranges
 
 
@@ -114,19 +118,31 @@ class Kernel(ABC):
 
 
 class FrontierGraphKernel(Kernel):
-    """Base class for frontier-driven graph algorithms (BFS, SSSP, WCC).
+    """The frontier program BFS, SSSP and WCC share (the paper's Fig. 2).
 
-    The paper's local frontier (a bitmap plus the IQ4 queue of pending blocks)
-    is modeled as a per-vertex flag array ``in_frontier`` plus a per-tile
-    frontier queue:
+    The program is split at each pointer indirection into four tasks: T1
+    reads a vertex's value and neighbour range and fans the range out to
+    its edge chunks, T2 walks an edge chunk and emits one relax per
+    neighbour, T3 keeps the smaller value on the neighbour's owning tile,
+    and T4 re-explores a vertex from the local frontier.  The kernels differ
+    only in three declarations, which the scalar handlers (run by the cycle
+    engine) and the batch handlers (run by the analytic engine) both read:
 
-    * the update task (T3) calls :meth:`mark_frontier` when it improves a
-      vertex -- the flag deduplicates, and in barrierless mode the vertex is
-      also pushed onto the tile's local frontier queue;
-    * in barrierless mode the TSU drains the local queue through the
-      re-exploration task (T4) only when the tile has no other pending work
-      (:meth:`refill_tile`, up to ``budget`` vertices as one T4 batch), which
-      is what keeps asynchronous execution work-efficient in the paper;
+    * :attr:`value_array`, the per-vertex value T3 relaxes;
+    * :attr:`weight_array`, the per-edge weight T2 adds, if any;
+    * :meth:`carry`, the value T1 sends from the vertex's own.
+
+    The paper's local frontier (a bitmap plus the IQ4 queue of pending
+    blocks) is modeled as a per-vertex flag array ``in_frontier`` plus a
+    per-tile frontier queue:
+
+    * T3 calls :meth:`mark_frontier` when it improves a vertex -- the flag
+      deduplicates, and in barrierless mode the vertex is also pushed onto
+      the tile's local frontier queue;
+    * in barrierless mode the TSU drains the local queue through T4 only
+      when the tile has no other pending work (:meth:`refill_tile`, up to
+      ``budget`` vertices as one T4 batch), which is what keeps asynchronous
+      execution work-efficient in the paper;
     * in barrier mode :meth:`next_epoch` sweeps the flags into the next epoch's
       seeds (the global frontier swap): one T1 batch of the flagged vertices
       in vertex order.
@@ -142,19 +158,99 @@ class FrontierGraphKernel(Kernel):
     refrontier_task: str = "T4_refrontier"
     #: Name of the per-vertex frontier flag array.
     frontier_array: str = "in_frontier"
-    #: Name of the per-vertex value array T3 relaxes (set by subclasses to
-    #: enable batched execution; ``None`` leaves the kernel without batch
-    #: handlers, so it runs on the cycle engine only).
-    batch_value_array: Optional[str] = None
-    #: Scratchpad reads T2 performs per edge (SSSP also reads the weight).
-    batch_t2_edge_reads: int = 1
-    #: Compute instructions T2 charges per edge.
-    batch_t2_edge_compute: int = 0
+    #: Name of the per-vertex array T3 relaxes and :meth:`result` returns.
+    value_array: str
+    #: Name of the per-edge weight array T2 adds to the carried value, or
+    #: ``None``.  A weight costs T2 one more read and one instruction per edge.
+    weight_array: Optional[str] = None
 
-    def frontier_vertices(self, machine) -> np.ndarray:
-        """Vertices currently flagged in the local frontiers."""
-        return np.nonzero(machine.arrays[self.frontier_array])[0]
+    def carry(self, values):
+        """The value T1 sends to the edge chunks, from the vertex's value.
 
+        Called with one value by the scalar T1 and with an array by the
+        batched one; BFS sends ``level + 1``.
+        """
+        return values
+
+    @abstractmethod
+    def initial_values(self, graph: CSRGraph) -> np.ndarray:
+        """Initial contents of :attr:`value_array`."""
+
+    # ----------------------------------------------------------------- program
+    def build_program(self) -> DalorexProgram:
+        # The handlers close over the declarations, read once here, so no
+        # task looks one up; T2's loop is picked once, with or without weight.
+        values, weights, flags = self.value_array, self.weight_array, self.frontier_array
+        explore, expand, relax = self.explore_task, self.expand_task, self.relax_task
+        carry, mark_frontier = self.carry, self.mark_frontier
+
+        def t1_explore(ctx, vertex: int) -> None:
+            value = ctx.read(values, vertex)
+            begin = ctx.read("row_begin", vertex)
+            degree = ctx.read("row_degree", vertex)
+            ctx.compute(1)
+            if degree > 0:
+                ctx.invoke_range(expand, begin, begin + degree, carry(value))
+
+        def t2_expand(ctx, begin: int, end: int, carried) -> None:
+            for edge in range(begin, end):
+                neighbor = ctx.read("edge_dst", edge)
+                ctx.invoke(relax, neighbor, carried)
+            ctx.count_edges(end - begin)
+
+        def t2_expand_weighted(ctx, begin: int, end: int, carried) -> None:
+            for edge in range(begin, end):
+                neighbor = ctx.read("edge_dst", edge)
+                weight = ctx.read(weights, edge)
+                ctx.compute(1)
+                ctx.invoke(relax, neighbor, carried + weight)
+            ctx.count_edges(end - begin)
+
+        def t3_relax(ctx, vertex: int, new) -> None:
+            current = ctx.read(values, vertex)
+            ctx.compute(1)
+            if new < current:
+                ctx.write(values, vertex, new)
+                mark_frontier(ctx, vertex)
+
+        def t4_refrontier(ctx, vertex: int) -> None:
+            if ctx.read(flags, vertex):
+                ctx.write(flags, vertex, 0)
+                ctx.invoke(explore, vertex)
+
+        program = DalorexProgram(self.name)
+        program.add_array(values, VERTEX_SPACE, 4)
+        program.add_array("row_begin", VERTEX_SPACE, 4)
+        program.add_array("row_degree", VERTEX_SPACE, 4)
+        program.add_array(flags, VERTEX_SPACE, 1)
+        program.add_array("edge_dst", EDGE_SPACE, 4)
+        if weights is not None:
+            program.add_array(weights, EDGE_SPACE, 4)
+        t2 = t2_expand if weights is None else t2_expand_weighted
+        program.add_task(explore, t1_explore, VERTEX_SPACE, num_params=1, iq_capacity=32)
+        program.add_task(expand, t2, EDGE_SPACE, num_params=3, iq_capacity=128)
+        program.add_task(relax, t3_relax, VERTEX_SPACE, num_params=2, iq_capacity=2048)
+        program.add_task(
+            self.refrontier_task, t4_refrontier, VERTEX_SPACE, num_params=1, iq_capacity=512
+        )
+        return program
+
+    def initial_arrays(self, graph: CSRGraph) -> Dict[str, np.ndarray]:
+        arrays = {
+            self.value_array: self.initial_values(graph),
+            "row_begin": graph.indptr[:-1].astype(np.int64),
+            "row_degree": graph.degrees().astype(np.int64),
+            self.frontier_array: np.zeros(graph.num_vertices, dtype=np.uint8),
+            "edge_dst": graph.indices.astype(np.int64),
+        }
+        if self.weight_array is not None:
+            arrays[self.weight_array] = graph.values.astype(np.float64)
+        return arrays
+
+    def result(self, machine) -> np.ndarray:
+        return machine.arrays[self.value_array].copy()
+
+    # ---------------------------------------------------------------- frontier
     def mark_frontier(self, ctx, vertex: int) -> None:
         """Insert ``vertex`` into the executing tile's local frontier (deduplicated)."""
         if ctx.read(self.frontier_array, vertex):
@@ -180,23 +276,15 @@ class FrontierGraphKernel(Kernel):
         return self.explore_task, (vertices,)
 
     # ------------------------------------------------------------- batch mode
-    def batch_t1_values(self, values: np.ndarray) -> np.ndarray:
-        """Value each T1 item carries to its edge chunks (BFS sends level+1)."""
-        return values
-
-    def batch_t2_values(self, machine, flat_edges: np.ndarray, carried: np.ndarray) -> np.ndarray:
-        """Per-edge value T2 emits to T3 (SSSP adds the edge weight)."""
-        return carried
-
     def batch_handlers(self, machine) -> Dict[str, object]:
-        if self.batch_value_array is None:
-            return {}
         arrays = machine.arrays
         program = machine.program
         t1 = program.task(self.explore_task)
         t2 = program.task(self.expand_task)
         t3 = program.task(self.relax_task)
-        values = arrays[self.batch_value_array]
+        values = arrays[self.value_array]
+        weights = None if self.weight_array is None else arrays[self.weight_array]
+        carry = self.carry
         row_begin = arrays["row_begin"]
         row_degree = arrays["row_degree"]
         edge_dst = arrays["edge_dst"]
@@ -204,12 +292,12 @@ class FrontierGraphKernel(Kernel):
         edge_space = machine.placement.space(t2.route_space)
         vertex_space = machine.placement.space(t3.route_space)
         max_range = machine.config.max_range_per_message
-        edge_reads = self.batch_t2_edge_reads
-        edge_compute = self.batch_t2_edge_compute
+        # Per edge, T2 reads the destination and the weight, and adds them.
+        edge_reads, edge_compute = (1, 0) if weights is None else (2, 1)
 
         def run_t1(segment) -> BatchResult:
             verts = np.asarray(segment.params[0], dtype=np.int64)
-            carried = self.batch_t1_values(values[verts])
+            carried = carry(values[verts])
             begins = row_begin[verts]
             ends = begins + row_degree[verts]
             dests, piece_begin, piece_end, pieces = split_ranges(
@@ -232,7 +320,9 @@ class FrontierGraphKernel(Kernel):
             begins, ends, carried = segment.params
             flat, counts = concat_ranges(begins, ends)
             neighbors = edge_dst[flat]
-            out_values = self.batch_t2_values(machine, flat, np.repeat(carried, counts))
+            out_values = np.repeat(carried, counts)
+            if weights is not None:
+                out_values = out_values + weights[flat]
             reads = edge_reads * counts
             writes = np.zeros(segment.n, dtype=np.int64)
             extra = (edge_compute + t3.flits_per_invocation) * counts

@@ -33,22 +33,15 @@ class PageRankKernel(Kernel):
     # ----------------------------------------------------------------- program
     def build_program(self) -> DalorexProgram:
         program = DalorexProgram("pagerank")
-        program.add_array("rank", VERTEX_SPACE, 4, "current rank value")
-        program.add_array("next_rank", VERTEX_SPACE, 4, "contributions accumulated this epoch")
-        program.add_array("row_begin", VERTEX_SPACE, 4, "first edge index of the vertex")
-        program.add_array("row_degree", VERTEX_SPACE, 4, "out-degree of the vertex")
-        program.add_array("edge_dst", EDGE_SPACE, 4, "edge destination vertex")
+        program.add_array("rank", VERTEX_SPACE, 4)
+        program.add_array("next_rank", VERTEX_SPACE, 4)
+        program.add_array("row_begin", VERTEX_SPACE, 4)
+        program.add_array("row_degree", VERTEX_SPACE, 4)
+        program.add_array("edge_dst", EDGE_SPACE, 4)
+        program.add_task("T1_push", self._t1_push, VERTEX_SPACE, num_params=1, iq_capacity=64)
+        program.add_task("T2_fan", self._t2_fan, EDGE_SPACE, num_params=3, iq_capacity=128)
         program.add_task(
-            "T1_push", self._t1_push, VERTEX_SPACE, num_params=1, iq_capacity=64,
-            description="compute the vertex's per-edge contribution, fan out",
-        )
-        program.add_task(
-            "T2_fan", self._t2_fan, EDGE_SPACE, num_params=3, iq_capacity=128,
-            description="walk an edge chunk, emit one accumulate per neighbour",
-        )
-        program.add_task(
-            "T3_accumulate", self._t3_accumulate, VERTEX_SPACE, num_params=2, iq_capacity=2048,
-            description="add the contribution to the destination's next rank",
+            "T3_accumulate", self._t3_accumulate, VERTEX_SPACE, num_params=2, iq_capacity=2048
         )
         return program
 

@@ -34,27 +34,21 @@ class SPMVKernel(Kernel):
     # ----------------------------------------------------------------- program
     def build_program(self) -> DalorexProgram:
         program = DalorexProgram("spmv")
-        program.add_array("x", VERTEX_SPACE, 4, "dense input vector")
-        program.add_array("y", VERTEX_SPACE, 4, "dense output vector")
-        program.add_array("row_begin", VERTEX_SPACE, 4, "first non-zero index of the row")
-        program.add_array("row_degree", VERTEX_SPACE, 4, "non-zeros in the row")
-        program.add_array("edge_col", EDGE_SPACE, 4, "column index of the non-zero")
-        program.add_array("edge_val", EDGE_SPACE, 4, "value of the non-zero")
+        program.add_array("x", VERTEX_SPACE, 4)
+        program.add_array("y", VERTEX_SPACE, 4)
+        program.add_array("row_begin", VERTEX_SPACE, 4)
+        program.add_array("row_degree", VERTEX_SPACE, 4)
+        program.add_array("edge_col", EDGE_SPACE, 4)
+        program.add_array("edge_val", EDGE_SPACE, 4)
+        program.add_task("T1_row", self._t1_row, VERTEX_SPACE, num_params=1, iq_capacity=64)
         program.add_task(
-            "T1_row", self._t1_row, VERTEX_SPACE, num_params=1, iq_capacity=64,
-            description="fan the row out to its non-zero chunks",
+            "T2_nonzeros", self._t2_nonzeros, EDGE_SPACE, num_params=3, iq_capacity=128
         )
         program.add_task(
-            "T2_nonzeros", self._t2_nonzeros, EDGE_SPACE, num_params=3, iq_capacity=128,
-            description="walk a non-zero chunk and forward each to its column owner",
+            "T3_multiply", self._t3_multiply, VERTEX_SPACE, num_params=3, iq_capacity=1024
         )
         program.add_task(
-            "T3_multiply", self._t3_multiply, VERTEX_SPACE, num_params=3, iq_capacity=1024,
-            description="multiply the non-zero by x[column]",
-        )
-        program.add_task(
-            "T4_accumulate", self._t4_accumulate, VERTEX_SPACE, num_params=2, iq_capacity=2048,
-            description="accumulate the product into y[row]",
+            "T4_accumulate", self._t4_accumulate, VERTEX_SPACE, num_params=2, iq_capacity=2048
         )
         return program
 

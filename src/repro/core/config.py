@@ -93,13 +93,6 @@ class MachineConfig:
     def num_tiles(self) -> int:
         return self.width * self.height * self.depth
 
-    @property
-    def clock_period_ns(self) -> float:
-        return 1.0 / self.frequency_ghz
-
-    def cycles_to_seconds(self, cycles: float) -> float:
-        return cycles * 1e-9 / self.frequency_ghz
-
     def memory_latency_cycles(self) -> float:
         """Average latency of one local data access for this memory system."""
         if self.memory == "sram":

@@ -45,23 +45,11 @@ class MemoryTables:
 
     def __init__(self, config) -> None:
         self.memory = config.memory
-        hit_rate = miss_rate = 0.0
-        if self.memory == "sram":
-            stall = config.sram_latency_cycles - 1
-        elif self.memory == "dram":
-            stall = config.dram_latency_cycles - 1
-        else:  # dram_cache: expected-latency approximation of a large private cache
-            hit_rate = config.cache_hit_rate
-            miss_rate = 1.0 - hit_rate
-            expected = (
-                hit_rate * config.cache_hit_latency_cycles
-                + (1.0 - hit_rate) * config.dram_latency_cycles
-            )
-            stall = expected - 1
         #: Stall cycles one local access adds.
-        self.stall_step = stall
-        self._hit_rate = hit_rate
-        self._miss_rate = miss_rate
+        self.stall_step = config.memory_latency_cycles() - 1
+        # dram_cache only: the expected hit and miss fraction of one access.
+        self._hit_rate = config.cache_hit_rate
+        self._miss_rate = 1.0 - config.cache_hit_rate
         #: Largest access count the tables cover.
         self.size = 0
         self.ensure(64)

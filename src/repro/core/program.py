@@ -27,13 +27,11 @@ class ArraySpec:
         name: array name used by ``ctx.read``/``ctx.write``.
         space: index space that distributes the array ("vertex", "edge", ...).
         entry_bytes: storage per element, used for scratchpad sizing.
-        description: optional documentation string.
     """
 
     name: str
     space: str
     entry_bytes: int = 4
-    description: str = ""
 
 
 class DalorexProgram:
@@ -46,13 +44,11 @@ class DalorexProgram:
         self._task_by_name: Dict[str, Task] = {}
 
     # ----------------------------------------------------------------- arrays
-    def add_array(
-        self, name: str, space: str, entry_bytes: int = 4, description: str = ""
-    ) -> ArraySpec:
+    def add_array(self, name: str, space: str, entry_bytes: int = 4) -> ArraySpec:
         """Declare a distributed array."""
         if name in self.arrays:
             raise ProgramError(f"array {name!r} already declared")
-        spec = ArraySpec(name=name, space=space, entry_bytes=entry_bytes, description=description)
+        spec = ArraySpec(name=name, space=space, entry_bytes=entry_bytes)
         self.arrays[name] = spec
         return spec
 
@@ -67,13 +63,6 @@ class DalorexProgram:
         result.update(task.route_space for task in self.tasks)
         return sorted(result)
 
-    def arrays_per_space(self) -> Dict[str, int]:
-        """Number of declared arrays in each space (for scratchpad sizing)."""
-        counts: Dict[str, int] = {}
-        for spec in self.arrays.values():
-            counts[spec.space] = counts.get(spec.space, 0) + 1
-        return counts
-
     # ------------------------------------------------------------------ tasks
     def add_task(
         self,
@@ -82,7 +71,6 @@ class DalorexProgram:
         route_space: str,
         num_params: int,
         iq_capacity: int = 64,
-        description: str = "",
     ) -> Task:
         """Declare a task; tasks execute on the tile owning their routing index."""
         if name in self._task_by_name:
@@ -94,7 +82,6 @@ class DalorexProgram:
             route_space=route_space,
             num_params=num_params,
             iq_capacity=iq_capacity,
-            description=description,
         )
         self.tasks.append(task)
         self._task_by_name[name] = task
@@ -113,9 +100,6 @@ class DalorexProgram:
     @property
     def num_tasks(self) -> int:
         return len(self.tasks)
-
-    def task_names(self) -> List[str]:
-        return [task.name for task in self.tasks]
 
     def iq_capacities(self) -> Dict[int, int]:
         """Input-queue capacity per task ID (used to build tiles)."""

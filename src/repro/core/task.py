@@ -26,7 +26,6 @@ class Task:
         num_params: number of invocation parameters; also the message length in
             flits (the routing index is the head flit, as in the paper).
         iq_capacity: input-queue entries reserved for this task on every tile.
-        description: optional documentation string shown in program listings.
     """
 
     task_id: int
@@ -35,7 +34,6 @@ class Task:
     route_space: str
     num_params: int
     iq_capacity: int = 64
-    description: str = ""
 
     #: Message length in flits: one flit per parameter, head included.
     flits_per_invocation: int = field(init=False, repr=False)

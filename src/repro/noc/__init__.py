@@ -12,7 +12,6 @@ from repro.noc.topology import (
 )
 from repro.noc.analytical import LinkLoadModel
 from repro.noc.sim import NocSimulator, make_routing
-from repro.noc.traffic import TrafficMatrix
 
 __all__ = [
     "Topology",
@@ -26,5 +25,4 @@ __all__ = [
     "make_routing",
     "LinkLoadModel",
     "NocSimulator",
-    "TrafficMatrix",
 ]

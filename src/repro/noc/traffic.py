@@ -1,4 +1,4 @@
-"""Tile-to-tile traffic statistics and ASCII heatmap rendering.
+"""Per-tile utilization grids and ASCII heatmap rendering.
 
 Fig. 10 of the paper shows PU and router utilization heatmaps for mesh vs torus;
 this module provides the grid-shaped summaries and a plain-text renderer so the
@@ -12,44 +12,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.noc.topology import Topology
-
-
-class TrafficMatrix:
-    """Counts messages and flits exchanged between every (source, destination) pair."""
-
-    def __init__(self, num_tiles: int) -> None:
-        self.num_tiles = num_tiles
-        self.messages = np.zeros((num_tiles, num_tiles), dtype=np.int64)
-        self.flits = np.zeros((num_tiles, num_tiles), dtype=np.int64)
-
-    def record(self, src: int, dst: int, flits: int) -> None:
-        self.messages[src, dst] += 1
-        self.flits[src, dst] += flits
-
-    def total_messages(self) -> int:
-        return int(self.messages.sum())
-
-    def total_flits(self) -> int:
-        return int(self.flits.sum())
-
-    def sent_per_tile(self) -> np.ndarray:
-        return self.messages.sum(axis=1)
-
-    def received_per_tile(self) -> np.ndarray:
-        return self.messages.sum(axis=0)
-
-    def local_fraction(self) -> float:
-        """Fraction of messages whose source and destination tile coincide."""
-        total = self.total_messages()
-        if total == 0:
-            return 0.0
-        return float(np.trace(self.messages)) / total
-
-    def hottest_destinations(self, count: int = 5) -> list:
-        """Tiles receiving the most messages, as ``(tile, messages)`` pairs."""
-        received = self.received_per_tile()
-        order = np.argsort(received)[::-1][:count]
-        return [(int(tile), int(received[tile])) for tile in order]
 
 
 def utilization_grid(per_tile: Sequence[float], topology: Topology) -> np.ndarray:

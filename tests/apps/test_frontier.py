@@ -76,8 +76,3 @@ class TestNextEpoch:
         assert vertices.dtype == np.int64 and vertices.tolist() == [2, 7, 11]
         assert machine.arrays["in_frontier"].sum() == 0
         assert machine.kernel.next_epoch(machine, 2) is None
-
-    def test_frontier_vertices_helper(self):
-        machine = make_machine(barrier=True)
-        machine.arrays["in_frontier"][[1, 4]] = 1
-        assert list(machine.kernel.frontier_vertices(machine)) == [1, 4]

@@ -16,6 +16,7 @@ from repro.core.config import MachineConfig
 from repro.core.machine import DalorexMachine
 from repro.graph.generators import chain_graph, grid_graph, rmat_graph, star_graph
 from repro.graph.reference import UNREACHED
+from tests.core.reference_analytic import run_reference
 
 
 def run_kernel_on(kernel, graph, engine="cycle", **overrides):
@@ -53,6 +54,37 @@ class TestProgramStructure:
         program = BFSKernel().build_program()
         assert program.task("T3_relax").route_space == "vertex"
         assert program.task("T2_expand").route_space == "edge"
+
+    @pytest.mark.parametrize("name, value, weight", [
+        ("bfs", "level", None),
+        ("sssp", "dist", "edge_weight"),
+        ("wcc", "label", None),
+    ])
+    def test_frontier_program_layout(self, name, value, weight):
+        # The one frontier program: task ids, routes, arities and IQ sizes,
+        # and the arrays in declaration order, are those of the paper's split.
+        kernel = make_kernel(name)
+        program = kernel.build_program()
+        assert program.name == name
+        assert [
+            (t.name, t.task_id, t.route_space, t.num_params, t.iq_capacity)
+            for t in program.tasks
+        ] == [
+            ("T1_explore", 0, "vertex", 1, 32),
+            ("T2_expand", 1, "edge", 3, 128),
+            ("T3_relax", 2, "vertex", 2, 2048),
+            ("T4_refrontier", 3, "vertex", 1, 512),
+        ]
+        arrays = [
+            (value, "vertex", 4),
+            ("row_begin", "vertex", 4),
+            ("row_degree", "vertex", 4),
+            ("in_frontier", "vertex", 1),
+            ("edge_dst", "edge", 4),
+        ] + ([(weight, "edge", 4)] if weight else [])
+        assert [(s.name, s.space, s.entry_bytes) for s in program.arrays.values()] == arrays
+        graph = kernel.prepare_graph(rmat_graph(6, edge_factor=3, seed=2))
+        assert list(kernel.initial_arrays(graph)) == [array for array, _, _ in arrays]
 
 
 class TestBFS:
@@ -97,6 +129,32 @@ class TestSSSP:
         barriered, _ = run_kernel_on(SSSPKernel(root=root), small_rmat, barrier=True)
         barrierless, _ = run_kernel_on(SSSPKernel(root=root), small_rmat, barrier=False)
         assert np.allclose(barriered.outputs["dist"], barrierless.outputs["dist"])
+
+    @pytest.mark.parametrize("barrier", [True, False], ids=["barrier", "barrierless"])
+    @pytest.mark.parametrize(
+        "run", [lambda machine: machine.run(), run_reference], ids=["batched", "reference"]
+    )
+    def test_a_weight_costs_one_read_and_one_add_per_edge(self, run, barrier):
+        # On unit weights SSSP is BFS plus T2's weight read and add on every
+        # edge, on the batched path and on the scalar handlers alike.  The
+        # analytic engine keeps both runs in the same order; on the cycle
+        # engine the extra T2 cycles reorder a barrierless run.
+        graph = rmat_graph(8, edge_factor=6, seed=11, weighted=False)
+        root = graph.highest_degree_vertex()
+        config = MachineConfig(width=4, height=4, engine="analytic", barrier=barrier)
+        bfs = run(DalorexMachine(config, BFSKernel(root=root), graph))
+        sssp = run(DalorexMachine(config, SSSPKernel(root=root), graph))
+        levels, dist = bfs.outputs["level"], sssp.outputs["dist"]
+        reached = levels != UNREACHED
+        assert reached.sum() == 180
+        assert np.array_equal(np.isinf(dist), ~reached)
+        assert np.array_equal(dist[reached], levels[reached])
+        b, s = bfs.counters, sssp.counters
+        assert (s.tasks_executed, s.messages, s.edges_processed) == (
+            b.tasks_executed, b.messages, b.edges_processed
+        )
+        assert s.sram_reads == b.sram_reads + b.edges_processed
+        assert s.instructions == b.instructions + 2 * b.edges_processed
 
 
 class TestPageRank:

@@ -45,10 +45,6 @@ class TestValidation:
 
 
 class TestDerived:
-    def test_cycles_to_seconds(self):
-        config = MachineConfig(frequency_ghz=1.0)
-        assert config.cycles_to_seconds(1e9) == pytest.approx(1.0)
-
     def test_memory_latency_sram(self):
         assert MachineConfig(memory="sram").memory_latency_cycles() == 1
 

@@ -39,7 +39,6 @@ class TestProgram:
         assert program.task("T1").task_id == 0
         assert program.task_by_id(1).name == "T2"
         assert program.num_tasks == 2
-        assert program.task_names() == ["T1", "T2"]
 
     def test_duplicate_task_rejected(self):
         program = self.build()
@@ -68,7 +67,6 @@ class TestProgram:
     def test_spaces_and_counts(self):
         program = self.build()
         assert program.spaces() == [EDGE_SPACE, VERTEX_SPACE]
-        assert program.arrays_per_space() == {VERTEX_SPACE: 1, EDGE_SPACE: 1}
 
     def test_iq_capacities(self):
         assert self.build().iq_capacities() == {0: 32, 1: 128}

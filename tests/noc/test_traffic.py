@@ -1,43 +1,9 @@
-"""Unit tests for traffic statistics and ASCII heatmaps."""
+"""Unit tests for per-tile utilization grids and ASCII heatmaps."""
 
 import numpy as np
 
 from repro.noc.topology import Mesh2D
-from repro.noc.traffic import TrafficMatrix, ascii_heatmap, utilization_grid
-
-
-class TestTrafficMatrix:
-    def test_record_and_totals(self):
-        matrix = TrafficMatrix(4)
-        matrix.record(0, 1, flits=2)
-        matrix.record(0, 1, flits=2)
-        matrix.record(2, 2, flits=1)
-        assert matrix.total_messages() == 3
-        assert matrix.total_flits() == 5
-
-    def test_sent_received_per_tile(self):
-        matrix = TrafficMatrix(3)
-        matrix.record(0, 1, 1)
-        matrix.record(0, 2, 1)
-        assert list(matrix.sent_per_tile()) == [2, 0, 0]
-        assert list(matrix.received_per_tile()) == [0, 1, 1]
-
-    def test_local_fraction(self):
-        matrix = TrafficMatrix(2)
-        matrix.record(0, 0, 1)
-        matrix.record(0, 1, 1)
-        assert matrix.local_fraction() == 0.5
-
-    def test_local_fraction_empty(self):
-        assert TrafficMatrix(2).local_fraction() == 0.0
-
-    def test_hottest_destinations(self):
-        matrix = TrafficMatrix(4)
-        for _ in range(5):
-            matrix.record(0, 3, 1)
-        matrix.record(0, 1, 1)
-        hottest = matrix.hottest_destinations(2)
-        assert hottest[0] == (3, 5)
+from repro.noc.traffic import ascii_heatmap, utilization_grid
 
 
 class TestHeatmap:
